@@ -6,7 +6,8 @@ Run:  python demos/04_cm_placement.py
 from stablelab import cmlab
 
 print("For an imaginary quadratic order of discriminant D, the class")
-print("polynomial H_D is assembled from high-precision q-expansions and")
+print("polynomial H_D is assembled from high-precision values of the eta")
+print("quotient j = (x + 256)^3 / x^2, x = (eta(tau) / eta(2 tau))^24, and")
 print("rounded only when two precision levels agree.\n")
 
 for disc in (-20, -40, -28):

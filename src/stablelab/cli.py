@@ -1,9 +1,9 @@
 """Batch runner: `verify <suite>` executes a verification suite and writes a
 machine-readable report.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 the
-configuration could not be parsed.  Checks run independently; one failure
-never aborts its siblings.
+Exit codes: 0 all checks passed, 1 at least one check failed or the suite
+built no check, 2 the configuration could not be parsed or is invalid.
+Checks run independently; one failure never aborts its siblings.
 """
 
 from __future__ import annotations
@@ -100,6 +100,10 @@ def _build_config(args, file_config: dict) -> Config:
     precision = file_config.get("precision_bits")
     if args.precision is not None:
         precision = args.precision
+    if precision is not None:
+        precision = int(precision)
+        if precision <= 0:
+            raise ValueError(f"precision_bits must be a positive integer, got {precision}")
     cache_dir = file_config.get("cache_dir")
     if args.cache_dir is not None:
         cache_dir = args.cache_dir
@@ -108,7 +112,7 @@ def _build_config(args, file_config: dict) -> Config:
         discriminants_case1=as_int_tuple(disc_section.get("case1")),
         discriminants_case2=as_int_tuple(disc_section.get("case2")),
         disc_override=disc_override,
-        precision_bits=int(precision) if precision is not None else None,
+        precision_bits=precision,
         cache_dir=cache_dir,
         g_edixhoven=int(file_config.get("g_E", 0)),
         ordinary_genera=as_int_tuple(file_config.get("ordinary_genera")),
@@ -156,7 +160,7 @@ def main(argv=None) -> int:
     try:
         file_config = load_config_file(args.config) if args.config else {}
         config = _build_config(args, file_config)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     report = run_suite(args.suite, config)

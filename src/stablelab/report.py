@@ -76,7 +76,10 @@ class SuiteReport:
 
     @property
     def overall(self) -> str:
-        return "fail" if any(r.status == "fail" for r in self.results) else "pass"
+        """A suite that built no check at all is not a pass."""
+        if not self.results or any(r.status == "fail" for r in self.results):
+            return "fail"
+        return "pass"
 
     def to_json(self) -> dict:
         return {

@@ -182,3 +182,24 @@ def test_cache_warm_rerun(tmp_path):
         for check in payload["checks"]:
             check["elapsed_ms"] = 0
     assert one == two
+
+
+def test_invalid_precision_rejected(tmp_path, capsys):
+    assert cli.main(["cm", "--precision", "-5", "--disc=-20"]) == 2
+    assert "config error: precision_bits" in capsys.readouterr().err
+    assert cli.main(["cm", "--precision", "0", "--disc=-20"]) == 2
+    config = tmp_path / "config.json"
+    for bad in (-3, [300]):
+        config.write_text(json.dumps({"precision_bits": bad}))
+        assert cli.main(["cm", "--config", str(config)]) == 2
+        assert "config error: " in capsys.readouterr().err
+
+
+def test_suite_without_checks_is_not_a_pass(tmp_path):
+    from stablelab.report import SuiteReport
+
+    assert SuiteReport("x", "0", {}, ()).overall == "fail"
+    path = tmp_path / "cm4.json"
+    assert cli.main(["cm", "--p", "4", "--report", str(path)]) == 1
+    payload = json.loads(path.read_text())
+    assert payload["checks"] == [] and payload["overall"] == "fail"

@@ -80,6 +80,48 @@ def test_class_polynomial_residual_and_stability():
     assert again.coefficients == poly.coefficients
 
 
+def _j_by_e4_delta(tau, precision):
+    """Reference j = E4^3 / Delta from the q-expansions E4 = 1 + 240 sum sigma3(n) q^n
+    and Delta = q prod (1 - q^n)^24, cut where |q|^n < 2^-(precision + 64)."""
+    with mp.workprec(precision + 64):
+        q = mp.exp(2j * mp.pi * tau)
+        terms = int(mp.ceil((precision + 64) * mp.ln(2) / (2 * mp.pi * tau.imag))) + 2
+        sigma3 = [0] * (terms + 1)
+        for d in range(1, terms + 1):
+            for multiple in range(d, terms + 1, d):
+                sigma3[multiple] += d**3
+        e4, product, qn = mpc(1), mpc(1), mpc(1)
+        for n in range(1, terms + 1):
+            qn *= q
+            e4 += 240 * sigma3[n] * qn
+            product *= 1 - qn
+        return e4**3 / (q * product**24)
+
+
+ORACLE_DISCRIMINANTS = tuple(row.discriminant for row in cmlab.table_rows()) + (
+    -28, -84, -52, -104
+)
+
+
+@pytest.mark.parametrize("disc", ORACLE_DISCRIMINANTS)
+def test_j_eta_quotient_matches_e4_delta_oracle(disc):
+    """The eta quotient agrees with the E4^3 / Delta q-expansion to 2^-precision
+    relative, at the default precision of D and at twice it, on every tau of
+    the table row of D and on every reduced form of D."""
+    rows = {row.discriminant: row for row in cmlab.table_rows()}
+    taus = [form.tau() for form in cmlab.reduced_forms(disc)]
+    if disc in rows:
+        taus += list(rows[disc].taus)
+    base = cmlab.default_precision(disc)
+    for precision in (base, 2 * base):
+        with mp.workprec(precision + 64):
+            for tau in taus:
+                point = tau.to_mpc()
+                reference = _j_by_e4_delta(point, precision)
+                error = abs(cmlab.j_tau(point, precision) - reference)
+                assert error <= mp.mpf(2) ** -precision * abs(reference), (disc, tau)
+
+
 def test_j_truncation_overflow():
     with pytest.raises(ValueError):
         cmlab.j_tau(mpc(0, 1e-6), 256)
