@@ -2,7 +2,9 @@
 machine-readable report.
 
 Exit codes: 0 all checks passed, 1 at least one check failed or the suite
-built no check, 2 the configuration could not be parsed or is invalid.
+built no check, 2 the configuration could not be parsed or is invalid (a
+discriminant that is not a negative integer congruent to 0 or 1 mod 4, or a
+prime that the quat or ledger suite cannot use).
 Checks run independently; one failure never aborts its siblings.
 """
 
@@ -15,9 +17,12 @@ import time
 
 from . import __version__
 from .checks import Config, build_checks
+from .ledger import is_prime
 from .report import CheckResult, SuiteReport
 
 SUITE_NAMES = ("stable-model", "maps", "ss", "cm", "quat", "ledger", "all")
+#: suite -> (least prime the suite can use, how to say so)
+PRIME_FLOORS = {"quat": (3, "an odd prime"), "ledger": (5, "a prime p > 3")}
 
 
 def run_suite(suite: str, config: Config, clock=time.monotonic) -> SuiteReport:
@@ -91,12 +96,23 @@ def _build_config(args, file_config: dict) -> Config:
             raise ValueError(f"expected a list of integers, got {value!r}")
         return tuple(dict.fromkeys(int(v) for v in value))  # deduped, order kept
 
+    def as_discriminants(value):
+        discs = as_int_tuple(value)
+        for d in discs or ():
+            if d >= 0 or d % 4 not in (0, 1):
+                raise ValueError(f"{d} is not a negative integer congruent to 0 or 1 mod 4")
+        return discs
+
     primes = as_int_tuple(file_config.get("primes"))
     if args.p is not None:
         primes = (args.p,)
+    for suite, (least, need) in PRIME_FLOORS.items():
+        for p in primes or ():
+            if args.suite in (suite, "all") and (p < least or not is_prime(p)):
+                raise ValueError(f"the {suite} suite needs {need}, got p = {p}")
     disc_override = None
     if args.disc is not None:
-        disc_override = tuple(dict.fromkeys(int(d) for d in args.disc.split(",")))
+        disc_override = as_discriminants(args.disc.split(","))
     precision = file_config.get("precision_bits")
     if args.precision is not None:
         precision = args.precision
@@ -109,8 +125,8 @@ def _build_config(args, file_config: dict) -> Config:
         cache_dir = args.cache_dir
     return Config(
         primes=primes,
-        discriminants_case1=as_int_tuple(disc_section.get("case1")),
-        discriminants_case2=as_int_tuple(disc_section.get("case2")),
+        discriminants_case1=as_discriminants(disc_section.get("case1")),
+        discriminants_case2=as_discriminants(disc_section.get("case2")),
         disc_override=disc_override,
         precision_bits=precision,
         cache_dir=cache_dir,

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from mpmath import mp, mpc, mpf
 
-from .exactmath import INF, newton_polygon, val_rat
+from .exactmath import INF, characteristic_polynomial, newton_polygon, univariate_mul, val_rat
 
 SERIES_GUARD_BITS = 64
 ROUNDING_TOLERANCE = 1e-6
@@ -149,8 +148,10 @@ class ClassPolynomial:
 class ClassPolyCache:
     """Plain-text cache: one record per line, ``D h precision c_0 ... c_h``.
 
-    Append-only; the last record for a discriminant wins.  Writes go through
-    a temp file in the same directory followed by an atomic rename.
+    Append-only; the last record for a discriminant wins.  A store is one
+    write of a whole line to a descriptor opened with O_APPEND, so concurrent
+    writers never drop each other's records; a line without exactly h + 4
+    integer fields (torn, or merged with a torn neighbour) is ignored.
     """
 
     def __init__(self, path: str):
@@ -162,13 +163,12 @@ class ClassPolyCache:
             return records
         with open(self.path, "r", encoding="ascii") as handle:
             for line in handle:
-                parts = line.split()
-                if len(parts) < 4:
+                try:
+                    d, h, precision, *coeffs = map(int, line.split())
+                except ValueError:
                     continue
-                d, h, precision = int(parts[0]), int(parts[1]), int(parts[2])
-                coeffs = tuple(int(c) for c in parts[3 : 3 + h + 1])
                 if len(coeffs) == h + 1:
-                    records[d] = (precision, coeffs)
+                    records[d] = (precision, tuple(coeffs))
         return records
 
     def store(self, poly: ClassPolynomial) -> None:
@@ -176,22 +176,12 @@ class ClassPolyCache:
             [str(poly.discriminant), str(poly.degree), str(poly.precision_used)]
             + [str(c) for c in poly.coefficients]
         )
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        existing = ""
-        if os.path.exists(self.path):
-            with open(self.path, "r", encoding="ascii") as handle:
-                existing = handle.read()
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cmcache-")
+        os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
+        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
         try:
-            with os.fdopen(fd, "w", encoding="ascii") as handle:
-                handle.write(existing)
-                handle.write(line + "\n")
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            os.write(fd, (line + "\n").encode("ascii"))
+        finally:
+            os.close(fd)
 
 
 def default_precision(discriminant: int) -> int:
@@ -305,77 +295,6 @@ class CongruenceResult:
     auxiliary: tuple[int, ...]  # G(w), ascending
 
 
-def _poly_mod(poly: list[int], modulus: Sequence[int]) -> list[int]:
-    """Remainder of an integer polynomial modulo a monic integer polynomial."""
-    out = list(poly)
-    h = len(modulus) - 1
-    assert modulus[-1] == 1
-    while len(out) > h:
-        lead = out.pop()
-        if lead:
-            shift = len(out) - h
-            for k in range(h):
-                out[shift + k] -= lead * modulus[k]
-    return out
-
-
-def _poly_mulmod(a: list[int], b: list[int], modulus: Sequence[int]) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for k, cb in enumerate(b):
-                prod[i + k] += ca * cb
-    return _poly_mod(prod, modulus)
-
-
-def _power_sums(monic: Sequence[int], count: int) -> list[int]:
-    """Power sums s_0..s_count of the roots of a monic integer polynomial."""
-    h = len(monic) - 1
-    sums = [h]
-    for k in range(1, count + 1):
-        if k <= h:
-            total = -k * monic[h - k]
-            for i in range(1, k):
-                total -= monic[h - i] * sums[k - i]
-        else:
-            total = 0
-            for i in range(1, h + 1):
-                total -= monic[h - i] * sums[k - i]
-        sums.append(total)
-    return sums
-
-
-def characteristic_polynomial(
-    values_of: Sequence[int], modulus: Sequence[int]
-) -> tuple[int, ...]:
-    """Monic polynomial whose roots are g(root) over the roots of the modulus.
-
-    For monic H this equals Res_j(H(j), w - g(j)); computed from the traces
-    of g^k mod H by Newton's identities (all integer, verified).
-    """
-    h = len(modulus) - 1
-    sums_h = _power_sums(modulus, h - 1)
-    reduced = _poly_mod(list(values_of), modulus)
-    power = [1]
-    traces = []
-    for _ in range(h):
-        power = _poly_mulmod(power, reduced, modulus)
-        traces.append(sum(c * sums_h[d] for d, c in enumerate(power)))
-    elementary = [Fraction(1)]
-    for k in range(1, h + 1):
-        total = Fraction(0)
-        for i in range(1, k + 1):
-            total += (-1) ** (i - 1) * elementary[k - i] * traces[i - 1]
-        elementary.append(total / k)
-    coeffs = []
-    for k in range(h, -1, -1):
-        value = (-1) ** k * elementary[k]
-        if value.denominator != 1:
-            raise ArithmeticError("characteristic polynomial is not integral")
-        coeffs.append(int(value))
-    return tuple(coeffs)  # ascending: (-1)^h e_h, ..., -e_1, 1
-
-
 def congruence_check(H: ClassPolynomial, spec: CongruenceSpec) -> CongruenceResult:
     """Per-root valuations of (j - c)^e -/+ m over the roots of H.
 
@@ -386,9 +305,7 @@ def congruence_check(H: ClassPolynomial, spec: CongruenceSpec) -> CongruenceResu
     e, c = spec.exponent, spec.center
     shifted = [1]
     for _ in range(e):  # (j - c)^e, ascending
-        shifted = [0] + shifted
-        for k in range(len(shifted) - 1):
-            shifted[k] += -c * shifted[k + 1]
+        shifted = univariate_mul(shifted, [-c, 1])
     shifted[0] += -spec.prime_power if spec.sign == "-" else spec.prime_power
     aux = characteristic_polynomial(shifted, list(H.coefficients))
 

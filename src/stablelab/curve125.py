@@ -160,9 +160,8 @@ def pairwise_distance_valuations(
     """
     coeffs = [int(c) for c in coeffs]
     deg = len(coeffs) - 1
-    fr = [Fraction(c) for c in coeffs]
-    dfr = [Fraction((i + 1) * c) for i, c in enumerate(coeffs[1:])]
-    if len(univariate_gcd(fr, dfr)) != 1:
+    derivative = [(i + 1) * c for i, c in enumerate(coeffs[1:])]
+    if len(univariate_gcd(coeffs, derivative)) != 1:
         raise ValueError("polynomial is not squarefree")
     dpoly = difference_root_resultant(coeffs)
     if any(c != 0 for c in dpoly[:deg]):

@@ -10,13 +10,19 @@ float.
 Symbols may carry a rewrite rule ``symbol**n -> replacement`` (for example a
 defining relation of an algebraic number, or a formal square root); see
 :class:`ValuedSymbol` and :func:`normal_form`.
+
+The univariate kernel at the end of the module works on dense ascending
+coefficient lists: trim, multiply, divmod, gcd, inverse modulo a polynomial,
+root power sums and their Newton-identity inversion.  It is the one
+implementation of these operations in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from itertools import zip_longest
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -337,7 +343,11 @@ def normal_form(
     raise RuntimeError("rewrite system did not terminate")
 
 
-# -- univariate helpers (dense Fraction lists, ascending degree) -----------
+# -- univariate kernel (dense ascending coefficient lists) ------------------
+#
+# Coefficients are ints or Fractions and keep the ring of the inputs: a
+# division by a leading coefficient stays integral whenever it is exact, so
+# integer input divided by a monic divisor never turns into Fractions.
 
 
 def poly_to_coeffs(f: SymbolicPolynomial, var: str) -> list[Fraction]:
@@ -348,9 +358,7 @@ def poly_to_coeffs(f: SymbolicPolynomial, var: str) -> list[Fraction]:
         if not c.is_constant():
             raise ValueError(f"{f!r} is not univariate in {var!r}")
         out[e] = c.constant_value()
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    return univariate_trim(out) or [_ZERO]
 
 
 def coeffs_to_poly(coeffs: Iterable, var: str) -> SymbolicPolynomial:
@@ -362,86 +370,102 @@ def coeffs_to_poly(coeffs: Iterable, var: str) -> SymbolicPolynomial:
     return SymbolicPolynomial(out)
 
 
-def univariate_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of two dense coefficient lists (Euclid over Q)."""
-
-    def trim(p):
-        p = [Fraction(c) for c in p]
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def rem(num, den):
-        num = num[:]
-        while len(num) >= len(den):
-            factor = num[-1] / den[-1]
-            shift = len(num) - len(den)
-            for i, c in enumerate(den):
-                num[shift + i] -= factor * c
-            num = trim(num)
-            if not num:
-                break
-        return num
-
-    a, b = trim(a), trim(b)
-    while b:
-        a, b = b, rem(a, b)
-    if not a:
-        return [_ZERO]
-    return [c / a[-1] for c in a]
+def _exact_quotient(a, b):
+    """a / b: an int when both are ints and b divides a, else a Fraction."""
+    if b == 1:
+        return a
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return Fraction(a) / b
 
 
-def univariate_divmod(
-    num: list[Fraction], den: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    while den and den[-1] == 0:
-        den.pop()
+def univariate_trim(p: Iterable) -> list:
+    """Copy without trailing zero coefficients; the zero polynomial is []."""
+    out = list(p)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def univariate_mul(a: Sequence, b: Sequence) -> list:
+    """Product of two dense coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for k, cb in enumerate(b):
+                out[i + k] += ca * cb
+    return out
+
+
+def univariate_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
+    """Quotient and (trimmed) remainder of num by den."""
+    den = univariate_trim(den)
     if not den:
         raise ZeroDivisionError("univariate division by zero")
-    quot = [_ZERO] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den) and any(c != 0 for c in num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        factor = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
+    rem, lead, n = list(num), den[-1], len(den) - 1
+    quot = [0] * max(len(rem) - n, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        factor = _exact_quotient(rem.pop(), lead)
+        if factor:
+            quot[shift] = factor
+            for i in range(n):
+                rem[shift + i] -= factor * den[i]
+    return quot, univariate_trim(rem)
 
 
-def inverse_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
+def univariate_gcd(a: Sequence, b: Sequence) -> list:
+    """Monic gcd of two dense coefficient lists (Euclid over Q); [0] if both are zero."""
+    a, b = univariate_trim(a), univariate_trim(b)
+    while b:
+        a, b = b, univariate_divmod(a, b)[1]
+    if not a:
+        return [_ZERO]
+    return [_exact_quotient(c, a[-1]) for c in a]
+
+
+def inverse_mod(a: Sequence, modulus: Sequence) -> list:
     """Inverse of a modulo a univariate polynomial, by extended Euclid."""
-    r0, r1 = [Fraction(c) for c in modulus], [Fraction(c) for c in a]
-    s0, s1 = [_ZERO], [Fraction(1)]
-
-    def poly_sub(x, y):
-        out = [_ZERO] * max(len(x), len(y))
-        for i, c in enumerate(x):
-            out[i] += c
-        for i, c in enumerate(y):
-            out[i] -= c
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def poly_mul(x, y):
-        out = [_ZERO] * (len(x) + len(y) - 1) if x and y else []
-        for i, cx in enumerate(x):
-            for j, cy in enumerate(y):
-                out[i + j] += cx * cy
-        return out
-
-    while any(c != 0 for c in r1):
+    r0, r1 = univariate_trim(modulus), univariate_trim(a)
+    s0, s1 = [], [1]
+    while r1:
         q, r = univariate_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
+        qs1 = univariate_mul(q, s1)
+        s0, s1 = s1, univariate_trim(x - y for x, y in zip_longest(s0, qs1, fillvalue=0))
     if len(r0) != 1:
         raise ValueError("element is not invertible modulo the given polynomial")
-    return [c / r0[0] for c in s0]
+    return [_exact_quotient(c, r0[0]) for c in s0]
+
+
+def root_power_sums(f: Sequence, count: int) -> list:
+    """Power sums s_0..s_count of the roots of f, with multiplicity, by
+    Newton's identities  lc * s_k = -(k f_(n-k) + sum_(0<i<k) f_(n-i) s_(k-i)),
+    where f_j = 0 for j < 0."""
+    f = univariate_trim(f)
+    n, lead = len(f) - 1, f[-1]
+    sums = [n]
+    for k in range(1, count + 1):
+        total = k * f[n - k] if k <= n else 0
+        for i in range(1, min(k, n + 1)):
+            total += f[n - i] * sums[k - i]
+        sums.append(_exact_quotient(-total, lead))
+    return sums
+
+
+def monic_from_power_sums(sums: Sequence) -> list:
+    """Monic polynomial of degree len(sums) whose roots have the power sums
+    p_1, p_2, ... = sums: Newton's identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i
+    give the elementary symmetric functions, and the coefficient of z^(n-k)
+    is (-1)^k e_k."""
+    e = [1]
+    for k in range(1, len(sums) + 1):
+        total = 0
+        for i in range(1, k + 1):
+            term = e[k - i] * sums[i - 1]
+            total += term if i % 2 else -term
+        e.append(_exact_quotient(total, k))
+    return [-e[k] if k % 2 else e[k] for k in range(len(sums), -1, -1)]

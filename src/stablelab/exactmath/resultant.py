@@ -1,11 +1,18 @@
-"""Resultants via Sylvester matrices and fraction-free (Bareiss) elimination.
+"""Resultants: Sylvester/Bareiss elimination and power-sum special resultants.
 
-Entries may be integers, Fractions, or SymbolicPolynomials (for resultants
-whose coefficients still involve other symbols); Bareiss's divisions are
-always exact in the entry ring, so no rational blowup occurs for integer
-input.  A Lagrange/Newton interpolation helper recovers a resultant that is
-polynomial in an extra parameter from exact evaluations, which is how the
-large pairwise-difference resultants stay fast.
+General resultants go through Sylvester matrices and fraction-free (Bareiss)
+elimination.  Entries may be integers, Fractions, or SymbolicPolynomials (for
+resultants whose coefficients still involve other symbols); Bareiss's
+divisions are always exact in the entry ring, so no rational blowup occurs
+for integer input.
+
+Two special resultants are computed from power sums of roots and Newton's
+identities instead (Bostan, Flajolet, Salvy and Schost, "Fast computation of
+special resultants", J. Symb. Comp. 41, 2006): the characteristic polynomial
+Res_j(H(j), w - g(j)) and the pairwise-difference polynomial
+Res_y(f(y), f(y + z)).  The Newton-interpolation helper recovers an integer
+polynomial from exact evaluations; with Bareiss at deg(f)**2 + 1 points it is
+the independent cross-check of the difference polynomial.
 """
 
 from __future__ import annotations
@@ -13,7 +20,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import SymbolicPolynomial
+from .poly import (
+    SymbolicPolynomial,
+    monic_from_power_sums,
+    root_power_sums,
+    univariate_divmod,
+    univariate_mul,
+    univariate_trim,
+)
 
 
 def _exact_div(a, b):
@@ -86,9 +100,9 @@ def sylvester_matrix(f: Sequence, g: Sequence) -> list[list]:
 
 def resultant_coeffs(f: Sequence, g: Sequence):
     """Resultant of two polynomials given as dense ascending coefficients."""
-    f = _trim(f)
-    g = _trim(g)
-    if f is None or g is None:
+    f = univariate_trim(f)
+    g = univariate_trim(g)
+    if not f or not g:
         raise ValueError("resultant of the zero polynomial is undefined")
     df, dg = len(f) - 1, len(g) - 1
     if df == 0 and dg == 0:
@@ -98,13 +112,6 @@ def resultant_coeffs(f: Sequence, g: Sequence):
     if dg == 0:
         return g[0] ** df
     return bareiss_determinant(sylvester_matrix(f, g))
-
-
-def _trim(coeffs):
-    out = list(coeffs)
-    while out and _is_zero(out[-1]):
-        out.pop()
-    return out or None
 
 
 def resultant(
@@ -139,54 +146,60 @@ def interpolate_integer_polynomial(points: Sequence[tuple[int, int]]) -> list[in
     coeffs[0] = divided[0]
     basis = [Fraction(1)]
     for i in range(1, n):
-        new_basis = [Fraction(0)] * (len(basis) + 1)
-        for j, c in enumerate(basis):
-            new_basis[j] -= xs[i - 1] * c
-            new_basis[j + 1] += c
-        basis = new_basis
+        basis = univariate_mul(basis, [-xs[i - 1], 1])
         for j, c in enumerate(basis):
             coeffs[j] += divided[i] * c
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ValueError("interpolated polynomial is not integral")
-        out.append(int(c))
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValueError("interpolated polynomial is not integral")
+    return univariate_trim(int(c) for c in coeffs) or [0]
+
+
+def _integral(coeffs) -> tuple[int, ...]:
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError("power-sum resultant is not integral")
+    return tuple(int(c) for c in coeffs)
+
+
+def characteristic_polynomial(
+    values_of: Sequence[int], modulus: Sequence[int]
+) -> tuple[int, ...]:
+    """Monic polynomial whose roots are g(root) over the roots of the modulus.
+
+    For monic H this equals Res_j(H(j), w - g(j)).  The power sums of the
+    g(root) are the traces of g^k mod H, read off from the root power sums of
+    H; Newton's identities turn them into coefficients (checked integral).
+    """
+    h = len(modulus) - 1
+    sums = root_power_sums(modulus, h - 1)
+    reduced = univariate_divmod(values_of, modulus)[1]
+    power = [1]
+    traces = []
+    for _ in range(h):
+        power = univariate_divmod(univariate_mul(power, reduced), modulus)[1]
+        traces.append(sum(c * sums[d] for d, c in enumerate(power)))
+    return _integral(monic_from_power_sums(traces))  # ascending: (-1)^h e_h, ..., -e_1, 1
 
 
 def difference_root_resultant(coeffs: Sequence[int]) -> list[int]:
     """D(z) = Res_y(f(y), f(y+z)) for an integer polynomial f, exactly.
 
-    Evaluated by Sylvester/Bareiss at deg**2 + 1 integer points and recovered
-    by interpolation (deg_z D = deg(f)**2).
+    With a = lc(f), n = deg f and roots r_i, D(z) = a^(2n) prod_(i,j) (z - (r_i - r_j))
+    has degree n**2.  The power sums of the n**2 differences are
+    p_m = sum_k C(m, k) (-1)^k s_k s_(m-k) in the root power sums s_k of f;
+    Newton's identities turn them into the monic product, then scaled by a^(2n).
     """
-    f = [int(c) for c in coeffs]
+    f = univariate_trim(int(c) for c in coeffs)
     if len(f) < 2:
         raise ValueError("need a nonconstant polynomial")
-    deg = len(f) - 1
-    target_deg = deg * deg
-    half = target_deg // 2
-    samples = []
-    for z0 in range(-half, target_deg - half + 1):
-        shifted = _shift_coeffs(f, z0)
-        samples.append((z0, int(resultant_coeffs(f, shifted))))
-    return interpolate_integer_polynomial(samples)
-
-
-def _shift_coeffs(f: Sequence[int], z0: int) -> list[int]:
-    """Coefficients of f(y + z0) via binomial expansion."""
-    n = len(f)
-    out = [0] * n
-    for i, c in enumerate(f):
-        if c == 0:
-            continue
-        binom = 1
-        power = 1
-        for k in range(i, -1, -1):
-            out[k] += c * binom * power
-            if k:
-                binom = binom * k // (i - k + 1)
-                power *= z0
-    return out
+    n = len(f) - 1
+    s = root_power_sums(f, n * n)
+    diff_sums = []
+    for m in range(1, n * n + 1):
+        total, binom = 0, 1
+        for k in range(m + 1):
+            term = binom * s[k] * s[m - k]
+            total += -term if k % 2 else term
+            binom = binom * (m - k) // (k + 1)
+        diff_sums.append(total)
+    scale = f[-1] ** (2 * n)
+    return list(_integral([scale * c for c in monic_from_power_sums(diff_sums)]))

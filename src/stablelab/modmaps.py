@@ -22,6 +22,7 @@ from .exactmath import (
     poly_to_coeffs,
     resultant,
     sym,
+    univariate_divmod,
     univariate_gcd,
     val_rat,
 )
@@ -179,39 +180,15 @@ def ramification_image_polynomial() -> RamImageCertificate:
     if all(c == 0 for c in coeffs):
         raise ValueError("elimination yielded the zero polynomial")
     ints = tuple(int(c) for c in coeffs)
-    deriv = [Fraction((k + 1) * c) for k, c in enumerate(coeffs[1:])]
-    gcd = univariate_gcd([Fraction(c) for c in coeffs], deriv)
-    quotient, rem = _poly_div(coeffs, gcd)
-    assert not any(rem)
-    squarefree = _monic_integer(quotient)
+    deriv = [(k + 1) * c for k, c in enumerate(coeffs[1:])]
+    quotient, rem = univariate_divmod(coeffs, univariate_gcd(coeffs, deriv))
+    assert not rem
+    monic = [c / quotient[-1] for c in quotient]
+    if any(c.denominator != 1 for c in monic):
+        raise ValueError("squarefree part is not integral after normalization")
+    squarefree = tuple(int(c) for c in monic)
     ok = squarefree == (-125, 0, 1) and len(ints) % 2 == 1  # even degree
     return RamImageCertificate(ints, squarefree, "pass" if ok else "fail")
-
-
-def _poly_div(num, den):
-    from .exactmath import univariate_divmod
-
-    return univariate_divmod([Fraction(c) for c in num], [Fraction(c) for c in den])
-
-
-def _monic_integer(coeffs) -> tuple[int, ...]:
-    coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    lead = coeffs[-1]
-    scaled = [c / lead for c in coeffs]
-    denom = 1
-    for c in scaled:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
-    if denom != 1:
-        raise ValueError("squarefree part is not integral after normalization")
-    return tuple(int(c) for c in scaled)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)

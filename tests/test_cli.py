@@ -203,3 +203,26 @@ def test_suite_without_checks_is_not_a_pass(tmp_path):
     assert cli.main(["cm", "--p", "4", "--report", str(path)]) == 1
     payload = json.loads(path.read_text())
     assert payload["checks"] == [] and payload["overall"] == "fail"
+
+
+def test_invalid_discriminants_rejected(tmp_path, capsys):
+    for disc in ("7", "-20,-6", "0"):
+        assert cli.main(["cm", f"--disc={disc}"]) == 2
+        assert "config error: " in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    for key in ("discriminants.case1", "discriminants.case2"):
+        config.write_text(json.dumps({key: [-20, -50]}))
+        assert cli.main(["cm", "--config", str(config)]) == 2
+        assert "-50 is not a negative integer" in capsys.readouterr().err
+
+
+def test_unusable_primes_rejected(tmp_path, capsys):
+    for argv in (["quat", "--p", "2"], ["quat", "--p", "9"], ["ledger", "--p", "1"],
+                 ["ledger", "--p", "9"], ["ledger", "--p", "3"], ["all", "--p", "2"]):
+        assert cli.main(argv) == 2, argv
+        assert "config error: the " in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"primes": [5, 4]}))
+    assert cli.main(["ledger", "--config", str(config)]) == 2
+    path = tmp_path / "quat3.json"
+    assert cli.main(["quat", "--p", "3", "--report", str(path)]) == 0

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -150,6 +152,48 @@ def test_class_polynomial_cache(tmp_path):
     assert cmlab.class_polynomial(-20, cache=cache).coefficients == (1, 0, 1)
     assert len(path.read_text().splitlines()) == 2
 
+
+
+def test_class_polynomial_cache_concurrent_writers(tmp_path):
+    """Four cache objects appending to one file from four threads keep every
+    record; a read-then-rename store loses records to a concurrent writer."""
+    path = str(tmp_path / "cache.txt")
+
+    def writer(first):
+        cache = cmlab.ClassPolyCache(path)
+        for d in range(first, 101, 4):
+            cache.store(cmlab.ClassPolynomial(-d, (d, 1), 64, 0.0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(k,)) for k in range(1, 5)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    records = cmlab.ClassPolyCache(path).load()
+    assert records == {-d: (64, (d, 1)) for d in range(1, 101)}
+
+
+def test_class_polynomial_cache_rejects_torn_lines(tmp_path):
+    path = tmp_path / "cache.txt"
+    cache = cmlab.ClassPolyCache(str(path))
+    cache.store(cmlab.ClassPolynomial(-20, (-681472000, -1264000, 1), 906, 0.0))
+    with open(path, "a", encoding="ascii") as handle:
+        handle.write("-40 2 906 12")  # a writer stopped mid-record
+    assert cache.load() == {-20: (906, (-681472000, -1264000, 1))}
+    with open(path, "a", encoding="ascii") as handle:
+        handle.write(" ")
+    # the next record lands on the torn line: the merged line has too many fields
+    cache.store(cmlab.ClassPolynomial(-15, (-121287375, 191025, 1), 906, 0.0))
+    assert cache.load() == {-20: (906, (-681472000, -1264000, 1))}
+    with open(path, "a", encoding="ascii") as handle:
+        handle.write("-40 2 -")
+    assert set(cache.load()) == {-20}
 
 def test_congruence_check_matches_quadratic_field_oracle():
     """Independent oracle for h = 2: write the roots as a +- b sqrt(5) from

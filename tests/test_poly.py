@@ -1,6 +1,9 @@
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stablelab.exactmath import (
     SymbolicPolynomial,
@@ -12,6 +15,8 @@ from stablelab.exactmath import (
     sym,
     univariate_divmod,
     univariate_gcd,
+    univariate_mul,
+    univariate_trim,
 )
 
 x, y, r = sym("x"), sym("y"), sym("r")
@@ -106,3 +111,56 @@ def test_inverse_mod():
     assert inv == [F(1), 0, 0, 0, F(1, 25)]  # (r^4 + 25)/25
     with pytest.raises(ValueError):
         inverse_mod(minpoly, minpoly)
+
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+#: Dense ascending coefficient lists: int or Fraction entries, possibly with
+#: trailing zeros, possibly the zero polynomial.
+coefficients = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-10, max_value=10, max_denominator=6),
+)
+coefficient_lists = st.lists(coefficients, max_size=7)
+nonzero_lists = coefficient_lists.filter(lambda p: any(c != 0 for c in p))
+
+
+def _sub(a, b):
+    return univariate_trim(x - y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+@PROPERTY
+@given(coefficient_lists, nonzero_lists)
+def test_divmod_property(num, den):
+    q, rem = univariate_divmod(num, den)
+    assert _sub(univariate_mul(q, den), _sub(num, rem)) == []
+    assert len(rem) < len(univariate_trim(den))
+
+
+@PROPERTY
+@given(st.lists(st.integers(-10**6, 10**6), max_size=9),
+       st.lists(st.integers(-50, 50), max_size=5))
+def test_divmod_by_monic_integer_stays_integral(num, den):
+    q, rem = univariate_divmod(num, univariate_trim(den) + [1])
+    assert all(type(c) is int for c in q + rem)
+
+
+@PROPERTY
+@given(coefficient_lists, coefficient_lists)
+def test_gcd_divides_both(a, b):
+    g = univariate_gcd(a, b)
+    assume(g != [0])
+    assert g[-1] == 1
+    assert univariate_divmod(a, g)[1] == [] and univariate_divmod(b, g)[1] == []
+
+
+@PROPERTY
+@given(coefficient_lists, st.lists(coefficients, min_size=2, max_size=6))
+def test_inverse_mod_property(a, modulus):
+    assume(modulus[-1] != 0)
+    if univariate_gcd(a, modulus) != [1]:
+        with pytest.raises(ValueError):
+            inverse_mod(a, modulus)
+        return
+    inv = inverse_mod(a, modulus)
+    assert univariate_divmod(univariate_mul(inv, a), modulus)[1] == [1]
