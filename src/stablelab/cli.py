@@ -3,8 +3,9 @@ machine-readable report.
 
 Exit codes: 0 all checks passed, 1 at least one check failed or the suite
 built no check, 2 the configuration could not be parsed or is invalid (a
-discriminant that is not a negative integer congruent to 0 or 1 mod 4, or a
-prime that the quat or ledger suite cannot use).
+config number that is not a JSON integer, a discriminant that is not a
+negative integer congruent to 0 or 1 mod 4, or a prime that the quat or
+ledger suite cannot use).
 Checks run independently; one failure never aborts its siblings.
 """
 
@@ -89,21 +90,26 @@ def _build_config(args, file_config: dict) -> Config:
     if not isinstance(disc_section, dict):
         raise ValueError("discriminants must be a mapping with case1/case2")
 
-    def as_int_tuple(value):
+    def as_int(key, value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return value
+
+    def as_int_tuple(key, value):
         if value is None:
             return None
         if not isinstance(value, (list, tuple)):
-            raise ValueError(f"expected a list of integers, got {value!r}")
-        return tuple(dict.fromkeys(int(v) for v in value))  # deduped, order kept
+            raise ValueError(f"{key} must be a list of integers, got {value!r}")
+        return tuple(dict.fromkeys(as_int(key, v) for v in value))  # deduped, order kept
 
-    def as_discriminants(value):
-        discs = as_int_tuple(value)
+    def as_discriminants(key, value):
+        discs = as_int_tuple(key, value)
         for d in discs or ():
             if d >= 0 or d % 4 not in (0, 1):
                 raise ValueError(f"{d} is not a negative integer congruent to 0 or 1 mod 4")
         return discs
 
-    primes = as_int_tuple(file_config.get("primes"))
+    primes = as_int_tuple("primes", file_config.get("primes"))
     if args.p is not None:
         primes = (args.p,)
     for suite, (least, need) in PRIME_FLOORS.items():
@@ -112,26 +118,25 @@ def _build_config(args, file_config: dict) -> Config:
                 raise ValueError(f"the {suite} suite needs {need}, got p = {p}")
     disc_override = None
     if args.disc is not None:
-        disc_override = as_discriminants(args.disc.split(","))
+        disc_override = as_discriminants("--disc", [int(v) for v in args.disc.split(",")])
     precision = file_config.get("precision_bits")
     if args.precision is not None:
         precision = args.precision
     if precision is not None:
-        precision = int(precision)
-        if precision <= 0:
+        if as_int("precision_bits", precision) <= 0:
             raise ValueError(f"precision_bits must be a positive integer, got {precision}")
     cache_dir = file_config.get("cache_dir")
     if args.cache_dir is not None:
         cache_dir = args.cache_dir
     return Config(
         primes=primes,
-        discriminants_case1=as_discriminants(disc_section.get("case1")),
-        discriminants_case2=as_discriminants(disc_section.get("case2")),
+        discriminants_case1=as_discriminants("discriminants.case1", disc_section.get("case1")),
+        discriminants_case2=as_discriminants("discriminants.case2", disc_section.get("case2")),
         disc_override=disc_override,
         precision_bits=precision,
         cache_dir=cache_dir,
-        g_edixhoven=int(file_config.get("g_E", 0)),
-        ordinary_genera=as_int_tuple(file_config.get("ordinary_genera")),
+        g_edixhoven=as_int("g_E", file_config.get("g_E", 0)),
+        ordinary_genera=as_int_tuple("ordinary_genera", file_config.get("ordinary_genera")),
     )
 
 

@@ -150,8 +150,9 @@ class ClassPolyCache:
 
     Append-only; the last record for a discriminant wins.  A store is one
     write of a whole line to a descriptor opened with O_APPEND, so concurrent
-    writers never drop each other's records; a line without exactly h + 4
-    integer fields (torn, or merged with a torn neighbour) is ignored.
+    writers never drop each other's records.  A line without exactly h + 4
+    integer fields (torn) is ignored, and a store after a torn last line
+    starts a new line, so the torn line is the only loss.
     """
 
     def __init__(self, path: str):
@@ -177,8 +178,11 @@ class ClassPolyCache:
             + [str(c) for c in poly.coefficients]
         )
         os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o666)
         try:
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                line = "\n" + line
             os.write(fd, (line + "\n").encode("ascii"))
         finally:
             os.close(fd)

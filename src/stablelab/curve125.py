@@ -35,7 +35,7 @@ from .exactmath import (
     param_valuations,
     poly_to_coeffs,
     coeffs_to_poly,
-    resultant,
+    characteristic_polynomial,
     difference_root_resultant,
     sym,
     univariate_gcd,
@@ -213,11 +213,12 @@ def cluster_sizes(distance_multiset) -> tuple[int, ...]:
 def ramification_polynomials() -> RamificationData:
     """Degree-10 polynomials satisfied by the y resp. x coordinates of the
     ten ramification points (which satisfy y^2 = 20x), plus their pairwise
-    root-distance valuation multisets."""
+    root-distance valuation multisets.  p_ram_x is the characteristic
+    polynomial of x = y^2/20 over the roots of p_ram_y."""
     model = plus_curve_model()
     p_ram_y_poly = 20**5 * model.f_plus.substitute("x", (y * y) / 20)
     p_ram_y = _integer_coeffs(p_ram_y_poly, "y")
-    p_ram_x = _integer_coeffs(resultant(model.f_plus, y**2 - 20 * x, "y"), "x")
+    p_ram_x = characteristic_polynomial([0, 0, F(1, 20)], p_ram_y)
     if len(p_ram_y) != 11 or len(p_ram_x) != 11:
         raise ValueError("ramification polynomials must have degree 10")
     return RamificationData(

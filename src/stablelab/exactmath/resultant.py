@@ -1,18 +1,15 @@
-"""Resultants: Sylvester/Bareiss elimination and power-sum special resultants.
+"""Resultants from power sums of roots, with a Sylvester/Bareiss test oracle.
 
-General resultants go through Sylvester matrices and fraction-free (Bareiss)
-elimination.  Entries may be integers, Fractions, or SymbolicPolynomials (for
-resultants whose coefficients still involve other symbols); Bareiss's
-divisions are always exact in the entry ring, so no rational blowup occurs
-for integer input.
+Every elimination on the verify path is a special resultant computed from
+power sums of roots and Newton's identities (Bostan, Flajolet, Salvy and
+Schost, "Fast computation of special resultants", J. Symb. Comp. 41, 2006):
+the characteristic polynomial Res_j(H(j), w - g(j)) and the
+pairwise-difference polynomial Res_y(f(y), f(y + z)).
 
-Two special resultants are computed from power sums of roots and Newton's
-identities instead (Bostan, Flajolet, Salvy and Schost, "Fast computation of
-special resultants", J. Symb. Comp. 41, 2006): the characteristic polynomial
-Res_j(H(j), w - g(j)) and the pairwise-difference polynomial
-Res_y(f(y), f(y + z)).  The Newton-interpolation helper recovers an integer
-polynomial from exact evaluations; with Bareiss at deg(f)**2 + 1 points it is
-the independent cross-check of the difference polynomial.
+Sylvester matrices, fraction-free (Bareiss) elimination over int/Fraction
+entries and Newton interpolation of an integer polynomial from exact values
+are kept as the independent test oracle for both; nothing on the verify path
+calls them.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import (
-    SymbolicPolynomial,
     monic_from_power_sums,
     root_power_sums,
     univariate_divmod,
@@ -31,8 +27,6 @@ from .poly import (
 
 
 def _exact_div(a, b):
-    if isinstance(a, SymbolicPolynomial):
-        return a.exact_divide(b)
     if isinstance(a, int) and isinstance(b, int):
         q, r = divmod(a, b)
         if r:
@@ -42,7 +36,8 @@ def _exact_div(a, b):
 
 
 def bareiss_determinant(matrix: Sequence[Sequence]) -> object:
-    """Determinant by Bareiss's fraction-free elimination (exact)."""
+    """Determinant of an int/Fraction matrix by Bareiss's fraction-free
+    elimination (exact)."""
     n = len(matrix)
     if n == 0:
         return 1
@@ -52,29 +47,23 @@ def bareiss_determinant(matrix: Sequence[Sequence]) -> object:
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if _is_zero(m[k][k]):
+        if m[k][k] == 0:
             for i in range(k + 1, n):
-                if not _is_zero(m[i][k]):
+                if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return m[k][k] * 0  # zero of the right type
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = _exact_div(
                     m[k][k] * m[i][j] - m[i][k] * m[k][j], prev
                 )
-            m[i][k] = m[i][k] * 0
+            m[i][k] = 0
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, SymbolicPolynomial):
-        return x.is_zero()
-    return x == 0
 
 
 def sylvester_matrix(f: Sequence, g: Sequence) -> list[list]:
@@ -83,15 +72,14 @@ def sylvester_matrix(f: Sequence, g: Sequence) -> list[list]:
     if df < 0 or dg < 0:
         raise ValueError("zero polynomial has no Sylvester matrix")
     n = df + dg
-    zero = f[0] * 0
     rows = []
     for shift in range(dg):
-        row = [zero] * n
+        row = [0] * n
         for i, c in enumerate(reversed(f)):
             row[shift + i] = c
         rows.append(row)
     for shift in range(df):
-        row = [zero] * n
+        row = [0] * n
         for i, c in enumerate(reversed(g)):
             row[shift + i] = c
         rows.append(row)
@@ -112,21 +100,6 @@ def resultant_coeffs(f: Sequence, g: Sequence):
     if dg == 0:
         return g[0] ** df
     return bareiss_determinant(sylvester_matrix(f, g))
-
-
-def resultant(
-    f: SymbolicPolynomial, g: SymbolicPolynomial, var: str
-) -> SymbolicPolynomial:
-    """Res_var(f, g); the result is a polynomial in the remaining symbols."""
-
-    def coeff_list(poly):
-        parts = poly.as_univariate(var)
-        return [parts.get(e, SymbolicPolynomial.zero()) for e in range(max(parts) + 1)]
-
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial is undefined")
-    res = resultant_coeffs(coeff_list(f), coeff_list(g))
-    return res if isinstance(res, SymbolicPolynomial) else SymbolicPolynomial.constant(res)
 
 
 def interpolate_integer_polynomial(points: Sequence[tuple[int, int]]) -> list[int]:
@@ -161,23 +134,27 @@ def _integral(coeffs) -> tuple[int, ...]:
 
 
 def characteristic_polynomial(
-    values_of: Sequence[int], modulus: Sequence[int]
+    values_of: Sequence, modulus: Sequence[int]
 ) -> tuple[int, ...]:
-    """Monic polynomial whose roots are g(root) over the roots of the modulus.
+    """Res_j(H(j), w - g(j)) = lc(H)^deg(g) prod (w - g(root)) over the roots
+    of H, as ascending integer coefficients in w (checked integral).
 
-    For monic H this equals Res_j(H(j), w - g(j)).  The power sums of the
-    g(root) are the traces of g^k mod H, read off from the root power sums of
-    H; Newton's identities turn them into coefficients (checked integral).
+    H = modulus is any nonzero integer polynomial; g = values_of may have
+    rational coefficients.  The power sums of the g(root) are the traces of
+    g^k mod H, read off from the root power sums of H; Newton's identities
+    turn them into the monic product, which is then scaled by lc(H)^deg(g).
     """
+    g, modulus = univariate_trim(values_of), univariate_trim(modulus)
     h = len(modulus) - 1
     sums = root_power_sums(modulus, h - 1)
-    reduced = univariate_divmod(values_of, modulus)[1]
+    reduced = univariate_divmod(g, modulus)[1]
     power = [1]
     traces = []
     for _ in range(h):
         power = univariate_divmod(univariate_mul(power, reduced), modulus)[1]
         traces.append(sum(c * sums[d] for d, c in enumerate(power)))
-    return _integral(monic_from_power_sums(traces))  # ascending: (-1)^h e_h, ..., -e_1, 1
+    scale = modulus[-1] ** max(len(g) - 1, 0)
+    return _integral([scale * c for c in monic_from_power_sums(traces)])
 
 
 def difference_root_resultant(coeffs: Sequence[int]) -> list[int]:

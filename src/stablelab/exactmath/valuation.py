@@ -8,11 +8,13 @@ Fractions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import Monomial, SymbolicPolynomial
+from .poly import Monomial, SymbolicPolynomial, poly_to_coeffs
+from .resultant import characteristic_polynomial
 
 INF = float("inf")
 
@@ -183,21 +185,22 @@ def field_valuation(
 ) -> ExtValuation:
     """Valuation of an element of a totally ramified extension Q(var).
 
-    The minimal polynomial must be monic with a pure-slope Newton polygon
-    whose slope has denominator deg(minpoly); then the extension of the
-    p-adic valuation is determined by the norm alone:
-    v(a) = val_rat(Res(minpoly, a)) / deg(minpoly).
-    Anything else is rejected rather than approximated.
+    The minimal polynomial must be monic with integer coefficients and a
+    pure-slope Newton polygon whose slope has denominator deg(minpoly); then
+    the extension of the p-adic valuation is determined by the norm alone:
+    v(a) = val_rat(N(a)) / deg(minpoly).  The norm of d*a, with d the common
+    denominator of a's coefficients, is (-1)^deg times the constant term of
+    the characteristic polynomial of d*a (power sums of the roots), and
+    v(a) = v(d*a) - v(d).  Anything else is rejected rather than approximated.
     """
     from .polygon import newton_polygon
-    from .resultant import resultant
-
-    from .poly import poly_to_coeffs
 
     mcoeffs = poly_to_coeffs(minpoly, var)
     deg = len(mcoeffs) - 1
-    if deg < 1 or mcoeffs[-1] != 1:
-        raise ValueError("minimal polynomial must be monic of positive degree")
+    if deg < 1 or mcoeffs[-1] != 1 or any(c.denominator != 1 for c in mcoeffs):
+        raise ValueError(
+            "minimal polynomial must be monic of positive degree with integer coefficients"
+        )
     polygon = newton_polygon([val_rat(c, p) for c in mcoeffs])
     if len(polygon.segments) != 1:
         raise ValueError("Newton polygon of the minimal polynomial is not pure-slope")
@@ -211,5 +214,8 @@ def field_valuation(
     extra = a.symbols() - {var}
     if extra:
         raise ValueError(f"element involves symbols beyond {var!r}: {sorted(extra)}")
-    res = resultant(minpoly, a, var)
-    return val_rat(res.constant_value(), p) / deg
+    coeffs = poly_to_coeffs(a, var)
+    d = math.lcm(*(c.denominator for c in coeffs))
+    modulus = [int(c) for c in mcoeffs]
+    signed_norm = characteristic_polynomial([int(c * d) for c in coeffs], modulus)[0]
+    return val_rat(signed_norm, p) / deg - val_rat(d, p)

@@ -16,11 +16,11 @@ from fractions import Fraction
 from . import curve125
 from .exactmath import (
     SymbolicPolynomial,
+    characteristic_polynomial,
     field_valuation,
     min_valuation,
     normal_form,
     poly_to_coeffs,
-    resultant,
     sym,
     univariate_divmod,
     univariate_gcd,
@@ -159,31 +159,36 @@ class RamImageCertificate:
     status: str
 
 
-def ramification_image_polynomial() -> RamImageCertificate:
-    """Eliminant of the composite sending ramification points into X0(5).
+def ramification_u_polynomial() -> list[int]:
+    """Degree-10 integer polynomial satisfied by the u coordinates of the
+    ramification points, ascending.
 
     At a ramification point the fiber equation has the double root
     u = y/(2x), which forces x = 5/u**2 and y = 10/u; substituting into the
-    plus-curve model gives the degree-10 integer polynomial satisfied by the
-    u coordinates, and T(t) = Res_u(p_ram_u, t - pi5_t(u)).  The certificate
-    is that the squarefree part of T is exactly t**2 - 125.
+    plus-curve model and clearing u**10 sends x**i y**j to
+    5**i 10**j u**(10 - 2i - j).
     """
-    model = curve125.plus_curve_model()
-    p_ram_u = SymbolicPolynomial.zero()
-    for mono, coeff in model.f_plus.items():
+    p_ram_u = [0] * 11
+    for mono, coeff in curve125.plus_curve_model().f_plus.items():
         exps = dict(mono)
         i, jj = exps.get("x", 0), exps.get("y", 0)
-        p_ram_u = p_ram_u + coeff * 5**i * 10**jj * u ** (10 - 2 * i - jj)
-    pi5_t = builtin_maps()["pi5_t"].numerator
-    eliminant = resultant(p_ram_u, t - pi5_t, "u")
-    coeffs = poly_to_coeffs(eliminant, "t")
-    if all(c == 0 for c in coeffs):
-        raise ValueError("elimination yielded the zero polynomial")
-    ints = tuple(int(c) for c in coeffs)
-    deriv = [(k + 1) * c for k, c in enumerate(coeffs[1:])]
-    quotient, rem = univariate_divmod(coeffs, univariate_gcd(coeffs, deriv))
+        p_ram_u[10 - 2 * i - jj] += int(coeff) * 5**i * 10**jj
+    return p_ram_u
+
+
+def ramification_image_polynomial() -> RamImageCertificate:
+    """Eliminant of the composite sending ramification points into X0(5).
+
+    T(t) = Res_u(p_ram_u, t - pi5_t(u)), the characteristic polynomial of
+    pi5_t over the roots of p_ram_u.  The certificate is that the squarefree
+    part of T is exactly t**2 - 125.
+    """
+    pi5_t = poly_to_coeffs(builtin_maps()["pi5_t"].numerator, "u")
+    ints = characteristic_polynomial(pi5_t, ramification_u_polynomial())
+    deriv = [(k + 1) * c for k, c in enumerate(ints[1:])]
+    quotient, rem = univariate_divmod(ints, univariate_gcd(ints, deriv))
     assert not rem
-    monic = [c / quotient[-1] for c in quotient]
+    monic = [F(c) / quotient[-1] for c in quotient]
     if any(c.denominator != 1 for c in monic):
         raise ValueError("squarefree part is not integral after normalization")
     squarefree = tuple(int(c) for c in monic)

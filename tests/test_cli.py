@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -56,8 +57,13 @@ def test_cm_suite_skips_excluded_hypothesis():
     assert report.overall == "pass"  # skipped is not a failure
 
 
-def test_claim_refs_are_known_anchors():
-    report = run("all")
+@pytest.fixture(scope="module")
+def all_report():
+    return run("all")
+
+
+def test_claim_refs_are_known_anchors(all_report):
+    report = all_report
     for result in report.results:
         assert result.claim_ref in KNOWN_ANCHORS, result.id
 
@@ -73,6 +79,13 @@ def test_report_schema():
         assert set(check) == {"id", "claim_ref", "status", "details", "elapsed_ms"}
         assert check["status"] in ("pass", "fail", "skipped")
         assert isinstance(check["elapsed_ms"], int)
+
+
+def test_verify_all_report_matches_golden(all_report):
+    """The `verify all` JSON report under a constant clock is byte-identical
+    to the committed golden report."""
+    golden = Path(__file__).parent / "data" / "verify_all_report.json"
+    assert all_report.render("json") == golden.read_text(encoding="utf-8")
 
 
 def test_report_byte_identical_with_injected_clock(tmp_path):
@@ -226,3 +239,19 @@ def test_unusable_primes_rejected(tmp_path, capsys):
     assert cli.main(["ledger", "--config", str(config)]) == 2
     path = tmp_path / "quat3.json"
     assert cli.main(["quat", "--p", "3", "--report", str(path)]) == 0
+
+
+@pytest.mark.parametrize("document, key", [
+    ({"primes": [5.9], "discriminants.case1": [-20.7]}, "primes"),
+    ({"primes": [True]}, "primes"),
+    ({"discriminants.case1": [-20.7]}, "discriminants.case1"),
+    ({"discriminants.case2": [-40, "-20"]}, "discriminants.case2"),
+    ({"precision_bits": 300.5}, "precision_bits"),
+    ({"g_E": 1.5}, "g_E"),
+    ({"ordinary_genera": [2, False]}, "ordinary_genera"),
+])
+def test_non_integer_config_numbers_rejected(tmp_path, capsys, document, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    assert cli.main(["cm", "--config", str(config)]) == 2
+    assert f"config error: {key} must be an integer" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpc
 
 from stablelab import cmlab
-from stablelab.exactmath import coeffs_to_poly, resultant, sym, val_rat
+from stablelab.exactmath import interpolate_integer_polynomial, resultant_coeffs, val_rat
 
 
 def test_reduced_forms_examples():
@@ -188,12 +188,15 @@ def test_class_polynomial_cache_rejects_torn_lines(tmp_path):
     assert cache.load() == {-20: (906, (-681472000, -1264000, 1))}
     with open(path, "a", encoding="ascii") as handle:
         handle.write(" ")
-    # the next record lands on the torn line: the merged line has too many fields
+    # the next record starts a new line, so only the torn line is dropped
     cache.store(cmlab.ClassPolynomial(-15, (-121287375, 191025, 1), 906, 0.0))
-    assert cache.load() == {-20: (906, (-681472000, -1264000, 1))}
+    assert cache.load() == {
+        -20: (906, (-681472000, -1264000, 1)),
+        -15: (906, (-121287375, 191025, 1)),
+    }
     with open(path, "a", encoding="ascii") as handle:
         handle.write("-40 2 -")
-    assert set(cache.load()) == {-20}
+    assert set(cache.load()) == {-20, -15}
 
 def test_congruence_check_matches_quadratic_field_oracle():
     """Independent oracle for h = 2: write the roots as a +- b sqrt(5) from
@@ -234,16 +237,14 @@ def test_congruence_case2_passes():
 
 def test_characteristic_polynomial_is_the_resultant():
     """Dual route: the trace-based characteristic polynomial equals
-    Res_j(H(j), w - g(j)) computed via the Sylvester matrix."""
-    H = cmlab.class_polynomial(-20)
+    Res_j(H(j), w0 - g(j)) computed via the Sylvester matrix at deg H + 1
+    integer points w0, hence as polynomials in w."""
+    H = list(cmlab.class_polynomial(-20).coefficients)
     spec = cmlab.standard_spec(5, "-")
     shifted = [-spec.prime_power, 0, 1]  # j^2 - 125
-    via_traces = cmlab.characteristic_polynomial(shifted, list(H.coefficients))
-    j, w = sym("j"), sym("w")
-    H_poly = coeffs_to_poly(list(H.coefficients), "j")
-    g_poly = w - (j**2 - 125)
-    via_resultant = resultant(H_poly, g_poly, "j")
-    assert coeffs_to_poly(list(via_traces), "w") == via_resultant
+    via_traces = cmlab.characteristic_polynomial(shifted, H)
+    samples = [(w0, resultant_coeffs(H, [w0 - shifted[0], 0, -1])) for w0 in range(len(H))]
+    assert list(via_traces) == interpolate_integer_polynomial(samples)
 
 
 def test_congruence_case_classification():

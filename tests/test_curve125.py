@@ -6,9 +6,12 @@ from stablelab import curve125
 from stablelab.exactmath import (
     INF,
     SymbolicPolynomial,
+    interpolate_integer_polynomial,
     min_valuation,
     monomial_valuation,
     normal_form,
+    poly_to_coeffs,
+    resultant_coeffs,
     sym,
     univariate_gcd,
     val_rat,
@@ -103,10 +106,21 @@ def test_p_ram_x_even_odd_route():
             odd = odd + replaced
     candidate = even * even - 20 * x * odd * odd
     ram = curve125.ramification_polynomials()
-    from stablelab.exactmath import poly_to_coeffs
-
     coeffs = [int(c) for c in poly_to_coeffs(candidate, "x")]
     assert coeffs == list(ram.p_ram_x) or coeffs == [-c for c in ram.p_ram_x]
+
+
+def test_p_ram_x_sylvester_interpolation_route():
+    """Third route to p_ram_x: Res_y(f+(x0, y), y^2 - 20*x0) by Sylvester/Bareiss
+    at 11 integer points x0, then interpolation (f+ is monic in y, so the
+    resultant commutes with specialising x)."""
+    f_plus = curve125.plus_curve_model().f_plus
+    samples = []
+    for x0 in range(-5, 6):
+        f_y = [int(c) for c in poly_to_coeffs(f_plus.substitute("x", x0), "y")]
+        samples.append((x0, resultant_coeffs(f_y, [-20 * x0, 0, 1])))
+    ram = curve125.ramification_polynomials()
+    assert interpolate_integer_polynomial(samples) == list(ram.p_ram_x)
 
 
 def test_x_distances_via_y_route():

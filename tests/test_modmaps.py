@@ -3,7 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 from stablelab import modmaps
-from stablelab.exactmath import sym, val_rat
+from stablelab.exactmath import (
+    interpolate_integer_polynomial,
+    poly_to_coeffs,
+    resultant_coeffs,
+    sym,
+    val_rat,
+)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +92,20 @@ def test_ramification_image_polynomial():
     assert all(isinstance(c, int) for c in cert.eliminant)
     # a symbolic root tau with tau^2 = 125 has valuation v(125)/2 = 3/2
     assert val_rat(125, 5) / 2 == F(3, 2)
+
+
+def test_ramification_image_sylvester_interpolation_route(maps):
+    """T(t) = Res_u(p_ram_u, t - pi5_t(u)) by Sylvester/Bareiss at 11 integer
+    points t0, then interpolation, equals the power-sum eliminant."""
+    p_ram_u = modmaps.ramification_u_polynomial()
+    assert len(p_ram_u) == 11 and p_ram_u[-1] == 25
+    pi5_t = [int(c) for c in poly_to_coeffs(maps["pi5_t"].numerator, "u")]
+    samples = [
+        (t0, resultant_coeffs(p_ram_u, [t0 - pi5_t[0]] + [-c for c in pi5_t[1:]]))
+        for t0 in range(-5, 6)
+    ]
+    cert = modmaps.ramification_image_polynomial()
+    assert interpolate_integer_polynomial(samples) == list(cert.eliminant)
 
 
 def test_cm_disk_identities():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablelab.exactmath import (
     INF,
@@ -164,3 +166,19 @@ def test_parametric_randomized_agreement():
             assert newton_polygon(vals).root_valuations() == (
                 pp.cell_at(lam).root_valuations_at(lam)
             ), (pvals, lam)
+
+
+nonzero = st.integers(-10**6, 10**6).filter(bool)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(nonzero, st.lists(st.integers(-10**6, 10**6), max_size=10), nonzero,
+       st.sampled_from([2, 3, 5, 7]))
+def test_newton_polygon_multiplicities_sum_to_degree(c0, middle, lead, p):
+    """With nonzero constant and leading coefficients every root has finite
+    valuation: the multiplicities sum to the degree, and the valuations sum
+    to v(c0) - v(lead), the valuation of the product of the roots."""
+    coeffs = [c0] + middle + [lead]
+    roots = newton_polygon([val_rat(c, p) for c in coeffs]).root_valuations()
+    assert sum(n for _, n in roots) == len(coeffs) - 1
+    assert sum(v * n for v, n in roots) == val_rat(F(c0, lead), p)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,57 +8,47 @@ from hypothesis import strategies as st
 
 from stablelab import curve125
 from stablelab.exactmath import (
+    bareiss_determinant,
     characteristic_polynomial,
-    coeffs_to_poly,
     difference_root_resultant,
     interpolate_integer_polynomial,
-    resultant,
     resultant_coeffs,
-    sym,
     univariate_mul,
 )
 
-x, a, b = sym("x"), sym("a"), sym("b")
-
 
 def test_resultant_examples():
-    assert resultant(x**2 - 1, x - 2, "x") == 3
-    assert resultant(x - a, x - b, "x") == a - b
+    assert resultant_coeffs([-1, 0, 1], [-2, 1]) == 3  # Res(x^2 - 1, x - 2)
     with pytest.raises(ValueError):
-        resultant(sym("x") * 0 + 1, sym("x") * 0 + 2, "x")
+        resultant_coeffs([1], [2])
+
+
+def random_integer_poly(rng):
+    degree = rng.randint(1, 3)
+    return [rng.randint(-5, 5) for _ in range(degree)] + [rng.randint(1, 5)]
 
 
 def test_resultant_multiplicativity_randomized():
     rng = random.Random(2024)
-
-    def random_poly():
-        degree = rng.randint(1, 3)
-        coeffs = [rng.randint(-5, 5) for _ in range(degree)] + [rng.randint(1, 5)]
-        return coeffs_to_poly(coeffs, "x")
-
     for _ in range(25):
-        f, g, h = random_poly(), random_poly(), random_poly()
-        lhs = resultant(f * g, h, "x")
-        rhs = resultant(f, h, "x") * resultant(g, h, "x")
-        assert lhs == rhs
+        f, g, h = (random_integer_poly(rng) for _ in range(3))
+        lhs = resultant_coeffs(univariate_mul(f, g), h)
+        assert lhs == resultant_coeffs(f, h) * resultant_coeffs(g, h)
 
 
 def test_resultant_swap_sign():
     rng = random.Random(55)
     for _ in range(25):
-        df, dg = rng.randint(1, 3), rng.randint(1, 3)
-        f = coeffs_to_poly([rng.randint(-5, 5) for _ in range(df)] + [rng.randint(1, 5)], "x")
-        g = coeffs_to_poly([rng.randint(-5, 5) for _ in range(dg)] + [rng.randint(1, 5)], "x")
-        sign = (-1) ** (df * dg)
-        assert resultant(f, g, "x") == sign * resultant(g, f, "x")
+        f, g = random_integer_poly(rng), random_integer_poly(rng)
+        sign = (-1) ** ((len(f) - 1) * (len(g) - 1))
+        assert resultant_coeffs(f, g) == sign * resultant_coeffs(g, f)
 
 
 def test_resultant_root_product_oracle():
     # Res(f, g) = lc(f)^deg g * prod g(root): integer roots make this explicit
-    f = coeffs_to_poly([6, -5, 1], "x")  # (x-2)(x-3)
-    g = coeffs_to_poly([-1, 0, 1], "x")  # x^2 - 1
-    assert resultant_coeffs([6, -5, 1], [-1, 0, 1]) == (2 * 2 - 1) * (3 * 3 - 1)
-    assert resultant(f, g, "x") == 24
+    assert resultant_coeffs([6, -5, 1], [-1, 0, 1]) == (2 * 2 - 1) * (3 * 3 - 1) == 24
+    # (2x - 1)(x - 3): lc 2, roots 1/2 and 3, g = x + 1
+    assert resultant_coeffs([3, -7, 2], [1, 1]) == 2 * (F(1, 2) + 1) * (3 + 1) == 12
 
 
 def test_interpolation_roundtrip():
@@ -136,13 +127,54 @@ def test_difference_root_resultant_on_ramification_polynomials():
 
 
 @PROPERTY
-@given(st.lists(st.integers(-30, 30), max_size=5),
-       st.lists(st.integers(-30, 30), min_size=1, max_size=4), leading)
-def test_characteristic_polynomial_matches_sylvester(H_low, g_low, g_lead):
-    """Res_j(H(j), w0 - g(j)) by Sylvester/Bareiss equals the power-sum
-    characteristic polynomial at deg H + 1 values w0, hence as polynomials."""
-    H, g = H_low + [1], g_low + [g_lead]
-    char = characteristic_polynomial(g, H)
-    for w0 in range(len(H)):
-        value = sum(c * w0**k for k, c in enumerate(char))
-        assert resultant_coeffs(H, [w0 - g[0]] + [-c for c in g[1:]]) == value
+@given(st.lists(st.integers(-30, 30), max_size=5), leading,
+       st.lists(st.integers(-30, 30), min_size=1, max_size=4), leading,
+       st.sampled_from([1, 1, 2, 5, 20]))
+@example([-20, 0], 1, [0, 0], 1, 20)  # y^2 - 20 and g = y^2/20: (w - 1)^2
+@example([1, 0], 3, [0], 1, 1)  # 3y^2 + 1 and g = y: 3w^2 + 1
+def test_characteristic_polynomial_matches_sylvester(H_low, H_lead, g_low, g_lead, den):
+    """Res_j(H(j), w0 - g(j)) by Sylvester/Bareiss, interpolated through
+    deg H + 1 values w0, equals the power-sum characteristic polynomial; H has
+    any leading coefficient and g = (integer polynomial) / den.  When the
+    resultant is not integral, the power-sum route refuses it."""
+    H, g = H_low + [H_lead], [F(c, den) for c in g_low + [g_lead]]
+    samples = [
+        (w0, resultant_coeffs(H, [w0 - g[0]] + [-c for c in g[1:]]))
+        for w0 in range(len(H))
+    ]
+    try:
+        expected = interpolate_integer_polynomial(samples)
+    except ValueError:
+        with pytest.raises(ArithmeticError):
+            characteristic_polynomial(g, H)
+        return
+    assert list(characteristic_polynomial(g, H)) == expected
+
+
+def fraction_determinant(matrix):
+    """Gaussian elimination with Fraction pivots, independent of Bareiss."""
+    m = [[F(c) for c in row] for row in matrix]
+    det = F(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            factor = m[i][k] / m[k][k]
+            m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+@PROPERTY
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@example([[0, 1], [1, 0]])  # a pivot swap
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])  # singular after one step
+def test_bareiss_matches_fraction_elimination(matrix):
+    det = bareiss_determinant(matrix)
+    assert isinstance(det, int) and det == fraction_determinant(matrix)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablelab.exactmath import (
     INF,
@@ -41,6 +43,15 @@ def test_val_rat_randomized_properties():
             assert vsum == min(va, vb)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(0, 12), st.integers(0, 12),
+       st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6))
+def test_val_rat_matches_factorisation(p, k, j, m, n):
+    """val_rat(p^k m / (p^j n)) = k - j for m and n prime to p."""
+    m, n = (m * p + 1 if m % p == 0 else m), (n * p + 1 if n % p == 0 else n)
+    assert val_rat(F(p**k * m, p**j * n), p) == k - j
+
+
 def test_infinity_absorbs_and_is_maximal():
     assert INF + F(3, 2) == INF
     assert F(10**9) < INF
@@ -75,6 +86,10 @@ def test_field_valuation_examples():
     numerator = normal_form(SymbolicPolynomial.constant(5**5) - 5**3 * r**5, [R_SYMBOL])
     assert numerator == 3125 * r
     assert field_valuation(numerator, "r", R_MINPOLY, 5) == F(27, 5)
+    # rational elements: the common denominator is cleared, then subtracted
+    assert field_valuation(r / 5, "r", R_MINPOLY, 5) == F(-3, 5)
+    assert field_valuation(SymbolicPolynomial.constant(F(1, 25)), "r", R_MINPOLY, 5) == -2
+    assert field_valuation(r**2 / 10 + 1, "r", R_MINPOLY, 5) == F(-1, 5)  # v(r^2/10) < v(1)
 
 
 def test_field_valuation_rejects_unramified():
