@@ -18,7 +18,7 @@ import time
 
 from . import __version__
 from .checks import Config, build_checks
-from .ledger import is_prime
+from .exactmath import is_prime
 from .report import CheckResult, SuiteReport
 
 SUITE_NAMES = ("stable-model", "maps", "ss", "cm", "quat", "ledger", "all")
@@ -128,6 +128,8 @@ def _build_config(args, file_config: dict) -> Config:
     cache_dir = file_config.get("cache_dir")
     if args.cache_dir is not None:
         cache_dir = args.cache_dir
+    if cache_dir is not None and not isinstance(cache_dir, str):
+        raise ValueError("cache_dir must be a string")
     return Config(
         primes=primes,
         discriminants_case1=as_discriminants("discriminants.case1", disc_section.get("case1")),

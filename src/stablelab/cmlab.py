@@ -25,15 +25,15 @@ ROUNDING_TOLERANCE = 1e-6
 MAX_PRECISION_DOUBLINGS = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class QuadForm:
     a: int
     b: int
     c: int
 
     def __post_init__(self):
-        if self.discriminant() >= 0:
-            raise ValueError("form must have negative discriminant")
+        if self.a <= 0 or self.discriminant() >= 0:
+            raise ValueError("form must be positive definite")
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -52,6 +52,17 @@ class QuadForm:
     def tau(self) -> "Tau":
         return Tau(-self.b, 1, -self.discriminant(), 2 * self.a)
 
+    def reduced(self) -> "QuadForm":
+        """The SL2(Z)-equivalent reduced form: b into (-a, a] (tau -> tau + k), then
+        (a, b, c) -> (c, -b, a) (tau -> -1/tau) while a > c or (a = c and b < 0)."""
+        D, a, b = self.discriminant(), self.a, self.b
+        while True:
+            b = a - (a - b) % (2 * a)
+            c = (b * b - D) // (4 * a)
+            if a < c or (a == c and b >= 0):
+                return QuadForm(a, b, c)
+            a, b = c, -b
+
 
 @dataclass(frozen=True)
 class Tau:
@@ -69,6 +80,14 @@ class Tau:
     def imag_float(self) -> float:
         return self.im_num * math.sqrt(self.n) / self.den
 
+    def form(self) -> QuadForm:
+        """The primitive form (a, b, c) with a tau^2 + b tau + c = 0 and a > 0."""
+        r, m, d = self.re_num, self.im_num, self.den
+        if m <= 0 or d <= 0:
+            raise ValueError(f"{self} is not in the upper half-plane")
+        abc = (d * d, -2 * r * d, r * r + m * m * self.n)
+        return QuadForm(*(x // math.gcd(*abc) for x in abc))
+
 
 def reduced_forms(discriminant: int) -> list[QuadForm]:
     """All primitive reduced forms of the given negative discriminant."""
@@ -76,19 +95,13 @@ def reduced_forms(discriminant: int) -> list[QuadForm]:
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"{D} is not a valid imaginary quadratic discriminant")
     forms = []
-    a_max = math.isqrt(abs(D) // 3)
-    for a in range(1, a_max + 1):
-        for b in range(-a + 1, a + 1):
-            if (b - D) % 2:
-                continue
-            num = b * b - D
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            form = QuadForm(a, b, c)
-            if form.is_reduced() and form.is_primitive():
-                forms.append(form)
-    return sorted(forms, key=lambda f: (f.a, f.b, f.c))
+    for a in range(1, math.isqrt(-D // 3) + 1):
+        for b in range(1 - a, a + 1):
+            if (b * b - D) % (4 * a) == 0:
+                form = QuadForm(a, b, (b * b - D) // (4 * a))
+                if form.is_reduced() and form.is_primitive():
+                    forms.append(form)
+    return sorted(forms)
 
 
 def class_number(discriminant: int) -> int:
@@ -372,27 +385,12 @@ EXTRA_DISCRIMINANTS = {
 }
 
 
-@dataclass(frozen=True)
-class CrosscheckResult:
-    row: TableRow
-    class_number_ok: bool
-    polynomial_ok: bool
+def table_crosscheck(row: TableRow) -> bool:
+    """The row's tau-polynomial prod (X - j(tau)) equals H_D, decided exactly.
 
-    @property
-    def passed(self) -> bool:
-        return self.class_number_ok and self.polynomial_ok
-
-
-def table_crosscheck(
-    row: TableRow,
-    precision: int | None = None,
-    cache: ClassPolyCache | None = None,
-) -> CrosscheckResult:
-    """Row length equals h(D) and the row's tau-polynomial equals H_D."""
-    H = class_polynomial(row.discriminant, precision, cache)
-    length_ok = len(row.taus) == H.degree
-    if not length_ok:
-        return CrosscheckResult(row, False, False)
-    prec = precision if precision is not None else default_precision(row.discriminant)
-    row_coeffs, _, _ = polynomial_from_taus(row.taus, prec)
-    return CrosscheckResult(row, True, row_coeffs == H.coefficients)
+    j is injective on SL2(Z)\\H and H_D is squarefree with one root per class
+    of primitive forms of discriminant D, so the two polynomials agree exactly
+    when the row's tau values reduce to the forms of ``reduced_forms(D)``, each
+    once.  No j-value, class polynomial or floating point is involved.
+    """
+    return sorted(t.form().reduced() for t in row.taus) == reduced_forms(row.discriminant)

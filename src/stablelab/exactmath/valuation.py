@@ -25,9 +25,13 @@ def is_finite(v: ExtValuation) -> bool:
     return v != INF
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def val_rat(q, p: int) -> ExtValuation:
     """Exponent of the prime p in the rational q; val_rat(0) is INF."""
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     q = Fraction(q)
     if q == 0:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .exactmath import is_prime
+
 F = Fraction
 
 
@@ -42,10 +44,6 @@ def _euler_phi(n: int) -> int:
     for prime in _factorize(n):
         out = out // prime * (prime - 1)
     return out
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and _factorize(n) == {n: 1}
 
 
 def genus_x0(N: int) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactmath import SymbolicPolynomial, sym
+from .exactmath import SymbolicPolynomial, is_prime, sym
 
 
 class AbarElement(NamedTuple):
@@ -34,7 +34,7 @@ class AlgebraParams:
 
     def __post_init__(self):
         p, alpha = self.p, self.alpha
-        if p < 3 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p < 3 or not is_prime(p):
             raise ValueError(f"{p} is not an odd prime")
         if pow(alpha % p, (p - 1) // 2, p) != p - 1:
             raise ValueError(f"{alpha} is not a quadratic non-residue mod {p}")

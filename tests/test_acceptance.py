@@ -131,11 +131,11 @@ def test_c07_too_supersingular_threshold():
 def test_c08_cm_placement():
     failures = []
     for row in cmlab.table_rows():
-        result = cmlab.table_crosscheck(row)
+        row_ok = cmlab.table_crosscheck(row)
         H = cmlab.class_polynomial(row.discriminant)
         spec = cmlab.standard_spec(5, "-" if row.case == 1 else "+")
         cong = cmlab.congruence_check(H, spec)
-        if not (result.passed and cong.passed and H.max_rounding_error < 1e-6):
+        if not (row_ok and cong.passed and H.max_rounding_error < 1e-6):
             failures.append(row.discriminant)
         # integer stability under doubling
         again = cmlab.class_polynomial(row.discriminant, precision=2 * H.precision_used)

@@ -44,6 +44,23 @@ def test_cm_suite_default_composition():
     assert report.overall == "pass"
 
 
+def test_cm_suite_builds_each_class_polynomial_once(monkeypatch):
+    from stablelab import cmlab
+
+    builds = []
+    original = cmlab.polynomial_from_taus
+
+    def counted(taus, precision):
+        builds.append(len(taus))
+        return original(taus, precision)
+
+    monkeypatch.setattr(cmlab, "polynomial_from_taus", counted)
+    report = run("cm")
+    discs = {c.id.split("-")[2] for c in report.results}
+    assert report.overall == "pass"
+    assert len(discs) == 16 and len(builds) == 16
+
+
 def test_cm_suite_disc_override():
     report = run("cm", Config(primes=(5,), disc_override=(-20,)))
     ids = [r.id for r in report.results]
@@ -239,6 +256,14 @@ def test_unusable_primes_rejected(tmp_path, capsys):
     assert cli.main(["ledger", "--config", str(config)]) == 2
     path = tmp_path / "quat3.json"
     assert cli.main(["quat", "--p", "3", "--report", str(path)]) == 0
+
+
+def test_non_string_cache_dir_rejected(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    for bad in (5, ["cache"], True):
+        config.write_text(json.dumps({"cache_dir": bad}))
+        assert cli.main(["cm", "--disc=-20", "--config", str(config)]) == 2
+        assert "config error: cache_dir must be a string" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("document, key", [

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 import sys
 import threading
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc
 
 from stablelab import cmlab
@@ -271,11 +274,81 @@ def test_h20_roots_lie_on_the_al_circle():
 
 
 def test_table_crosscheck_row():
+    for row in cmlab.table_rows():
+        assert cmlab.table_crosscheck(row), row.label
+
+
+def _shifted(tau):  # tau + 1
+    return cmlab.Tau(tau.re_num + tau.den, tau.im_num, tau.n, tau.den)
+
+
+def _inverted(tau):  # -1/tau = (-den re + den im sqrt(-n)) / (re^2 + im^2 n)
+    r, m, n, d = tau.re_num, tau.im_num, tau.n, tau.den
+    return cmlab.Tau(-d * r, d * m, n, r * r + m * m * n)
+
+
+def test_table_crosscheck_accepts_equivalent_taus():
+    for row in cmlab.table_rows():
+        for move in (_shifted, _inverted, lambda t: _inverted(_shifted(_shifted(t)))):
+            moved = dataclasses.replace(row, taus=tuple(move(t) for t in row.taus))
+            assert moved.taus != row.taus
+            assert cmlab.table_crosscheck(moved), (row.label, move)
+
+
+def test_table_crosscheck_rejects_wrong_rows():
     rows = {row.discriminant: row for row in cmlab.table_rows()}
-    result = cmlab.table_crosscheck(rows[-20])
-    assert result.passed
-    # tau values of the row and of the reduced forms give the same multiset
-    assert len(rows[-20].taus) == 2
+    row = rows[-260]
+    repeated = (row.taus[0], _shifted(row.taus[0])) + row.taus[2:]  # one class twice
+    assert not cmlab.table_crosscheck(dataclasses.replace(row, taus=repeated))
+    foreign = (cmlab.Tau(0, 1, 10, 1),) + rows[-20].taus[1:]  # sqrt(-10) has D = -40
+    assert not cmlab.table_crosscheck(dataclasses.replace(rows[-20], taus=foreign))
+    assert not cmlab.table_crosscheck(dataclasses.replace(row, taus=row.taus[:-1]))
+    extra = row.taus + (_inverted(row.taus[0]),)  # all h classes, one of them twice
+    assert not cmlab.table_crosscheck(dataclasses.replace(row, taus=extra))
+
+
+def test_tau_outside_upper_half_plane_rejected():
+    row = cmlab.table_rows()[0]
+    for bad in ((0, 0, 5, 1), (0, -1, 5, 1), (0, 1, 5, 0), (1, 1, 5, -2)):
+        with pytest.raises(ValueError):
+            cmlab.Tau(*bad).form()
+        with pytest.raises(ValueError):
+            cmlab.table_crosscheck(dataclasses.replace(row, taus=(cmlab.Tau(*bad),) + row.taus[1:]))
+    with pytest.raises(ValueError):
+        cmlab.QuadForm(-1, 0, -5)  # negative definite
+
+
+def test_table_crosscheck_needs_no_j_values(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the row check must not evaluate j")
+
+    for name in ("j_tau", "polynomial_from_taus", "class_polynomial"):
+        monkeypatch.setattr(cmlab, name, forbidden)
+    assert all(cmlab.table_crosscheck(row) for row in cmlab.table_rows())
+
+
+_SL2_MOVES = {
+    "S": lambda f: cmlab.QuadForm(f.c, -f.b, f.a),  # tau -> -1/tau
+    "T": lambda f: cmlab.QuadForm(f.a, f.b - 2 * f.a, f.a - f.b + f.c),  # tau -> tau + 1
+    "T^-1": lambda f: cmlab.QuadForm(f.a, f.b + 2 * f.a, f.a + f.b + f.c),
+}
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    disc=st.sampled_from([-3, -4, -15, -20, -23, -56, -71, -84, -180, -260, -299, -420]),
+    index=st.integers(min_value=0),
+    word=st.lists(st.sampled_from(sorted(_SL2_MOVES)), max_size=25),
+)
+def test_reduction_undoes_sl2_words(disc, index, word):
+    forms = cmlab.reduced_forms(disc)
+    form = forms[index % len(forms)]
+    moved = form
+    for letter in word:
+        moved = _SL2_MOVES[letter](moved)
+    assert moved.discriminant() == disc
+    assert moved.reduced() == form
+    assert moved.tau().form() == moved  # tau of a primitive form maps back to it
 
 
 def test_table_rows_shape():

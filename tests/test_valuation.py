@@ -20,6 +20,18 @@ from stablelab.curve125 import R_MINPOLY, R_SYMBOL
 from stablelab.exactmath import val_rat
 
 
+def test_is_prime_matches_a_sieve_and_is_shared():
+    from stablelab import cli, ledger, quatlab
+    from stablelab.exactmath import is_prime
+
+    composite = {m * k for m in range(2, 45) for k in range(m, 2000 // m + 1)}
+    assert [n for n in range(-3, 2000) if is_prime(n)] == [
+        n for n in range(2, 2000) if n not in composite
+    ]
+    assert ledger.is_prime is is_prime and cli.is_prime is is_prime
+    assert quatlab.is_prime is is_prime
+
+
 def test_val_rat_examples():
     assert val_rat(50, 5) == 2
     assert val_rat(F(1, 25), 5) == -2
