@@ -17,8 +17,11 @@ for p in (5, 7, 13, 17):
           f"of size {sizes[0]} on the {p*p - 1} nonzero nilpotents "
           f"(stabilizers {report.stabilizer})")
 print()
-print("Two nilpotents are conjugate iff they share c^2 - alpha*d^2: the orbit")
-print("count p - 1 is exactly the number of nonzero invariant values.\n")
+print("Writing c*eps_j + d*eps_k = z*eps_j with z = c + d*i, conjugation by g is")
+print("multiplication by g/conj(g), which runs over the p + 1 elements of norm 1,")
+print("so the orbits are the fibres of the norm N(z) = c^2 - alpha*d^2: two")
+print("nilpotents are conjugate iff they share it, and the orbit count p - 1 is")
+print("exactly the number of nonzero invariant values.\n")
 
 print("Example at p = 7 (alpha = -1): a uniformizer u with u^2 = -28 must land in")
 found = quatlab.uniformizer_image_search()

@@ -1,11 +1,13 @@
-"""Brute-force verification of the finite endomorphism-algebra combinatorics.
+"""Exact verification of the finite endomorphism-algebra combinatorics.
 
 The algebra is F_p[i, eps_j, eps_k] with i^2 = alpha (a non-residue),
 eps_j^2 = eps_k^2 = eps_j eps_k = eps_k eps_j = 0 and i eps_j = eps_k =
 -eps_j i.  The unit group F_{p^2}^* = F_p[i]^* acts on the nilradical
-{c eps_j + d eps_k} by conjugation; everything asserted about this action
-(stabilizers, orbit sizes, the invariant c^2 - alpha d^2) is verified by
-exhaustive enumeration, not sampling.
+{c eps_j + d eps_k} by conjugation.  Writing a nilpotent as z eps_j with
+z = c + d*i, conjugation by g is multiplication by g / conj(g), so the
+stabilizers (F_p^*), the orbit sizes (p + 1) and the invariant
+c^2 - alpha d^2 (the norm of z) follow from one pass over F_{p^2}^*; see
+`orbit_analysis`.  Nothing is sampled.
 """
 
 from __future__ import annotations
@@ -106,57 +108,49 @@ class OrbitReport:
 
 
 def orbit_analysis(params: AlgebraParams) -> OrbitReport:
-    """Conjugation orbits of F_{p^2}^* on the nonzero nilradical, exhaustively.
+    """Conjugation orbits of F_{p^2}^* on the nonzero nilradical, certified
+    from the algebra's structure in O(p^2) operations.
 
-    Verifies: every stabilizer is exactly F_p^*, every orbit has size p + 1,
-    there are p - 1 orbits, and two elements are conjugate iff they share the
-    invariant c^2 - alpha d^2.  Any failure raises.
+    Write c eps_j + d eps_k = z eps_j with z = c + d*i.  The basis identities
+    i eps_j = eps_k = -eps_j i, checked on the table of `build_algebra`, give
+    eps_j g = conj(g) eps_j by bilinearity, so g (z eps_j) g^-1 =
+    (g / conj(g)) z eps_j: conjugation by g is multiplication by
+    u = g / conj(g).  One pass over F_{p^2}^* verifies that the kernel of
+    g -> u is F_p^* (every stabilizer, since z is a unit) and that the image
+    has p + 1 elements of norm 1, hence is the whole norm-one group.  The
+    orbits are therefore the fibres of the invariant N(z) = c^2 - alpha d^2,
+    verified to be p - 1 fibres of size p + 1.  Any failure raises.
     """
     p, alpha = params.p, params.alpha
-    units = [
-        AbarElement(a, b, 0, 0)
-        for a in range(p)
-        for b in range(p)
-        if (a, b) != (0, 0)
-    ]
-    nilpotents = [
-        AbarElement(0, 0, c, d)
-        for c in range(p)
-        for d in range(p)
-        if (c, d) != (0, 0)
-    ]
-
-    def invariant(x: AbarElement) -> int:
-        return (x.c * x.c - alpha * x.d * x.d) % p
-
-    seen: set[AbarElement] = set()
-    orbits: list[tuple[int, AbarElement, int]] = []
-    for x in nilpotents:
-        stabilizer_size = 0
-        orbit: set[AbarElement] = set()
-        for g in units:
-            conjugate = multiply(multiply(g, x, params), unit_inverse(g, params), params)
-            orbit.add(conjugate)
-            if conjugate == x:
-                stabilizer_size += 1
-                if g.b != 0:
-                    raise AssertionError(f"stabilizer of {x} exceeds F_p^*: {g}")
-        if stabilizer_size != p - 1:
-            raise AssertionError(f"stabilizer of {x} is not all of F_p^*")
-        if len(orbit) != p + 1:
-            raise AssertionError(f"orbit of {x} has size {len(orbit)}, not p + 1")
-        values = {invariant(z) for z in orbit}
-        if values != {invariant(x)}:
-            raise AssertionError("invariant is not constant on an orbit")
-        if x not in seen:
-            orbits.append((len(orbit), x, invariant(x)))
-            seen |= orbit
-    if len(orbits) != p - 1:
-        raise AssertionError(f"expected p - 1 orbits, found {len(orbits)}")
-    by_invariant = {inv for _, _, inv in orbits}
-    if len(by_invariant) != p - 1:
-        raise AssertionError("conjugacy classes are not separated by the invariant")
-    return OrbitReport(params, tuple(orbits), "F_p^* (scalars), order p - 1")
+    table = build_algebra(params)
+    if table[(1, 2)] != (0, 0, 0, 1) or table[(2, 1)] != (0, 0, 0, p - 1):
+        raise AssertionError("i eps_j = eps_k = -eps_j i fails on the basis")
+    one = AbarElement(1, 0, 0, 0)
+    kernel: list[AbarElement] = []
+    image: set[AbarElement] = set()
+    for a, b in itertools.product(range(p), repeat=2):
+        if (a, b) == (0, 0):
+            continue
+        g, conjugate = AbarElement(a, b, 0, 0), AbarElement(a, -b % p, 0, 0)
+        conjugate_inverse = unit_inverse(conjugate, params)
+        if multiply(conjugate, conjugate_inverse, params) != one:
+            raise AssertionError(f"unit_inverse({conjugate}) is not an inverse")
+        u = multiply(g, conjugate_inverse, params)
+        if u == one:
+            kernel.append(g)
+        image.add(u)
+    if len(kernel) != p - 1 or any(g.b != 0 for g in kernel):
+        raise AssertionError(f"stabilizer {kernel} is not F_p^*")
+    if len(image) != p + 1 or any((u.a * u.a - alpha * u.b * u.b) % p != 1 for u in image):
+        raise AssertionError("g / conj(g) does not run over the p + 1 units of norm 1")
+    fibres: dict[int, list[AbarElement]] = {}
+    for c, d in itertools.product(range(p), repeat=2):
+        if (c, d) != (0, 0):
+            fibres.setdefault((c * c - alpha * d * d) % p, []).append(AbarElement(0, 0, c, d))
+    if len(fibres) != p - 1 or any(len(fibre) != p + 1 for fibre in fibres.values()):
+        raise AssertionError(f"expected p - 1 fibres of size p + 1, found {len(fibres)}")
+    orbits = tuple((len(fibre), fibre[0], norm) for norm, fibre in fibres.items())
+    return OrbitReport(params, orbits, "F_p^* (scalars), order p - 1")
 
 
 # -- the p = 7 worked example ------------------------------------------------

@@ -171,7 +171,7 @@ def test_c09_quaternion_suite():
         frozenset({(3, 4), (4, 3)}),
     }
     conclude(9, "quaternion suite", orbit_ok and image_ok and parts_ok,
-             "orbits exhaustive for p in {5,7,13,17}; image class and refinement exact")
+             "orbits certified as norm fibres for p in {5,7,13,17}; image class and refinement exact")
 
 
 def test_c10_genus_ledger():

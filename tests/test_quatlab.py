@@ -3,8 +3,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablelab import quatlab
+from stablelab.checks import Config
+from stablelab.cli import run_suite
 
 
 def test_algebra_params_validation():
@@ -57,7 +61,7 @@ def test_nilradical_is_two_sided_ideal():
                     assert prod.a == 0 and prod.b == 0
 
 
-@pytest.mark.parametrize("p", [5, 7, 13, 17])
+@pytest.mark.parametrize("p", [5, 7, 13, 17, 101])
 def test_orbit_analysis(p):
     params = quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p))
     report = quatlab.orbit_analysis(params)
@@ -68,6 +72,100 @@ def test_orbit_analysis(p):
     assert len(set(invariants)) == p - 1 and 0 not in invariants
     # |Orb| * |Stab| = |F_{p^2}^*|
     assert (p + 1) * (p - 1) == p * p - 1
+
+
+def _enumerated_orbits(params):
+    """Reference: conjugate every nonzero nilpotent by every unit (p^4 products)."""
+    p, alpha = params.p, params.alpha
+    units = [quatlab.AbarElement(a, b, 0, 0) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
+    nilpotents = [
+        quatlab.AbarElement(0, 0, c, d) for c in range(p) for d in range(p) if (c, d) != (0, 0)
+    ]
+
+    def invariant(x):
+        return (x.c * x.c - alpha * x.d * x.d) % p
+
+    seen = set()
+    orbits = []
+    for x in nilpotents:
+        orbit = set()
+        stabilizer = []
+        for g in units:
+            conjugate = quatlab.multiply(
+                quatlab.multiply(g, x, params), quatlab.unit_inverse(g, params), params
+            )
+            orbit.add(conjugate)
+            if conjugate == x:
+                stabilizer.append(g)
+        assert len(stabilizer) == p - 1 and all(g.b == 0 for g in stabilizer)
+        assert len(orbit) == p + 1
+        assert {invariant(z) for z in orbit} == {invariant(x)}
+        if x not in seen:
+            orbits.append((len(orbit), x, invariant(x)))
+            seen |= orbit
+    assert len(orbits) == p - 1
+    assert len({inv for _, _, inv in orbits}) == p - 1
+    return quatlab.OrbitReport(params, tuple(orbits), "F_p^* (scalars), order p - 1")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_orbit_analysis_matches_enumeration(p):
+    params = quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p))
+    assert quatlab.orbit_analysis(params) == _enumerated_orbits(params)
+
+
+def _commutative_multiply(x, y, params):
+    p, alpha = params.p, params.alpha
+    a, b, c, d = x
+    e, f, g, h = y
+    return quatlab.AbarElement(
+        (a * e + alpha * b * f) % p,
+        (a * f + b * e) % p,
+        (a * g + c * e + alpha * (b * h + d * f)) % p,
+        (a * h + d * e + (b * g + c * f)) % p,
+    )
+
+
+def _inverse_without_norm(x, params):
+    return quatlab.AbarElement(x.a, -x.b % params.p, 0, 0)
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("multiply", _commutative_multiply),
+    ("unit_inverse", _inverse_without_norm),
+])
+def test_orbit_certificate_rejects_mutants(monkeypatch, name, mutant):
+    monkeypatch.setattr(quatlab, name, mutant)
+    for p in (3, 5, 7, 13):
+        with pytest.raises(AssertionError):
+            quatlab.orbit_analysis(quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p)))
+    report = run_suite("quat", Config(primes=(7,)), clock=lambda: 0.0)
+    orbits = {r.id: r for r in report.results}["lemma-3.4.1-orbits-p07"]
+    assert orbits.status == "fail"
+    assert not orbits.details.startswith("internal error")
+
+
+def _add(x, y, p):
+    return quatlab.AbarElement(*((s + t) % p for s, t in zip(x, y)))
+
+
+_COORDS = st.tuples(*[st.integers(min_value=0, max_value=12)] * 4)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=st.sampled_from([5, 7, 13]), xs=st.tuples(_COORDS, _COORDS, _COORDS), scalar=st.integers(0, 12))
+def test_multiply_is_bilinear_and_units_commute(p, xs, scalar):
+    # build_algebra and orbit_analysis check identities on basis elements only;
+    # that is exhaustive because multiply is bilinear and F_p[i] is commutative
+    params = quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p))
+    x, y, z = (quatlab.AbarElement(*(v % p for v in coords)) for coords in xs)
+    mul = lambda u, v: quatlab.multiply(u, v, params)
+    assert mul(_add(x, y, p), z) == _add(mul(x, z), mul(y, z), p)
+    assert mul(z, _add(x, y, p)) == _add(mul(z, x), mul(z, y), p)
+    scale = lambda v: quatlab.AbarElement(*(scalar * t % p for t in v))
+    assert mul(scale(x), y) == scale(mul(x, y)) == mul(x, scale(y))
+    g, h = quatlab.AbarElement(x.a, x.b, 0, 0), quatlab.AbarElement(y.a, y.b, 0, 0)
+    assert mul(g, h) == mul(h, g)
 
 
 def test_invariant_level_set_sizes():
