@@ -14,8 +14,8 @@ print("f+ =", model.f_plus, "\n")
 print("Shift x = x0 + r, where r is a root of r^5 + 25r - 25 (v5(r) = 2/5).")
 print("Every coefficient of the shifted model is checked against the")
 print("published 16-cell table; a single wrong cell raises.")
-shifted = curve125.build_shifted_model()
-print("coefficient of x0^4:", shifted.g_plus.coefficient("x0", 4).coefficient("y", 0))
+g_plus = curve125.build_shifted_model()
+print("coefficient of x0^4:", g_plus.coefficient("x0", 4).coefficient("y", 0))
 print()
 
 print("At v(x0) = 1/2, v(y) = 3/4 exactly three monomials dominate,")

@@ -15,11 +15,11 @@ for name, rmap in maps.items():
 print()
 
 print("A circle maps to a circle exactly when one monomial dominates alone:")
-cert = modmaps.image_valuation(maps["pi5_t"], modmaps.ValRegion("u", "circle", F(3, 10)))
+cert = modmaps.image_valuation(maps["pi5_t"], F(3, 10))
 print(f"  v(u) = 3/10  ->  v(t) = {cert.lower_bound}  ({cert.conclusion})")
-cert = modmaps.image_valuation(maps["pi1_j"], modmaps.ValRegion("t", "circle", F(3, 2)))
+cert = modmaps.image_valuation(maps["pi1_j"], F(3, 2))
 print(f"  v(t) = 3/2   ->  v(j) = {cert.lower_bound}  ({cert.conclusion})")
-cert = modmaps.image_valuation(maps["pi1_j"], modmaps.ValRegion("t", "circle", F(5, 2)))
+cert = modmaps.image_valuation(maps["pi1_j"], F(5, 2))
 print(f"  v(t) = 5/2   ->  v(j) >= {cert.lower_bound}  ({cert.conclusion})")
 print("The tie in the last line is how a circle image fattens into a disk.\n")
 

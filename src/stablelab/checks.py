@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import cmlab, curve125, ledger, modmaps, quatlab, sslab
-from .exactmath import INF, is_prime, val_rat
+from .exactmath import INF, is_prime, sym, val_rat
 
 F = Fraction
 
@@ -47,21 +47,13 @@ def _fmt_multiset(ms) -> str:
 
 
 def _check_table1():
-    model = curve125.build_shifted_model()  # raises on any cell mismatch
-    nonzero = sum(1 for _ in model.g_plus.items())
+    g_plus = curve125.build_shifted_model()  # raises on any cell mismatch
+    nonzero = sum(1 for _ in g_plus.items())
     roundtrip = curve125.normal_form(
-        model.g_plus.substitute("x0", curve125.x - curve125.r), [curve125.R_SYMBOL]
+        g_plus.substitute("x0", curve125.x - curve125.r), [curve125.R_SYMBOL]
     )
     if roundtrip != curve125.plus_curve_model().f_plus:
         return "fail", "round-trip back to the original model is inexact"
-    cells = {
-        (i, j)
-        for i in range(6)
-        for j in range(5)
-        if not model.g_plus.coefficient("x0", i).coefficient("y", j).is_zero()
-    }
-    if len(cells) != 16:
-        return "fail", f"expected 16 nonzero cells, found {len(cells)}"
     return "pass", f"all 16 table cells match exactly ({nonzero} monomials); round-trip exact"
 
 
@@ -154,11 +146,6 @@ def _check_z_identity():
     cert = curve125.fiber_square_identity()
     if not cert.passed:
         return "fail", "polynomial identity has a nonzero remainder"
-    # numeric spot check at x=1, y=0, u=t: (2t)^2 + 20 = 4(t^2 + 5)
-    t = curve125.sym("t")
-    lhs = (2 * t) ** 2 - (-20)
-    if lhs != 4 * (t**2 + 5):
-        return "fail", "specialization x=1, y=0 spot check failed"
     return "pass", "(2xu - y)^2 - (y^2 - 20x) = 4x * (xu^2 - yu + 5) exactly"
 
 
@@ -227,9 +214,7 @@ def _check_al_circles():
 
 
 def _check_u_circle_image():
-    cert = modmaps.image_valuation(
-        modmaps.builtin_maps()["pi5_t"], modmaps.ValRegion("u", "circle", F(3, 10))
-    )
+    cert = modmaps.image_valuation(modmaps.builtin_maps()["pi5_t"], F(3, 10))
     if cert.lower_bound != F(3, 2) or not cert.unique:
         return "fail", f"image valuation {cert.lower_bound}, unique={cert.unique}"
     return "pass", "v(u) = 3/10 maps to v(t) = 3/2, unique dominant monomial u^5"
@@ -237,13 +222,13 @@ def _check_u_circle_image():
 
 def _check_j_circle_image():
     rmap = modmaps.builtin_maps()["pi1_j"]
-    cert = modmaps.image_valuation(rmap, modmaps.ValRegion("t", "circle", F(3, 2)))
+    cert = modmaps.image_valuation(rmap, F(3, 2))
     if cert.lower_bound != F(3, 2) or not cert.unique:
         return "fail", f"image valuation {cert.lower_bound}, unique={cert.unique}"
     rng = random.Random(31)
     for _ in range(3):
         lam = F(3, 2) + F(rng.randint(-9, 9), 1000)
-        pert = modmaps.image_valuation(rmap, modmaps.ValRegion("t", "circle", lam))
+        pert = modmaps.image_valuation(rmap, lam)
         # within this cell the image valuation is 3*(2*lam) - 5*lam = lam
         if not pert.unique or pert.lower_bound != lam:
             return "fail", f"perturbed circle at {lam} not stable"
@@ -251,9 +236,7 @@ def _check_j_circle_image():
 
 
 def _check_j_disk_image():
-    cert = modmaps.image_valuation(
-        modmaps.builtin_maps()["pi1_j"], modmaps.ValRegion("t", "circle", F(5, 2))
-    )
+    cert = modmaps.image_valuation(modmaps.builtin_maps()["pi1_j"], F(5, 2))
     if cert.lower_bound != F(5, 2) or cert.unique:
         return "fail", f"bound {cert.lower_bound}, unique={cert.unique}"
     if cert.conclusion != "bound only (tie)":
@@ -295,7 +278,7 @@ def maps_suite(config: Config) -> list[Check]:
 # -- ss suite -----------------------------------------------------------------
 
 
-def _check_division_polynomial():
+def _check_division_polynomial_5():
     psi5 = sslab.division_polynomial_5()
     if psi5.degree("x") != 12:
         return "fail", f"degree {psi5.degree('x')}"
@@ -351,7 +334,7 @@ def _check_threshold():
 
 def ss_suite(config: Config) -> list[Check]:
     return [
-        Check("claim-3.2.1-division-polynomial", "claim 3.2.1", _check_division_polynomial),
+        Check("claim-3.2.1-division-polynomial", "claim 3.2.1", _check_division_polynomial_5),
         Check("claim-3.2.1-breakpoint", "claim 3.2.1", _check_breakpoint),
         Check("claim-3.2.1-profile-below", "claim 3.2.1", _check_profile_below),
         Check("claim-3.2.1-profile-above", "claim 3.2.1", _check_profile_above),
@@ -387,10 +370,7 @@ def _make_crosscheck(row: cmlab.TableRow):
 
 def _make_congruence(disc: int, p: int, case: int, config: Config):
     def run():
-        try:
-            spec = cmlab.standard_spec(p, "-" if case == 1 else "+")
-        except ValueError as exc:
-            return "skipped", str(exc)
+        spec = cmlab.standard_spec(p, "-" if case == 1 else "+")
         if val_rat(disc, p) != 1:
             return "skipped", f"p does not exactly divide {disc}: hypothesis excluded"
         H = cmlab.class_polynomial(disc, config.precision_bits, _cache(config))
@@ -523,13 +503,11 @@ def _check_class_counts():
 
 
 def _check_quaternion_norm():
-    rng = random.Random(73)
-    for _ in range(100):
-        a = quatlab.QuatElement(*(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)))
-        b = quatlab.QuatElement(*(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)))
-        if (a * b).norm() != a.norm() * b.norm():
-            return "fail", f"norm not multiplicative at {a}, {b}"
-    return "pass", "norm a^2 + b^2 + 7c^2 + 7d^2 multiplicative on 100 random pairs"
+    a = quatlab.QuatElement(*(sym(name) for name in ("a1", "b1", "c1", "d1")))
+    b = quatlab.QuatElement(*(sym(name) for name in ("a2", "b2", "c2", "d2")))
+    if (a * b).norm() != a.norm() * b.norm():
+        return "fail", "N(xy) - N(x)N(y) is not the zero polynomial"
+    return "pass", "norm a^2 + b^2 + 7c^2 + 7d^2 multiplicative as a polynomial identity"
 
 
 def quat_suite(config: Config) -> list[Check]:
@@ -581,6 +559,9 @@ def _make_survey_check(p: int):
         survey = ledger.ss_survey(p)
         if p in expected and survey.entries != expected[p]:
             return "fail", f"survey {survey.entries}"
+        # the census counts supersingular curves over F_p-bar, the brute force
+        # only j in F_p; the two agree for every prime 5 <= p <= 31 and first
+        # differ at p = 37 (3 vs 1), so the comparison stops at 31
         brute = ledger.supersingular_j_invariants(p) if p <= 31 else None
         if brute is not None:
             count = sum(n for _, n in survey.entries)
@@ -664,8 +645,8 @@ SUITES = {
 def build_checks(suite: str, config: Config) -> list[Check]:
     if suite == "all":
         checks: list[Check] = []
-        for name in ("stable-model", "maps", "ss", "cm", "quat", "ledger"):
-            checks.extend(SUITES[name](config))
+        for build in SUITES.values():
+            checks.extend(build(config))
         return checks
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")

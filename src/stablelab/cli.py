@@ -4,8 +4,9 @@ machine-readable report.
 Exit codes: 0 all checks passed, 1 at least one check failed or the suite
 built no check, 2 the configuration could not be parsed or is invalid (a
 config number that is not a JSON integer, a discriminant that is not a
-negative integer congruent to 0 or 1 mod 4, or a prime that the quat or
-ledger suite cannot use).
+negative integer congruent to 0 or 1 mod 4, a prime that the quat or
+ledger suite cannot use, a negative genus, an ordinary_genera list that is
+not six long, or a cache_dir that exists and is not a directory).
 Checks run independently; one failure never aborts its siblings.
 """
 
@@ -13,15 +14,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 from . import __version__
-from .checks import Config, build_checks
+from .checks import SUITES, Config, build_checks
 from .exactmath import is_prime
 from .report import CheckResult, SuiteReport
 
-SUITE_NAMES = ("stable-model", "maps", "ss", "cm", "quat", "ledger", "all")
+SUITE_NAMES = (*SUITES, "all")
 #: suite -> (least prime the suite can use, how to say so)
 PRIME_FLOORS = {"quat": (3, "an odd prime"), "ledger": (5, "a prime p > 3")}
 
@@ -100,16 +102,20 @@ def _build_config(args, file_config: dict) -> Config:
             return None
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{key} must be a list of integers, got {value!r}")
-        return tuple(dict.fromkeys(as_int(key, v) for v in value))  # deduped, order kept
+        return tuple(as_int(key, v) for v in value)
+
+    def as_distinct(key, value):  # deduped, order kept
+        values = as_int_tuple(key, value)
+        return None if values is None else tuple(dict.fromkeys(values))
 
     def as_discriminants(key, value):
-        discs = as_int_tuple(key, value)
+        discs = as_distinct(key, value)
         for d in discs or ():
             if d >= 0 or d % 4 not in (0, 1):
                 raise ValueError(f"{d} is not a negative integer congruent to 0 or 1 mod 4")
         return discs
 
-    primes = as_int_tuple("primes", file_config.get("primes"))
+    primes = as_distinct("primes", file_config.get("primes"))
     if args.p is not None:
         primes = (args.p,)
     for suite, (least, need) in PRIME_FLOORS.items():
@@ -130,6 +136,16 @@ def _build_config(args, file_config: dict) -> Config:
         cache_dir = args.cache_dir
     if cache_dir is not None and not isinstance(cache_dir, str):
         raise ValueError("cache_dir must be a string")
+    if cache_dir is not None and os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
+        raise ValueError(f"cache_dir {cache_dir!r} exists and is not a directory")
+    g_edixhoven = as_int("g_E", file_config.get("g_E", 0))
+    ordinary_genera = as_int_tuple("ordinary_genera", file_config.get("ordinary_genera"))
+    if ordinary_genera is not None and len(ordinary_genera) != 6:
+        raise ValueError(
+            f"ordinary_genera must list the six ordinary components, got {len(ordinary_genera)}"
+        )
+    if g_edixhoven < 0 or any(g < 0 for g in ordinary_genera or ()):
+        raise ValueError("g_E and ordinary_genera must not be negative")
     return Config(
         primes=primes,
         discriminants_case1=as_discriminants("discriminants.case1", disc_section.get("case1")),
@@ -137,8 +153,8 @@ def _build_config(args, file_config: dict) -> Config:
         disc_override=disc_override,
         precision_bits=precision,
         cache_dir=cache_dir,
-        g_edixhoven=as_int("g_E", file_config.get("g_E", 0)),
-        ordinary_genera=as_int_tuple("ordinary_genera", file_config.get("ordinary_genera")),
+        g_edixhoven=g_edixhoven,
+        ordinary_genera=ordinary_genera,
     )
 
 

@@ -62,11 +62,6 @@ class PlusCurveModel:
 
 
 @dataclass(frozen=True)
-class ShiftedModel:
-    g_plus: SymbolicPolynomial  # f_plus(x0 + r, y), reduced mod r^5 + 25r - 25
-
-
-@dataclass(frozen=True)
 class RamificationData:
     p_ram_y: tuple[int, ...]  # ascending coefficients, degree 10
     p_ram_x: tuple[int, ...]
@@ -121,8 +116,12 @@ def table1_coefficients() -> dict[tuple[int, int], SymbolicPolynomial]:
 
 
 @lru_cache(maxsize=1)
-def build_shifted_model() -> ShiftedModel:
-    """Shift x = x0 + r and check the result against the embedded table."""
+def build_shifted_model() -> SymbolicPolynomial:
+    """g+(x0, y) = f+(x0 + r, y) reduced mod r^5 + 25r - 25 (table 1).
+
+    Every coefficient of x0^i y^j (i <= 5, j <= 4) is compared exactly with
+    `table1_coefficients()`; any mismatch raises ValueError.
+    """
     model = plus_curve_model()
     g_plus = normal_form(model.f_plus.substitute("x", x0 + r), [R_SYMBOL])
     expected = table1_coefficients()
@@ -134,7 +133,7 @@ def build_shifted_model() -> ShiftedModel:
                 raise ValueError(
                     f"shifted-model coefficient of x0^{i} y^{j} is {got}, expected {want}"
                 )
-    return ShiftedModel(g_plus)
+    return g_plus
 
 
 def root_valuation_multiset(coeffs: Sequence[int]) -> tuple[tuple[Fraction, int], ...]:
@@ -243,7 +242,7 @@ def verify_dominance_eq3() -> ReductionCertificate:
     """At v(x0) = 1/2, v(y) = 3/4 exactly the monomials x0^5, 25*x0, 15*y^2
     of g+ attain the minimal valuation 5/2; the Newton polygon in x0 then
     forces v(x0) = 1/2 at all five roots over any y on that circle."""
-    g_plus = build_shifted_model().g_plus
+    g_plus = build_shifted_model()
     mv = min_valuation(g_plus, EQ3_ASSIGNMENT, P)
 
     coeff_minima = []
@@ -339,7 +338,7 @@ def _verify_reduction_eq4() -> ReductionCertificate:
         "r": F(2, 5), "alpha_eq4": F(1, 2), "beta_eq4": F(3, 4),
         "x1": F(0), "y1": F(0),
     }
-    g_plus = build_shifted_model().g_plus
+    g_plus = build_shifted_model()
     scaled = g_plus.substitute("x0", alpha * sym("x1")).substitute("y", beta * sym("y1"))
     # 1/(15 beta^2) = alpha/375 after beta^2 -> 5 alpha, alpha^2 -> 5
     scaled = normal_form(scaled * alpha / 375, symbols)
@@ -440,14 +439,13 @@ HENSEL_INTERVAL = (F(1, 5), F(1, 4))
 RAM_CIRCLE = F(6, 25)  # v(s) at the circle carrying the ramification points
 
 
-@lru_cache(maxsize=1)
 def _hensel_pieces() -> tuple[tuple[Affine, ...], tuple[Affine, ...]]:
     """Affine valuation pieces of h(1) and h'(1) as functions of v(s).
 
     h(y) = s^-10 g+(s^2, s^5 y / sqrt15); the s^-10 scaling enters as the
     affine shift -10*lambda.
     """
-    g_plus = build_shifted_model().g_plus
+    g_plus = build_shifted_model()
     subbed = g_plus.substitute("x0", sym("s") ** 2)
     subbed = subbed.substitute("y", sym("s") ** 5 * sym("yh") * sqrt15 / 15)
     G = normal_form(subbed, [R_SYMBOL, SQRT15_SYMBOL])

@@ -10,7 +10,7 @@ exact when a unique monomial attains the minimum, otherwise only as a bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import curve125
@@ -64,18 +64,9 @@ class RationalMap:
 
 
 @dataclass(frozen=True)
-class ValRegion:
-    coordinate: str
-    kind: str  # circle | disk | annulus
-    radius: Fraction | tuple[Fraction, Fraction]
-    center: SymbolicPolynomial = field(default_factory=SymbolicPolynomial.zero)
-
-
-@dataclass(frozen=True)
 class ImageCertificate:
     lower_bound: Fraction
     unique: bool
-    witnesses: tuple
     conclusion: str  # "circle->circle exact" | "bound only (tie)"
 
 
@@ -92,26 +83,23 @@ def builtin_maps() -> dict[str, RationalMap]:
     }
 
 
-def image_valuation(rmap: RationalMap, region: ValRegion) -> ImageCertificate:
-    """Generic image valuation of a circle under a rational map.
+def image_valuation(rmap: RationalMap, radius) -> ImageCertificate:
+    """Image of the circle v(source) = radius under a rational map.
 
-    v(target) = v(numerator) - v(denominator) computed monomial-wise; exact
-    when both minima are attained by a unique monomial.
+    v(target) = v(numerator) - v(denominator) computed monomial-wise.  The
+    image is the circle v(target) = lower_bound when both minima are attained
+    by a unique monomial; on a tie only v(target) >= lower_bound is
+    certified, which is the disk case.
     """
-    if region.coordinate != rmap.source_coord:
-        raise ValueError("region coordinate does not match the map source")
-    if region.kind != "circle":
-        raise ValueError("image valuation is computed on circles")
-    assignment = {rmap.source_coord: Fraction(region.radius)}
+    assignment = {rmap.source_coord: Fraction(radius)}
     mv_num = min_valuation(rmap.numerator, assignment, P)
     mv_den = min_valuation(rmap.denominator, assignment, P)
     if not mv_den.witnesses:
-        raise ValueError("denominator has infinite valuation on the region")
+        raise ValueError("denominator has infinite valuation on the circle")
     unique = mv_num.unique and mv_den.unique
     return ImageCertificate(
         lower_bound=mv_num.value - mv_den.value,
         unique=unique,
-        witnesses=(mv_num.witnesses, mv_den.witnesses),
         conclusion="circle->circle exact" if unique else "bound only (tie)",
     )
 

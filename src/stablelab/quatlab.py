@@ -210,14 +210,7 @@ def uniformizer_image_search() -> tuple[AbarElement, ...]:
     then b^2 + 7c^2 + 7d^2 = 28 forces b = 0 mod 7; reducing mod 7 leaves
     exactly the nilpotents with c^2 + d^2 = 4 in F_7.
     """
-    quaternion_square_symbolic()
-    # a != 0 would force b = c = d = 0 and a^2 = -28: no integer solution
-    if any(a * a == 28 for a in range(-6, 7)):
-        raise AssertionError("a^2 = -28 unexpectedly solvable")
-    # with a = 0: b^2 + 7c^2 + 7d^2 = 28, so 7 | b^2, so b = 0 mod 7
-    for b in range(-5, 6):
-        if b * b <= 28 and (28 - b * b) % 7 == 0 and b % 7 != 0:
-            raise AssertionError("b not forced to 0 mod 7")
+    quaternion_square_symbolic()  # raises unless u^2 has the form used above
     p = EXAMPLE_PARAMS.p
     found = tuple(
         AbarElement(0, 0, c, d)

@@ -17,6 +17,7 @@ from functools import lru_cache
 from .exactmath import (
     ParamPolygon,
     SymbolicPolynomial,
+    affine,
     min_valuation,
     param_valuations,
     parametric_polygon,
@@ -30,78 +31,24 @@ x, t = sym("x"), sym("t")
 
 
 @dataclass(frozen=True)
-class FamilyCurve:
-    """y^2 = x^3 + a*x + b with a = t (formal) and b = 1."""
-
-    a: SymbolicPolynomial
-    b: Fraction
-
-    def rhs(self) -> SymbolicPolynomial:
-        return x**3 + self.a * x + self.b
-
-
-def family_curve() -> FamilyCurve:
-    return FamilyCurve(t, F(1))
-
-
-@dataclass(frozen=True)
 class TorsionProfile:
-    lambda_cell: tuple[Fraction, Fraction]
     x_root_valuations: tuple[tuple[Fraction, int], ...]
     z_valuations: tuple[tuple[Fraction, int], ...]  # over points, not x-roots
     canonical_subgroup: bool
 
 
-def division_polynomial(ell: int, curve: FamilyCurve) -> SymbolicPolynomial:
-    """psi_ell(x) from the standard division-polynomial recurrence.
-
-    Polynomials are kept as pairs (f, e) with psi_n = f * (2y)^e and
-    (2y)^2 reduced to 4*(x^3 + a*x + b); only odd ell are needed here and
-    only ell = 5 is in scope.
-    """
-    if ell != 5:
-        raise ValueError("only the 5-division polynomial is supported")
-    a, b = curve.a, SymbolicPolynomial.constant(curve.b)
-    c = curve.rhs()
-    psi: dict[int, tuple[SymbolicPolynomial, int]] = {
-        0: (SymbolicPolynomial.zero(), 0),
-        1: (SymbolicPolynomial.constant(1), 0),
-        2: (SymbolicPolynomial.constant(1), 1),
-        3: (3 * x**4 + 6 * a * x**2 + 12 * b * x - a**2, 0),
-        4: (
-            2 * (x**6 + 5 * a * x**4 + 20 * b * x**3 - 5 * a**2 * x**2
-                 - 4 * a * b * x - 8 * b**2 - a**3),
-            1,
-        ),
-    }
-
-    def product(ns: list[int]) -> tuple[SymbolicPolynomial, int]:
-        poly, e = SymbolicPolynomial.constant(1), 0
-        for n in ns:
-            pn, en = psi[n]
-            poly, e = poly * pn, e + en
-        # reduce even powers of 2y through the curve equation
-        poly = poly * (4 * c) ** (e // 2)
-        return poly, e % 2
-
-    for n in range(5, ell + 1):
-        if n % 2 == 1:
-            m = n // 2
-            t1, e1 = product([m + 2, m, m, m])
-            t2, e2 = product([m - 1, m + 1, m + 1, m + 1])
-            if e1 != e2:
-                raise AssertionError("parity mismatch in division recurrence")
-            psi[n] = (t1 - t2, e1)
-        else:  # not used for ell = 5, kept for the recurrence's shape
-            raise AssertionError("even index not needed")
-    poly, e = psi[ell]
-    assert e == 0
-    return poly
-
-
 @lru_cache(maxsize=1)
 def division_polynomial_5() -> SymbolicPolynomial:
-    return division_polynomial(5, family_curve())
+    """psi_5(x) of y^2 = c(x) = x^3 + t*x + 1, a polynomial in x and t.
+
+    One step of psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3 at
+    m = 2: with psi_1 = 1, psi_2 = 2y, psi_4 = 4y*f4 and y^2 = c,
+    psi_5 = 32 c^2 f4 - psi_3^3.
+    """
+    c = x**3 + t * x + 1
+    psi3 = 3 * x**4 + 6 * t * x**2 + 12 * x - t**2
+    f4 = x**6 + 5 * t * x**4 + 20 * x**3 - 5 * t**2 * x**2 - 4 * t * x - 8 - t**3
+    return 32 * c**2 * f4 - psi3**3
 
 
 @lru_cache(maxsize=1)
@@ -120,12 +67,7 @@ def torsion_polygon() -> ParamPolygon:
 
 def canonical_breakpoint() -> Fraction:
     """The lambda where the slopes lam/10 and (1 - lam)/2 agree: lam = 5/6."""
-    lam = sym("lam")
-    difference = 2 * lam - 10 * (1 - lam)  # lam/10 = (1-lam)/2, cleared
-    # single root of the affine equation
-    root = F(10, 12)
-    assert difference.substitute("lam", SymbolicPolynomial.constant(root)).is_zero()
-    return root
+    return (affine(0, F(1, 10)) - affine(F(1, 2), F(-1, 2))).root()
 
 
 def torsion_profile(lam) -> TorsionProfile:
@@ -146,7 +88,6 @@ def torsion_profile(lam) -> TorsionProfile:
         z_vals.append((-v / 2, 2 * count))
     assert sum(n for _, n in z_vals) == 24
     return TorsionProfile(
-        lambda_cell=(cell.lo, cell.hi),
         x_root_valuations=x_roots,
         z_valuations=tuple(sorted(z_vals)),
         canonical_subgroup=lam < canonical_breakpoint(),
@@ -170,11 +111,9 @@ def weierstrass_j(a: SymbolicPolynomial, b: SymbolicPolynomial) -> tuple[Symboli
     return (c4**3).exact_divide(minus16), delta.exact_divide(minus16)
 
 
-@lru_cache(maxsize=1)
 def too_ss_threshold() -> ThresholdCertificate:
     """v_5(j) = 3 v_5(t) on the family, so the threshold is 3 * (5/6) = 5/2."""
-    curve = family_curve()
-    num, den = weierstrass_j(curve.a, SymbolicPolynomial.constant(curve.b))
+    num, den = weierstrass_j(t, SymbolicPolynomial.constant(1))
     expected_num = 6912 * t**3
     expected_den = 4 * t**3 + 27
     # v(num) = 3*lambda with a unique witness; v(den) = 0 with unique witness

@@ -21,10 +21,10 @@ def conclude(number: int, name: str, ok: bool, detail: str = ""):
 
 
 def test_c01_table1_reproduction():
-    model = curve125.build_shifted_model()  # raises on any coefficient mismatch
+    g_plus = curve125.build_shifted_model()  # raises on any coefficient mismatch
     table = curve125.table1_coefficients()
     cells = {
-        (i, j): model.g_plus.coefficient("x0", i).coefficient("y", j)
+        (i, j): g_plus.coefficient("x0", i).coefficient("y", j)
         for i in range(6)
         for j in range(5)
     }
@@ -95,9 +95,9 @@ def test_c05_reduction_certificates():
 
 def test_c06_map_images():
     maps = modmaps.builtin_maps()
-    u_circle = modmaps.image_valuation(maps["pi5_t"], modmaps.ValRegion("u", "circle", F(3, 10)))
-    j_circle = modmaps.image_valuation(maps["pi1_j"], modmaps.ValRegion("t", "circle", F(3, 2)))
-    j_disk = modmaps.image_valuation(maps["pi1_j"], modmaps.ValRegion("t", "circle", F(5, 2)))
+    u_circle = modmaps.image_valuation(maps["pi5_t"], F(3, 10))
+    j_circle = modmaps.image_valuation(maps["pi1_j"], F(3, 2))
+    j_disk = modmaps.image_valuation(maps["pi1_j"], F(5, 2))
     ram_image = modmaps.ramification_image_polynomial()
     ok = (
         u_circle.lower_bound == F(3, 2) and u_circle.unique

@@ -280,3 +280,56 @@ def test_non_integer_config_numbers_rejected(tmp_path, capsys, document, key):
     config.write_text(json.dumps(document))
     assert cli.main(["cm", "--config", str(config)]) == 2
     assert f"config error: {key} must be an integer" in capsys.readouterr().err
+
+
+def test_all_reads_the_suite_table_at_call_time(monkeypatch):
+    """`all` runs whatever SUITES holds when it is called, in table order,
+    so a builder replaced in place (as a tracer does) is the one that runs."""
+    from stablelab import checks
+
+    assert cli.SUITE_NAMES == (*checks.SUITES, "all")
+    stub = checks.Check("stub", "table 1", lambda: ("pass", ""))
+    monkeypatch.setitem(checks.SUITES, "ss", lambda config: [stub])
+    ids = [c.id for c in build_checks("all", Config(primes=(5,)))]
+    assert "stub" in ids and "claim-3.2.1-threshold" not in ids
+    assert ids.index("table-2-transcription") < ids.index("stub") < ids.index("class-count-2p1i")
+
+
+def test_ordinary_genera_keep_their_multiplicity(tmp_path):
+    """Six ordinary components of genus 1 add 6, not 1: at p = 7 the budget
+    24 + 6 = 30 exceeds the genus 26 of X0(343)."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ordinary_genera": [1] * 6}))
+    path = tmp_path / "ledger.json"
+    assert cli.main(["ledger", "--p", "7", "--config", str(config), "--report", str(path)]) == 1
+    payload = json.loads(path.read_text())
+    budget = {c["id"]: c for c in payload["checks"]}["budget-p07"]
+    assert budget["status"] == "fail"
+    assert "component budget 30 exceeds the genus 26" in budget["details"]
+    assert payload["config"]["ordinary_genera"] == [1] * 6
+
+
+@pytest.mark.parametrize("document", [
+    {"g_E": -100},
+    {"ordinary_genera": [0, 0, 0, 0, 0, -1]},
+    {"ordinary_genera": [1]},
+    {"ordinary_genera": [1] * 7},
+    {"ordinary_genera": []},
+])
+def test_invalid_genera_rejected(tmp_path, capsys, document):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    assert cli.main(["ledger", "--p", "5", "--config", str(config)]) == 2
+    assert "config error: " in capsys.readouterr().err
+
+
+def test_cache_dir_that_is_a_file_rejected(tmp_path, capsys):
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+    assert cli.main(["cm", "--p", "5", "--disc=-20", "--cache-dir", str(occupied)]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    fresh = tmp_path / "fresh"
+    path = tmp_path / "cm.json"
+    assert cli.main(["cm", "--p", "5", "--disc=-20", "--cache-dir", str(fresh),
+                     "--report", str(path)]) == 0
+    assert (fresh / "class_poly_cache.txt").exists()

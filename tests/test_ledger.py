@@ -102,3 +102,23 @@ def test_graph_parse_and_errors():
         ledger.graph_genus(ledger.GraphSpec((("a", 0),), (("a", "z"),)))
     with pytest.raises(ValueError):
         ledger.graph_genus(ledger.GraphSpec((("a", 0), ("a", 1)), ()))
+
+
+def test_survey_crosscheck_stops_where_the_counts_part():
+    """The survey check compares the census (supersingular curves over
+    F_p-bar) with the supersingular j in F_p only for p <= 31: the two counts
+    agree for every prime up to 31 and first differ at 37."""
+    from stablelab.checks import Config
+    from stablelab.cli import run_suite
+
+    def counts(p):
+        census = sum(n for _, n in ledger.ss_survey(p).entries)
+        return census, len(ledger.supersingular_j_invariants(p))
+
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        census, in_fp = counts(p)
+        assert census == in_fp, p
+    assert counts(37) == (3, 1)
+    report = run_suite("ledger", Config(primes=(37,)), clock=lambda: 0.0)
+    survey = {r.id: r for r in report.results}["survey-p37"]
+    assert survey.status == "pass"

@@ -55,31 +55,22 @@ def test_al_fixed_circles(maps):
 
 
 def test_image_valuations(maps):
-    cert = modmaps.image_valuation(maps["pi5_t"], modmaps.ValRegion("u", "circle", F(3, 10)))
+    cert = modmaps.image_valuation(maps["pi5_t"], F(3, 10))
     assert cert.lower_bound == F(3, 2) and cert.unique
     assert cert.conclusion == "circle->circle exact"
 
-    cert = modmaps.image_valuation(maps["pi1_j"], modmaps.ValRegion("t", "circle", F(3, 2)))
+    cert = modmaps.image_valuation(maps["pi1_j"], F(3, 2))
     assert cert.lower_bound == F(3, 2) and cert.unique
 
-    cert = modmaps.image_valuation(maps["pi1_j"], modmaps.ValRegion("t", "circle", F(5, 2)))
+    cert = modmaps.image_valuation(maps["pi1_j"], F(5, 2))
     assert cert.lower_bound == F(5, 2) and not cert.unique
     assert cert.conclusion == "bound only (tie)"
-
-
-def test_image_valuation_region_mismatch(maps):
-    with pytest.raises(ValueError):
-        modmaps.image_valuation(maps["pi5_t"], modmaps.ValRegion("t", "circle", F(1)))
-    with pytest.raises(ValueError):
-        modmaps.image_valuation(
-            maps["pi5_t"], modmaps.ValRegion("u", "disk", F(1))
-        )
 
 
 def test_image_stability_within_cell(maps):
     for eps in (F(1, 1000), F(-1, 1000), F(3, 997)):
         lam = F(3, 10) + eps
-        cert = modmaps.image_valuation(maps["pi5_t"], modmaps.ValRegion("u", "circle", lam))
+        cert = modmaps.image_valuation(maps["pi5_t"], lam)
         assert cert.unique and cert.lower_bound == 5 * lam
 
 

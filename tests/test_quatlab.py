@@ -225,3 +225,24 @@ def test_quaternion_norm_multiplicative():
         a = quatlab.QuatElement(*(F(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(4)))
         b = quatlab.QuatElement(*(F(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(4)))
         assert (a * b).norm() == a.norm() * b.norm()
+
+
+def test_quaternion_norm_check_is_an_identity(monkeypatch):
+    from stablelab import checks
+
+    assert checks._check_quaternion_norm() == (
+        "pass", "norm a^2 + b^2 + 7c^2 + 7d^2 multiplicative as a polynomial identity"
+    )
+
+    def sign_flipped(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return (
+            a * e - b * f - 7 * c * g + 7 * d * h,
+            a * f + b * e + 7 * c * h - 7 * d * g,
+            a * g + c * e - b * h + d * f,
+            a * h + d * e + b * g - c * f,
+        )
+
+    monkeypatch.setattr(quatlab, "quaternion_multiply", sign_flipped)
+    assert checks._check_quaternion_norm()[0] == "fail"

@@ -23,11 +23,6 @@ def test_division_polynomial_specialization():
         assert c.is_constant() and c.constant_value().denominator == 1
 
 
-def test_division_polynomial_rejects_other_ell():
-    with pytest.raises(ValueError):
-        sslab.division_polynomial(7, sslab.family_curve())
-
-
 def _ec_points(q, a, b):
     points = [None]  # identity
     for xx in range(q):
