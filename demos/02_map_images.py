@@ -35,7 +35,6 @@ ric = modmaps.ramification_image_polynomial()
 print("  eliminant degree:", len(ric.eliminant) - 1)
 print("  squarefree part:", ric.squarefree_part, " i.e. t^2 = 125\n")
 
-print("The four CM residue disks merge into one congruence:")
+print("The CM residue disks described in u match those pulled back through r:")
 disks = modmaps.cm_disk_identities()
 print("  v5(5^5/r^5 - 5^3) =", disks.u_disk_valuation, "> 3")
-print("  (j^2 - 125)(j^2 + 125) = j^4 - 5^6:", disks.factorization_ok)

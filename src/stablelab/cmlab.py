@@ -1,9 +1,13 @@
 """Class polynomials of imaginary quadratic orders and p-adic placement checks.
 
 Roots of class polynomials are eta quotients j = (x + 256)^3 / x^2 with
-x = (eta(tau) / eta(2 tau))^24, evaluated at controlled binary precision
-(mpmath), assembled into a monic polynomial, and rounded to integers only
-when the rounding is unambiguous at two precision levels.  The p-adic
+x = (eta(tau) / eta(2 tau))^24, each evaluated once as a midpoint-radius ball
+(mpmath midpoints, upward-rounded libmp radii, q enclosed by mpmath.iv and
+the series tail added as a radius).  The balls are expanded into the monic
+polynomial prod (X - j), which is accepted only when every coefficient ball
+lies within 1e-6 of one integer, so the rounding is certified by one
+enclosure, at a starting precision from an a-priori bound on the
+coefficients (Enge, Math. Comp. 78 (2009)).  The p-adic
 placement conjectures are then certified per root, in pure integer arithmetic,
 through the Newton polygon of G(w) = Res_j(H(j), w - ((j-c)^e -/+ m)).
 """
@@ -16,13 +20,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from mpmath import mp, mpc, mpf
+from mpmath import iv, mp, mpc, mpf
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpc_add,
+    mpc_div,
+    mpc_mul,
+    mpc_sub,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_shift,
+    mpf_sub,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_int,
+)
 
 from .exactmath import INF, characteristic_polynomial, newton_polygon, univariate_mul, val_rat
 
 SERIES_GUARD_BITS = 64
+PRECISION_GUARD_BITS = 32
 ROUNDING_TOLERANCE = 1e-6
 MAX_PRECISION_DOUBLINGS = 3
+RADIUS_BITS = 30
 
 
 @dataclass(frozen=True, order=True)
@@ -73,10 +97,6 @@ class Tau:
     n: int
     den: int
 
-    def to_mpc(self) -> mpc:
-        root = mp.sqrt(mpf(self.n))
-        return mpc(mpf(self.re_num) / self.den, self.im_num * root / self.den)
-
     def imag_float(self) -> float:
         return self.im_num * math.sqrt(self.n) / self.den
 
@@ -108,39 +128,202 @@ def class_number(discriminant: int) -> int:
     return len(reduced_forms(discriminant))
 
 
+# -- ball arithmetic --------------------------------------------------------
+#
+# A Ball is the disk |z - mid| <= rad (midpoint-radius arithmetic, as in
+# Johansson's Arb, IEEE Trans. Comput. 66 (2017)).  The midpoint is a raw
+# mpmath complex, a pair of libmp (sign, man, exp, bc) tuples, rounded to
+# nearest at the working precision w = mp.prec.  The radius is a raw mpf of
+# RADIUS_BITS bits rounded upward; its exponent is a Python int, so it never
+# underflows to 0 or overflows.  Magnitudes are read off the midpoint's
+# exponents and bit counts (a part is below 2^(exp + bc)), without float().
+# Every operation adds to the radius the propagated input radii and a bound on
+# the rounding of its midpoint, so the result contains every value the
+# operation takes on points of its input balls.
+
+_ZERO_EXPONENT = -(1 << 40)  # stands for log2|0|: 2^_ZERO_EXPONENT still bounds 0
+
+
+def _top_exponent(z) -> int:
+    """t with 2^(t-1) <= max(|Re z|, |Im z|) < 2^t, so 2^(t-1) <= |z| < 2^(t+1),
+    for a raw complex z; _ZERO_EXPONENT when z = 0."""
+    (_, m1, e1, b1), (_, m2, e2, b2) = z
+    return max(e1 + b1 if m1 else _ZERO_EXPONENT, e2 + b2 if m2 else _ZERO_EXPONENT)
+
+
+def _magnitude(z) -> int:
+    """k with |z| <= 2^k, for a raw complex z."""
+    return _top_exponent(z) + 1
+
+
+def _pow2(k: int):
+    return (0, 1, k, 1)
+
+
+def _scaled(radius, k: int):
+    """radius * 2^k, exactly."""
+    sign, man, exp, bc = radius
+    return (sign, man, exp + k, bc) if man else radius
+
+
+def _up(*radii):
+    """An upper bound on the sum of nonnegative raw mpf values."""
+    total = radii[0]
+    for radius in radii[1:]:
+        total = mpf_add(total, radius, RADIUS_BITS, round_ceiling)
+    return total
+
+
+class Ball:
+    """The complex disk |z - mid| <= rad; see the comment above."""
+
+    __slots__ = ("_mid", "_rad")
+
+    def __init__(self, mid, rad=fzero):
+        self._mid, self._rad = mid, rad
+
+    @classmethod
+    def exact(cls, n: int) -> "Ball":
+        return cls((from_int(n), fzero))
+
+    @classmethod
+    def from_interval(cls, z) -> "Ball":
+        """The ball around the box of a complex mpmath.iv interval: the midpoint
+        is exact, the radius the sum of the two widths."""
+        (re_lo, re_hi), (im_lo, im_hi) = z._mpci_
+        mid = (mpf_shift(mpf_add(re_lo, re_hi), -1), mpf_shift(mpf_add(im_lo, im_hi), -1))
+        widths = (mpf_sub(re_hi, re_lo, RADIUS_BITS, round_ceiling),
+                  mpf_sub(im_hi, im_lo, RADIUS_BITS, round_ceiling))
+        return cls(mid, _up(*widths))
+
+    @property
+    def mid(self) -> mpc:
+        return mp.make_mpc(self._mid)
+
+    @property
+    def rad(self) -> mpf:
+        return mp.make_mpf(self._rad)
+
+    def widened(self, radius) -> "Ball":
+        return Ball(self._mid, _up(self._rad, radius))
+
+    def __add__(self, other) -> "Ball":
+        other = _as_ball(other)
+        mid = mpc_add(self._mid, other._mid, mp.prec, round_nearest)
+        # the exact sum is rounded once, so the rounding is below 2^-w |sum|
+        return Ball(mid, _up(self._rad, other._rad, _pow2(_magnitude(mid) - mp.prec)))
+
+    def __sub__(self, other) -> "Ball":
+        other = _as_ball(other)
+        mid = mpc_sub(self._mid, other._mid, mp.prec, round_nearest)
+        return Ball(mid, _up(self._rad, other._rad, _pow2(_magnitude(mid) - mp.prec)))
+
+    def __mul__(self, other) -> "Ball":
+        other = _as_ball(other)
+        a, b = self._mid, other._mid
+        ka, kb = _magnitude(a), _magnitude(b)
+        # |xy - ab| <= |a| rb + |b| ra + ra rb, and rounding ab costs at most 2^-w |a| |b|
+        rad = _up(
+            _scaled(other._rad, ka),
+            _scaled(self._rad, kb),
+            mpf_mul(self._rad, other._rad, RADIUS_BITS, round_ceiling),
+            _pow2(ka + kb - mp.prec),
+        )
+        return Ball(mpc_mul(a, b, mp.prec, round_nearest), rad)
+
+    def __truediv__(self, other) -> "Ball":
+        other = _as_ball(other)
+        a, b = self._mid, other._mid
+        top = _top_exponent(b)
+        ka, kb, low = _magnitude(a), top + 1, top - 1  # |b| >= 2^low
+        gap = mpf_sub(_pow2(low), other._rad, RADIUS_BITS, round_floor)  # <= |b| - rb
+        if top == _ZERO_EXPONENT or gap[0] or not gap[1]:
+            raise ZeroDivisionError("ball division by a ball that contains 0")
+        # |x/y - a/b| <= (ra |b| + |a| rb) / (|b| (|b| - rb)), and rounding a/b
+        # costs at most 2^(1-w) |a| / |b|
+        spread = _up(_scaled(self._rad, kb), _scaled(other._rad, ka))
+        rad = _up(
+            mpf_div(spread, _scaled(gap, low), RADIUS_BITS, round_ceiling),
+            _pow2(ka - low + 1 - mp.prec),
+        )
+        return Ball(mpc_div(a, b, mp.prec, round_nearest), rad)
+
+    def integer_distance(self) -> tuple[int, mpf]:
+        """The integer n nearest the midpoint, and an upper bound on both
+        |Re z - n| and |Im z| for every z in the ball."""
+        re, im = self._mid
+        n = to_int(re, round_nearest)
+        offset = mpf_abs(mpf_sub(re, from_int(n)))  # exact
+        return n, mp.make_mpf(_up(self._rad, offset, mpf_abs(im)))
+
+
+def _as_ball(value) -> Ball:
+    return value if isinstance(value, Ball) else Ball.exact(value)
+
+
 # -- eta quotient -----------------------------------------------------------
 
 
-def j_tau(tau: mpc, precision: int) -> mpc:
-    """j(tau) = (x + 256)^3 / x^2, x = (eta(tau) / eta(2 tau))^24 = (P(q) / P(q^2))^24 / q,
-    with Euler's pentagonal series P(q) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2))
-    cut to the terms q^e with e log2|1/q| <= precision + 64.  Each dropped tail is
-    below 2^-(precision + 64) / (1 - |q|), so for reduced tau (|q| < 0.0044,
-    |P| > 0.995) below 1.01 * 2^-(precision + 64) relative to its series."""
+def _series_length(tau: Tau, precision: int) -> int:
+    """The largest exponent N kept in the pentagonal series: N log2|1/q| <= precision + 64."""
+    length = int((precision + SERIES_GUARD_BITS) * math.log(2) / (2 * math.pi * tau.imag_float()))
+    if length > 2_000_000:
+        raise ValueError("truncation bound overflow: tau too close to the real line")
+    return length
+
+
+def _q_and_tail(tau: Tau, length: int) -> tuple[Ball, tuple]:
+    """A ball around q = exp(2 pi i tau), enclosed by mpmath.iv from the exact
+    tau, and an upper bound on sum_{e > N} |q|^e = |q|^(N+1) / (1 - |q|)."""
+    saved = iv.prec
+    try:
+        iv.prec = mp.prec
+        two_pi_im = 2 * iv.pi * tau.im_num * iv.sqrt(tau.n) / tau.den
+        q = iv.exp(iv.mpc(-two_pi_im, 2 * iv.pi * tau.re_num / tau.den))
+        iv.prec = RADIUS_BITS
+        q_abs = iv.exp(-2 * iv.pi * tau.im_num * iv.sqrt(tau.n) / tau.den)
+        tail = q_abs ** (length + 1) / (1 - q_abs)
+    finally:
+        iv.prec = saved
+    return Ball.from_interval(q), tail._mpi_[1]
+
+
+def j_tau(tau: Tau, precision: int) -> Ball:
+    """A ball around j(tau) = (x + 256)^3 / x^2, x = (eta(tau) / eta(2 tau))^24
+    = (P(q) / P(q^2))^24 / q, computed at precision + 64 bits.
+
+    P(q) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)) is Euler's
+    pentagonal series, cut to the terms q^e with e <= N, N log2|1/q| <=
+    precision + 64.  The dropped tail of P(q), and that of P(q^2), is at most
+    sum_{e > N} |q|^e = |q|^(N+1) / (1 - |q|), below 1.01 * 2^-(precision + 64)
+    for reduced tau (|q| < 0.0044); it is added to both sums as a radius.  Every
+    other step is a ball operation, so the ball contains j(tau).  The 64 guard
+    bits keep the radius below 2^-precision |j(tau)| for reduced tau.
+    """
+    if tau.im_num <= 0 or tau.den <= 0 or tau.n <= 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    length = _series_length(tau, precision)
     with mp.workprec(precision + SERIES_GUARD_BITS):
-        tau = mpc(tau)
-        if tau.imag <= 0:
-            raise ValueError("tau must lie in the upper half-plane")
-        q = mp.exp(2j * mp.pi * tau)
-        max_exponent = int((precision + SERIES_GUARD_BITS) * mp.ln(2) / (2 * mp.pi * tau.imag))
-        if max_exponent > 2_000_000:
-            raise ValueError("truncation bound overflow: tau too close to the real line")
-        p_q, p_q2, term, q_k, k, sign = mpc(1), mpc(1), q, q, 1, -1  # term = q^(k(3k-1)/2)
-        while k * (3 * k - 1) // 2 <= max_exponent:
+        q, tail = _q_and_tail(tau, length)
+        p_q = p_q2 = Ball.exact(1)
+        term, q_k, k, sign = q, q, 1, -1  # term = q^(k(3k-1)/2)
+        while k * (3 * k - 1) // 2 <= length:
             for exponent in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-                if exponent <= max_exponent:
-                    p_q += sign * term
-                if 2 * exponent <= max_exponent:
-                    p_q2 += sign * term * term  # (q^2)^exponent
-                term *= q_k
-            q_k *= q
-            term *= q_k  # q^((k+1)(3k+2)/2)
+                if exponent <= length:
+                    p_q = p_q + term if sign > 0 else p_q - term
+                if 2 * exponent <= length:
+                    square = term * term  # (q^2)^exponent
+                    p_q2 = p_q2 + square if sign > 0 else p_q2 - square
+                term = term * q_k
+            q_k = q_k * q
+            term = term * q_k  # q^((k+1)(3k+2)/2)
             k, sign = k + 1, -sign
-        x = p_q / p_q2
+        x = p_q.widened(tail) / p_q2.widened(tail)
         for _ in range(3):  # (P(q) / P(q^2))^8 by three squarings
-            x *= x
+            x = x * x
         x = x * x * x / q
-        return (x + 256) * (x + 256) * (x + 256) / (x * x)
+        y = x + 256
+        return y * y * y / (x * x)
 
 
 # -- class polynomials ------------------------------------------------------
@@ -151,7 +334,7 @@ class ClassPolynomial:
     discriminant: int
     coefficients: tuple[int, ...]  # ascending, constant term first, monic
     precision_used: int
-    max_rounding_error: float
+    max_rounding_error: mpf  # certified bound on |coefficient - integer|
 
     @property
     def degree(self) -> int:
@@ -161,7 +344,9 @@ class ClassPolynomial:
 class ClassPolyCache:
     """Plain-text cache: one record per line, ``D h precision c_0 ... c_h``.
 
-    Append-only; the last record for a discriminant wins.  A store is one
+    Append-only; the last record for a discriminant wins.  A record is never
+    a result: ``class_polynomial`` builds H_D and compares it with the last
+    record, appending the build when they differ.  A store is one
     write of a whole line to a descriptor opened with O_APPEND, so concurrent
     writers never drop each other's records.  A line without exactly h + 4
     integer fields (torn) is ignored, and a store after a torn last line
@@ -201,44 +386,55 @@ class ClassPolyCache:
             os.close(fd)
 
 
-def default_precision(discriminant: int) -> int:
-    """256 bits plus padding informed by the class number and the largest |q|."""
-    forms = reduced_forms(discriminant)
-    im_min = min(f.tau().imag_float() for f in forms)
-    log2_inv_qmax = 2 * math.pi * im_min / math.log(2)
-    return 256 + math.ceil(10 * len(forms) * log2_inv_qmax)
+def start_precision(discriminant: int) -> int:
+    """The starting precision of a build of H_D: B + PRECISION_GUARD_BITS, where
+    B = sum over the reduced forms (a, b, c) of log2(1 + e^(pi sqrt|D| / a) + 2079)
+    bounds log2 of every coefficient of H_D.  For reduced tau,
+    |j(tau)| <= e^(2 pi Im tau) + 2079 (Enge, Math. Comp. 78 (2009)), here
+    Im tau = sqrt|D| / 2a, and each coefficient of prod (X - j) is at most
+    prod (1 + |j|)."""
+    root = math.sqrt(-discriminant)
+    bits = 0.0
+    for form in reduced_forms(discriminant):
+        exponent = math.pi * root / form.a  # log2(1 + e^x + 2079), without overflow
+        bits += exponent / math.log(2) + math.log2(1 + 2080 * math.exp(-exponent))
+    return math.ceil(bits) + PRECISION_GUARD_BITS
 
 
-def _round_product(taus: Sequence[Tau], precision: int) -> tuple[tuple[int, ...], float]:
-    """Expand prod (X - j(tau)) at the given precision and round to integers."""
-    with mp.workprec(precision + SERIES_GUARD_BITS):
-        roots = [j_tau(t.to_mpc(), precision) for t in taus]
-        coeffs = [mpc(1)]
-        for root in roots:
-            coeffs = [mpc(0)] + coeffs
-            for k in range(len(coeffs) - 1):
-                coeffs[k] -= root * coeffs[k + 1]
-        ints = []
-        error = 0.0
-        for c in coeffs:
-            nearest = int(mp.nint(c.real))
-            error = max(error, float(abs(c.real - nearest)), float(abs(c.imag)))
-            ints.append(nearest)
-    return tuple(ints), error
+def expand_product(roots: Sequence[Ball]) -> list[Ball]:
+    """Balls around the coefficients of prod (X - r) over the roots, ascending."""
+    coeffs = [Ball.exact(1)]
+    for root in roots:
+        coeffs = [Ball.exact(0)] + coeffs
+        for k in range(len(coeffs) - 1):
+            coeffs[k] = coeffs[k] - root * coeffs[k + 1]
+    return coeffs
 
 
 def polynomial_from_taus(
     taus: Sequence[Tau], precision: int
-) -> tuple[tuple[int, ...], int, float]:
-    """Monic integer polynomial with roots j(tau), rounding certified by a
-    doubled-precision rerun; escalates precision up to three doublings."""
-    ints1, err1 = _round_product(taus, precision)
+) -> tuple[tuple[int, ...], int, mpf]:
+    """Monic integer polynomial with roots j(tau), from one ball build.
+
+    The coefficients of prod (X - j(tau)) are expanded in balls at
+    precision + 64 bits.  The build is accepted when every coefficient ball
+    lies within ROUNDING_TOLERANCE of one integer in the real direction and of
+    0 in the imaginary one: then every true coefficient lies within the
+    returned error of the returned integer, and equals it when the product is
+    known to be integral (the taus of the reduced forms of D give H_D).
+    Otherwise the precision is doubled, at most MAX_PRECISION_DOUBLINGS times.
+    """
     for _ in range(MAX_PRECISION_DOUBLINGS + 1):
-        ints2, err2 = _round_product(taus, 2 * precision)
-        if err1 < ROUNDING_TOLERANCE and err2 < ROUNDING_TOLERANCE and ints1 == ints2:
-            return ints1, precision, max(err1, err2)
-        precision, ints1, err1 = 2 * precision, ints2, err2  # reuse the doubled level
-    raise ArithmeticError("rounding ambiguity persists after precision escalation")
+        with mp.workprec(precision + SERIES_GUARD_BITS):
+            coeffs = expand_product([j_tau(tau, precision) for tau in taus])
+        rounded = [coeff.integer_distance() for coeff in coeffs]
+        error = max(distance for _, distance in rounded)
+        if error < ROUNDING_TOLERANCE:
+            return tuple(n for n, _ in rounded), precision, error
+        precision *= 2
+    raise ArithmeticError(
+        "coefficient balls are not within 1e-6 of integers after precision escalation"
+    )
 
 
 def class_polynomial(
@@ -246,19 +442,19 @@ def class_polynomial(
     precision: int | None = None,
     cache: ClassPolyCache | None = None,
 ) -> ClassPolynomial:
-    forms = reduced_forms(discriminant)
-    if cache is not None:
-        record = cache.load().get(discriminant)
-        if record is not None:
-            prec, coeffs = record
-            if len(coeffs) == len(forms) + 1:
-                return ClassPolynomial(discriminant, coeffs, prec, 0.0)
+    """H_D from one certified build, started at ``precision`` bits or at
+    ``start_precision(D)``.  A cache never supplies the result: the build is
+    appended to it when it holds no record for D or a different one, so its
+    last record for D is always the certified one."""
     if precision is None:
-        precision = default_precision(discriminant)
-    coeffs, used, error = polynomial_from_taus([f.tau() for f in forms], precision)
+        precision = start_precision(discriminant)
+    taus = [form.tau() for form in reduced_forms(discriminant)]
+    coeffs, used, error = polynomial_from_taus(taus, precision)
     poly = ClassPolynomial(discriminant, coeffs, used, error)
     if cache is not None:
-        cache.store(poly)
+        record = cache.load().get(discriminant)
+        if record is None or record[1] != coeffs:
+            cache.store(poly)
     return poly
 
 

@@ -30,7 +30,7 @@ from .exactmath import (
 P = 5
 F = Fraction
 
-t, u, j = sym("t"), sym("u"), sym("j")
+t, u = sym("t"), sym("u")
 
 
 @dataclass(frozen=True)
@@ -187,23 +187,15 @@ def ramification_image_polynomial() -> RamImageCertificate:
 @dataclass(frozen=True)
 class DiskIdentityCertificate:
     u_disk_valuation: Fraction  # v5(5^5/r^5 - 5^3), must exceed 3
-    factorization_ok: bool
     status: str
 
 
 def cm_disk_identities() -> DiskIdentityCertificate:
-    """Two exact identities behind the four CM residue disks.
-
-    (i) v5(5**5/r**5 - 5**3) > 3, so the disk description in u matches the
-        one pulled back through r;
-    (ii) (j**2 - 125)(j**2 + 125) = j**4 - 5**6, merging the four disks into
-        a single congruence.
-    """
+    """v5(5**5/r**5 - 5**3) > 3, so the description of the CM residue disks in
+    u matches the one pulled back through r."""
     rr = sym("r")
     numerator = normal_form(
         SymbolicPolynomial.constant(5**5) - 5**3 * rr**5, [curve125.R_SYMBOL]
     )
     v = field_valuation(numerator, "r", curve125.R_MINPOLY, P) - 5 * F(2, 5)
-    factor_ok = (j**2 - 125) * (j**2 + 125) == j**4 - 5**6
-    ok = v > 3 and factor_ok
-    return DiskIdentityCertificate(v, factor_ok, "pass" if ok else "fail")
+    return DiskIdentityCertificate(v, "pass" if v > 3 else "fail")

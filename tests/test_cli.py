@@ -45,20 +45,31 @@ def test_cm_suite_default_composition():
 
 
 def test_cm_suite_builds_each_class_polynomial_once(monkeypatch):
+    """16 discriminants, 16 builds, one j_tau ball per root (55 roots), and
+    every build accepted at its a-priori starting precision."""
     from stablelab import cmlab
 
-    builds = []
-    original = cmlab.polynomial_from_taus
+    builds, roots = [], []
+    build, root = cmlab.polynomial_from_taus, cmlab.j_tau
 
-    def counted(taus, precision):
-        builds.append(len(taus))
-        return original(taus, precision)
+    def counted_build(taus, precision):
+        result = build(taus, precision)
+        builds.append((taus[0].form().discriminant(), precision, result[1]))
+        return result
 
-    monkeypatch.setattr(cmlab, "polynomial_from_taus", counted)
+    def counted_root(tau, precision):
+        roots.append(tau)
+        return root(tau, precision)
+
+    monkeypatch.setattr(cmlab, "polynomial_from_taus", counted_build)
+    monkeypatch.setattr(cmlab, "j_tau", counted_root)
     report = run("cm")
     discs = {c.id.split("-")[2] for c in report.results}
     assert report.overall == "pass"
     assert len(discs) == 16 and len(builds) == 16
+    assert len(roots) == 55
+    for disc, requested, used in builds:
+        assert requested == used == cmlab.start_precision(disc), disc
 
 
 def test_cm_suite_disc_override():

@@ -5,9 +5,10 @@ import threading
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpc
+from mpmath import iv, mp, mpc
+from mpmath.libmp import from_man_exp
 
 from stablelab import cmlab
 from stablelab.exactmath import interpolate_integer_polynomial, resultant_coeffs, val_rat
@@ -50,16 +51,27 @@ def test_reduced_form_invariants():
             assert form.tau().imag_float() > 0.8
 
 
+def _point(tau):
+    """tau as an mpc at the working precision."""
+    return mpc(mp.mpf(tau.re_num) / tau.den, tau.im_num * mp.sqrt(tau.n) / tau.den)
+
+
+def _inside(ball, value):
+    return abs(value - ball.mid) <= ball.rad
+
+
 def test_j_special_values():
-    j_i = cmlab.j_tau(mpc(0, 1), 192)
-    assert abs(j_i - 1728) < mp.mpf(2) ** -150
-    j_rho = cmlab.j_tau(mpc(0.5, math.sqrt(3) / 2), 192)
-    assert abs(j_rho) < mp.mpf(2) ** -40
-    with mp.workprec(256):
-        j_sqrt5 = cmlab.j_tau(cmlab.Tau(0, 1, 5, 1).to_mpc(), 256)
-    assert 1264538 < j_sqrt5.real < 1264539
+    j_i = cmlab.j_tau(cmlab.Tau(0, 1, 1, 1), 192)
+    assert _inside(j_i, 1728) and j_i.rad < mp.mpf(2) ** -150
+    assert abs(j_i.mid - 1728) < mp.mpf(2) ** -150
+    j_rho = cmlab.j_tau(cmlab.Tau(1, 1, 3, 2), 192)  # (1 + sqrt(-3)) / 2
+    assert _inside(j_rho, 0)
+    assert abs(j_rho.mid) + j_rho.rad < mp.mpf(2) ** -40
+    j_sqrt5 = cmlab.j_tau(cmlab.Tau(0, 1, 5, 1), 256)
+    assert 1264538 < j_sqrt5.mid.real - j_sqrt5.rad
+    assert j_sqrt5.mid.real + j_sqrt5.rad < 1264539
     with pytest.raises(ValueError):
-        cmlab.j_tau(mpc(0, -1), 128)
+        cmlab.j_tau(cmlab.Tau(0, -1, 1, 1), 128)
 
 
 def test_class_polynomial_values():
@@ -75,7 +87,7 @@ def test_class_polynomial_residual_and_stability():
     prec = 2 * poly.precision_used
     with mp.workprec(prec):
         for form in cmlab.reduced_forms(-20):
-            root = cmlab.j_tau(form.tau().to_mpc(), prec)
+            root = cmlab.j_tau(form.tau(), prec).mid
             value = mp.mpf(0)
             for c in reversed(poly.coefficients):
                 value = value * root + c
@@ -110,26 +122,65 @@ ORACLE_DISCRIMINANTS = tuple(row.discriminant for row in cmlab.table_rows()) + (
 
 @pytest.mark.parametrize("disc", ORACLE_DISCRIMINANTS)
 def test_j_eta_quotient_matches_e4_delta_oracle(disc):
-    """The eta quotient agrees with the E4^3 / Delta q-expansion to 2^-precision
-    relative, at the default precision of D and at twice it, on every tau of
-    the table row of D and on every reduced form of D."""
+    """The E4^3 / Delta q-expansion, computed 128 bits beyond the ball's
+    precision, lies inside the eta-quotient ball, and the ball's radius is at
+    most 2^-precision |j|, at the starting precision of D and at twice it, on
+    every tau of the table row of D and on every reduced form of D."""
     rows = {row.discriminant: row for row in cmlab.table_rows()}
     taus = [form.tau() for form in cmlab.reduced_forms(disc)]
     if disc in rows:
         taus += list(rows[disc].taus)
-    base = cmlab.default_precision(disc)
+    base = cmlab.start_precision(disc)
     for precision in (base, 2 * base):
-        with mp.workprec(precision + 64):
-            for tau in taus:
-                point = tau.to_mpc()
-                reference = _j_by_e4_delta(point, precision)
-                error = abs(cmlab.j_tau(point, precision) - reference)
-                assert error <= mp.mpf(2) ** -precision * abs(reference), (disc, tau)
+        for tau in taus:
+            ball = cmlab.j_tau(tau, precision)
+            with mp.workprec(precision + 192):
+                reference = _j_by_e4_delta(_point(tau), precision + 128)
+                assert _inside(ball, reference), (disc, tau)
+                assert ball.rad <= mp.mpf(2) ** -precision * abs(ball.mid), (disc, tau)
+
+
+def test_j_ball_covers_a_short_series(monkeypatch):
+    """The tail radius makes the ball hold for any cut of the pentagonal
+    series: cut at half its length, the ball still contains j(tau) and has
+    grown to cover the dropped terms."""
+    taus = [form.tau() for form in cmlab.reduced_forms(-260)] + [cmlab.Tau(5, 1, 55, 10)]
+    full = [cmlab.j_tau(tau, 128) for tau in taus]
+    length = cmlab._series_length
+    monkeypatch.setattr(cmlab, "_series_length", lambda tau, precision: length(tau, precision) // 2)
+    for tau, exact in zip(taus, full):
+        ball = cmlab.j_tau(tau, 128)
+        with mp.workprec(400):
+            assert _inside(ball, _j_by_e4_delta(_point(tau), 300)), tau
+            assert ball.rad > 2**40 * exact.rad
+
+
+def test_q_enclosure_and_tail_bound():
+    """The q ball holds exp(2 pi i tau) computed at 4x the precision, and the
+    tail bound is at least |q|^(N+1) / (1 - |q|)."""
+    taus = [form.tau() for form in cmlab.reduced_forms(-660)] + [cmlab.Tau(5, 1, 55, 10)]
+    for tau in taus:
+        for bits in (60, 300):
+            length = cmlab._series_length(tau, bits)
+            with mp.workprec(bits):
+                q, tail = cmlab._q_and_tail(tau, length)
+            assert q.rad > 0
+            with mp.workprec(4 * bits):
+                exact = mp.exp(2j * mp.pi * _point(tau))
+                assert _inside(q, exact), (tau, bits)
+                assert mp.make_mpf(tail) >= abs(exact) ** (length + 1) / (1 - abs(exact))
+
+
+def test_ball_from_interval_covers_the_box():
+    box = iv.mpc(iv.mpf([1, 2]), iv.mpf([-3, 5]))
+    ball = cmlab.Ball.from_interval(box)
+    for corner in (mpc(1, -3), mpc(1, 5), mpc(2, -3), mpc(2, 5), mpc(1.5, 1)):
+        assert _inside(ball, corner)
 
 
 def test_j_truncation_overflow():
     with pytest.raises(ValueError):
-        cmlab.j_tau(mpc(0, 1e-6), 256)
+        cmlab.j_tau(cmlab.Tau(0, 1, 1, 10**6), 256)  # tau = 10^-6 i
 
 
 def test_class_polynomial_rounding_escalation_fails_eventually():
@@ -137,6 +188,136 @@ def test_class_polynomial_rounding_escalation_fails_eventually():
         cmlab.polynomial_from_taus(
             [f.tau() for f in cmlab.reduced_forms(-260)], precision=4
         )
+
+
+def test_class_polynomial_high_precision_has_nonzero_radii():
+    """At 4096 bits every radius is far below 2^-1074, where a float would
+    underflow to 0, yet it stays positive; the integers do not move."""
+    forms = cmlab.reduced_forms(-260)
+    poly = cmlab.class_polynomial(-260, precision=4096)
+    assert poly.coefficients == cmlab.class_polynomial(-260).coefficients
+    assert poly.precision_used == 4096
+    assert 0 < poly.max_rounding_error < mp.mpf(2) ** -3000
+    with mp.workprec(4096 + cmlab.SERIES_GUARD_BITS):
+        roots = [cmlab.j_tau(form.tau(), 4096) for form in forms]
+        coeffs = cmlab.expand_product(roots)
+    assert coeffs[-1].rad == 0  # the leading 1 is exact
+    assert all(0 < ball.rad < mp.mpf(2) ** -3000 * abs(ball.mid) for ball in roots + coeffs[:-1])
+
+
+def test_integer_distance_needs_both_parts():
+    def ball(re, im, rad=0):
+        return cmlab.Ball((mp.mpf(re)._mpf_, mp.mpf(im)._mpf_), mp.mpf(rad)._mpf_)
+
+    assert ball(7, 0).integer_distance() == (7, 0)
+    n, distance = ball(-3, mp.mpf(2) ** -30, mp.mpf(2) ** -31).integer_distance()
+    assert n == -3 and distance >= 3 * mp.mpf(2) ** -31
+    n, distance = ball(3, 0.5).integer_distance()  # integral real part, Im = 1/2
+    assert n == 3 and distance >= 0.5
+    n, distance = ball(2.75, 0, 0.125).integer_distance()
+    assert n == 3 and distance >= 0.375
+
+
+_UNIT_POINTS = (1, -1, 1j, -1j, mpc(0.6, 0.8), mpc(-0.6, 0.8), 0)
+
+
+@st.composite
+def _balls(draw, nonzero=False):
+    """A ball with midpoint (m1 + m2 i) 2^e and radius r 2^(e - s), with
+    e from -3000 (where a float radius would underflow) to 60, and a point of it."""
+    bound = 2**60
+    m1 = draw(st.integers(-bound, bound))
+    m2 = draw(st.integers(-bound, bound))
+    e = draw(st.integers(-3000, 60))
+    r = draw(st.integers(0, 2**20))
+    s = draw(st.integers(0, 100))
+    unit = draw(st.sampled_from(_UNIT_POINTS))
+    if nonzero:
+        assume(r * r * 4 < (m1 * m1 + m2 * m2) * 4**s)  # radius below |mid| / 2
+    mid = (from_man_exp(m1, e), from_man_exp(m2, e))
+    return cmlab.Ball(mid, from_man_exp(r, e - s)), unit
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    op=st.sampled_from(["+", "-", "*", "/"]),
+    first=_balls(),
+    second=_balls(nonzero=True),
+    bits=st.integers(min_value=8, max_value=200),
+)
+def test_ball_operations_contain_the_result(op, first, second, bits):
+    """For points x, y of two balls, x op y computed at 4x the working
+    precision lies in the ball x op y; a point sits on the boundary for a
+    unit offset, at the centre for 0."""
+    (a, u), (b, v) = first, second
+    with mp.workprec(bits):
+        result = {"+": a.__add__, "-": a.__sub__, "*": a.__mul__, "/": a.__truediv__}[op](b)
+    with mp.workprec(4 * bits + 400):  # the points are exact at this precision
+        x = a.mid + a.rad * mpc(u)
+        y = b.mid + b.rad * mpc(v)
+        exact = {"+": x + y, "-": x - y, "*": x * y, "/": x / y if op == "/" else 0}[op]
+        assert abs(exact - result.mid) <= result.rad
+
+
+def test_ball_division_by_a_ball_around_zero():
+    one = cmlab.Ball.exact(1)
+    with pytest.raises(ZeroDivisionError):
+        one / cmlab.Ball.exact(0)
+    with pytest.raises(ZeroDivisionError):
+        one / cmlab.Ball((mp.mpf(1)._mpf_, mp.mpf(0)._mpf_), mp.mpf(2)._mpf_)
+
+
+def _kronecker(d, p):
+    """The Kronecker symbol (d / p) for a prime p."""
+    if p == 2:
+        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+    residue = pow(d % p, (p - 1) // 2, p)
+    return 0 if residue == 0 else (1 if residue == 1 else -1)
+
+
+def _prime_factors(n):
+    factors, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            factors.append(p)
+            n //= p
+        p += 1
+    return factors + ([n] if n > 1 else [])
+
+
+def _gross_zagier_product(d1, d2):
+    """prod over x^2 < D, x = D (mod 2) of F((D - x^2) / 4), D = d1 d2, with
+    F(m) = prod_{n n' = m} n^eps(n'), eps multiplicative and, at a prime l,
+    eps(l) = (d1 / l) if l does not divide d1, else (d2 / l)."""
+
+    def eps(n):
+        sign = 1
+        for l in _prime_factors(n):
+            sign *= _kronecker(d1, l) if d1 % l else _kronecker(d2, l)
+        return sign
+
+    D, total = d1 * d2, F(1)
+    for x in range(-math.isqrt(D), math.isqrt(D) + 1):
+        if x * x < D and (D - x * x) % 4 == 0:
+            m = (D - x * x) // 4
+            for n in range(1, m + 1):
+                if m % n == 0:
+                    total *= F(n) ** eps(m // n)
+    return total
+
+
+@pytest.mark.parametrize("d1, d2", [(-7, -8), (-15, -23), (-20, -39), (-55, -68)])
+def test_resultant_of_class_polynomials_is_gross_zagier(d1, d2):
+    """Gross and Zagier, "On singular moduli" (1985): for coprime fundamental
+    d1, d2 < -4, Res(H_d1, H_d2)^2 = +-prod F((d1 d2 - x^2) / 4), an exact
+    integer identity on two certified builds."""
+    h1, h2 = cmlab.class_polynomial(d1), cmlab.class_polynomial(d2)
+    assert math.gcd(d1, d2) == 1
+    res = resultant_coeffs(list(h1.coefficients), list(h2.coefficients))
+    product = _gross_zagier_product(d1, d2)
+    assert product.denominator == 1
+    assert res * res == abs(product.numerator)
+    assert res != 0
 
 
 def test_class_polynomial_cache(tmp_path):
@@ -147,14 +328,19 @@ def test_class_polynomial_cache(tmp_path):
     assert text.startswith("-20 2 ")
     line = text.split()
     assert line[3:] == [str(c) for c in poly.coefficients]
-    # warm cache returns identical integers without recomputing
+    # a cache holding the same record gets no second copy
     cached = cmlab.class_polynomial(-20, cache=cache)
     assert cached.coefficients == poly.coefficients
-    # append-only, last record wins
+    assert len(path.read_text().splitlines()) == 1
+    # a bogus record never becomes the result; the certified build is appended
+    # after it, so the last record for D is the true H_-20
     cache.store(cmlab.ClassPolynomial(-20, (1, 0, 1), 64, 0.0))
-    assert cmlab.class_polynomial(-20, cache=cache).coefficients == (1, 0, 1)
-    assert len(path.read_text().splitlines()) == 2
-
+    assert cache.load()[-20] == (64, (1, 0, 1))
+    assert cmlab.class_polynomial(-20, cache=cache).coefficients == (-681472000, -1264000, 1)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[-1].split()[3:] == ["-681472000", "-1264000", "1"]
+    assert cache.load()[-20] == (poly.precision_used, (-681472000, -1264000, 1))
 
 
 def test_class_polynomial_cache_concurrent_writers(tmp_path):
