@@ -9,26 +9,24 @@ anchors in report.KNOWN_ANCHORS.
 from __future__ import annotations
 
 import os
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import cmlab, curve125, ledger, modmaps, quatlab, sslab
-from .exactmath import INF, is_prime, sym, val_rat
+from .exactmath import INF, affine, is_prime, param_valuations, sym, val_rat
 
 F = Fraction
 
 
 @dataclass(frozen=True)
 class Config:
+    """The verifier's settings, named as in the config file."""
+
     primes: tuple[int, ...] | None = None
-    discriminants_case1: tuple[int, ...] | None = None
-    discriminants_case2: tuple[int, ...] | None = None
-    disc_override: tuple[int, ...] | None = None
-    precision_bits: int | None = None
+    discriminants: tuple[int, ...] | None = None
     cache_dir: str | None = None
-    g_edixhoven: int = 0
+    g_E: int = 0  # genus of each of the two Edixhoven-type components
     ordinary_genera: tuple[int, ...] | None = None
 
 
@@ -221,18 +219,25 @@ def _check_u_circle_image():
 
 
 def _check_j_circle_image():
+    """v(j) = v(numerator) - v(t^5).  On the cell 0 < lam < 5/2 the piece
+    6 lam of t^6 is the unique minimum of the numerator's valuations: every
+    other piece minus 6 lam is > 0 at 0 and >= 0 at 5/2, so > 0 in between.
+    Hence v(j) = v(t) on the whole cell; at 5/2 the disk claim 3.1.1 takes
+    over."""
     rmap = modmaps.builtin_maps()["pi1_j"]
-    cert = modmaps.image_valuation(rmap, F(3, 2))
-    if cert.lower_bound != F(3, 2) or not cert.unique:
-        return "fail", f"image valuation {cert.lower_bound}, unique={cert.unique}"
-    rng = random.Random(31)
-    for _ in range(3):
-        lam = F(3, 2) + F(rng.randint(-9, 9), 1000)
-        pert = modmaps.image_valuation(rmap, lam)
-        # within this cell the image valuation is 3*(2*lam) - 5*lam = lam
-        if not pert.unique or pert.lower_bound != lam:
-            return "fail", f"perturbed circle at {lam} not stable"
-    return "pass", "v(t) = 3/2 maps to v(j) = 3/2 (t^2 dominates alone; stable nearby)"
+    lead, end = affine(0, 6), F(5, 2)
+    numerator = [fn for fn, _ in param_valuations(rmap.numerator, {}, {"t": 1}, modmaps.P)]
+    denominator = [fn for fn, _ in param_valuations(rmap.denominator, {}, {"t": 1}, modmaps.P)]
+    if denominator != [affine(0, 5)] or lead not in numerator:
+        return "fail", "pi1_j is not t^6 + ... over t^5"
+    for fn in numerator:
+        gap = fn - lead
+        if fn != lead and not (gap(0) > 0 and gap(end) >= 0):
+            return "fail", f"piece {fn.constant} + {fn.slope} lam competes with 6 lam"
+    return "pass", (
+        "v(t) = 3/2 maps to v(j) = 3/2: t^6 dominates alone on 0 < v(t) < 5/2, "
+        "so v(j) = v(t) on the whole cell"
+    )
 
 
 def _check_j_disk_image():
@@ -341,7 +346,13 @@ def ss_suite(config: Config) -> list[Check]:
 
 # -- cm suite -----------------------------------------------------------------
 
-_CONJECTURE_ANCHOR = {5: "conjecture 3.3.1", 7: "conjecture 3.3.2", 13: "conjecture 3.3.3"}
+#: the primes of conjectures 3.3.1-3.3.3, the only ones the cm suite checks
+CM_ANCHORS = {5: "conjecture 3.3.1", 7: "conjecture 3.3.2", 13: "conjecture 3.3.3"}
+#: default discriminants: tables 3-4 for p = 5, one per case for 7 and 13
+DEFAULT_DISCRIMINANTS = {
+    5: tuple(row.discriminant for row in cmlab.table_rows()),
+    **cmlab.EXTRA_DISCRIMINANTS,
+}
 
 
 def _cache(config: Config) -> cmlab.ClassPolyCache | None:
@@ -365,14 +376,14 @@ def _make_crosscheck(row: cmlab.TableRow):
     return run
 
 
-def _make_congruence(disc: int, p: int, case: int, config: Config):
+def _make_congruence(disc: int, p: int, config: Config):
     def run():
-        spec = cmlab.standard_spec(p, "-" if case == 1 else "+")
         if val_rat(disc, p) != 1:
             return "skipped", f"p does not exactly divide {disc}: hypothesis excluded"
-        H = cmlab.class_polynomial(disc, config.precision_bits, _cache(config))
+        sign = "-" if cmlab.congruence_case(disc, p) == 1 else "+"
+        spec = cmlab.standard_spec(p, sign)
+        H = cmlab.class_polynomial(disc, cache=_cache(config))
         result = cmlab.congruence_check(H, spec)
-        sign = "-" if spec.sign == "-" else "+"
         description = (
             f"v{p}((j - {spec.center})^{spec.exponent} {sign} {spec.prime_power})"
         )
@@ -391,46 +402,24 @@ def _make_congruence(disc: int, p: int, case: int, config: Config):
 
 
 def cm_suite(config: Config) -> list[Check]:
-    primes = config.primes if config.primes is not None else (5, 7, 13)
-    checks: list[Check] = []
+    """One congruence check per (p, D), its case derived from D; at p = 5 a
+    D of tables 3-4 also gets its row check.  A prime outside CM_ANCHORS adds
+    no check (the CLI rejects it when the cm suite runs alone)."""
+    primes = config.primes if config.primes is not None else tuple(CM_ANCHORS)
+    discs = config.discriminants
     rows_by_disc = {row.discriminant: row for row in cmlab.table_rows()}
-
+    checks: list[Check] = []
     for p in primes:
-        if p not in (5, 7, 13):
+        if p not in CM_ANCHORS:
             continue
-        anchor = _CONJECTURE_ANCHOR[p]
-        if p == 5:
-            case1 = config.discriminants_case1 or tuple(
-                row.discriminant for row in cmlab.table_rows() if row.case == 1
-            )
-            case2 = config.discriminants_case2 or tuple(
-                row.discriminant for row in cmlab.table_rows() if row.case == 2
-            )
-            selected = [(d, 1) for d in case1] + [(d, 2) for d in case2]
-        else:
-            selected = [(d, case) for d, case in cmlab.EXTRA_DISCRIMINANTS[p]]
-        if config.disc_override:
-            override = []
-            for d in config.disc_override:
-                try:
-                    case = cmlab.congruence_case(d, p)
-                except ValueError:
-                    case = 0  # skipped downstream
-                override.append((d, case))
-            selected = override
-
-        for disc, case in selected:
-            tag = f"D{abs(disc):04d}"
+        prefix = CM_ANCHORS[p].replace(" ", "-")
+        for disc in discs if discs is not None else DEFAULT_DISCRIMINANTS[p]:
+            tag = f"{prefix}-D{abs(disc):04d}"
             row = rows_by_disc.get(disc)
             if row is not None and p == 5:
-                checks.append(
-                    Check(f"{anchor.replace(' ', '-')}-{tag}-row", "tables 3-4",
-                          _make_crosscheck(row))
-                )
-            checks.append(
-                Check(f"{anchor.replace(' ', '-')}-{tag}-congruence", anchor,
-                      _make_congruence(disc, p, case, config))
-            )
+                checks.append(Check(f"{tag}-row", "tables 3-4", _make_crosscheck(row)))
+            checks.append(Check(f"{tag}-congruence", CM_ANCHORS[p],
+                                _make_congruence(disc, p, config)))
     return checks
 
 
@@ -573,11 +562,11 @@ def _make_budget_check(p: int, config: Config):
     def run():
         try:
             budget = ledger.component_budget(
-                p, config.g_edixhoven, config.ordinary_genera
+                p, config.g_E, config.ordinary_genera
             )
         except ValueError as exc:
             return "fail", str(exc)
-        if p == 5 and config.g_edixhoven == 0 and not config.ordinary_genera:
+        if p == 5 and config.g_E == 0 and not config.ordinary_genera:
             if not budget.exact or budget.total_known != 8:
                 return "fail", f"expected exact equality 8 = 4*2, got {budget.total_known}"
             return "pass", "exact: 4 components of genus 2 account for the full genus 8"

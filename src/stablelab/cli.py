@@ -1,25 +1,28 @@
 """Batch runner: `verify <suite>` executes a verification suite and writes a
 machine-readable report.
 
-Exit codes: 0 all checks passed, 1 at least one check failed or the suite
-built no check, 2 the configuration could not be parsed or is invalid (a
+Exit codes: 0 at least one check passed and none failed, 1 a check failed
+or none ran (every check skipped, or the suite built none), 2 the
+configuration could not be parsed or is invalid (an unknown config key, a
 config number that is not a JSON integer, a discriminant that is not a
-negative integer congruent to 0 or 1 mod 4, a prime that the quat or
-ledger suite cannot use, a negative genus, an ordinary_genera list that is
-not six long, or a cache_dir that exists and is not a directory).
-Checks run independently; one failure never aborts its siblings.
+negative integer congruent to 0 or 1 mod 4, a prime that the selected suite
+cannot use, a negative genus, an ordinary_genera list that is not six long,
+or a cache_dir that exists and is not a directory); argparse also exits 2
+on an unknown option.  Checks run independently; one failure never aborts
+its siblings.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 
 from . import __version__
-from .checks import SUITES, Config, build_checks
+from .checks import CM_ANCHORS, SUITES, Config, build_checks
 from .exactmath import is_prime
 from .report import CheckResult, SuiteReport
 
@@ -48,50 +51,25 @@ def run_suite(suite: str, config: Config, clock=time.monotonic) -> SuiteReport:
     return SuiteReport(
         suite=suite,
         version=__version__,
-        config=_config_echo(config),
+        config=dataclasses.asdict(config),
         results=tuple(results),
     )
 
 
-def _config_echo(config: Config) -> dict:
-    return {
-        "primes": list(config.primes) if config.primes is not None else None,
-        "discriminants": {
-            "case1": list(config.discriminants_case1 or ()) or None,
-            "case2": list(config.discriminants_case2 or ()) or None,
-            "override": list(config.disc_override or ()) or None,
-        },
-        "precision_bits": config.precision_bits,
-        "cache_dir": config.cache_dir,
-        "g_E": config.g_edixhoven,
-        "ordinary_genera": list(config.ordinary_genera or ()) or None,
-    }
-
-
 def load_config_file(path: str) -> dict:
-    """Read the JSON config document; dotted keys are accepted as a
-    flattened alternative to nesting (`discriminants.case1`)."""
+    """Read the JSON config document: one object whose keys are the Config
+    field names."""
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):
         raise ValueError("config document must be a JSON object")
-    nested: dict = {}
-    for key, value in raw.items():
-        target = nested
-        parts = key.split(".")
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-            if not isinstance(target, dict):
-                raise ValueError(f"conflicting config key {key!r}")
-        target[parts[-1]] = value
-    return nested
+    unknown = sorted(set(raw) - {field.name for field in dataclasses.fields(Config)})
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
+    return raw
 
 
 def _build_config(args, file_config: dict) -> Config:
-    disc_section = file_config.get("discriminants", {})
-    if not isinstance(disc_section, dict):
-        raise ValueError("discriminants must be a mapping with case1/case2")
-
     def as_int(key, value):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{key} must be an integer, got {value!r}")
@@ -118,19 +96,18 @@ def _build_config(args, file_config: dict) -> Config:
     primes = as_distinct("primes", file_config.get("primes"))
     if args.p is not None:
         primes = (args.p,)
-    for suite, (least, need) in PRIME_FLOORS.items():
-        for p in primes or ():
+    supported = ", ".join(map(str, CM_ANCHORS))
+    for p in primes or ():
+        for suite, (least, need) in PRIME_FLOORS.items():
             if args.suite in (suite, "all") and (p < least or not is_prime(p)):
                 raise ValueError(f"the {suite} suite needs {need}, got p = {p}")
-    disc_override = None
+        # under `all` such a prime still serves quat and ledger; cm adds no check
+        if args.suite == "cm" and p not in CM_ANCHORS:
+            raise ValueError(f"the cm suite needs one of the primes {supported}, got p = {p}")
+    discriminants = file_config.get("discriminants")
     if args.disc is not None:
-        disc_override = as_discriminants("--disc", [int(v) for v in args.disc.split(",")])
-    precision = file_config.get("precision_bits")
-    if args.precision is not None:
-        precision = args.precision
-    if precision is not None:
-        if as_int("precision_bits", precision) <= 0:
-            raise ValueError(f"precision_bits must be a positive integer, got {precision}")
+        discriminants = [int(v) for v in args.disc.split(",")]
+    discriminants = as_discriminants("discriminants", discriminants)
     cache_dir = file_config.get("cache_dir")
     if args.cache_dir is not None:
         cache_dir = args.cache_dir
@@ -138,22 +115,19 @@ def _build_config(args, file_config: dict) -> Config:
         raise ValueError("cache_dir must be a string")
     if cache_dir is not None and os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
         raise ValueError(f"cache_dir {cache_dir!r} exists and is not a directory")
-    g_edixhoven = as_int("g_E", file_config.get("g_E", 0))
+    g_E = as_int("g_E", file_config.get("g_E", 0))
     ordinary_genera = as_int_tuple("ordinary_genera", file_config.get("ordinary_genera"))
     if ordinary_genera is not None and len(ordinary_genera) != 6:
         raise ValueError(
             f"ordinary_genera must list the six ordinary components, got {len(ordinary_genera)}"
         )
-    if g_edixhoven < 0 or any(g < 0 for g in ordinary_genera or ()):
+    if g_E < 0 or any(g < 0 for g in ordinary_genera or ()):
         raise ValueError("g_E and ordinary_genera must not be negative")
     return Config(
         primes=primes,
-        discriminants_case1=as_discriminants("discriminants.case1", disc_section.get("case1")),
-        discriminants_case2=as_discriminants("discriminants.case2", disc_section.get("case2")),
-        disc_override=disc_override,
-        precision_bits=precision,
+        discriminants=discriminants,
         cache_dir=cache_dir,
-        g_edixhoven=g_edixhoven,
+        g_E=g_E,
         ordinary_genera=ordinary_genera,
     )
 
@@ -165,8 +139,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("suite", choices=SUITE_NAMES)
     parser.add_argument("--p", type=int, help="restrict prime-indexed checks to one prime")
-    parser.add_argument("--disc", help="comma-separated discriminants for the cm suite")
-    parser.add_argument("--precision", type=int, help="base precision in bits")
+    parser.add_argument(
+        "--disc", help="comma-separated discriminants for the cm suite (overrides the config)"
+    )
     parser.add_argument("--cache-dir", help="directory for the class-polynomial cache")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--report", help="write the report to this path")

@@ -437,19 +437,13 @@ def polynomial_from_taus(
     )
 
 
-def class_polynomial(
-    discriminant: int,
-    precision: int | None = None,
-    cache: ClassPolyCache | None = None,
-) -> ClassPolynomial:
-    """H_D from one certified build, started at ``precision`` bits or at
-    ``start_precision(D)``.  A cache never supplies the result: the build is
-    appended to it when it holds no record for D or a different one, so its
-    last record for D is always the certified one."""
-    if precision is None:
-        precision = start_precision(discriminant)
+def class_polynomial(discriminant: int, cache: ClassPolyCache | None = None) -> ClassPolynomial:
+    """H_D from one certified build started at ``start_precision(D)``.  A
+    cache never supplies the result: the build is appended to it when it
+    holds no record for D or a different one, so its last record for D is
+    always the certified one."""
     taus = [form.tau() for form in reduced_forms(discriminant)]
-    coeffs, used, error = polynomial_from_taus(taus, precision)
+    coeffs, used, error = polynomial_from_taus(taus, start_precision(discriminant))
     poly = ClassPolynomial(discriminant, coeffs, used, error)
     if cache is not None:
         record = cache.load().get(discriminant)
@@ -574,11 +568,9 @@ def table_rows() -> tuple[TableRow, ...]:
     )
 
 
-#: Extra discriminants checked for p = 7 and p = 13 (case 1 and case 2 each).
-EXTRA_DISCRIMINANTS = {
-    7: ((-28, 1), (-84, 2)),
-    13: ((-52, 1), (-104, 2)),
-}
+#: Extra discriminants checked for p = 7 and p = 13, one of case 1 and one
+#: of case 2 each.
+EXTRA_DISCRIMINANTS = {7: (-28, -84), 13: (-52, -104)}
 
 
 def table_crosscheck(row: TableRow) -> bool:

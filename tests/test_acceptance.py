@@ -138,13 +138,15 @@ def test_c08_cm_placement():
         if not (row_ok and cong.passed and H.max_rounding_error < 1e-6):
             failures.append(row.discriminant)
         # integer stability under doubling
-        again = cmlab.class_polynomial(row.discriminant, precision=2 * H.precision_used)
-        if again.coefficients != H.coefficients:
+        taus = [form.tau() for form in cmlab.reduced_forms(row.discriminant)]
+        again, _, _ = cmlab.polynomial_from_taus(taus, 2 * H.precision_used)
+        if again != H.coefficients:
             failures.append((row.discriminant, "unstable"))
-    for p, pairs in cmlab.EXTRA_DISCRIMINANTS.items():
-        for disc, case in pairs:
+    for p, discs in cmlab.EXTRA_DISCRIMINANTS.items():
+        for disc in discs:
             H = cmlab.class_polynomial(disc)
-            cong = cmlab.congruence_check(H, cmlab.standard_spec(p, "-" if case == 1 else "+"))
+            sign = "-" if cmlab.congruence_case(disc, p) == 1 else "+"
+            cong = cmlab.congruence_check(H, cmlab.standard_spec(p, sign))
             if not cong.passed:
                 failures.append(disc)
     conclude(8, "CM placement", not failures,

@@ -73,16 +73,23 @@ def test_cm_suite_builds_each_class_polynomial_once(monkeypatch):
 
 
 def test_cm_suite_disc_override():
-    report = run("cm", Config(primes=(5,), disc_override=(-20,)))
+    report = run("cm", Config(primes=(5,), discriminants=(-20,)))
     ids = [r.id for r in report.results]
     assert len(ids) == 2  # one row crosscheck + one congruence
     assert report.overall == "pass"
 
 
-def test_cm_suite_skips_excluded_hypothesis():
-    report = run("cm", Config(primes=(5,), disc_override=(-50,)))
+def test_cm_suite_skips_excluded_hypothesis(tmp_path):
+    """A skipped check is no failure, but a suite whose checks all skipped
+    ran no check, so it is no pass either."""
+    report = run("cm", Config(primes=(5,), discriminants=(-50,)))
     assert [r.status for r in report.results] == ["skipped"]
-    assert report.overall == "pass"  # skipped is not a failure
+    assert report.overall == "fail"
+    path = tmp_path / "cm7.json"
+    assert cli.main(["cm", "--p", "7", "--disc=-20", "--report", str(path)]) == 1
+    payload = json.loads(path.read_text())
+    assert [c["status"] for c in payload["checks"]] == ["skipped"]
+    assert payload["overall"] == "fail"
 
 
 @pytest.fixture(scope="module")
@@ -190,21 +197,51 @@ def test_cli_p_filter(tmp_path):
     assert "genus-343" in ids and "genus-2197" not in ids
 
 
-def test_config_file_dotted_keys(tmp_path):
+def test_config_file_dotted_keys(tmp_path, capsys):
+    """Config keys are flat; the former dotted and nested case keys are
+    rejected, not ignored."""
+    config = tmp_path / "config.json"
+    for document, message in (
+        ({"discriminants.case1": [-20]}, "unknown config keys ['discriminants.case1']"),
+        ({"discriminants": {"case1": [-20]}}, "discriminants must be a list of integers"),
+    ):
+        config.write_text(json.dumps(document))
+        assert cli.main(["cm", "--config", str(config)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_config_file_mixed_discriminants(tmp_path):
+    """One list holds both cases; each check takes its sign from D."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "discriminants.case1": [-20],
-        "discriminants.case2": [-40],
+        "discriminants": [-20, -40],
         "primes": [5],
-        "precision_bits": 300,
         "cache_dir": str(tmp_path),
     }))
     path = tmp_path / "cm.json"
     assert cli.main(["cm", "--config", str(config), "--report", str(path)]) == 0
     payload = json.loads(path.read_text())
-    ids = [c["id"] for c in payload["checks"]]
-    assert len([i for i in ids if i.endswith("-congruence")]) == 2
-    assert payload["config"]["precision_bits"] == 300
+    details = {c["id"]: c["details"] for c in payload["checks"] if c["status"] == "pass"}
+    assert details["conjecture-3.3.1-D0020-congruence"].startswith("v5((j - 0)^2 - 125) > 3")
+    assert details["conjecture-3.3.1-D0040-congruence"].startswith("v5((j - 0)^2 + 125) > 3")
+    assert len(details) == 4  # two row checks, two congruences
+    assert payload["config"] == {
+        "primes": [5], "discriminants": [-20, -40], "cache_dir": str(tmp_path),
+        "g_E": 0, "ordinary_genera": None,
+    }
+
+
+def test_disc_overrides_config_discriminants(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"discriminants": [-40, -160]}))
+    path = tmp_path / "cm.json"
+    argv = ["cm", "--p", "5", "--disc=-20", "--config", str(config), "--report", str(path)]
+    assert cli.main(argv) == 0
+    payload = json.loads(path.read_text())
+    assert [c["id"] for c in payload["checks"]] == [
+        "conjecture-3.3.1-D0020-congruence", "conjecture-3.3.1-D0020-row",
+    ]
+    assert payload["config"]["discriminants"] == [-20]
 
 
 def test_cache_warm_rerun(tmp_path):
@@ -226,24 +263,32 @@ def test_cache_warm_rerun(tmp_path):
 
 
 def test_invalid_precision_rejected(tmp_path, capsys):
-    assert cli.main(["cm", "--precision", "-5", "--disc=-20"]) == 2
-    assert "config error: precision_bits" in capsys.readouterr().err
-    assert cli.main(["cm", "--precision", "0", "--disc=-20"]) == 2
+    """Every build starts at its proven precision: no option or key sets it."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cm", "--precision", "300", "--disc=-20"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision" in capsys.readouterr().err
     config = tmp_path / "config.json"
-    for bad in (-3, [300]):
-        config.write_text(json.dumps({"precision_bits": bad}))
-        assert cli.main(["cm", "--config", str(config)]) == 2
-        assert "config error: " in capsys.readouterr().err
+    config.write_text(json.dumps({"precision_bits": 300}))
+    assert cli.main(["cm", "--config", str(config)]) == 2
+    assert "config error: unknown config keys ['precision_bits']" in capsys.readouterr().err
 
 
-def test_suite_without_checks_is_not_a_pass(tmp_path):
+def test_suite_without_checks_is_not_a_pass(tmp_path, capsys):
+    """A prime without a cm conjecture is a config error for the cm suite;
+    `all` keeps it for quat and ledger, and cm adds no check for it."""
     from stablelab.report import SuiteReport
 
     assert SuiteReport("x", "0", {}, ()).overall == "fail"
-    path = tmp_path / "cm4.json"
-    assert cli.main(["cm", "--p", "4", "--report", str(path)]) == 1
-    payload = json.loads(path.read_text())
-    assert payload["checks"] == [] and payload["overall"] == "fail"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"primes": [5, 11]}))
+    for argv in (["cm", "--p", "4"], ["cm", "--p", "11"], ["cm", "--config", str(config)]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "config error: the cm suite needs one of the primes 5, 7, 13" in err
+    args = cli.make_parser().parse_args(["all", "--p", "17"])
+    assert cli._build_config(args, {}).primes == (17,)
+    assert build_checks("cm", Config(primes=(17,))) == []
 
 
 def test_invalid_discriminants_rejected(tmp_path, capsys):
@@ -251,10 +296,10 @@ def test_invalid_discriminants_rejected(tmp_path, capsys):
         assert cli.main(["cm", f"--disc={disc}"]) == 2
         assert "config error: " in capsys.readouterr().err
     config = tmp_path / "config.json"
-    for key in ("discriminants.case1", "discriminants.case2"):
-        config.write_text(json.dumps({key: [-20, -50]}))
+    for bad in ([-20, -50], [-20, 8]):
+        config.write_text(json.dumps({"discriminants": bad}))
         assert cli.main(["cm", "--config", str(config)]) == 2
-        assert "-50 is not a negative integer" in capsys.readouterr().err
+        assert f"{bad[1]} is not a negative integer" in capsys.readouterr().err
 
 
 def test_unusable_primes_rejected(tmp_path, capsys):
@@ -278,11 +323,11 @@ def test_non_string_cache_dir_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("document, key", [
-    ({"primes": [5.9], "discriminants.case1": [-20.7]}, "primes"),
+    ({"primes": [5.9], "discriminants": [-20.7]}, "primes"),
     ({"primes": [True]}, "primes"),
-    ({"discriminants.case1": [-20.7]}, "discriminants.case1"),
-    ({"discriminants.case2": [-40, "-20"]}, "discriminants.case2"),
-    ({"precision_bits": 300.5}, "precision_bits"),
+    ({"discriminants": [-20.7]}, "discriminants"),
+    ({"discriminants": [-40, "-20"]}, "discriminants"),
+    ({"discriminants": [-20, True]}, "discriminants"),
     ({"g_E": 1.5}, "g_E"),
     ({"ordinary_genera": [2, False]}, "ordinary_genera"),
 ])

@@ -93,8 +93,9 @@ def test_class_polynomial_residual_and_stability():
                 value = value * root + c
             assert abs(value) < mp.mpf(2) ** (-poly.precision_used // 2)
     # identical integers at a doubled starting precision
-    again = cmlab.class_polynomial(-20, precision=2 * poly.precision_used)
-    assert again.coefficients == poly.coefficients
+    taus = [form.tau() for form in cmlab.reduced_forms(-20)]
+    again, _, _ = cmlab.polynomial_from_taus(taus, 2 * poly.precision_used)
+    assert again == poly.coefficients
 
 
 def _j_by_e4_delta(tau, precision):
@@ -194,10 +195,10 @@ def test_class_polynomial_high_precision_has_nonzero_radii():
     """At 4096 bits every radius is far below 2^-1074, where a float would
     underflow to 0, yet it stays positive; the integers do not move."""
     forms = cmlab.reduced_forms(-260)
-    poly = cmlab.class_polynomial(-260, precision=4096)
-    assert poly.coefficients == cmlab.class_polynomial(-260).coefficients
-    assert poly.precision_used == 4096
-    assert 0 < poly.max_rounding_error < mp.mpf(2) ** -3000
+    coefficients, used, error = cmlab.polynomial_from_taus([f.tau() for f in forms], 4096)
+    assert coefficients == cmlab.class_polynomial(-260).coefficients
+    assert used == 4096
+    assert 0 < error < mp.mpf(2) ** -3000
     with mp.workprec(4096 + cmlab.SERIES_GUARD_BITS):
         roots = [cmlab.j_tau(form.tau(), 4096) for form in forms]
         coeffs = cmlab.expand_product(roots)
