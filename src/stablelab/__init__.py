@@ -7,4 +7,12 @@ the companion empirical suites: class-polynomial placement of CM j-invariants
 and genus bookkeeping for X0(p^3).
 """
 
+import math
+
 __version__ = "0.1.0"
+
+
+def is_prime(n: int) -> bool:
+    """Trial division.  It lives here, re-exported by exactmath, so that the
+    CLI can validate primes without loading the exact-arithmetic kit."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))

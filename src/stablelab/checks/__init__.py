@@ -1,0 +1,66 @@
+"""The individual verification checks, grouped into suites.
+
+Every check returns (status, details) with status "pass", "fail" or
+"skipped" and never raises: a broken sibling must not silence the rest of a
+suite.  Checks cite the table / claim / conjecture they certify via the
+anchors in report.KNOWN_ANCHORS.
+
+Each suite is one module of this package (`stable_model`, `maps`, `ss`,
+`cm`, `quat`, `ledger`), imported by its SUITES entry on first call, so a
+process loads only the layers of the suites it runs.  Suite modules call
+layers through module attributes (`cmlab.class_polynomial(...)`, never
+`from ..cmlab import class_polynomial`): a tracer that rebinds a layer
+function in the loaded modules before a suite module is imported still
+wraps every call, whereas a name bound at that later import would escape it.
+"""
+
+from __future__ import annotations
+
+import importlib
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+
+class Config(NamedTuple):
+    """The verifier's settings, named as in the config file."""
+
+    primes: tuple[int, ...] | None = None
+    discriminants: tuple[int, ...] | None = None
+    cache_dir: str | None = None
+    g_E: int = 0  # genus of each of the two Edixhoven-type components
+    ordinary_genera: tuple[int, ...] | None = None
+
+
+@dataclass(frozen=True)
+class Check:
+    id: str
+    claim_ref: str
+    run: Callable[[], tuple[str, str]]
+
+
+#: the primes of conjectures 3.3.1-3.3.3, the only ones the cm suite checks
+CM_ANCHORS = {5: "conjecture 3.3.1", 7: "conjecture 3.3.2", 13: "conjecture 3.3.3"}
+
+
+def _lazy_suite(module: str) -> Callable[[Config], list[Check]]:
+    def build(config: Config) -> list[Check]:
+        return importlib.import_module(f"{__name__}.{module}").suite(config)
+
+    return build
+
+
+SUITES = {
+    name: _lazy_suite(name.replace("-", "_"))
+    for name in ("stable-model", "maps", "ss", "cm", "quat", "ledger")
+}
+
+
+def build_checks(suite: str, config: Config) -> list[Check]:
+    if suite == "all":
+        checks: list[Check] = []
+        for build in SUITES.values():
+            checks.extend(build(config))
+        return checks
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    return SUITES[suite](config)

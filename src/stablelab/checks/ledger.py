@@ -1,0 +1,113 @@
+"""Ledger suite: genera of X0(p^3), supersingular censuses and component
+budgets."""
+
+from __future__ import annotations
+
+from .. import cmlab, ledger, quatlab
+from ..exactmath import is_prime
+from . import Check, Config
+
+
+_GENUS_EXPECTED = {125: 8, 343: 26, 2197: 184, 4913: 417}
+
+
+def _make_genus_check(N: int):
+    def run():
+        got = ledger.genus_x0(N)
+        if got != _GENUS_EXPECTED[N]:
+            return "fail", f"genus {got} != {_GENUS_EXPECTED[N]}"
+        return "pass", f"genus of X0({N}) = {got}"
+
+    return run
+
+
+def _check_mass_formula():
+    for p in range(5, 100):
+        if is_prime(p):
+            ledger.ss_survey(p)  # raises if the mass identity fails
+    return "pass", "sum 1/|Aut| = (p-1)/24 for all primes 5 <= p < 100"
+
+
+def _make_survey_check(p: int):
+    expected = {
+        5: ((6, 1),),
+        7: ((4, 1),),
+        13: ((2, 1),),
+        17: ((2, 1), (6, 1)),
+    }
+
+    def run():
+        survey = ledger.ss_survey(p)
+        if p in expected and survey.entries != expected[p]:
+            return "fail", f"survey {survey.entries}"
+        # the census counts supersingular curves over F_p-bar, the brute force
+        # only j in F_p; the two agree for every prime 5 <= p <= 31 and first
+        # differ at p = 37 (3 vs 1), so the comparison stops at 31
+        brute = ledger.supersingular_j_invariants(p) if p <= 31 else None
+        if brute is not None:
+            count = sum(n for _, n in survey.entries)
+            if count != len(brute):
+                return "fail", f"survey counts {count} but {len(brute)} ss j-invariants"
+        return "pass", f"aut-order census {survey.entries}, mass {survey.mass}"
+
+    return run
+
+
+def _make_budget_check(p: int, config: Config):
+    def run():
+        try:
+            budget = ledger.component_budget(
+                p, config.g_E, config.ordinary_genera
+            )
+        except ValueError as exc:
+            return "fail", str(exc)
+        if p == 5 and config.g_E == 0 and not config.ordinary_genera:
+            if not budget.exact or budget.total_known != 8:
+                return "fail", f"expected exact equality 8 = 4*2, got {budget.total_known}"
+            return "pass", "exact: 4 components of genus 2 account for the full genus 8"
+        return "pass", (
+            f"known component genera total {budget.total_known} <= "
+            f"genus {budget.curve_genus} of X0({p**3})"
+        )
+
+    return run
+
+
+def _check_exponent_centers():
+    expected = {5: (2, 0), 7: (4, 1728), 13: (14, 5)}
+    for p, (exponent, center) in expected.items():
+        survey = ledger.ss_survey(p)
+        if len(survey.entries) != 1:
+            return "fail", f"p={p} does not have a unique supersingular class"
+        aut = survey.entries[0][0]
+        per_extension, _ = quatlab.class_count(p, aut)
+        if per_extension != exponent:
+            return "fail", f"(p+1)/i = {per_extension} != congruence exponent {exponent}"
+        spec = cmlab.standard_spec(p, "-")
+        if spec.exponent != exponent or spec.center != center:
+            return "fail", f"congruence spec for p={p} is {spec}"
+        ss_js = ledger.supersingular_j_invariants(p)
+        if ss_js != (center % p,):
+            return "fail", f"supersingular j mod {p} is {ss_js}, center {center}"
+    return "pass", (
+        "(p+1)/i = 2, 4, 14 matches the congruence exponents; centers 0, 1728, 5 "
+        "reduce to the unique supersingular j mod p"
+    )
+
+
+def suite(config: Config) -> list[Check]:
+    primes = config.primes if config.primes is not None else (5, 7, 13, 17)
+    checks = [
+        Check(f"genus-{p**3}", "section 2 genus" if p == 5 else "figures 2-6",
+              _make_genus_check(p**3))
+        for p in primes
+        if p**3 in _GENUS_EXPECTED
+    ]
+    checks.append(Check("mass-formula", "conjecture 3.4.5", _check_mass_formula))
+    for p in primes:
+        checks.append(Check(f"survey-p{p:02d}", "conjecture 3.4.5", _make_survey_check(p)))
+        checks.append(Check(f"budget-p{p:02d}", "guess 3.4.6", _make_budget_check(p, config)))
+    checks.append(
+        Check("exponent-center-crosscheck", "section 3.4 class count", _check_exponent_centers)
+    )
+    return checks

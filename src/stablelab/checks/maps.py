@@ -1,0 +1,124 @@
+"""Maps suite: the six maps of table 2 and the circle and disk images of
+section 3.1."""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+
+from .. import modmaps
+from ..exactmath import affine, param_valuations
+from . import Check, Config
+
+
+_EXPECTED_DEGREES = {
+    "pi1_j": (6, 5),
+    "pi5_j": (6, 1),
+    "w5": (0, 1),
+    "pi1_t": (5, 4),
+    "pi5_t": (5, 0),
+    "w25": (0, 1),
+}
+
+# independent transcriptions used as double-entry bookkeeping
+_DIRECT_FORMULAS = {
+    "pi1_j": lambda t: (t**2 + 250 * t + 3125) ** 3 / t**5,
+    "pi5_j": lambda t: (t**2 + 10 * t + 5) ** 3 / t,
+    "w5": lambda t: F(125) / t,
+    "pi1_t": lambda u: u**5 / (u**4 + 5 * u**3 + 15 * u**2 + 25 * u + 25),
+    "pi5_t": lambda u: u * (u**4 + 5 * u**3 + 15 * u**2 + 25 * u + 25),
+    "w25": lambda u: F(5) / u,
+}
+
+
+def _check_table2():
+    maps = modmaps.builtin_maps()
+    for name, rmap in maps.items():
+        if rmap.degrees() != _EXPECTED_DEGREES[name]:
+            return "fail", f"{name} has degrees {rmap.degrees()}"
+        for point in (F(2), F(-3, 7)):
+            if rmap.evaluate(point) != _DIRECT_FORMULAS[name](point):
+                return "fail", f"{name} disagrees with direct evaluation at {point}"
+    return "pass", "all six maps transcribed; degrees and two-point evaluations agree"
+
+
+def _check_involutions():
+    maps = modmaps.builtin_maps()
+    for name in ("w5", "w25"):
+        if not modmaps.is_involution(maps[name]):
+            return "fail", f"{name} composed with itself is not the identity"
+    return "pass", "w5 o w5 = id and w25 o w25 = id as exact rational maps"
+
+
+def _check_al_circles():
+    maps = modmaps.builtin_maps()
+    got5 = modmaps.al_fixed_circle(maps["w5"])
+    got25 = modmaps.al_fixed_circle(maps["w25"])
+    if (got5, got25) != (F(3, 2), F(1, 2)):
+        return "fail", f"fixed circles ({got5}, {got25})"
+    return "pass", "fixed circles v(t) = 3/2 for w5 and v(u) = 1/2 for w25"
+
+
+def _check_u_circle_image():
+    cert = modmaps.image_valuation(modmaps.builtin_maps()["pi5_t"], F(3, 10))
+    if cert.lower_bound != F(3, 2) or not cert.unique:
+        return "fail", f"image valuation {cert.lower_bound}, unique={cert.unique}"
+    return "pass", "v(u) = 3/10 maps to v(t) = 3/2, unique dominant monomial u^5"
+
+
+def _check_j_circle_image():
+    """v(j) = v(numerator) - v(t^5).  On the cell 0 < lam < 5/2 the piece
+    6 lam of t^6 is the unique minimum of the numerator's valuations: every
+    other piece minus 6 lam is > 0 at 0 and >= 0 at 5/2, so > 0 in between.
+    Hence v(j) = v(t) on the whole cell; at 5/2 the disk claim 3.1.1 takes
+    over."""
+    rmap = modmaps.builtin_maps()["pi1_j"]
+    lead, end = affine(0, 6), F(5, 2)
+    numerator = [fn for fn, _ in param_valuations(rmap.numerator, {}, {"t": 1}, modmaps.P)]
+    denominator = [fn for fn, _ in param_valuations(rmap.denominator, {}, {"t": 1}, modmaps.P)]
+    if denominator != [affine(0, 5)] or lead not in numerator:
+        return "fail", "pi1_j is not t^6 + ... over t^5"
+    for fn in numerator:
+        gap = fn - lead
+        if fn != lead and not (gap(0) > 0 and gap(end) >= 0):
+            return "fail", f"piece {fn.constant} + {fn.slope} lam competes with 6 lam"
+    return "pass", (
+        "v(t) = 3/2 maps to v(j) = 3/2: t^6 dominates alone on 0 < v(t) < 5/2, "
+        "so v(j) = v(t) on the whole cell"
+    )
+
+
+def _check_j_disk_image():
+    cert = modmaps.image_valuation(modmaps.builtin_maps()["pi1_j"], F(5, 2))
+    if cert.lower_bound != F(5, 2) or cert.unique:
+        return "fail", f"bound {cert.lower_bound}, unique={cert.unique}"
+    if cert.conclusion != "bound only (tie)":
+        return "fail", f"conclusion {cert.conclusion!r}"
+    return "pass", "v(t) = 5/2 gives only the bound v(j) >= 5/2 (t^2 ties 5^5): disk"
+
+
+def _check_ram_image():
+    cert = modmaps.ramification_image_polynomial()
+    if cert.status != "pass":
+        return "fail", f"squarefree part {cert.squarefree_part}"
+    degree = len(cert.eliminant) - 1
+    return "pass", f"eliminant degree {degree}; squarefree part t^2 - 125"
+
+
+def _check_cm_disks():
+    cert = modmaps.cm_disk_identities()
+    if cert.status != "pass":
+        return "fail", f"v5(5^5/r^5 - 5^3) = {cert.u_disk_valuation}, needs > 3"
+    return "pass", f"v5(5^5/r^5 - 5^3) = {cert.u_disk_valuation} > 3"
+
+
+def suite(config: Config) -> list[Check]:
+    return [
+        Check("table-2-transcription", "table 2", _check_table2),
+        Check("al-involutions", "table 2", _check_involutions),
+        Check("note-3.1.3-al-circles", "note 3.1.3", _check_al_circles),
+        Check("claim-3.1.2-u-circle-image", "claim 3.1.2", _check_u_circle_image),
+        Check("claim-3.1.2-j-circle-image", "claim 3.1.2", _check_j_circle_image),
+        Check("claim-3.1.1-j-disk-image", "claim 3.1.1", _check_j_disk_image),
+        Check("claim-3.1.2-ramification-image", "claim 3.1.2", _check_ram_image),
+        Check("claim-3.1.2-cm-disks", "claim 3.1.2", _check_cm_disks),
+    ]

@@ -1,0 +1,93 @@
+"""Quaternion suite: lemma 3.4.1 and examples 3.4.2-3.4.3 in
+F_p[i, eps_j, eps_k]."""
+
+from __future__ import annotations
+
+from .. import quatlab
+from ..exactmath import sym
+from . import Check, Config
+
+
+def _make_algebra_check(p: int):
+    def run():
+        alpha = quatlab.smallest_nonresidue(p)
+        table = quatlab.build_algebra(quatlab.AlgebraParams(p, alpha))
+        if table[(1, 2)] != (0, 0, 0, 1):
+            return "fail", "i * eps_j != eps_k"
+        if table[(2, 3)] != (0, 0, 0, 0) or table[(2, 2)] != (0, 0, 0, 0):
+            return "fail", "nilpotent products do not vanish"
+        if table[(1, 3)] != (0, 0, alpha % p, 0):
+            return "fail", "i * eps_k != alpha * eps_j"
+        return "pass", f"alpha = {alpha}: relations hold, associativity exhaustive on basis"
+
+    return run
+
+
+def _make_orbit_check(p: int):
+    def run():
+        alpha = quatlab.smallest_nonresidue(p)
+        try:
+            report = quatlab.orbit_analysis(quatlab.AlgebraParams(p, alpha))
+        except AssertionError as exc:
+            return "fail", str(exc)
+        return "pass", (
+            f"{len(report.orbits)} orbits of size {p + 1}; stabilizers F_p^*; "
+            "invariant c^2 - alpha*d^2 separates classes"
+        )
+
+    return run
+
+
+def _check_uniformizer():
+    try:
+        found = quatlab.uniformizer_image_search()
+    except AssertionError as exc:
+        return "fail", str(exc)
+    return "pass", (
+        "image class is exactly {+-2eps_j, +-2eps_k, +-3eps_j +- 3eps_k} "
+        f"({len(found)} elements)"
+    )
+
+
+def _check_refinement():
+    try:
+        parts = quatlab.aut_refinement()
+    except AssertionError as exc:
+        return "fail", str(exc)
+    return "pass", f"conjugation by i splits the class into {len(parts)} pairs x, -x"
+
+
+def _check_class_counts():
+    cases = {(7, 4): (4, 8), (5, 6): (2, 4), (13, 2): (14, 28)}
+    for (p, aut), expected in cases.items():
+        if quatlab.class_count(p, aut) != expected:
+            return "fail", f"class_count({p}, {aut}) != {expected}"
+    try:
+        quatlab.class_count(7, 6)
+        return "fail", "class_count(7, 6) should reject 3 not dividing 8"
+    except ValueError:
+        pass
+    return "pass", "2(p+1)/i equals 8, 4, 28 for (p, |Aut|) = (7,4), (5,6), (13,2)"
+
+
+def _check_quaternion_norm():
+    a = quatlab.QuatElement(*(sym(name) for name in ("a1", "b1", "c1", "d1")))
+    b = quatlab.QuatElement(*(sym(name) for name in ("a2", "b2", "c2", "d2")))
+    if (a * b).norm() != a.norm() * b.norm():
+        return "fail", "N(xy) - N(x)N(y) is not the zero polynomial"
+    return "pass", "norm a^2 + b^2 + 7c^2 + 7d^2 multiplicative as a polynomial identity"
+
+
+def suite(config: Config) -> list[Check]:
+    primes = config.primes if config.primes is not None else (5, 7, 13, 17)
+    checks = []
+    for p in primes:
+        checks.append(Check(f"lemma-3.4.1-algebra-p{p:02d}", "lemma 3.4.1", _make_algebra_check(p)))
+        checks.append(Check(f"lemma-3.4.1-orbits-p{p:02d}", "lemma 3.4.1", _make_orbit_check(p)))
+    checks += [
+        Check("example-3.4.2-uniformizer", "example 3.4.2", _check_uniformizer),
+        Check("example-3.4.3-refinement", "example 3.4.3", _check_refinement),
+        Check("class-count-2p1i", "section 3.4 class count", _check_class_counts),
+        Check("quaternion-norm", "example 3.4.2", _check_quaternion_norm),
+    ]
+    return checks

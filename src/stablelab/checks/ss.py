@@ -1,0 +1,74 @@
+"""Supersingular suite: the 5-division polynomial and torsion profiles of
+claim 3.2.1."""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+
+from .. import sslab
+from ..exactmath import val_rat
+from . import Check, Config
+
+
+def _check_division_polynomial_5():
+    psi5 = sslab.division_polynomial_5()
+    if psi5.degree("x") != 12:
+        return "fail", f"degree {psi5.degree('x')}"
+    if psi5.coefficient("x", 12) != 5:
+        return "fail", f"leading coefficient {psi5.coefficient('x', 12)}"
+    coeff10 = psi5.coefficient("x", 10)
+    if coeff10 != 62 * sslab.t or val_rat(62, 5) != 0:
+        return "fail", f"x^10 coefficient {coeff10}"
+    return "pass", "degree 12, leading coefficient 5, x^10 coefficient 62t (unit times t)"
+
+
+def _check_breakpoint():
+    polygon = sslab.torsion_polygon()
+    if polygon.breakpoints != (F(5, 6),):
+        return "fail", f"breakpoints {polygon.breakpoints}"
+    if polygon.vertex_sets() != ((0, 10, 12), (0, 12)):
+        return "fail", f"vertex sets {polygon.vertex_sets()}"
+    if sslab.canonical_breakpoint() != F(5, 6):
+        return "fail", "slope balance lam/10 = (1-lam)/2 not at 5/6"
+    return "pass", "vertices {(0,0),(10,lam),(12,1)} below 5/6 and {(0,0),(12,1)} above"
+
+
+def _check_profile_below():
+    profile = sslab.torsion_profile(F(1, 2))
+    ok = (
+        profile.x_root_valuations == ((F(-1, 4), 2), (F(-1, 20), 10))
+        and profile.z_valuations == ((F(1, 40), 20), (F(1, 8), 4))
+        and profile.canonical_subgroup
+    )
+    if not ok:
+        return "fail", f"profile {profile}"
+    return "pass", "at lam=1/2: 20 points at v(z)=lam/20, 4 at (1-lam)/4; canonical subgroup"
+
+
+def _check_profile_above():
+    profile = sslab.torsion_profile(F(9, 10))
+    ok = (
+        profile.x_root_valuations == ((F(-1, 12), 12),)
+        and profile.z_valuations == ((F(1, 24), 24),)
+        and not profile.canonical_subgroup
+    )
+    if not ok:
+        return "fail", f"profile {profile}"
+    return "pass", "at lam=9/10: all 24 nonzero points at v(z)=1/24; no canonical subgroup"
+
+
+def _check_threshold():
+    cert = sslab.too_ss_threshold()
+    if cert.status != "pass" or cert.threshold != F(5, 2):
+        return "fail", f"threshold {cert.threshold}, status {cert.status}"
+    return "pass", "j(t) = 6912t^3/(4t^3+27), v(j) = 3v(t); threshold v5(j) >= 5/2"
+
+
+def suite(config: Config) -> list[Check]:
+    return [
+        Check("claim-3.2.1-division-polynomial", "claim 3.2.1", _check_division_polynomial_5),
+        Check("claim-3.2.1-breakpoint", "claim 3.2.1", _check_breakpoint),
+        Check("claim-3.2.1-profile-below", "claim 3.2.1", _check_profile_below),
+        Check("claim-3.2.1-profile-above", "claim 3.2.1", _check_profile_above),
+        Check("claim-3.2.1-threshold", "claim 3.2.1", _check_threshold),
+    ]

@@ -1,0 +1,131 @@
+"""Stable-model suite: the plane models, ramification data and reductions of
+section 2."""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+
+from .. import curve125
+from ..exactmath import INF, val_rat
+from . import Check, Config
+
+
+def _fmt_multiset(ms) -> str:
+    return "{" + ", ".join(f"{v} x{n}" for v, n in ms) + "}"
+
+
+def _check_table1():
+    g_plus = curve125.build_shifted_model()  # raises on any cell mismatch
+    nonzero = sum(1 for _ in g_plus.items())
+    roundtrip = curve125.normal_form(
+        g_plus.substitute("x0", curve125.x - curve125.r), [curve125.R_SYMBOL]
+    )
+    if roundtrip != curve125.plus_curve_model().f_plus:
+        return "fail", "round-trip back to the original model is inexact"
+    return "pass", f"all 16 table cells match exactly ({nonzero} monomials); round-trip exact"
+
+
+def _check_ram_valuations():
+    ram = curve125.ramification_polynomials()
+    vals = tuple(val_rat(c, 5) for c in ram.p_ram_y)
+    expected = tuple(
+        F(v) if v != INF else INF for v in curve125.P_RAM_Y_VALUATIONS
+    )
+    if vals != expected:
+        return "fail", f"p_ram_y valuations {vals} differ from the published table"
+    y_roots = curve125.root_valuation_multiset(ram.p_ram_y)
+    x_roots = curve125.root_valuation_multiset(ram.p_ram_x)
+    if y_roots != ((F(7, 10), 10),):
+        return "fail", f"y-polygon gives {_fmt_multiset(y_roots)}"
+    if x_roots != ((F(2, 5), 10),):
+        return "fail", f"x-polygon gives {_fmt_multiset(x_roots)}"
+    return "pass", (
+        "coefficient valuations (0,inf,3,4,4,5,5,6,6,7,7); "
+        "all ten roots at v(y)=7/10, v(x)=2/5"
+    )
+
+
+def _check_y_distances():
+    ram = curve125.ramification_polynomials()
+    expected = ((F(7, 10), 50), (F(4, 5), 40))
+    if ram.y_distance_multiset != expected:
+        return "fail", f"computed {_fmt_multiset(ram.y_distance_multiset)}"
+    clusters = curve125.cluster_sizes(ram.y_distance_multiset)
+    if clusters != (5, 5):
+        return "fail", f"multiset is not forced into two 5-clusters: {clusters}"
+    return "pass", "y-differences {7/10 x50, 4/5 x40}; realizable only as two 5-clusters"
+
+
+def _check_x_distances():
+    ram = curve125.ramification_polynomials()
+    claimed = ((F(1, 2), 90),)
+    if ram.x_distance_multiset == claimed:
+        return "pass", "x-differences all at valuation 1/2"
+    return "fail", (
+        f"claimed {{1/2 x90}}, computed {_fmt_multiset(ram.x_distance_multiset)}: "
+        "five cross-cluster pairs are closer (7/10); the in-cluster distances "
+        "used downstream are all 1/2"
+    )
+
+
+def _check_eq3():
+    cert = curve125.verify_dominance_eq3()
+    if not cert.passed:
+        return "fail", f"dominance certificate failed: {cert.data}"
+    return "pass", (
+        "minimum 5/2 attained exactly by x0^5, 25*x0, 15*y^2; "
+        "polygon in x0 has single slope -1/2 (all five roots at v=1/2)"
+    )
+
+
+def _check_eq4():
+    cert = curve125.verify_reduction("eq4")
+    if not cert.passed:
+        return "fail", f"reduction certificate failed: {cert.data}"
+    return "pass", (
+        f"residue equation y1^2 = 2*x1^5 + 2*x1 over F5; "
+        f"all residual monomials have valuation >= {cert.residual_min}"
+    )
+
+
+def _check_hensel():
+    cert = curve125.hensel_certificate()
+    if not cert.passed:
+        return "fail", f"envelope certificate failed: {cert.data}"
+    delta = cert.data["delta_at_ram_circle"]
+    return "pass", (
+        "v(h'(1)) = 0 on the closed interval [1/5, 1/4]; v(h(1)) > 0 on the open "
+        f"annulus (zero exactly at the boundary circles); bound {delta} exported "
+        "at v(s) = 6/25"
+    )
+
+
+def _check_eq6():
+    cert = curve125.verify_reduction("eq6")
+    if not cert.passed:
+        return "fail", f"reduction certificate failed: {cert.data}"
+    return "pass", (
+        "valuation-0 part matches u0^2 - (a^5/(sqrt15*b*r))s0^5*u0 + 5/(b^2*r) "
+        f"term for term; residual minimum {cert.residual_min}"
+    )
+
+
+def _check_z_identity():
+    cert = curve125.fiber_square_identity()
+    if not cert.passed:
+        return "fail", "polynomial identity has a nonzero remainder"
+    return "pass", "(2xu - y)^2 - (y^2 - 20x) = 4x * (xu^2 - yu + 5) exactly"
+
+
+def suite(config: Config) -> list[Check]:
+    return [
+        Check("table-1-match", "table 1", _check_table1),
+        Check("ramification-valuation-table", "section 2.2", _check_ram_valuations),
+        Check("claim-2.2.2-y-distances", "claim 2.2.2", _check_y_distances),
+        Check("claim-2.2.2-x-distances", "claim 2.2.2", _check_x_distances),
+        Check("claim-2.1.1-dominance", "eq 3", _check_eq3),
+        Check("claim-2.1.1-reduction", "eq 4", _check_eq4),
+        Check("claim-2.2.1-hensel", "claim 2.2.1", _check_hensel),
+        Check("claim-2.3.2-reduction", "eq 6", _check_eq6),
+        Check("claim-2.3.1-z-identity", "claim 2.3.1", _check_z_identity),
+    ]

@@ -15,15 +15,13 @@ its siblings.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 import time
 
-from . import __version__
+from . import __version__, is_prime
 from .checks import CM_ANCHORS, SUITES, Config, build_checks
-from .exactmath import is_prime
 from .report import CheckResult, SuiteReport
 
 SUITE_NAMES = (*SUITES, "all")
@@ -51,7 +49,7 @@ def run_suite(suite: str, config: Config, clock=time.monotonic) -> SuiteReport:
     return SuiteReport(
         suite=suite,
         version=__version__,
-        config=dataclasses.asdict(config),
+        config=config._asdict(),
         results=tuple(results),
     )
 
@@ -63,7 +61,7 @@ def load_config_file(path: str) -> dict:
         raw = json.load(handle)
     if not isinstance(raw, dict):
         raise ValueError("config document must be a JSON object")
-    unknown = sorted(set(raw) - {field.name for field in dataclasses.fields(Config)})
+    unknown = sorted(set(raw) - set(Config._fields))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
     return raw
@@ -86,6 +84,12 @@ def _build_config(args, file_config: dict) -> Config:
         values = as_int_tuple(key, value)
         return None if values is None else tuple(dict.fromkeys(values))
 
+    def as_disc_item(item):
+        try:
+            return int(item)
+        except ValueError:
+            raise ValueError(f"--disc takes comma-separated integers, got {item!r}") from None
+
     def as_discriminants(key, value):
         discs = as_distinct(key, value)
         for d in discs or ():
@@ -106,7 +110,7 @@ def _build_config(args, file_config: dict) -> Config:
             raise ValueError(f"the cm suite needs one of the primes {supported}, got p = {p}")
     discriminants = file_config.get("discriminants")
     if args.disc is not None:
-        discriminants = [int(v) for v in args.disc.split(",")]
+        discriminants = [as_disc_item(v) for v in args.disc.split(",")]
     discriminants = as_discriminants("discriminants", discriminants)
     cache_dir = file_config.get("cache_dir")
     if args.cache_dir is not None:

@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from mpmath import iv, mp, mpc, mpf
 from mpmath.libmp import (
@@ -88,8 +88,7 @@ class QuadForm:
             a, b = c, -b
 
 
-@dataclass(frozen=True)
-class Tau:
+class Tau(NamedTuple):
     """The upper-half-plane point (re_num + im_num * sqrt(-n)) / den."""
 
     re_num: int
@@ -329,8 +328,7 @@ def j_tau(tau: Tau, precision: int) -> Ball:
 # -- class polynomials ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassPolynomial:
+class ClassPolynomial(NamedTuple):
     discriminant: int
     coefficients: tuple[int, ...]  # ascending, constant term first, monic
     precision_used: int
@@ -455,8 +453,7 @@ def class_polynomial(discriminant: int, cache: ClassPolyCache | None = None) -> 
 # -- p-adic congruence placement --------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceSpec:
+class CongruenceSpec(NamedTuple):
     """Per-root requirement v_p((j - center)^exponent sign prime_power) > bound."""
 
     p: int
@@ -494,8 +491,7 @@ def standard_spec(p: int, sign: str) -> CongruenceSpec:
     return CongruenceSpec(p, center, exponent, sign, power, bound)
 
 
-@dataclass(frozen=True)
-class CongruenceResult:
+class CongruenceResult(NamedTuple):
     passed: bool
     min_root_valuation: Fraction | float  # INF when every root is exact
     root_valuations: tuple[tuple[Fraction, int], ...]
@@ -539,8 +535,7 @@ def congruence_check(H: ClassPolynomial, spec: CongruenceSpec) -> CongruenceResu
 # -- the published example tables -------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     label: str  # order, by a generator over Z
     discriminant: int
     case: int  # 1: v(j^2 - 125) > 3; 2: v(j^2 + 125) > 3

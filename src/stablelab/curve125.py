@@ -12,10 +12,10 @@ annulus parameterization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .exactmath import (
     INF,
@@ -55,28 +55,25 @@ SQRT15_SYMBOL = ValuedSymbol("sqrt15", F(1, 2), (2, SymbolicPolynomial.constant(
 R_MINPOLY = r**5 + 25 * r - 25
 
 
-@dataclass(frozen=True)
-class PlusCurveModel:
+class PlusCurveModel(NamedTuple):
     f_plus: SymbolicPolynomial
     fiber: SymbolicPolynomial
 
 
-@dataclass(frozen=True)
-class RamificationData:
+class RamificationData(NamedTuple):
     p_ram_y: tuple[int, ...]  # ascending coefficients, degree 10
     p_ram_x: tuple[int, ...]
     y_distance_multiset: tuple[tuple[Fraction, int], ...]
     x_distance_multiset: tuple[tuple[Fraction, int], ...]
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(NamedTuple):
     claim_id: str  # eq3 | eq4 | eq6 | hensel | z_identity
     status: str  # pass | fail
     dominant: tuple[Monomial, ...] = ()
     residual_min: Fraction | None = None
     quotient: SymbolicPolynomial | None = None
-    data: dict = field(default_factory=dict)
+    data: Mapping = MappingProxyType({})  # one shared default, so read-only
 
     @property
     def passed(self) -> bool:

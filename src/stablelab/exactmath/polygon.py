@@ -16,15 +16,13 @@ whole cell).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .valuation import INF, Affine, ExtValuation, envelope_min, is_finite
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     points: tuple[tuple[int, ExtValuation], ...]
     hull_vertices: tuple[tuple[int, Fraction], ...]
     segments: tuple[tuple[Fraction, int], ...]  # (slope, horizontal length)
@@ -72,8 +70,7 @@ def newton_polygon(vals: Sequence[ExtValuation]) -> NewtonPolygon:
     return NewtonPolygon(points, tuple(hull), segments)
 
 
-@dataclass(frozen=True)
-class PolygonCell:
+class PolygonCell(NamedTuple):
     """Combinatorial hull data valid on an open lambda-cell.
 
     ``vertices`` are hull vertex indices; ``values`` the per-vertex affine
@@ -98,8 +95,7 @@ class PolygonCell:
         return tuple(sorted(merged.items()))
 
 
-@dataclass(frozen=True)
-class ParamPolygon:
+class ParamPolygon(NamedTuple):
     """Newton polygon of a family, as a certified cell decomposition.
 
     ``breakpoints`` are exactly the interior lambda values where the hull's

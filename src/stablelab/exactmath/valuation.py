@@ -9,10 +9,10 @@ Fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
+from .. import is_prime
 from .poly import Monomial, SymbolicPolynomial, poly_to_coeffs
 from .resultant import characteristic_polynomial
 
@@ -23,10 +23,6 @@ ExtValuation = Fraction | float  # finite values are Fraction, infinity is INF
 
 def is_finite(v: ExtValuation) -> bool:
     return v != INF
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def val_rat(q, p: int) -> ExtValuation:
@@ -61,8 +57,7 @@ def monomial_valuation(
     return v
 
 
-@dataclass(frozen=True)
-class MinValuation:
+class MinValuation(NamedTuple):
     """Generic minimum valuation of a polynomial under a symbol assignment.
 
     ``value`` is a lower bound for the valuation of any evaluation of the
@@ -89,8 +84,7 @@ def min_valuation(
     return MinValuation(best, tuple(sorted(witnesses)), len(witnesses) == 1)
 
 
-@dataclass(frozen=True, order=True)
-class Affine:
+class Affine(NamedTuple):
     """The affine function constant + slope * lambda, with exact coefficients.
 
     Used for coefficient valuations that depend on a parameter lambda (the

@@ -10,9 +10,8 @@ configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactmath import is_prime
 
@@ -91,8 +90,7 @@ def _kronecker_minus3(p: int) -> int:
 # -- supersingular survey -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SSClassSurvey:
+class SSClassSurvey(NamedTuple):
     p: int
     entries: tuple[tuple[int, int], ...]  # (|Aut|, number of curves)
     mass: Fraction
@@ -159,8 +157,7 @@ def supersingular_j_invariants(p: int) -> tuple[int, ...]:
 # -- component budgets -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SSComponentLine:
+class SSComponentLine(NamedTuple):
     aut_order: int
     curve_count: int
     cm_components: int  # 2(p+1)/i per curve
@@ -168,8 +165,7 @@ class SSComponentLine:
     edixhoven_genus: int
 
 
-@dataclass(frozen=True)
-class ComponentBudget:
+class ComponentBudget(NamedTuple):
     p: int
     lines: tuple[SSComponentLine, ...]
     ordinary_genera: tuple[int, ...]
@@ -218,8 +214,7 @@ def component_budget(
 # -- dual graphs --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(NamedTuple):
     vertices: tuple[tuple[str, int], ...]  # (id, genus)
     edges: tuple[tuple[str, str], ...]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import curve125
 from .exactmath import (
@@ -63,8 +64,7 @@ class RationalMap:
         return self.numerator.evaluate(point) / den
 
 
-@dataclass(frozen=True)
-class ImageCertificate:
+class ImageCertificate(NamedTuple):
     lower_bound: Fraction
     unique: bool
     conclusion: str  # "circle->circle exact" | "bound only (tie)"
@@ -140,8 +140,7 @@ def is_involution(rmap: RationalMap) -> bool:
     return num == den * sym(rmap.source_coord)
 
 
-@dataclass(frozen=True)
-class RamImageCertificate:
+class RamImageCertificate(NamedTuple):
     eliminant: tuple[int, ...]  # T(t), ascending integer coefficients
     squarefree_part: tuple[int, ...]
     status: str
@@ -184,8 +183,7 @@ def ramification_image_polynomial() -> RamImageCertificate:
     return RamImageCertificate(ints, squarefree, "pass" if ok else "fail")
 
 
-@dataclass(frozen=True)
-class DiskIdentityCertificate:
+class DiskIdentityCertificate(NamedTuple):
     u_disk_valuation: Fraction  # v5(5^5/r^5 - 5^3), must exceed 3
     status: str
 

@@ -100,8 +100,7 @@ def build_algebra(params: AlgebraParams) -> dict[tuple[int, int], tuple[int, int
     return table
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     params: AlgebraParams
     orbits: tuple[tuple[int, AbarElement, int], ...]  # (size, representative, c^2 - alpha d^2)
     stabilizer: str

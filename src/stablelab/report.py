@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Anchor strings a check may cite; each names a table, claim, conjecture,
 #: lemma, example, equation block or section of the verified development.
@@ -41,22 +42,12 @@ KNOWN_ANCHORS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     claim_ref: str
     status: str  # pass | fail | skipped
     details: str
     elapsed_ms: int
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "claim_ref": self.claim_ref,
-            "status": self.status,
-            "details": self.details,
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 @dataclass(frozen=True)
@@ -87,7 +78,7 @@ class SuiteReport:
             "version": self.version,
             "overall": self.overall,
             "config": self.config,
-            "checks": [r.to_json() for r in self.results],
+            "checks": [r._asdict() for r in self.results],
         }
 
     def render(self, fmt: str) -> str:

@@ -10,9 +10,9 @@ family, the no-canonical-subgroup disk of X(1) is v_5(j) >= 3 * 5/6 = 5/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exactmath import (
     ParamPolygon,
@@ -30,8 +30,7 @@ F = Fraction
 x, t = sym("x"), sym("t")
 
 
-@dataclass(frozen=True)
-class TorsionProfile:
+class TorsionProfile(NamedTuple):
     x_root_valuations: tuple[tuple[Fraction, int], ...]
     z_valuations: tuple[tuple[Fraction, int], ...]  # over points, not x-roots
     canonical_subgroup: bool
@@ -94,8 +93,7 @@ def torsion_profile(lam) -> TorsionProfile:
     )
 
 
-@dataclass(frozen=True)
-class ThresholdCertificate:
+class ThresholdCertificate(NamedTuple):
     j_numerator: SymbolicPolynomial
     j_denominator: SymbolicPolynomial
     threshold: Fraction

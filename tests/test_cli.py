@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -302,6 +304,13 @@ def test_invalid_discriminants_rejected(tmp_path, capsys):
         assert f"{bad[1]} is not a negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("disc, item", [("abc", "abc"), ("", ""), ("-95,,-135", "")])
+def test_malformed_disc_names_the_option_and_the_item(capsys, disc, item):
+    assert cli.main(["cm", f"--disc={disc}"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: --disc takes comma-separated integers, got {item!r}" in err
+
+
 def test_unusable_primes_rejected(tmp_path, capsys):
     for argv in (["quat", "--p", "2"], ["quat", "--p", "9"], ["ledger", "--p", "1"],
                  ["ledger", "--p", "9"], ["ledger", "--p", "3"], ["all", "--p", "2"]):
@@ -389,3 +398,35 @@ def test_cache_dir_that_is_a_file_rejected(tmp_path, capsys):
     assert cli.main(["cm", "--p", "5", "--disc=-20", "--cache-dir", str(fresh),
                      "--report", str(path)]) == 0
     assert (fresh / "class_poly_cache.txt").exists()
+
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+_LABS = {f"stablelab.{name}" for name in ("cmlab", "curve125", "ledger", "modmaps", "quatlab", "sslab")}
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded once it has run ``code``."""
+    script = f"import os, sys\nsys.path.insert(0, {_SRC!r})\n{code}\nprint(*sys.modules)"
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+def test_importing_the_cli_loads_no_layer():
+    loaded = _modules_after("import stablelab.cli")
+    assert "stablelab.cli" in loaded
+    assert not loaded & (_LABS | {"mpmath", "stablelab.exactmath"})
+
+
+def test_each_suite_loads_only_its_layers():
+    cm = _modules_after(
+        "from stablelab import cli\n"
+        "assert cli.main(['cm', '--p', '5', '--disc=-20', '--report', os.devnull]) == 0"
+    )
+    assert "stablelab.cmlab" in cm
+    assert not cm & (_LABS - {"stablelab.cmlab"})
+    stable_model = _modules_after(
+        "from stablelab import cli\n"
+        "assert cli.main(['stable-model', '--report', os.devnull]) == 1"
+    )
+    assert "stablelab.curve125" in stable_model and "mpmath" not in stable_model

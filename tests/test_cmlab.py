@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import threading
@@ -477,7 +476,7 @@ def _inverted(tau):  # -1/tau = (-den re + den im sqrt(-n)) / (re^2 + im^2 n)
 def test_table_crosscheck_accepts_equivalent_taus():
     for row in cmlab.table_rows():
         for move in (_shifted, _inverted, lambda t: _inverted(_shifted(_shifted(t)))):
-            moved = dataclasses.replace(row, taus=tuple(move(t) for t in row.taus))
+            moved = row._replace(taus=tuple(move(t) for t in row.taus))
             assert moved.taus != row.taus
             assert cmlab.table_crosscheck(moved), (row.label, move)
 
@@ -486,12 +485,12 @@ def test_table_crosscheck_rejects_wrong_rows():
     rows = {row.discriminant: row for row in cmlab.table_rows()}
     row = rows[-260]
     repeated = (row.taus[0], _shifted(row.taus[0])) + row.taus[2:]  # one class twice
-    assert not cmlab.table_crosscheck(dataclasses.replace(row, taus=repeated))
+    assert not cmlab.table_crosscheck(row._replace(taus=repeated))
     foreign = (cmlab.Tau(0, 1, 10, 1),) + rows[-20].taus[1:]  # sqrt(-10) has D = -40
-    assert not cmlab.table_crosscheck(dataclasses.replace(rows[-20], taus=foreign))
-    assert not cmlab.table_crosscheck(dataclasses.replace(row, taus=row.taus[:-1]))
+    assert not cmlab.table_crosscheck(rows[-20]._replace(taus=foreign))
+    assert not cmlab.table_crosscheck(row._replace(taus=row.taus[:-1]))
     extra = row.taus + (_inverted(row.taus[0]),)  # all h classes, one of them twice
-    assert not cmlab.table_crosscheck(dataclasses.replace(row, taus=extra))
+    assert not cmlab.table_crosscheck(row._replace(taus=extra))
 
 
 def test_tau_outside_upper_half_plane_rejected():
@@ -500,7 +499,7 @@ def test_tau_outside_upper_half_plane_rejected():
         with pytest.raises(ValueError):
             cmlab.Tau(*bad).form()
         with pytest.raises(ValueError):
-            cmlab.table_crosscheck(dataclasses.replace(row, taus=(cmlab.Tau(*bad),) + row.taus[1:]))
+            cmlab.table_crosscheck(row._replace(taus=(cmlab.Tau(*bad),) + row.taus[1:]))
     with pytest.raises(ValueError):
         cmlab.QuadForm(-1, 0, -5)  # negative definite
 

@@ -228,9 +228,9 @@ def test_quaternion_norm_multiplicative():
 
 
 def test_quaternion_norm_check_is_an_identity(monkeypatch):
-    from stablelab import checks
+    from stablelab.checks import quat
 
-    assert checks._check_quaternion_norm() == (
+    assert quat._check_quaternion_norm() == (
         "pass", "norm a^2 + b^2 + 7c^2 + 7d^2 multiplicative as a polynomial identity"
     )
 
@@ -245,4 +245,4 @@ def test_quaternion_norm_check_is_an_identity(monkeypatch):
         )
 
     monkeypatch.setattr(quatlab, "quaternion_multiply", sign_flipped)
-    assert checks._check_quaternion_norm()[0] == "fail"
+    assert quat._check_quaternion_norm()[0] == "fail"

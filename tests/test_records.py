@@ -1,0 +1,40 @@
+"""The package's records are immutable: each is a NamedTuple or a frozen
+dataclass, and no default value is shared mutable state."""
+
+import dataclasses
+import importlib
+import pkgutil
+
+import pytest
+
+import stablelab
+from stablelab import curve125
+
+_CLASSES = [
+    cls
+    for info in pkgutil.walk_packages(stablelab.__path__, "stablelab.")
+    for cls in vars(importlib.import_module(info.name)).values()
+    if isinstance(cls, type) and cls.__module__ == info.name
+]
+_NAMED_TUPLES = [cls for cls in _CLASSES if issubclass(cls, tuple) and hasattr(cls, "_fields")]
+_DATACLASSES = [cls for cls in _CLASSES if dataclasses.is_dataclass(cls)]
+
+
+@pytest.mark.parametrize("cls", _NAMED_TUPLES, ids=lambda cls: cls.__qualname__)
+def test_named_tuple_fields_cannot_be_assigned(cls):
+    record = cls._make(range(len(cls._fields)))
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+@pytest.mark.parametrize("cls", _DATACLASSES, ids=lambda cls: cls.__qualname__)
+def test_dataclasses_are_frozen(cls):
+    assert cls.__dataclass_params__.frozen
+
+
+def test_reduction_certificate_default_data_is_read_only():
+    first = curve125.ReductionCertificate("eq3", "pass")
+    with pytest.raises(TypeError):
+        first.data["leak"] = 1
+    assert dict(curve125.ReductionCertificate("eq4", "pass").data) == {}
