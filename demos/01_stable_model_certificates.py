@@ -19,13 +19,13 @@ print("coefficient of x0^4:", g_plus.coefficient("x0", 4).coefficient("y", 0))
 print()
 
 print("At v(x0) = 1/2, v(y) = 3/4 exactly three monomials dominate,")
-cert = curve125.verify_dominance_eq3()
+cert = curve125.verify_dominance_eq3(g_plus)
 print("witnesses:", cert.dominant, "at valuation", cert.data["min_valuation"])
 print("so the curve is approximated by x0^5 + 25*x0 = 15*y^2 there.")
 print("Newton polygon in x0:", cert.data["polygon_roots"], "(five roots at 1/2)\n")
 
 print("Scaling by alpha = sqrt(5), beta = 5^(3/4) produces an integral model;")
-eq4 = curve125.verify_reduction("eq4")
+eq4 = curve125.verify_reduction("eq4", g_plus, None)
 print("its residue over F5-bar is y1^2 = 2*x1^5 + 2*x1:", eq4.data["residue_mod5"])
 print("residual monomials all have valuation >=", eq4.residual_min, "\n")
 
@@ -40,13 +40,13 @@ print("  (note the five extra-close cross-cluster pairs at 7/10)\n")
 
 print("The annulus 1/5 < v(s) < 1/4 parameterizes the region between the")
 print("good-reduction affinoid and the ramification circle v(s) = 6/25:")
-hensel = curve125.hensel_certificate()
+hensel = curve125.hensel_certificate(g_plus)
 print("v(h'(1)) endpoint minima:", hensel.data["hp1_endpoint_minima"], "(identically 0)")
 print("v(h(1)) minima strictly inside:", dict(list(hensel.data["h1_interior_minima"].items())[:3]), "...")
 print("exported error bound at v(s) = 6/25:", hensel.data["delta_at_ram_circle"], "\n")
 
 print("With that bound the fiber equation reduces on the middle circle to the")
-eq6 = curve125.verify_reduction("eq6")
+eq6 = curve125.verify_reduction("eq6", None, hensel)
 print("genus-0-component equation; valuation-0 part matches term for term:",
       eq6.status, "\n")
 

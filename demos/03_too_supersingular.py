@@ -13,13 +13,13 @@ print("5-division polynomial: degree", psi5.degree("x"),
       "in x, leading coefficient", psi5.coefficient("x", 12))
 print("x^10 coefficient:", psi5.coefficient("x", 10), "\n")
 
-polygon = sslab.torsion_polygon()
+polygon = sslab.torsion_polygon(psi5)
 print("Parametric Newton polygon in lambda = v5(t) on (0, 1):")
 print("  hull vertex sets:", polygon.vertex_sets())
 print("  breakpoint:", polygon.breakpoints, "\n")
 
 for lam in (F(1, 2), F(9, 10)):
-    profile = sslab.torsion_profile(lam)
+    profile = sslab.torsion_profile(polygon, lam)
     print(f"lambda = {lam}:")
     print("  x-root valuations:", profile.x_root_valuations)
     print("  z = x/y valuations over the 24 points:", profile.z_valuations)

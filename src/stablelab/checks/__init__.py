@@ -12,6 +12,11 @@ layers through module attributes (`cmlab.class_polynomial(...)`, never
 `from ..cmlab import class_polynomial`): a tracer that rebinds a layer
 function in the loaded modules before a suite module is imported still
 wraps every call, whereas a name bound at that later import would escape it.
+
+A value that several checks read is built at most once per run and passed
+in: `suite(config)` wraps its builder in `functools.cache`, so the memo is
+made when the suite is built and dies with the run, and the checks hand the
+value to the layer functions as an argument.  No layer module memoizes.
 """
 
 from __future__ import annotations

@@ -4,14 +4,14 @@ claim 3.2.1."""
 from __future__ import annotations
 
 from fractions import Fraction as F
+from functools import cache
 
 from .. import sslab
 from ..exactmath import val_rat
 from . import Check, Config
 
 
-def _check_division_polynomial_5():
-    psi5 = sslab.division_polynomial_5()
+def _check_division_polynomial_5(psi5):
     if psi5.degree("x") != 12:
         return "fail", f"degree {psi5.degree('x')}"
     if psi5.coefficient("x", 12) != 5:
@@ -22,8 +22,7 @@ def _check_division_polynomial_5():
     return "pass", "degree 12, leading coefficient 5, x^10 coefficient 62t (unit times t)"
 
 
-def _check_breakpoint():
-    polygon = sslab.torsion_polygon()
+def _check_breakpoint(polygon):
     if polygon.breakpoints != (F(5, 6),):
         return "fail", f"breakpoints {polygon.breakpoints}"
     if polygon.vertex_sets() != ((0, 10, 12), (0, 12)):
@@ -33,8 +32,8 @@ def _check_breakpoint():
     return "pass", "vertices {(0,0),(10,lam),(12,1)} below 5/6 and {(0,0),(12,1)} above"
 
 
-def _check_profile_below():
-    profile = sslab.torsion_profile(F(1, 2))
+def _check_profile_below(polygon):
+    profile = sslab.torsion_profile(polygon, F(1, 2))
     ok = (
         profile.x_root_valuations == ((F(-1, 4), 2), (F(-1, 20), 10))
         and profile.z_valuations == ((F(1, 40), 20), (F(1, 8), 4))
@@ -45,8 +44,8 @@ def _check_profile_below():
     return "pass", "at lam=1/2: 20 points at v(z)=lam/20, 4 at (1-lam)/4; canonical subgroup"
 
 
-def _check_profile_above():
-    profile = sslab.torsion_profile(F(9, 10))
+def _check_profile_above(polygon):
+    profile = sslab.torsion_profile(polygon, F(9, 10))
     ok = (
         profile.x_root_valuations == ((F(-1, 12), 12),)
         and profile.z_valuations == ((F(1, 24), 24),)
@@ -65,10 +64,13 @@ def _check_threshold():
 
 
 def suite(config: Config) -> list[Check]:
+    psi5 = cache(sslab.division_polynomial_5)
+    polygon = cache(lambda: sslab.torsion_polygon(psi5()))
     return [
-        Check("claim-3.2.1-division-polynomial", "claim 3.2.1", _check_division_polynomial_5),
-        Check("claim-3.2.1-breakpoint", "claim 3.2.1", _check_breakpoint),
-        Check("claim-3.2.1-profile-below", "claim 3.2.1", _check_profile_below),
-        Check("claim-3.2.1-profile-above", "claim 3.2.1", _check_profile_above),
+        Check("claim-3.2.1-division-polynomial", "claim 3.2.1",
+              lambda: _check_division_polynomial_5(psi5())),
+        Check("claim-3.2.1-breakpoint", "claim 3.2.1", lambda: _check_breakpoint(polygon())),
+        Check("claim-3.2.1-profile-below", "claim 3.2.1", lambda: _check_profile_below(polygon())),
+        Check("claim-3.2.1-profile-above", "claim 3.2.1", lambda: _check_profile_above(polygon())),
         Check("claim-3.2.1-threshold", "claim 3.2.1", _check_threshold),
     ]

@@ -4,6 +4,7 @@ section 2."""
 from __future__ import annotations
 
 from fractions import Fraction as F
+from functools import cache
 
 from .. import curve125
 from ..exactmath import INF, val_rat
@@ -14,8 +15,7 @@ def _fmt_multiset(ms) -> str:
     return "{" + ", ".join(f"{v} x{n}" for v, n in ms) + "}"
 
 
-def _check_table1():
-    g_plus = curve125.build_shifted_model()  # raises on any cell mismatch
+def _check_table1(g_plus):
     nonzero = sum(1 for _ in g_plus.items())
     roundtrip = curve125.normal_form(
         g_plus.substitute("x0", curve125.x - curve125.r), [curve125.R_SYMBOL]
@@ -25,8 +25,7 @@ def _check_table1():
     return "pass", f"all 16 table cells match exactly ({nonzero} monomials); round-trip exact"
 
 
-def _check_ram_valuations():
-    ram = curve125.ramification_polynomials()
+def _check_ram_valuations(ram):
     vals = tuple(val_rat(c, 5) for c in ram.p_ram_y)
     expected = tuple(
         F(v) if v != INF else INF for v in curve125.P_RAM_Y_VALUATIONS
@@ -45,8 +44,7 @@ def _check_ram_valuations():
     )
 
 
-def _check_y_distances():
-    ram = curve125.ramification_polynomials()
+def _check_y_distances(ram):
     expected = ((F(7, 10), 50), (F(4, 5), 40))
     if ram.y_distance_multiset != expected:
         return "fail", f"computed {_fmt_multiset(ram.y_distance_multiset)}"
@@ -56,8 +54,7 @@ def _check_y_distances():
     return "pass", "y-differences {7/10 x50, 4/5 x40}; realizable only as two 5-clusters"
 
 
-def _check_x_distances():
-    ram = curve125.ramification_polynomials()
+def _check_x_distances(ram):
     claimed = ((F(1, 2), 90),)
     if ram.x_distance_multiset == claimed:
         return "pass", "x-differences all at valuation 1/2"
@@ -68,8 +65,8 @@ def _check_x_distances():
     )
 
 
-def _check_eq3():
-    cert = curve125.verify_dominance_eq3()
+def _check_eq3(g_plus):
+    cert = curve125.verify_dominance_eq3(g_plus)
     if not cert.passed:
         return "fail", f"dominance certificate failed: {cert.data}"
     return "pass", (
@@ -78,8 +75,8 @@ def _check_eq3():
     )
 
 
-def _check_eq4():
-    cert = curve125.verify_reduction("eq4")
+def _check_eq4(g_plus):
+    cert = curve125.verify_reduction("eq4", g_plus, None)
     if not cert.passed:
         return "fail", f"reduction certificate failed: {cert.data}"
     return "pass", (
@@ -88,8 +85,7 @@ def _check_eq4():
     )
 
 
-def _check_hensel():
-    cert = curve125.hensel_certificate()
+def _check_hensel(cert):
     if not cert.passed:
         return "fail", f"envelope certificate failed: {cert.data}"
     delta = cert.data["delta_at_ram_circle"]
@@ -100,8 +96,8 @@ def _check_hensel():
     )
 
 
-def _check_eq6():
-    cert = curve125.verify_reduction("eq6")
+def _check_eq6(hensel):
+    cert = curve125.verify_reduction("eq6", None, hensel)
     if not cert.passed:
         return "fail", f"reduction certificate failed: {cert.data}"
     return "pass", (
@@ -118,14 +114,17 @@ def _check_z_identity():
 
 
 def suite(config: Config) -> list[Check]:
+    g_plus = cache(curve125.build_shifted_model)  # raises on any cell mismatch
+    ram = cache(curve125.ramification_polynomials)
+    hensel = cache(lambda: curve125.hensel_certificate(g_plus()))
     return [
-        Check("table-1-match", "table 1", _check_table1),
-        Check("ramification-valuation-table", "section 2.2", _check_ram_valuations),
-        Check("claim-2.2.2-y-distances", "claim 2.2.2", _check_y_distances),
-        Check("claim-2.2.2-x-distances", "claim 2.2.2", _check_x_distances),
-        Check("claim-2.1.1-dominance", "eq 3", _check_eq3),
-        Check("claim-2.1.1-reduction", "eq 4", _check_eq4),
-        Check("claim-2.2.1-hensel", "claim 2.2.1", _check_hensel),
-        Check("claim-2.3.2-reduction", "eq 6", _check_eq6),
+        Check("table-1-match", "table 1", lambda: _check_table1(g_plus())),
+        Check("ramification-valuation-table", "section 2.2", lambda: _check_ram_valuations(ram())),
+        Check("claim-2.2.2-y-distances", "claim 2.2.2", lambda: _check_y_distances(ram())),
+        Check("claim-2.2.2-x-distances", "claim 2.2.2", lambda: _check_x_distances(ram())),
+        Check("claim-2.1.1-dominance", "eq 3", lambda: _check_eq3(g_plus())),
+        Check("claim-2.1.1-reduction", "eq 4", lambda: _check_eq4(g_plus())),
+        Check("claim-2.2.1-hensel", "claim 2.2.1", lambda: _check_hensel(hensel())),
+        Check("claim-2.3.2-reduction", "eq 6", lambda: _check_eq6(hensel())),
         Check("claim-2.3.1-z-identity", "claim 2.3.1", _check_z_identity),
     ]

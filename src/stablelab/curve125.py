@@ -13,7 +13,6 @@ annulus parameterization.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -112,7 +111,6 @@ def table1_coefficients() -> dict[tuple[int, int], SymbolicPolynomial]:
     }
 
 
-@lru_cache(maxsize=1)
 def build_shifted_model() -> SymbolicPolynomial:
     """g+(x0, y) = f+(x0 + r, y) reduced mod r^5 + 25r - 25 (table 1).
 
@@ -164,7 +162,8 @@ def pairwise_distance_valuations(
         raise ValueError("difference polynomial not divisible by z^deg")
     quotient = dpoly[deg:]
     multiset = root_valuation_multiset(quotient)
-    assert sum(n for _, n in multiset) == deg * (deg - 1)
+    if sum(n for _, n in multiset) != deg * (deg - 1):
+        raise AssertionError("distance multiset does not cover all ordered pairs")
     return multiset
 
 
@@ -205,7 +204,6 @@ def cluster_sizes(distance_multiset) -> tuple[int, ...]:
     return matches[0]
 
 
-@lru_cache(maxsize=1)
 def ramification_polynomials() -> RamificationData:
     """Degree-10 polynomials satisfied by the y resp. x coordinates of the
     ten ramification points (which satisfy y^2 = 20x), plus their pairwise
@@ -235,11 +233,10 @@ EQ3_DOMINANT = (
 )
 
 
-def verify_dominance_eq3() -> ReductionCertificate:
+def verify_dominance_eq3(g_plus: SymbolicPolynomial) -> ReductionCertificate:
     """At v(x0) = 1/2, v(y) = 3/4 exactly the monomials x0^5, 25*x0, 15*y^2
     of g+ attain the minimal valuation 5/2; the Newton polygon in x0 then
     forces v(x0) = 1/2 at all five roots over any y on that circle."""
-    g_plus = build_shifted_model()
     mv = min_valuation(g_plus, EQ3_ASSIGNMENT, P)
 
     coeff_minima = []
@@ -304,8 +301,13 @@ def _residues_mod5(f: SymbolicPolynomial) -> dict[Monomial, int]:
     return out
 
 
-def verify_reduction(claim_id: str) -> ReductionCertificate:
+def verify_reduction(
+    claim_id: str, g_plus: SymbolicPolynomial | None, hensel: ReductionCertificate | None
+) -> ReductionCertificate:
     """Certify the residue equation of the scaled model ('eq4' or 'eq6').
+
+    eq4 reads only the shifted model g_plus and eq6 only the Hensel
+    certificate; the claim that does not read an argument accepts None.
 
     eq4: with alpha = sqrt(5), beta = 5^(3/4) the scaled plus-curve model
     (1/(15 beta^2)) g+(alpha x1, beta y1) is integral and reduces to
@@ -313,18 +315,18 @@ def verify_reduction(claim_id: str) -> ReductionCertificate:
 
     eq6: on the circle v(s) = 6/25, with s = alpha s0, u = beta u0 and
     y = (s^5/sqrt15)(1 + delta) (delta the annulus-parameterization error,
-    bounded by the exported Hensel envelope), the fiber equation scaled by
-    1/(r beta^2) is integral and its valuation-0 part is
+    bounded by the Hensel certificate's "delta_at_ram_circle"), the fiber
+    equation scaled by 1/(r beta^2) is integral and its valuation-0 part is
     u0^2 - (alpha^5/(sqrt15 beta r)) s0^5 u0 + 5/(beta^2 r), term for term.
     """
     if claim_id == "eq4":
-        return _verify_reduction_eq4()
+        return _verify_reduction_eq4(g_plus)
     if claim_id == "eq6":
-        return _verify_reduction_eq6()
+        return _verify_reduction_eq6(hensel.data["delta_at_ram_circle"])
     raise ValueError(f"unknown reduction claim {claim_id!r}")
 
 
-def _verify_reduction_eq4() -> ReductionCertificate:
+def _verify_reduction_eq4(g_plus: SymbolicPolynomial) -> ReductionCertificate:
     alpha, beta = sym("alpha_eq4"), sym("beta_eq4")
     symbols = [
         R_SYMBOL,
@@ -335,7 +337,6 @@ def _verify_reduction_eq4() -> ReductionCertificate:
         "r": F(2, 5), "alpha_eq4": F(1, 2), "beta_eq4": F(3, 4),
         "x1": F(0), "y1": F(0),
     }
-    g_plus = build_shifted_model()
     scaled = g_plus.substitute("x0", alpha * sym("x1")).substitute("y", beta * sym("y1"))
     # 1/(15 beta^2) = alpha/375 after beta^2 -> 5 alpha, alpha^2 -> 5
     scaled = normal_form(scaled * alpha / 375, symbols)
@@ -365,15 +366,9 @@ def _verify_reduction_eq4() -> ReductionCertificate:
     )
 
 
-def _inverse_of_r() -> SymbolicPolynomial:
-    inv = inverse_mod(poly_to_coeffs(r, "r"), poly_to_coeffs(R_MINPOLY, "r"))
-    return coeffs_to_poly(inv, "r")
-
-
-def _verify_reduction_eq6() -> ReductionCertificate:
+def _verify_reduction_eq6(delta_bound: Fraction) -> ReductionCertificate:
     alpha, beta = sym("alpha_eq6"), sym("beta_eq6")
     s0, u0, delta = sym("s0"), sym("u0"), sym("delta")
-    delta_bound = hensel_certificate().data["delta_at_ram_circle"]
     symbols = [
         R_SYMBOL,
         SQRT15_SYMBOL,
@@ -385,7 +380,7 @@ def _verify_reduction_eq6() -> ReductionCertificate:
         "alpha_eq6": F(6, 25), "beta_eq6": F(3, 10),
         "s0": F(0), "u0": F(0), "delta": delta_bound,
     }
-    inv_r = _inverse_of_r()
+    inv_r = coeffs_to_poly(inverse_mod(poly_to_coeffs(r, "r"), poly_to_coeffs(R_MINPOLY, "r")), "r")
     inv_beta2 = beta**8 / 125            # 1/beta^2 via beta^10 -> 5^3
     inv_sqrt15 = sqrt15 / 15             # 1/sqrt15 via sqrt15^2 -> 15
 
@@ -436,13 +431,12 @@ HENSEL_INTERVAL = (F(1, 5), F(1, 4))
 RAM_CIRCLE = F(6, 25)  # v(s) at the circle carrying the ramification points
 
 
-def _hensel_pieces() -> tuple[tuple[Affine, ...], tuple[Affine, ...]]:
+def _hensel_pieces(g_plus: SymbolicPolynomial) -> tuple[tuple[Affine, ...], tuple[Affine, ...]]:
     """Affine valuation pieces of h(1) and h'(1) as functions of v(s).
 
     h(y) = s^-10 g+(s^2, s^5 y / sqrt15); the s^-10 scaling enters as the
     affine shift -10*lambda.
     """
-    g_plus = build_shifted_model()
     subbed = g_plus.substitute("x0", sym("s") ** 2)
     subbed = subbed.substitute("y", sym("s") ** 5 * sym("yh") * sqrt15 / 15)
     G = normal_form(subbed, [R_SYMBOL, SQRT15_SYMBOL])
@@ -455,8 +449,7 @@ def _hensel_pieces() -> tuple[tuple[Affine, ...], tuple[Affine, ...]]:
     return pieces1, pieces2
 
 
-@lru_cache(maxsize=1)
-def hensel_certificate() -> ReductionCertificate:
+def hensel_certificate(g_plus: SymbolicPolynomial) -> ReductionCertificate:
     """Valuation envelopes of h(1) and h'(1) on the annulus 1/5 < v(s) < 1/4.
 
     Certifies, exactly: v(h'(1)) = 0 on the whole closed interval (it has a
@@ -469,7 +462,7 @@ def hensel_certificate() -> ReductionCertificate:
     the genus-0-component reduction.
     """
     lo, hi = HENSEL_INTERVAL
-    h1_pieces, hp1_pieces = _hensel_pieces()
+    h1_pieces, hp1_pieces = _hensel_pieces(g_plus)
 
     lo_min, lo_wit = envelope_min(h1_pieces, lo)
     hi_min, hi_wit = envelope_min(h1_pieces, hi)

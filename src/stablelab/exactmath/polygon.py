@@ -65,8 +65,10 @@ def newton_polygon(vals: Sequence[ExtValuation]) -> NewtonPolygon:
         for a, b in zip(hull, hull[1:])
     )
     slopes = [s for s, _ in segments]
-    assert all(s1 < s2 for s1, s2 in zip(slopes, slopes[1:]))
-    assert sum(n for _, n in segments) == finite[-1][0] - finite[0][0]
+    if any(s1 >= s2 for s1, s2 in zip(slopes, slopes[1:])):
+        raise AssertionError("hull slopes must increase strictly")
+    if sum(n for _, n in segments) != finite[-1][0] - finite[0][0]:
+        raise AssertionError("hull segments must span the finite points")
     return NewtonPolygon(points, tuple(hull), segments)
 
 

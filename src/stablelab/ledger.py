@@ -71,7 +71,8 @@ def genus_x0(N: int) -> int:
     nu_inf = sum(_euler_phi(math.gcd(d, N // d)) for d in _divisors(N))
 
     genus = 1 + F(mu, 12) - F(nu2, 4) - F(nu3, 3) - F(nu_inf, 2)
-    assert genus.denominator == 1 and genus >= 0
+    if genus.denominator != 1 or genus < 0:
+        raise AssertionError(f"genus formula gives {genus} for N = {N}")
     return int(genus)
 
 

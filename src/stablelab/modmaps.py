@@ -174,7 +174,8 @@ def ramification_image_polynomial() -> RamImageCertificate:
     ints = characteristic_polynomial(pi5_t, ramification_u_polynomial())
     deriv = [(k + 1) * c for k, c in enumerate(ints[1:])]
     quotient, rem = univariate_divmod(ints, univariate_gcd(ints, deriv))
-    assert not rem
+    if rem:
+        raise AssertionError("the gcd with the derivative must divide T exactly")
     monic = [F(c) / quotient[-1] for c in quotient]
     if any(c.denominator != 1 for c in monic):
         raise ValueError("squarefree part is not integral after normalization")

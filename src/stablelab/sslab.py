@@ -11,7 +11,6 @@ family, the no-canonical-subgroup disk of X(1) is v_5(j) >= 3 * 5/6 = 5/2.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .exactmath import (
@@ -36,7 +35,6 @@ class TorsionProfile(NamedTuple):
     canonical_subgroup: bool
 
 
-@lru_cache(maxsize=1)
 def division_polynomial_5() -> SymbolicPolynomial:
     """psi_5(x) of y^2 = c(x) = x^3 + t*x + 1, a polynomial in x and t.
 
@@ -50,10 +48,8 @@ def division_polynomial_5() -> SymbolicPolynomial:
     return 32 * c**2 * f4 - psi3**3
 
 
-@lru_cache(maxsize=1)
-def torsion_polygon() -> ParamPolygon:
+def torsion_polygon(psi5: SymbolicPolynomial) -> ParamPolygon:
     """Parametric Newton polygon of psi_5 in x over 0 < v_5(t) < 1."""
-    psi5 = division_polynomial_5()
     pieces = []
     for i in range(psi5.degree("x") + 1):
         ci = psi5.coefficient("x", i)
@@ -69,12 +65,11 @@ def canonical_breakpoint() -> Fraction:
     return (affine(0, F(1, 10)) - affine(F(1, 2), F(-1, 2))).root()
 
 
-def torsion_profile(lam) -> TorsionProfile:
-    """Valuation profile of the 5-torsion at v_5(t) = lam in (0, 1)."""
+def torsion_profile(polygon: ParamPolygon, lam) -> TorsionProfile:
+    """Valuation profile of the 5-torsion at v_5(t) = lam in (0, 1) on `torsion_polygon`."""
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
-    polygon = torsion_polygon()
     if lam in polygon.breakpoints:
         raise ValueError(f"lambda {lam} is the polygon breakpoint; no open cell")
     cell = polygon.cell_at(lam)
@@ -85,7 +80,8 @@ def torsion_profile(lam) -> TorsionProfile:
             raise AssertionError("5-torsion x-roots must have negative valuation")
         # z = x/y is the parameter at the origin; v(z) = -v(x)/2 for v(x) < 0
         z_vals.append((-v / 2, 2 * count))
-    assert sum(n for _, n in z_vals) == 24
+    if sum(n for _, n in z_vals) != 24:
+        raise AssertionError("the profile must cover the 24 nonzero 5-torsion points")
     return TorsionProfile(
         x_root_valuations=x_roots,
         z_valuations=tuple(sorted(z_vals)),

@@ -61,7 +61,7 @@ def test_c03_distance_multisets():
 
 
 def test_c04_dominance_certificate():
-    cert = curve125.verify_dominance_eq3()
+    cert = curve125.verify_dominance_eq3(curve125.build_shifted_model())
     ok = (
         cert.passed
         and cert.dominant == ((("x0", 1),), (("x0", 5),), (("y", 2),))
@@ -73,20 +73,21 @@ def test_c04_dominance_certificate():
 
 
 def test_c05_reduction_certificates():
-    eq4 = curve125.verify_reduction("eq4")
+    g_plus = curve125.build_shifted_model()
+    eq4 = curve125.verify_reduction("eq4", g_plus, None)
     residue_ok = eq4.passed and eq4.data["residue_mod5"] == {
         (("y1", 2),): 1,
         (("x1", 5),): 3,
         (("x1", 1),): 3,
     }
-    hensel = curve125.hensel_certificate()
+    hensel = curve125.hensel_certificate(g_plus)
     hensel_ok = (
         hensel.passed
         and hensel.data["hp1_endpoint_minima"] == (0, 0)
         and all(v > 0 for v in hensel.data["h1_interior_minima"].values())
         and hensel.data["delta_at_ram_circle"] == F(2, 25)
     )
-    eq6 = curve125.verify_reduction("eq6")
+    eq6 = curve125.verify_reduction("eq6", None, hensel)
     eq6_ok = eq6.passed and eq6.data["coefficient_valuations"] == (0, 0)
     conclude(5, "reduction certificates", residue_ok and hensel_ok and eq6_ok,
              "eq4 residue y1^2 = 2x1^5 + 2x1; hensel v(h'(1)) = 0 and v(h(1)) > 0 "
@@ -111,9 +112,9 @@ def test_c06_map_images():
 
 
 def test_c07_too_supersingular_threshold():
-    polygon = sslab.torsion_polygon()
-    below = sslab.torsion_profile(F(1, 2))
-    above = sslab.torsion_profile(F(9, 10))
+    polygon = sslab.torsion_polygon(sslab.division_polynomial_5())
+    below = sslab.torsion_profile(polygon, F(1, 2))
+    above = sslab.torsion_profile(polygon, F(9, 10))
     threshold = sslab.too_ss_threshold()
     ok = (
         polygon.breakpoints == (F(5, 6),)

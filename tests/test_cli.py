@@ -74,6 +74,33 @@ def test_cm_suite_builds_each_class_polynomial_once(monkeypatch):
         assert requested == used == cmlab.start_precision(disc), disc
 
 
+def test_each_shared_value_is_built_once_per_run(monkeypatch):
+    """The stable-model and ss suites build g+, the ramification data, the
+    Hensel certificate, psi_5 and its polygon once per run, and each run
+    builds them anew."""
+    from stablelab import curve125, sslab
+
+    builders = {
+        curve125: ("build_shifted_model", "ramification_polynomials", "hensel_certificate"),
+        sslab: ("division_polynomial_5", "torsion_polygon"),
+    }
+    calls = {name: 0 for names in builders.values() for name in names}
+
+    def counted(name, builder):
+        def count(*args):
+            calls[name] += 1
+            return builder(*args)
+
+        return count
+
+    for module, names in builders.items():
+        for name in names:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for runs in (1, 2):
+        run("all")
+        assert calls == dict.fromkeys(calls, runs)
+
+
 def test_cm_suite_disc_override():
     report = run("cm", Config(primes=(5,), discriminants=(-20,)))
     ids = [r.id for r in report.results]
@@ -430,3 +457,9 @@ def test_each_suite_loads_only_its_layers():
         "assert cli.main(['stable-model', '--report', os.devnull]) == 1"
     )
     assert "stablelab.curve125" in stable_model and "mpmath" not in stable_model
+    ledger = _modules_after(
+        "from stablelab import cli\n"
+        "assert cli.main(['ledger', '--report', os.devnull]) == 0"
+    )
+    assert "stablelab.ledger" in ledger
+    assert not ledger & {"mpmath", "stablelab.cmlab"}

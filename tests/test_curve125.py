@@ -20,6 +20,16 @@ from stablelab.exactmath import (
 r, x, y = sym("r"), sym("x"), sym("y")
 
 
+@pytest.fixture(scope="module")
+def g_plus():
+    return curve125.build_shifted_model()
+
+
+@pytest.fixture(scope="module")
+def hensel(g_plus):
+    return curve125.hensel_certificate(g_plus)
+
+
 def test_plus_curve_model_terms():
     model = curve125.plus_curve_model()
     # the published quintic-quartic has 14 monomials (the shifted model's
@@ -168,8 +178,8 @@ def test_pairwise_distance_rejects_non_squarefree():
         curve125.pairwise_distance_valuations([1, 2, 1])  # (x+1)^2
 
 
-def test_dominance_certificate():
-    cert = curve125.verify_dominance_eq3()
+def test_dominance_certificate(g_plus):
+    cert = curve125.verify_dominance_eq3(g_plus)
     assert cert.passed
     assert cert.dominant == ((("x0", 1),), (("x0", 5),), (("y", 2),))
     assert cert.data["min_valuation"] == F(5, 2)
@@ -182,8 +192,8 @@ def test_dominance_certificate():
     assert v == F(17, 4) > F(5, 2)
 
 
-def test_eq4_reduction():
-    cert = curve125.verify_reduction("eq4")
+def test_eq4_reduction(g_plus):
+    cert = curve125.verify_reduction("eq4", g_plus, None)
     assert cert.passed
     assert cert.data["residue_mod5"] == {
         (("y1", 2),): 1,
@@ -196,8 +206,8 @@ def test_eq4_reduction():
     assert cert.residual_min is not None and cert.residual_min > 0
 
 
-def test_hensel_certificate():
-    cert = curve125.hensel_certificate()
+def test_hensel_certificate(g_plus):
+    cert = curve125.hensel_certificate(g_plus)
     assert cert.passed
     lo_min, hi_min = cert.data["h1_endpoint_minima"]
     assert lo_min == 0 and hi_min == 0
@@ -211,17 +221,33 @@ def test_hensel_certificate():
     assert cert.data["delta_at_ram_circle"] == F(2, 25)
 
 
-def test_eq6_reduction():
-    cert = curve125.verify_reduction("eq6")
+def test_eq6_reduction(hensel):
+    cert = curve125.verify_reduction("eq6", None, hensel)
     assert cert.passed
     assert cert.data["coefficient_valuations"] == (0, 0)
     assert cert.residual_min == F(2, 25)
     assert cert.data["delta_bound"] == F(2, 25)
 
 
-def test_verify_reduction_unknown_claim():
+@pytest.mark.parametrize("cell, delta", [((2, 2), 1), ((1, 0), 5)])
+def test_one_wrong_table1_cell_fails_every_model_certificate(g_plus, cell, delta):
+    """A g+ with one perturbed cell (15 -> 16 on x0^2 y^2, or 5 added to the
+    x0 coefficient) is rejected by eq 3, eq 4 and the Hensel envelope."""
+    i, j = cell
+    mutant = g_plus + delta * curve125.x0**i * y**j
+    assert curve125.verify_dominance_eq3(mutant).status == "fail"
+    assert curve125.verify_reduction("eq4", mutant, None).status == "fail"
+    assert curve125.hensel_certificate(mutant).status == "fail"
+
+
+def test_eq6_fails_without_a_positive_hensel_bound(hensel):
+    flat = hensel._replace(data={**hensel.data, "delta_at_ram_circle": F(0)})
+    assert curve125.verify_reduction("eq6", None, flat).status == "fail"
+
+
+def test_verify_reduction_unknown_claim(g_plus, hensel):
     with pytest.raises(ValueError):
-        curve125.verify_reduction("eq7")
+        curve125.verify_reduction("eq7", g_plus, hensel)
 
 
 def test_fiber_square_identity():
@@ -234,13 +260,13 @@ def test_fiber_square_identity():
     assert (2 * t) ** 2 + 20 == 4 * (t**2 + 5)
 
 
-def test_reduction_certificates_carry_exact_rationals():
+def test_reduction_certificates_carry_exact_rationals(g_plus, hensel):
     """Residual minima are positive Fractions computed exactly, never floats."""
     certificates = [
-        curve125.verify_dominance_eq3(),
-        curve125.verify_reduction("eq4"),
-        curve125.verify_reduction("eq6"),
-        curve125.hensel_certificate(),
+        curve125.verify_dominance_eq3(g_plus),
+        curve125.verify_reduction("eq4", g_plus, None),
+        curve125.verify_reduction("eq6", None, hensel),
+        hensel,
         curve125.fiber_square_identity(),
     ]
     for cert in certificates:

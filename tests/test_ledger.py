@@ -122,3 +122,15 @@ def test_survey_crosscheck_stops_where_the_counts_part():
     report = run_suite("ledger", Config(primes=(37,)), clock=lambda: 0.0)
     survey = {r.id: r for r in report.results}["survey-p37"]
     assert survey.status == "pass"
+
+
+def test_exponent_center_table_matches_the_congruence_specs():
+    """The ledger suite keeps its own (exponent, center) table so that it does
+    not load cmlab; it must agree with the cm suite's congruence specs."""
+    from stablelab import cmlab
+    from stablelab.checks.ledger import EXPONENT_CENTERS
+
+    assert sorted(EXPONENT_CENTERS) == [5, 7, 13]
+    for p in (5, 7, 13):
+        spec = cmlab.standard_spec(p, "-")
+        assert EXPONENT_CENTERS[p] == (spec.exponent, spec.center)

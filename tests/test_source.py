@@ -1,0 +1,35 @@
+"""Rules on the package source itself, read from its syntax trees."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import stablelab
+
+_PACKAGE = Path(stablelab.__file__).parent
+_TREES = {
+    path.relative_to(_PACKAGE).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+    for path in sorted(_PACKAGE.rglob("*.py"))
+}
+
+
+@pytest.mark.parametrize("module", _TREES)
+def test_no_assert_statements(module):
+    """`python -O` strips assert statements, so a certificate raises instead."""
+    asserts = [node.lineno for node in ast.walk(_TREES[module]) if isinstance(node, ast.Assert)]
+    assert not asserts, f"{module}: assert on lines {asserts}"
+
+
+@pytest.mark.parametrize("module", _TREES)
+def test_no_memoizing_decorators(module):
+    """Shared values are built once per run by a suite and passed in, so no
+    function keeps a process-wide memo."""
+    memoized = [
+        node.name
+        for node in ast.walk(_TREES[module])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for decorator in node.decorator_list
+        if "cache" in ast.unparse(decorator)
+    ]
+    assert not memoized, f"{module}: memoized {memoized}"

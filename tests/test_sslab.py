@@ -6,6 +6,11 @@ from stablelab import sslab
 from stablelab.exactmath import val_rat
 
 
+@pytest.fixture(scope="module")
+def polygon():
+    return sslab.torsion_polygon(sslab.division_polynomial_5())
+
+
 def test_division_polynomial_shape():
     psi5 = sslab.division_polynomial_5()
     assert psi5.degree("x") == 12
@@ -91,30 +96,29 @@ def test_division_polynomial_against_group_law():
     assert seen_torsion > 0
 
 
-def test_torsion_polygon_breakpoint():
-    polygon = sslab.torsion_polygon()
+def test_torsion_polygon_breakpoint(polygon):
     assert polygon.breakpoints == (F(5, 6),)
     assert polygon.vertex_sets() == ((0, 10, 12), (0, 12))
     assert sslab.canonical_breakpoint() == F(5, 6)
 
 
-def test_torsion_profile_below():
-    profile = sslab.torsion_profile(F(1, 2))
+def test_torsion_profile_below(polygon):
+    profile = sslab.torsion_profile(polygon, F(1, 2))
     assert profile.x_root_valuations == ((F(-1, 4), 2), (F(-1, 20), 10))
     assert profile.z_valuations == ((F(1, 40), 20), (F(1, 8), 4))
     assert profile.canonical_subgroup
 
 
-def test_torsion_profile_above():
-    profile = sslab.torsion_profile(F(9, 10))
+def test_torsion_profile_above(polygon):
+    profile = sslab.torsion_profile(polygon, F(9, 10))
     assert profile.x_root_valuations == ((F(-1, 12), 12),)
     assert profile.z_valuations == ((F(1, 24), 24),)
     assert not profile.canonical_subgroup
 
 
-def test_torsion_profile_point_bookkeeping():
+def test_torsion_profile_point_bookkeeping(polygon):
     for lam in (F(1, 10), F(1, 3), F(2, 3), F(33, 40), F(9, 10), F(99, 100)):
-        profile = sslab.torsion_profile(lam)
+        profile = sslab.torsion_profile(polygon, lam)
         assert sum(n for _, n in profile.z_valuations) == 24
         assert sum(n for _, n in profile.x_root_valuations) == 12
         # canonical subgroup points sit strictly closer to the origin
@@ -123,13 +127,13 @@ def test_torsion_profile_point_bookkeeping():
             assert dict(profile.z_valuations)[near] == 4
 
 
-def test_torsion_profile_boundary_errors():
+def test_torsion_profile_boundary_errors(polygon):
     with pytest.raises(ValueError):
-        sslab.torsion_profile(F(5, 6))
+        sslab.torsion_profile(polygon, F(5, 6))
     with pytest.raises(ValueError):
-        sslab.torsion_profile(F(0))
+        sslab.torsion_profile(polygon, F(0))
     with pytest.raises(ValueError):
-        sslab.torsion_profile(F(1))
+        sslab.torsion_profile(polygon, F(1))
 
 
 def test_too_ss_threshold():
