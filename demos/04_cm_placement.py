@@ -3,20 +3,18 @@
 Run:  python demos/04_cm_placement.py
 """
 
-import mpmath
-
 from stablelab import cmlab
 
 print("For an imaginary quadratic order of discriminant D, the class")
-print("polynomial H_D is assembled from balls (midpoint and rigorous radius)")
-print("around the eta quotient j = (x + 256)^3 / x^2, x = (eta(tau) / eta(2 tau))^24,")
-print("and rounded only when every coefficient ball lies within 1e-6 of one")
-print("integer; the error printed is that certified bound.\n")
+print("polynomial H_D is assembled from balls (midpoint and rigorous radius,")
+print("fixed-point Python integers) around the eta quotient j = (x + 256)^3 / x^2,")
+print("x = (eta(tau) / eta(2 tau))^24, and rounded only when every coefficient ball")
+print("lies within 1e-6 of one integer; the error printed is that certified bound.\n")
 
 for disc in (-20, -40, -28):
     H = cmlab.class_polynomial(disc)
     print(f"D = {disc}: h = {H.degree}, H = {list(reversed(H.coefficients))} "
-          f"(precision {H.precision_used} bits, error {mpmath.nstr(H.max_rounding_error, 2)})")
+          f"(precision {H.precision_used} bits, error {float(H.max_rounding_error):.2g})")
 print()
 
 print("Per-root p-adic placement via the Newton polygon of")

@@ -2,12 +2,12 @@
 
 Roots of class polynomials are eta quotients j = (x + 256)^3 / x^2 with
 x = (eta(tau) / eta(2 tau))^24, each evaluated once as a midpoint-radius ball
-(mpmath midpoints, upward-rounded libmp radii, q enclosed by mpmath.iv and
-the series tail added as a radius).  The balls are expanded into the monic
-polynomial prod (X - j), which is accepted only when every coefficient ball
-lies within 1e-6 of one integer, so the rounding is certified by one
-enclosure, at a starting precision from an a-priori bound on the
-coefficients (Enge, Math. Comp. 78 (2009)).  The p-adic
+of fixed-point Gaussian integers (q and 1/q enclosed by exp balls from the
+exact tau, the series tail added as a radius), so the enclosure uses no float.
+The balls are expanded into the monic polynomial prod (X - j), which is
+accepted only when every coefficient ball lies within 1e-6 of one integer, so
+the rounding is certified by one enclosure, at a starting precision from an
+a-priori bound on the coefficients (Enge, Math. Comp. 78 (2009)).  The p-adic
 placement conjectures are then certified per root, in pure integer arithmetic,
 through the Newton polygon of G(w) = Res_j(H(j), w - ((j-c)^e -/+ m)).
 """
@@ -20,33 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from mpmath import iv, mp, mpc, mpf
-from mpmath.libmp import (
-    from_int,
-    fzero,
-    mpc_add,
-    mpc_div,
-    mpc_mul,
-    mpc_sub,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_shift,
-    mpf_sub,
-    round_ceiling,
-    round_floor,
-    round_nearest,
-    to_int,
-)
-
 from .exactmath import INF, characteristic_polynomial, newton_polygon, univariate_mul, val_rat
 
 SERIES_GUARD_BITS = 64
 PRECISION_GUARD_BITS = 32
-ROUNDING_TOLERANCE = 1e-6
+ROUNDING_TOLERANCE = Fraction(1, 10**6)
 MAX_PRECISION_DOUBLINGS = 3
-RADIUS_BITS = 30
 
 
 @dataclass(frozen=True, order=True)
@@ -129,135 +108,180 @@ def class_number(discriminant: int) -> int:
 
 # -- ball arithmetic --------------------------------------------------------
 #
-# A Ball is the disk |z - mid| <= rad (midpoint-radius arithmetic, as in
-# Johansson's Arb, IEEE Trans. Comput. 66 (2017)).  The midpoint is a raw
-# mpmath complex, a pair of libmp (sign, man, exp, bc) tuples, rounded to
-# nearest at the working precision w = mp.prec.  The radius is a raw mpf of
-# RADIUS_BITS bits rounded upward; its exponent is a Python int, so it never
-# underflows to 0 or overflows.  Magnitudes are read off the midpoint's
-# exponents and bit counts (a part is below 2^(exp + bc)), without float().
-# Every operation adds to the radius the propagated input radii and a bound on
-# the rounding of its midpoint, so the result contains every value the
-# operation takes on points of its input balls.
-
-_ZERO_EXPONENT = -(1 << 40)  # stands for log2|0|: 2^_ZERO_EXPONENT still bounds 0
+# A Ball is the complex disk |z - (re + im i) 2^-bits| <= rad 2^-bits: a
+# Gaussian-integer midpoint and an integer radius at the fixed scale 2^-bits
+# (midpoint-radius arithmetic, as in Johansson's Arb, IEEE Trans. Comput. 66
+# (2017), in Python integers).  Sums and integer multiples are exact.  A
+# product or quotient floors both parts of its midpoint, an error below
+# sqrt(2) units of 2^-bits (ulps), so it adds 2 ulps and the propagated input
+# radii to the radius, with |re| + |im| (at most sqrt(2) |mid|) bounding the
+# midpoint.  Every operation therefore contains every value it takes on
+# points of its input balls.
 
 
-def _top_exponent(z) -> int:
-    """t with 2^(t-1) <= max(|Re z|, |Im z|) < 2^t, so 2^(t-1) <= |z| < 2^(t+1),
-    for a raw complex z; _ZERO_EXPONENT when z = 0."""
-    (_, m1, e1, b1), (_, m2, e2, b2) = z
-    return max(e1 + b1 if m1 else _ZERO_EXPONENT, e2 + b2 if m2 else _ZERO_EXPONENT)
-
-
-def _magnitude(z) -> int:
-    """k with |z| <= 2^k, for a raw complex z."""
-    return _top_exponent(z) + 1
-
-
-def _pow2(k: int):
-    return (0, 1, k, 1)
-
-
-def _scaled(radius, k: int):
-    """radius * 2^k, exactly."""
-    sign, man, exp, bc = radius
-    return (sign, man, exp + k, bc) if man else radius
-
-
-def _up(*radii):
-    """An upper bound on the sum of nonnegative raw mpf values."""
-    total = radii[0]
-    for radius in radii[1:]:
-        total = mpf_add(total, radius, RADIUS_BITS, round_ceiling)
-    return total
+def _ceil_shift(n: int, bits: int) -> int:
+    """ceil(n / 2^bits)."""
+    return -(-n >> bits)
 
 
 class Ball:
-    """The complex disk |z - mid| <= rad; see the comment above."""
+    """The complex disk |z - (re + im i) 2^-bits| <= rad 2^-bits; see above."""
 
-    __slots__ = ("_mid", "_rad")
+    __slots__ = ("re", "im", "rad", "bits")
 
-    def __init__(self, mid, rad=fzero):
-        self._mid, self._rad = mid, rad
-
-    @classmethod
-    def exact(cls, n: int) -> "Ball":
-        return cls((from_int(n), fzero))
+    def __init__(self, re: int, im: int, rad: int, bits: int):
+        self.re, self.im, self.rad, self.bits = re, im, rad, bits
 
     @classmethod
-    def from_interval(cls, z) -> "Ball":
-        """The ball around the box of a complex mpmath.iv interval: the midpoint
-        is exact, the radius the sum of the two widths."""
-        (re_lo, re_hi), (im_lo, im_hi) = z._mpci_
-        mid = (mpf_shift(mpf_add(re_lo, re_hi), -1), mpf_shift(mpf_add(im_lo, im_hi), -1))
-        widths = (mpf_sub(re_hi, re_lo, RADIUS_BITS, round_ceiling),
-                  mpf_sub(im_hi, im_lo, RADIUS_BITS, round_ceiling))
-        return cls(mid, _up(*widths))
+    def exact(cls, n: int, bits: int) -> "Ball":
+        return cls(n << bits, 0, 0, bits)
 
-    @property
-    def mid(self) -> mpc:
-        return mp.make_mpc(self._mid)
+    def magnitude(self) -> int:
+        """|re| + |im|, at least 2^bits |mid|."""
+        return abs(self.re) + abs(self.im)
 
-    @property
-    def rad(self) -> mpf:
-        return mp.make_mpf(self._rad)
+    def widened(self, radius: int) -> "Ball":
+        return Ball(self.re, self.im, self.rad + radius, self.bits)
 
-    def widened(self, radius) -> "Ball":
-        return Ball(self._mid, _up(self._rad, radius))
+    def _coerce(self, other) -> "Ball":
+        if isinstance(other, int):
+            return Ball.exact(other, self.bits)
+        if other.bits != self.bits:
+            raise ValueError("balls at different scales")
+        return other
+
+    def __neg__(self) -> "Ball":
+        return Ball(-self.re, -self.im, self.rad, self.bits)
 
     def __add__(self, other) -> "Ball":
-        other = _as_ball(other)
-        mid = mpc_add(self._mid, other._mid, mp.prec, round_nearest)
-        # the exact sum is rounded once, so the rounding is below 2^-w |sum|
-        return Ball(mid, _up(self._rad, other._rad, _pow2(_magnitude(mid) - mp.prec)))
+        other = self._coerce(other)
+        return Ball(self.re + other.re, self.im + other.im, self.rad + other.rad, self.bits)
 
     def __sub__(self, other) -> "Ball":
-        other = _as_ball(other)
-        mid = mpc_sub(self._mid, other._mid, mp.prec, round_nearest)
-        return Ball(mid, _up(self._rad, other._rad, _pow2(_magnitude(mid) - mp.prec)))
+        return self + -self._coerce(other)
 
     def __mul__(self, other) -> "Ball":
-        other = _as_ball(other)
-        a, b = self._mid, other._mid
-        ka, kb = _magnitude(a), _magnitude(b)
-        # |xy - ab| <= |a| rb + |b| ra + ra rb, and rounding ab costs at most 2^-w |a| |b|
-        rad = _up(
-            _scaled(other._rad, ka),
-            _scaled(self._rad, kb),
-            mpf_mul(self._rad, other._rad, RADIUS_BITS, round_ceiling),
-            _pow2(ka + kb - mp.prec),
+        if isinstance(other, int):
+            return Ball(self.re * other, self.im * other, self.rad * abs(other), self.bits)
+        a, b, w = self, self._coerce(other), self.bits
+        # |xy - ab| <= |a| r_b + |b| r_a + r_a r_b
+        spread = a.magnitude() * b.rad + b.magnitude() * a.rad + a.rad * b.rad
+        return Ball(
+            (a.re * b.re - a.im * b.im) >> w,
+            (a.re * b.im + a.im * b.re) >> w,
+            _ceil_shift(spread, w) + 2,
+            w,
         )
-        return Ball(mpc_mul(a, b, mp.prec, round_nearest), rad)
 
     def __truediv__(self, other) -> "Ball":
-        other = _as_ball(other)
-        a, b = self._mid, other._mid
-        top = _top_exponent(b)
-        ka, kb, low = _magnitude(a), top + 1, top - 1  # |b| >= 2^low
-        gap = mpf_sub(_pow2(low), other._rad, RADIUS_BITS, round_floor)  # <= |b| - rb
-        if top == _ZERO_EXPONENT or gap[0] or not gap[1]:
+        if isinstance(other, int):
+            rad = -(-self.rad // abs(other)) + 2
+            return Ball(self.re // other, self.im // other, rad, self.bits)
+        a, b, w = self, self._coerce(other), self.bits
+        norm = b.re * b.re + b.im * b.im
+        low = math.isqrt(norm)  # 2^-w low <= |b|
+        if low <= b.rad:
             raise ZeroDivisionError("ball division by a ball that contains 0")
-        # |x/y - a/b| <= (ra |b| + |a| rb) / (|b| (|b| - rb)), and rounding a/b
-        # costs at most 2^(1-w) |a| / |b|
-        spread = _up(_scaled(self._rad, kb), _scaled(other._rad, ka))
-        rad = _up(
-            mpf_div(spread, _scaled(gap, low), RADIUS_BITS, round_ceiling),
-            _pow2(ka - low + 1 - mp.prec),
+        # |x/y - a/b| <= (r_a |b| + |a| r_b) / (|b| (|b| - r_b)); a/b = a conj(b) / |b|^2
+        spread = (a.rad * b.magnitude() + a.magnitude() * b.rad) << w
+        return Ball(
+            ((a.re * b.re + a.im * b.im) << w) // norm,
+            ((a.im * b.re - a.re * b.im) << w) // norm,
+            -(-spread // (low * (low - b.rad))) + 2,
+            w,
         )
-        return Ball(mpc_div(a, b, mp.prec, round_nearest), rad)
 
-    def integer_distance(self) -> tuple[int, mpf]:
-        """The integer n nearest the midpoint, and an upper bound on both
+    def at_scale(self, bits: int) -> "Ball":
+        """The ball at the coarser scale 2^-bits: both parts floored, 2 ulps added."""
+        shift = self.bits - bits
+        return Ball(self.re >> shift, self.im >> shift, _ceil_shift(self.rad, shift) + 2, bits)
+
+    def integer_distance(self) -> tuple[int, Fraction]:
+        """The integer n nearest the midpoint, and an exact upper bound on both
         |Re z - n| and |Im z| for every z in the ball."""
-        re, im = self._mid
-        n = to_int(re, round_nearest)
-        offset = mpf_abs(mpf_sub(re, from_int(n)))  # exact
-        return n, mp.make_mpf(_up(self._rad, offset, mpf_abs(im)))
+        w = self.bits
+        n = (self.re + (1 << w >> 1)) >> w
+        return n, Fraction(self.rad + abs(self.re - (n << w)) + abs(self.im), 1 << w)
 
 
-def _as_ball(value) -> Ball:
-    return value if isinstance(value, Ball) else Ball.exact(value)
+def _pi(bits: int) -> Ball:
+    """A ball around pi by Machin's pi = 16 arctan(1/5) - 4 arctan(1/239).
+
+    arctan(1/x) = sum_k (-1)^k / ((2k+1) x^(2k+1)) is summed in integers at
+    `guard` extra bits until x^-(2k+1) floors to 0.  Each floored power is
+    below its true value by less than 2 ulps and each term by less than 3, and
+    the alternating tail is below 2, so K terms err by less than 3K + 2.
+    """
+    guard = bits.bit_length() + 8
+    total = error = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        # power = floor(2^(bits + guard) / x^(2k+1)), floored step by step
+        power, k, sign = (1 << (bits + guard)) // x, 0, weight
+        while power:
+            total += sign * (power // (2 * k + 1))
+            power //= x * x
+            k, sign = k + 1, -sign
+        error += abs(weight) * (3 * k + 2)
+    return Ball(total >> guard, 0, _ceil_shift(error, guard) + 1, bits)
+
+
+def _exp_pair(w: Ball, squarings: int) -> tuple[Ball, Ball]:
+    """Balls around exp(2^squarings w) and exp(-2^squarings w), for |w| <= 1/2.
+
+    The Taylor series of exp(w) is cut after the first term whose midpoint is
+    below 4 ulps; the dropped tail sum_{i>k} |w|^i / i! is at most
+    |w|^k / (3 k!), below that term's bound |mid| + rad.  exp(-w) is its
+    reciprocal, a quotient by a ball near 1 that keeps the relative precision,
+    and each is then squared ``squarings`` times.
+    """
+    if w.magnitude() + w.rad > 1 << (w.bits - 1):
+        raise ValueError("exp series argument must satisfy |w| <= 1/2")
+    total = term = Ball.exact(1, w.bits)
+    k = 0
+    while term.magnitude() > 4:
+        k += 1
+        term = term * w / k
+        total = total + term
+    total = total.widened(term.magnitude() + term.rad)
+    pair = [total, Ball.exact(1, w.bits) / total]
+    for _ in range(squarings):
+        pair = [ball * ball for ball in pair]
+    return pair[0], pair[1]
+
+
+def _q_pair(tau: Tau, bits: int) -> tuple[Ball, Ball]:
+    """Balls around q = exp(2 pi i tau) and 1/q = exp(-2 pi i tau), each squared
+    up from its own ball near 1, so each keeps its relative precision.
+
+    z = 2 pi i tau = 2 pi (-m sqrt(n) + r i) / d is built from pi and
+    floor(sqrt(n) 2^bits).  Read at the scale 2^-(bits + s), the same integers
+    are z / 2^s, with s >= sqrt(bits) and 2^s >= 4 |z|, so |z / 2^s| <= 1/4,
+    and the s extra bits of scale pay for the s bits the squarings cost.
+    """
+    r, m, n, d = tau
+    s = max(math.isqrt(bits), (7 * (abs(r) + m * (math.isqrt(n) + 1)) // d + 1).bit_length() + 2)
+    i_tau = Ball(-m * math.isqrt(n << 2 * bits), r << bits, m, bits) / d
+    z = i_tau * (_pi(bits) * 2)
+    w = Ball(z.re, z.im, z.rad, bits + s)
+    q, q_inverse = _exp_pair(w, s)
+    return q.at_scale(bits), q_inverse.at_scale(bits)
+
+
+def _tail_bound(q: Ball, length: int) -> int:
+    """An upper bound, in ulps of q, on sum_{e > N} |q|^e = |q|^(N+1) / (1 - |q|),
+    from upward-rounded products and |q| <= 2^-bits (isqrt(re^2 + im^2) + 1 + rad):
+    the looser |re| + |im| could cost N/2 bits after the power."""
+    bits, one = q.bits, 1 << q.bits
+    bound = math.isqrt(q.re * q.re + q.im * q.im) + 1 + q.rad
+    if bound >= one:
+        raise ValueError("|q| may reach 1: tau too close to the real line")
+    power, base, exponent = one, bound, length + 1
+    while exponent:
+        if exponent & 1:
+            power = _ceil_shift(power * base, bits)
+        base = _ceil_shift(base * base, bits)
+        exponent >>= 1
+    return -(-(power << bits) // (one - bound))
 
 
 # -- eta quotient -----------------------------------------------------------
@@ -271,58 +295,45 @@ def _series_length(tau: Tau, precision: int) -> int:
     return length
 
 
-def _q_and_tail(tau: Tau, length: int) -> tuple[Ball, tuple]:
-    """A ball around q = exp(2 pi i tau), enclosed by mpmath.iv from the exact
-    tau, and an upper bound on sum_{e > N} |q|^e = |q|^(N+1) / (1 - |q|)."""
-    saved = iv.prec
-    try:
-        iv.prec = mp.prec
-        two_pi_im = 2 * iv.pi * tau.im_num * iv.sqrt(tau.n) / tau.den
-        q = iv.exp(iv.mpc(-two_pi_im, 2 * iv.pi * tau.re_num / tau.den))
-        iv.prec = RADIUS_BITS
-        q_abs = iv.exp(-2 * iv.pi * tau.im_num * iv.sqrt(tau.n) / tau.den)
-        tail = q_abs ** (length + 1) / (1 - q_abs)
-    finally:
-        iv.prec = saved
-    return Ball.from_interval(q), tail._mpi_[1]
-
-
 def j_tau(tau: Tau, precision: int) -> Ball:
     """A ball around j(tau) = (x + 256)^3 / x^2, x = (eta(tau) / eta(2 tau))^24
-    = (P(q) / P(q^2))^24 / q, computed at precision + 64 bits.
+    = (P(q) / P(q^2))^24 / q, at the scale 2^-(precision + 64).
 
     P(q) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)) is Euler's
     pentagonal series, cut to the terms q^e with e <= N, N log2|1/q| <=
     precision + 64.  The dropped tail of P(q), and that of P(q^2), is at most
-    sum_{e > N} |q|^e = |q|^(N+1) / (1 - |q|), below 1.01 * 2^-(precision + 64)
-    for reduced tau (|q| < 0.0044); it is added to both sums as a radius.  Every
-    other step is a ball operation, so the ball contains j(tau).  The 64 guard
-    bits keep the radius below 2^-precision |j(tau)| for reduced tau.
+    sum_{e > N} |q|^e = |q|^(N+1) / (1 - |q|), about 2^-(precision + 64) for
+    reduced tau (|q| < 0.0044); it is added to both sums as a radius.  1/q is
+    its own ball, so x keeps the relative precision of 1/q even when |q| is
+    tiny.  Every other step is a ball operation, so the ball contains j(tau).
+    The 64 guard bits keep the radius below 2^-precision |j(tau)| for reduced
+    tau.
     """
     if tau.im_num <= 0 or tau.den <= 0 or tau.n <= 0:
         raise ValueError("tau must lie in the upper half-plane")
     length = _series_length(tau, precision)
-    with mp.workprec(precision + SERIES_GUARD_BITS):
-        q, tail = _q_and_tail(tau, length)
-        p_q = p_q2 = Ball.exact(1)
-        term, q_k, k, sign = q, q, 1, -1  # term = q^(k(3k-1)/2)
-        while k * (3 * k - 1) // 2 <= length:
-            for exponent in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-                if exponent <= length:
-                    p_q = p_q + term if sign > 0 else p_q - term
-                if 2 * exponent <= length:
-                    square = term * term  # (q^2)^exponent
-                    p_q2 = p_q2 + square if sign > 0 else p_q2 - square
-                term = term * q_k
-            q_k = q_k * q
-            term = term * q_k  # q^((k+1)(3k+2)/2)
-            k, sign = k + 1, -sign
-        x = p_q.widened(tail) / p_q2.widened(tail)
-        for _ in range(3):  # (P(q) / P(q^2))^8 by three squarings
-            x = x * x
-        x = x * x * x / q
-        y = x + 256
-        return y * y * y / (x * x)
+    bits = precision + SERIES_GUARD_BITS
+    q, q_inverse = _q_pair(tau, bits)
+    tail = _tail_bound(q, length)
+    p_q = p_q2 = Ball.exact(1, bits)
+    term, q_k, k, sign = q, q, 1, -1  # term = q^(k(3k-1)/2)
+    while k * (3 * k - 1) // 2 <= length:
+        for exponent in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if exponent <= length:
+                p_q = p_q + term if sign > 0 else p_q - term
+            if 2 * exponent <= length:
+                square = term * term  # (q^2)^exponent
+                p_q2 = p_q2 + square if sign > 0 else p_q2 - square
+            term = term * q_k
+        q_k = q_k * q
+        term = term * q_k  # q^((k+1)(3k+2)/2)
+        k, sign = k + 1, -sign
+    x = p_q.widened(tail) / p_q2.widened(tail)
+    for _ in range(3):  # (P(q) / P(q^2))^8 by three squarings
+        x = x * x
+    x = x * x * x * q_inverse
+    y = x + 256
+    return y * y * y / (x * x)
 
 
 # -- class polynomials ------------------------------------------------------
@@ -332,7 +343,7 @@ class ClassPolynomial(NamedTuple):
     discriminant: int
     coefficients: tuple[int, ...]  # ascending, constant term first, monic
     precision_used: int
-    max_rounding_error: mpf  # certified bound on |coefficient - integer|
+    max_rounding_error: Fraction  # certified bound on |coefficient - integer|
 
     @property
     def degree(self) -> int:
@@ -401,9 +412,10 @@ def start_precision(discriminant: int) -> int:
 
 def expand_product(roots: Sequence[Ball]) -> list[Ball]:
     """Balls around the coefficients of prod (X - r) over the roots, ascending."""
-    coeffs = [Ball.exact(1)]
+    bits = roots[0].bits
+    coeffs = [Ball.exact(1, bits)]
     for root in roots:
-        coeffs = [Ball.exact(0)] + coeffs
+        coeffs = [Ball.exact(0, bits)] + coeffs
         for k in range(len(coeffs) - 1):
             coeffs[k] = coeffs[k] - root * coeffs[k + 1]
     return coeffs
@@ -411,11 +423,11 @@ def expand_product(roots: Sequence[Ball]) -> list[Ball]:
 
 def polynomial_from_taus(
     taus: Sequence[Tau], precision: int
-) -> tuple[tuple[int, ...], int, mpf]:
+) -> tuple[tuple[int, ...], int, Fraction]:
     """Monic integer polynomial with roots j(tau), from one ball build.
 
-    The coefficients of prod (X - j(tau)) are expanded in balls at
-    precision + 64 bits.  The build is accepted when every coefficient ball
+    The coefficients of prod (X - j(tau)) are expanded in balls at the scale
+    2^-(precision + 64).  The build is accepted when every coefficient ball
     lies within ROUNDING_TOLERANCE of one integer in the real direction and of
     0 in the imaginary one: then every true coefficient lies within the
     returned error of the returned integer, and equals it when the product is
@@ -423,8 +435,7 @@ def polynomial_from_taus(
     Otherwise the precision is doubled, at most MAX_PRECISION_DOUBLINGS times.
     """
     for _ in range(MAX_PRECISION_DOUBLINGS + 1):
-        with mp.workprec(precision + SERIES_GUARD_BITS):
-            coeffs = expand_product([j_tau(tau, precision) for tau in taus])
+        coeffs = expand_product([j_tau(tau, precision) for tau in taus])
         rounded = [coeff.integer_distance() for coeff in coeffs]
         error = max(distance for _, distance in rounded)
         if error < ROUNDING_TOLERANCE:

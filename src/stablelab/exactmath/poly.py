@@ -1,11 +1,12 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a dictionary mapping monomials to nonzero Fraction
-coefficients.  A monomial is a sorted tuple of (symbol, exponent) pairs with
-all exponents positive; the empty tuple is the constant monomial.  This keeps
-every computation exact, which is the whole point: downstream certificates
-(Newton polygons, dominance arguments, reduction identities) must never see a
-float.
+A polynomial is a dictionary mapping monomials to nonzero rational
+coefficients, each an int when it is integral and a Fraction otherwise, so
+integer polynomials stay in integer arithmetic.  A monomial is a sorted tuple
+of (symbol, exponent) pairs with all exponents positive; the empty tuple is
+the constant monomial.  This keeps every computation exact, which is the
+whole point: downstream certificates (Newton polygons, dominance arguments,
+reduction identities) must never see a float.
 
 Symbols may carry a rewrite rule ``symbol**n -> replacement`` (for example a
 defining relation of an algebraic number, or a formal square root); see
@@ -26,7 +27,15 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[tuple[str, int], ...]
 
-_ZERO = Fraction(0)
+_ZERO = 0
+
+
+def _coefficient(value):
+    """The exact rational value as an int when it is integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -41,7 +50,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class SymbolicPolynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with int or Fraction coefficients."""
 
     __slots__ = ("terms",)
 
@@ -49,16 +58,15 @@ class SymbolicPolynomial:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff != 0:
-                    clean[mono] = coeff
+                if coeff:
+                    clean[mono] = _coefficient(coeff)
         self.terms: dict[Monomial, Fraction] = clean
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def constant(value) -> SymbolicPolynomial:
-        return SymbolicPolynomial({(): Fraction(value)})
+        return SymbolicPolynomial({(): value})
 
     @staticmethod
     def zero() -> SymbolicPolynomial:
@@ -66,7 +74,7 @@ class SymbolicPolynomial:
 
     @staticmethod
     def variable(name: str) -> SymbolicPolynomial:
-        return SymbolicPolynomial({((name, 1),): Fraction(1)})
+        return SymbolicPolynomial({((name, 1),): 1})
 
     @staticmethod
     def _coerce(value) -> SymbolicPolynomial:
@@ -152,8 +160,8 @@ class SymbolicPolynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> SymbolicPolynomial:
-        scalar = Fraction(scalar)
-        return SymbolicPolynomial({m: c / scalar for m, c in self.terms.items()})
+        scalar = _coefficient(scalar)
+        return SymbolicPolynomial({m: _exact_quotient(c, scalar) for m, c in self.terms.items()})
 
     def __pow__(self, n: int) -> SymbolicPolynomial:
         if n < 0:
@@ -233,7 +241,7 @@ class SymbolicPolynomial:
             q_mono = _mono_div(mono, lead_mono)
             if q_mono is None:
                 raise ValueError("inexact polynomial division")
-            q_coeff = remainder.terms[mono] / lead_coeff
+            q_coeff = _exact_quotient(remainder.terms[mono], lead_coeff)
             quotient[q_mono] = quotient.get(q_mono, _ZERO) + q_coeff
             remainder = remainder - divisor * SymbolicPolynomial({q_mono: q_coeff})
         return SymbolicPolynomial(quotient)
@@ -364,7 +372,6 @@ def poly_to_coeffs(f: SymbolicPolynomial, var: str) -> list[Fraction]:
 def coeffs_to_poly(coeffs: Iterable, var: str) -> SymbolicPolynomial:
     out: dict[Monomial, Fraction] = {}
     for e, c in enumerate(coeffs):
-        c = Fraction(c)
         if c != 0:
             out[((var, e),) if e else ()] = c
     return SymbolicPolynomial(out)

@@ -439,6 +439,10 @@ def _modules_after(code: str) -> set[str]:
     return set(run.stdout.split())
 
 
+def _mpmath(modules: set[str]) -> set[str]:
+    return {name for name in modules if name.split(".")[0] == "mpmath"}
+
+
 def test_importing_the_cli_loads_no_layer():
     loaded = _modules_after("import stablelab.cli")
     assert "stablelab.cli" in loaded
@@ -452,6 +456,12 @@ def test_each_suite_loads_only_its_layers():
     )
     assert "stablelab.cmlab" in cm
     assert not cm & (_LABS - {"stablelab.cmlab"})
+    assert not _mpmath(cm)
+    everything = _modules_after(
+        "from stablelab import cli\n"
+        "assert cli.main(['all', '--report', os.devnull]) == 1"
+    )
+    assert _LABS <= everything and not _mpmath(everything)
     stable_model = _modules_after(
         "from stablelab import cli\n"
         "assert cli.main(['stable-model', '--report', os.devnull]) == 1"

@@ -6,8 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath import iv, mp, mpc
-from mpmath.libmp import from_man_exp
+from mpmath import mp, mpc
 
 from stablelab import cmlab
 from stablelab.exactmath import interpolate_integer_polynomial, resultant_coeffs, val_rat
@@ -55,20 +54,55 @@ def _point(tau):
     return mpc(mp.mpf(tau.re_num) / tau.den, tau.im_num * mp.sqrt(tau.n) / tau.den)
 
 
+def _exact(x):
+    """An mpmath real as an exact Fraction (an mpf is read, not rounded)."""
+    sign, man, exp, _ = (x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+def _mid(ball):
+    """The midpoint (Re, Im) as exact Fractions."""
+    return F(ball.re, 1 << ball.bits), F(ball.im, 1 << ball.bits)
+
+
+def _rad(ball):
+    return F(ball.rad, 1 << ball.bits)
+
+
+def _offset2(ball, value=0):
+    """|value - mid|^2, exactly, for an mpmath or Python number."""
+    value = value if isinstance(value, mp.mpc) else mpc(value)
+    re, im = _mid(ball)
+    return (_exact(value.real) - re) ** 2 + (_exact(value.imag) - im) ** 2
+
+
 def _inside(ball, value):
-    return abs(value - ball.mid) <= ball.rad
+    return _offset2(ball, value) <= _rad(ball) ** 2
+
+
+def _mid_mpc(ball):
+    """The midpoint as an exact mpc."""
+    with mp.workprec(max(ball.re.bit_length(), ball.im.bit_length(), 53)):
+        return mpc(mp.ldexp(ball.re, -ball.bits), mp.ldexp(ball.im, -ball.bits))
+
+
+def _within(ball, relative_bits):
+    """rad <= 2^-relative_bits |mid|, exactly."""
+    return (ball.rad << relative_bits) ** 2 <= ball.re**2 + ball.im**2
 
 
 def test_j_special_values():
     j_i = cmlab.j_tau(cmlab.Tau(0, 1, 1, 1), 192)
-    assert _inside(j_i, 1728) and j_i.rad < mp.mpf(2) ** -150
-    assert abs(j_i.mid - 1728) < mp.mpf(2) ** -150
+    assert _inside(j_i, 1728) and _rad(j_i) < F(1, 2**150)
+    assert _offset2(j_i, 1728) < F(1, 2**300)  # |mid - 1728| < 2^-150
     j_rho = cmlab.j_tau(cmlab.Tau(1, 1, 3, 2), 192)  # (1 + sqrt(-3)) / 2
     assert _inside(j_rho, 0)
-    assert abs(j_rho.mid) + j_rho.rad < mp.mpf(2) ** -40
+    assert _rad(j_rho) < F(1, 2**40)
+    assert _offset2(j_rho) < (F(1, 2**40) - _rad(j_rho)) ** 2  # |mid| + rad < 2^-40
     j_sqrt5 = cmlab.j_tau(cmlab.Tau(0, 1, 5, 1), 256)
-    assert 1264538 < j_sqrt5.mid.real - j_sqrt5.rad
-    assert j_sqrt5.mid.real + j_sqrt5.rad < 1264539
+    re, _ = _mid(j_sqrt5)
+    assert 1264538 < re - _rad(j_sqrt5)
+    assert re + _rad(j_sqrt5) < 1264539
     with pytest.raises(ValueError):
         cmlab.j_tau(cmlab.Tau(0, -1, 1, 1), 128)
 
@@ -82,11 +116,12 @@ def test_class_polynomial_values():
 def test_class_polynomial_residual_and_stability():
     poly = cmlab.class_polynomial(-20)
     assert poly.max_rounding_error < 1e-6
+    assert isinstance(poly.max_rounding_error, F)
     # residual |H(j(tau))| at doubled precision
     prec = 2 * poly.precision_used
-    with mp.workprec(prec):
-        for form in cmlab.reduced_forms(-20):
-            root = cmlab.j_tau(form.tau(), prec).mid
+    for form in cmlab.reduced_forms(-20):
+        root = _mid_mpc(cmlab.j_tau(form.tau(), prec))
+        with mp.workprec(prec):
             value = mp.mpf(0)
             for c in reversed(poly.coefficients):
                 value = value * root + c
@@ -136,8 +171,23 @@ def test_j_eta_quotient_matches_e4_delta_oracle(disc):
             ball = cmlab.j_tau(tau, precision)
             with mp.workprec(precision + 192):
                 reference = _j_by_e4_delta(_point(tau), precision + 128)
-                assert _inside(ball, reference), (disc, tau)
-                assert ball.rad <= mp.mpf(2) ** -precision * abs(ball.mid), (disc, tau)
+            assert _inside(ball, reference), (disc, tau)
+            assert _within(ball, precision), (disc, tau)
+
+
+def test_j_balls_of_a_large_discriminant():
+    """D = -4004 (h = 40): the forms reach Im tau = sqrt(1001), |q| < 2^-280,
+    where 1/q must keep its own relative precision; every ball holds the
+    E4^3 / Delta value and has radius at most 2^-(precision + 32) |j|."""
+    precision = cmlab.start_precision(-4004)
+    forms = cmlab.reduced_forms(-4004)
+    assert len(forms) == 40 and forms[0].tau().imag_float() > 31
+    for form in forms[::3]:
+        ball = cmlab.j_tau(form.tau(), precision)
+        with mp.workprec(precision + 192):
+            reference = _j_by_e4_delta(_point(form.tau()), precision + 128)
+        assert _inside(ball, reference), form
+        assert _within(ball, precision + 32), form
 
 
 def test_j_ball_covers_a_short_series(monkeypatch):
@@ -152,30 +202,64 @@ def test_j_ball_covers_a_short_series(monkeypatch):
         ball = cmlab.j_tau(tau, 128)
         with mp.workprec(400):
             assert _inside(ball, _j_by_e4_delta(_point(tau), 300)), tau
-            assert ball.rad > 2**40 * exact.rad
+        assert ball.rad > 2**40 * exact.rad
+
+
+_Q_TAUS = (
+    [form.tau() for form in cmlab.reduced_forms(-660)]
+    + [form.tau() for form in cmlab.reduced_forms(-4004)[::7]]  # Im tau up to 31.6
+    + [tau for row in cmlab.table_rows() for tau in row.taus if not tau.form().is_reduced()]
+)
 
 
 def test_q_enclosure_and_tail_bound():
-    """The q ball holds exp(2 pi i tau) computed at 4x the precision, and the
-    tail bound is at least |q|^(N+1) / (1 - |q|)."""
-    taus = [form.tau() for form in cmlab.reduced_forms(-660)] + [cmlab.Tau(5, 1, 55, 10)]
-    for tau in taus:
+    """The q and 1/q balls hold exp(+-2 pi i tau) computed at 4x the
+    precision, on reduced forms, on forms with large Im tau and on the
+    non-reduced taus of the table rows, and the tail bound is at least
+    |q|^(N+1) / (1 - |q|)."""
+    assert any(not tau.form().is_reduced() for tau in _Q_TAUS)
+    for tau in _Q_TAUS:
         for bits in (60, 300):
             length = cmlab._series_length(tau, bits)
-            with mp.workprec(bits):
-                q, tail = cmlab._q_and_tail(tau, length)
-            assert q.rad > 0
+            q, q_inverse = cmlab._q_pair(tau, bits)
+            tail = cmlab._tail_bound(q, length)
+            assert q.rad > 0 and q_inverse.rad > 0
+            assert _within(q_inverse, bits - 16)
             with mp.workprec(4 * bits):
                 exact = mp.exp(2j * mp.pi * _point(tau))
                 assert _inside(q, exact), (tau, bits)
-                assert mp.make_mpf(tail) >= abs(exact) ** (length + 1) / (1 - abs(exact))
+                assert _inside(q_inverse, 1 / exact), (tau, bits)
+                assert F(tail, 2**bits) >= _exact(abs(exact) ** (length + 1) / (1 - abs(exact)))
 
 
-def test_ball_from_interval_covers_the_box():
-    box = iv.mpc(iv.mpf([1, 2]), iv.mpf([-3, 5]))
-    ball = cmlab.Ball.from_interval(box)
-    for corner in (mpc(1, -3), mpc(1, 5), mpc(2, -3), mpc(2, 5), mpc(1.5, 1)):
-        assert _inside(ball, corner)
+@pytest.mark.parametrize("bits", [1, 8, 60, 300, 1500, 5000])
+def test_pi_ball_holds_pi(bits):
+    ball = cmlab._pi(bits)
+    assert ball.bits == bits and ball.im == 0 and 0 < ball.rad <= 2
+    with mp.workprec(4 * bits + 64):
+        assert _inside(ball, mp.pi)
+
+
+_EXP_ARGUMENTS = [(F(1, 3), F(-1, 7)), (F(-2, 5), F(1, 4)), (F(0), F(1, 2)), (F(-1, 2), F(0))]
+
+
+@pytest.mark.parametrize("squarings", [0, 3, 10])
+@pytest.mark.parametrize("bits", [16, 100, 700])
+def test_exp_pair_holds_exp(bits, squarings):
+    """Both exp balls hold exp(+-2^s x) computed at 4x the precision, for x
+    at the centre and on the boundary of the argument ball."""
+    for re, im in _EXP_ARGUMENTS:
+        w = cmlab.Ball(math.floor(re * 2**bits), math.floor(im * 2**bits), 3, bits)
+        if w.magnitude() + w.rad > 1 << (bits - 1):
+            with pytest.raises(ValueError):
+                cmlab._exp_pair(w, squarings)
+            continue
+        up, down = cmlab._exp_pair(w, squarings)
+        with mp.workprec(4 * bits + 64):
+            for u in _UNIT_POINTS:
+                x = _mid_mpc(w) + mp.ldexp(w.rad, -bits) * mpc(u)
+                assert _inside(up, mp.exp(x * 2**squarings)), (re, im, u)
+                assert _inside(down, mp.exp(-x * 2**squarings)), (re, im, u)
 
 
 def test_j_truncation_overflow():
@@ -190,6 +274,19 @@ def test_class_polynomial_rounding_escalation_fails_eventually():
         )
 
 
+def test_cm_draw_pool_builds_at_start_precision():
+    """Every D with 5 || D, |D| < 700 and h in {4, 6, 8} (the discriminants
+    `verify cm --p 5` is benchmarked on, with the table rows among them)
+    builds at start_precision(D) with no escalation."""
+    pool = [d for d in range(-5, -700, -5)
+            if d % 4 in (0, 1) and d % 25 and cmlab.class_number(d) in (4, 6, 8)]
+    assert len(pool) == 34
+    for d in pool:
+        poly = cmlab.class_polynomial(d)
+        assert poly.precision_used == cmlab.start_precision(d), d
+        assert poly.max_rounding_error < F(1, 2**40), d
+
+
 def test_class_polynomial_high_precision_has_nonzero_radii():
     """At 4096 bits every radius is far below 2^-1074, where a float would
     underflow to 0, yet it stays positive; the integers do not move."""
@@ -197,74 +294,127 @@ def test_class_polynomial_high_precision_has_nonzero_radii():
     coefficients, used, error = cmlab.polynomial_from_taus([f.tau() for f in forms], 4096)
     assert coefficients == cmlab.class_polynomial(-260).coefficients
     assert used == 4096
-    assert 0 < error < mp.mpf(2) ** -3000
-    with mp.workprec(4096 + cmlab.SERIES_GUARD_BITS):
-        roots = [cmlab.j_tau(form.tau(), 4096) for form in forms]
-        coeffs = cmlab.expand_product(roots)
+    assert 0 < error < F(1, 2**3000)
+    roots = [cmlab.j_tau(form.tau(), 4096) for form in forms]
+    coeffs = cmlab.expand_product(roots)
     assert coeffs[-1].rad == 0  # the leading 1 is exact
-    assert all(0 < ball.rad < mp.mpf(2) ** -3000 * abs(ball.mid) for ball in roots + coeffs[:-1])
+    assert all(0 < ball.rad and _within(ball, 3000) for ball in roots + coeffs[:-1])
 
 
 def test_integer_distance_needs_both_parts():
-    def ball(re, im, rad=0):
-        return cmlab.Ball((mp.mpf(re)._mpf_, mp.mpf(im)._mpf_), mp.mpf(rad)._mpf_)
+    def ball(re, im, rad=0, bits=40):
+        return cmlab.Ball(*(int(F(v) * 2**bits) for v in (re, im, rad)), bits)
 
     assert ball(7, 0).integer_distance() == (7, 0)
-    n, distance = ball(-3, mp.mpf(2) ** -30, mp.mpf(2) ** -31).integer_distance()
-    assert n == -3 and distance >= 3 * mp.mpf(2) ** -31
-    n, distance = ball(3, 0.5).integer_distance()  # integral real part, Im = 1/2
-    assert n == 3 and distance >= 0.5
-    n, distance = ball(2.75, 0, 0.125).integer_distance()
-    assert n == 3 and distance >= 0.375
+    n, distance = ball(-3, F(1, 2**30), F(1, 2**31)).integer_distance()
+    assert n == -3 and distance >= 3 * F(1, 2**31)
+    n, distance = ball(3, F(1, 2)).integer_distance()  # integral real part, Im = 1/2
+    assert n == 3 and distance >= F(1, 2)
+    n, distance = ball(F(11, 4), 0, F(1, 8)).integer_distance()
+    assert n == 3 and distance >= F(3, 8)
+    assert isinstance(distance, F)
 
 
-_UNIT_POINTS = (1, -1, 1j, -1j, mpc(0.6, 0.8), mpc(-0.6, 0.8), 0)
+_EXACT_UNIT_POINTS = (
+    (1, 0), (-1, 0), (0, 1), (0, -1), (F(3, 5), F(4, 5)), (F(-3, 5), F(4, 5)), (0, 0)
+)
+_UNIT_POINTS = tuple(mpc(float(re), float(im)) for re, im in _EXACT_UNIT_POINTS)
+
+
+def _draw_ball(draw, bits, nonzero=False):
+    """A ball at the scale 2^-bits whose midpoint parts run from far below an
+    ulp (as integers) to 2^300 ulps and whose radius runs up to 2^300 ulps
+    (below half the midpoint when nonzero), and an exact unit offset (|u| = 1,
+    or 0)."""
+    re = draw(st.integers(-2**300, 2**300))
+    im = draw(st.integers(-2**300, 2**300))
+    if nonzero:  # radius below |mid| / 2
+        rad = max(abs(re), abs(im)) * draw(st.integers(0, 2**20 - 1)) >> 21
+        assume(rad * rad * 4 < re * re + im * im)
+    else:
+        rad = draw(st.integers(0, 2**20)) << draw(st.integers(0, 280))
+    unit = draw(st.sampled_from(_EXACT_UNIT_POINTS))
+    return cmlab.Ball(re, im, rad, bits), unit
 
 
 @st.composite
-def _balls(draw, nonzero=False):
-    """A ball with midpoint (m1 + m2 i) 2^e and radius r 2^(e - s), with
-    e from -3000 (where a float radius would underflow) to 60, and a point of it."""
-    bound = 2**60
-    m1 = draw(st.integers(-bound, bound))
-    m2 = draw(st.integers(-bound, bound))
-    e = draw(st.integers(-3000, 60))
-    r = draw(st.integers(0, 2**20))
-    s = draw(st.integers(0, 100))
-    unit = draw(st.sampled_from(_UNIT_POINTS))
-    if nonzero:
-        assume(r * r * 4 < (m1 * m1 + m2 * m2) * 4**s)  # radius below |mid| / 2
-    mid = (from_man_exp(m1, e), from_man_exp(m2, e))
-    return cmlab.Ball(mid, from_man_exp(r, e - s)), unit
+def _operands(draw, second="ball", shift=0):
+    """A scale, a ball at that scale plus shift, and a second operand: a
+    ball whose radius is below half its midpoint, or a nonzero integer."""
+    bits = draw(st.integers(min_value=0, max_value=200))
+    first = _draw_ball(draw, bits + shift)
+    if second == "ball":
+        return bits, first, _draw_ball(draw, bits, nonzero=True)
+    return bits, first, draw(st.integers(-2**70, 2**70).filter(bool))
+
+
+def _point_of(ball, unit):
+    re, im = _mid(ball)
+    return re + _rad(ball) * unit[0], im + _rad(ball) * unit[1]
+
+
+def _exactly(op, x, y):
+    (a, b), (c, d) = x, y
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    norm = c * c + d * d
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+def _holds(ball, point):
+    re, im = point
+    mid_re, mid_im = _mid(ball)
+    return (re - mid_re) ** 2 + (im - mid_im) ** 2 <= _rad(ball) ** 2
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(
-    op=st.sampled_from(["+", "-", "*", "/"]),
-    first=_balls(),
-    second=_balls(nonzero=True),
-    bits=st.integers(min_value=8, max_value=200),
-)
-def test_ball_operations_contain_the_result(op, first, second, bits):
-    """For points x, y of two balls, x op y computed at 4x the working
-    precision lies in the ball x op y; a point sits on the boundary for a
-    unit offset, at the centre for 0."""
-    (a, u), (b, v) = first, second
-    with mp.workprec(bits):
-        result = {"+": a.__add__, "-": a.__sub__, "*": a.__mul__, "/": a.__truediv__}[op](b)
-    with mp.workprec(4 * bits + 400):  # the points are exact at this precision
-        x = a.mid + a.rad * mpc(u)
-        y = b.mid + b.rad * mpc(v)
-        exact = {"+": x + y, "-": x - y, "*": x * y, "/": x / y if op == "/" else 0}[op]
-        assert abs(exact - result.mid) <= result.rad
+@given(op=st.sampled_from(["+", "-", "*", "/"]), operands=_operands())
+def test_ball_operations_contain_the_result(op, operands):
+    """For points x, y of two balls, x op y computed exactly in rationals lies
+    in the ball x op y; a point sits on the boundary for a unit offset, at the
+    centre for 0."""
+    bits, (a, u), (b, v) = operands
+    result = {"+": a.__add__, "-": a.__sub__, "*": a.__mul__, "/": a.__truediv__}[op](b)
+    assert result.bits == bits
+    assert _holds(result, _exactly(op, _point_of(a, u), _point_of(b, v)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(op=st.sampled_from(["*", "/", "+"]), operands=_operands(second="int"))
+def test_ball_integer_operations_contain_the_result(op, operands):
+    """A ball times, over or plus an exact integer holds the exact result."""
+    _, (a, u), k = operands
+    result = {"+": a.__add__, "*": a.__mul__, "/": a.__truediv__}[op](k)
+    assert _holds(result, _exactly(op, _point_of(a, u), (F(k), F(0))))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(shift=st.integers(0, 100), data=st.data())
+def test_ball_at_scale_covers_the_finer_ball(shift, data):
+    """Moving a ball to a coarser scale keeps every point of it."""
+    bits, (a, u), _ = data.draw(_operands(second="int", shift=shift))
+    coarse = a.at_scale(bits)
+    assert coarse.bits == bits
+    assert _holds(coarse, _point_of(a, u))
+
+
+def test_balls_at_different_scales_do_not_mix():
+    with pytest.raises(ValueError):
+        cmlab.Ball.exact(1, 10) + cmlab.Ball.exact(1, 11)
 
 
 def test_ball_division_by_a_ball_around_zero():
-    one = cmlab.Ball.exact(1)
+    one = cmlab.Ball.exact(1, 30)
     with pytest.raises(ZeroDivisionError):
-        one / cmlab.Ball.exact(0)
+        one / cmlab.Ball.exact(0, 30)
     with pytest.raises(ZeroDivisionError):
-        one / cmlab.Ball((mp.mpf(1)._mpf_, mp.mpf(0)._mpf_), mp.mpf(2)._mpf_)
+        one / cmlab.Ball(1 << 30, 0, 2 << 30, 30)  # the disk |z - 1| <= 2
+    with pytest.raises(ZeroDivisionError):
+        one / 0
 
 
 def _kronecker(d, p):

@@ -39,6 +39,24 @@ def test_substitute_shift():
     assert f == y**10
 
 
+def _coefficient_types(f):
+    return {type(c) for _, c in f.items()}
+
+
+def test_integer_polynomials_keep_int_coefficients():
+    """Products, powers, substitution and exact division of integer
+    polynomials stay in int arithmetic; a Fraction appears only where a
+    division makes one, and an integral result of Fraction arithmetic is an int."""
+    f = 3 * x**2 - 2 * x * y + 7
+    g = (x - 5) ** 3 * (y + 2)
+    for h in (f * g, f**4, f.substitute("x", g), (f * g).exact_divide(g), (6 * f) / 3,
+              coeffs_to_poly([2, 0, -1], "x"), (x / 2) * 4):
+        assert _coefficient_types(h) == {int}, h
+    assert _coefficient_types(f / 2) == {int, F}
+    assert poly_to_coeffs(f.substitute("y", 1), "x") == [7, -2, 3]
+    assert all(type(c) is int for c in poly_to_coeffs(f.substitute("y", 1), "x"))
+
+
 def test_evaluate_and_derivative():
     f = x**3 + 2 * x * y
     assert f.evaluate({"x": F(2), "y": F(1, 2)}) == 10

@@ -33,3 +33,16 @@ def test_no_memoizing_decorators(module):
         if "cache" in ast.unparse(decorator)
     ]
     assert not memoized, f"{module}: memoized {memoized}"
+
+
+@pytest.mark.parametrize("module", _TREES)
+def test_no_mpmath_imports(module):
+    """Class polynomials are built in integer ball arithmetic, so mpmath is a
+    test oracle only and no verifier process loads it."""
+    imported = []
+    for node in ast.walk(_TREES[module]):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert not [name for name in imported if name.split(".")[0] == "mpmath"], module
