@@ -42,7 +42,9 @@ print("The annulus 1/5 < v(s) < 1/4 parameterizes the region between the")
 print("good-reduction affinoid and the ramification circle v(s) = 6/25:")
 hensel = curve125.hensel_certificate(g_plus)
 print("v(h'(1)) endpoint minima:", hensel.data["hp1_endpoint_minima"], "(identically 0)")
-print("v(h(1)) minima strictly inside:", dict(list(hensel.data["h1_interior_minima"].items())[:3]), "...")
+((lam, v),) = hensel.data["h1_interior_minima"].items()
+print("v(h(1)) is a minimum of affine pieces in v(s), hence concave: 0 at both ends")
+print(f"and {v} at v(s) = {lam}, so v(h(1)) > 0 on the whole open annulus")
 print("exported error bound at v(s) = 6/25:", hensel.data["delta_at_ram_circle"], "\n")
 
 print("With that bound the fiber equation reduces on the middle circle to the")

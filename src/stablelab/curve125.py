@@ -23,12 +23,10 @@ from .exactmath import (
     SymbolicPolynomial,
     ValuedSymbol,
     affine,
-    envelope_breakpoints,
     envelope_min,
     inverse_mod,
     is_finite,
     min_valuation,
-    monomial_valuation,
     newton_polygon,
     normal_form,
     param_valuations,
@@ -239,18 +237,16 @@ def verify_dominance_eq3(g_plus: SymbolicPolynomial) -> ReductionCertificate:
     forces v(x0) = 1/2 at all five roots over any y on that circle."""
     mv = min_valuation(g_plus, EQ3_ASSIGNMENT, P)
 
-    coeff_minima = []
-    for i in range(6):
-        ci = g_plus.coefficient("x0", i)
-        coeff_minima.append(
-            min_valuation(ci, {"y": F(3, 4), "r": F(2, 5)}, P).value if not ci.is_zero() else INF
-        )
+    coeff_minima = [
+        min_valuation(g_plus.coefficient("x0", i), {"y": F(3, 4), "r": F(2, 5)}, P).value
+        for i in range(6)
+    ]
     polygon = newton_polygon(coeff_minima)
 
     residual = min(
         (
-            monomial_valuation(m, c, EQ3_ASSIGNMENT, P)
-            for m, c in g_plus.items()
+            fn.constant
+            for fn, m in param_valuations(g_plus, EQ3_ASSIGNMENT, {}, P)
             if m not in mv.witnesses
         ),
         default=INF,
@@ -282,12 +278,12 @@ def _valuation_level_split(f, assignment):
     level0 = {}
     pos_min = INF
     negative = []
-    for mono, coeff in f.items():
-        v = monomial_valuation(mono, coeff, assignment, P)
+    for fn, mono in param_valuations(f, assignment, {}, P):
+        v = fn.constant
         if v < 0:
             negative.append(mono)
         elif v == 0:
-            level0[mono] = coeff
+            level0[mono] = f.terms[mono]
         elif v < pos_min:
             pos_min = v
     return SymbolicPolynomial(level0), pos_min, negative
@@ -454,26 +450,24 @@ def hensel_certificate(g_plus: SymbolicPolynomial) -> ReductionCertificate:
 
     Certifies, exactly: v(h'(1)) = 0 on the whole closed interval (it has a
     constant valuation-0 piece and every other piece is nonnegative at both
-    endpoints); and v(h(1)) > 0 strictly inside the open interval.  The h(1)
-    envelope is 0 at both endpoints, each time with a unique witness, so the
-    bound is sharp there: the annulus is maximal and the interior is the
-    honest domain of the parameterization.  The envelope value at the
-    ramification circle v(s) = 6/25 is exported as the error bound used by
-    the genus-0-component reduction.
+    endpoints); and v(h(1)) > 0 strictly inside the open interval, since the
+    h(1) envelope, a minimum of affine pieces, is concave, 0 at both
+    endpoints (each time with a unique witness, so the annulus is maximal)
+    and positive at v(s) = 6/25.  That value at the ramification circle is
+    exported as the error bound used by the genus-0-component reduction.
     """
     lo, hi = HENSEL_INTERVAL
     h1_pieces, hp1_pieces = _hensel_pieces(g_plus)
 
     lo_min, lo_wit = envelope_min(h1_pieces, lo)
     hi_min, hi_wit = envelope_min(h1_pieces, hi)
-    interior = envelope_breakpoints(h1_pieces, lo, hi) + [(lo + hi) / 2, RAM_CIRCLE]
-    interior_values = {lam: envelope_min(h1_pieces, lam)[0] for lam in sorted(interior)}
-    # concave envelope, >= 0 at endpoints and > 0 at every breakpoint and one
-    # interior point  =>  > 0 on the whole open interval
+    delta = envelope_min(h1_pieces, RAM_CIRCLE)[0]
+    # concave, so on [lo, 6/25] and on [6/25, hi] it lies on or above the chord
+    # from 0 to delta: delta > 0 makes it > 0 on the whole open interval
     h1_ok = (
         lo_min == 0 and len(lo_wit) == 1
         and hi_min == 0 and len(hi_wit) == 1
-        and all(v > 0 for v in interior_values.values())
+        and delta > 0
     )
 
     constant_zero = Affine(F(0), F(0)) in hp1_pieces
@@ -484,16 +478,14 @@ def hensel_certificate(g_plus: SymbolicPolynomial) -> ReductionCertificate:
     hp1_hi, _ = envelope_min(hp1_pieces, hi)
     hp1_ok = constant_zero and others_ok and hp1_lo == 0 and hp1_hi == 0
 
-    delta = envelope_min(h1_pieces, RAM_CIRCLE)[0]
-    ok = h1_ok and hp1_ok and delta > 0
     return ReductionCertificate(
         claim_id="hensel",
-        status="pass" if ok else "fail",
-        residual_min=min(interior_values.values()),
+        status="pass" if h1_ok and hp1_ok else "fail",
+        residual_min=delta,
         data={
             "h1_endpoint_minima": (lo_min, hi_min),
             "h1_endpoint_witnesses": (lo_wit, hi_wit),
-            "h1_interior_minima": interior_values,
+            "h1_interior_minima": {RAM_CIRCLE: delta},
             "hp1_endpoint_minima": (hp1_lo, hp1_hi),
             "delta_at_ram_circle": delta,
         },

@@ -44,19 +44,6 @@ def val_rat(q, p: int) -> ExtValuation:
     return Fraction(k)
 
 
-def monomial_valuation(
-    mono: Monomial, coeff: Fraction, assignment: Mapping[str, Fraction], p: int
-) -> ExtValuation:
-    v = val_rat(coeff, p)
-    if not is_finite(v):
-        return INF
-    for name, e in mono:
-        if name not in assignment:
-            raise KeyError(f"symbol {name!r} has no assigned valuation")
-        v += e * Fraction(assignment[name])
-    return v
-
-
 class MinValuation(NamedTuple):
     """Generic minimum valuation of a polynomial under a symbol assignment.
 
@@ -68,20 +55,6 @@ class MinValuation(NamedTuple):
     value: ExtValuation
     witnesses: tuple[Monomial, ...]
     unique: bool
-
-
-def min_valuation(
-    f: SymbolicPolynomial, assignment: Mapping[str, Fraction], p: int
-) -> MinValuation:
-    best: ExtValuation = INF
-    witnesses: list[Monomial] = []
-    for mono, coeff in f.items():
-        v = monomial_valuation(mono, coeff, assignment, p)
-        if v < best:
-            best, witnesses = v, [mono]
-        elif v == best and is_finite(v):
-            witnesses.append(mono)
-    return MinValuation(best, tuple(sorted(witnesses)), len(witnesses) == 1)
 
 
 class Affine(NamedTuple):
@@ -147,6 +120,21 @@ def param_valuations(
     return out
 
 
+def min_valuation(
+    f: SymbolicPolynomial, assignment: Mapping[str, Fraction], p: int
+) -> MinValuation:
+    """The point case of ``param_valuations``: no symbol scales with lambda,
+    so each monomial's valuation is the constant of its piece."""
+    best: ExtValuation = INF
+    witnesses: list[Monomial] = []
+    for fn, mono in param_valuations(f, assignment, {}, p):
+        if fn.constant < best:
+            best, witnesses = fn.constant, [mono]
+        elif fn.constant == best:
+            witnesses.append(mono)
+    return MinValuation(best, tuple(sorted(witnesses)), len(witnesses) == 1)
+
+
 def envelope_min(
     pieces: Sequence[Affine], lam
 ) -> tuple[Fraction, tuple[Affine, ...]]:
@@ -163,19 +151,6 @@ def envelope_min(
     if best is None:
         raise ValueError("empty envelope")
     return best, tuple(witnesses)
-
-
-def envelope_breakpoints(pieces: Sequence[Affine], lo, hi) -> list[Fraction]:
-    """All lambda in (lo, hi) where two pieces of the envelope intersect."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    points = set()
-    distinct = sorted(set(pieces))
-    for i, a in enumerate(distinct):
-        for b in distinct[i + 1 :]:
-            rho = (a - b).root()
-            if rho is not None and lo < rho < hi:
-                points.add(rho)
-    return sorted(points)
 
 
 def field_valuation(

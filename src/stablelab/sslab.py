@@ -113,11 +113,12 @@ def too_ss_threshold() -> ThresholdCertificate:
     # v(num) = 3*lambda with a unique witness; v(den) = 0 with unique witness
     # (27 is a 5-adic unit and 3*lambda > 0 for every lambda > 0)
     num_single = len(num.terms) == 1 and min_valuation(num, {"t": F(0)}, P).value == 0
+    den_min = min_valuation(den, {"t": F(1, 100)}, P)
     den_ok = (
-        min_valuation(den, {"t": F(1, 100)}, P).unique
-        and min_valuation(den, {"t": F(1, 100)}, P).value == 0
+        den_min.unique
+        and den_min.value == 0
         and all(
-            fn.constant + fn.slope * 0 >= 0 and fn.slope >= 0
+            fn.constant >= 0 and fn.slope >= 0
             for fn, _ in param_valuations(den, {}, {"t": 1}, P)
         )
     )

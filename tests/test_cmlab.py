@@ -240,6 +240,34 @@ def test_pi_ball_holds_pi(bits):
         assert _inside(ball, mp.pi)
 
 
+@pytest.mark.parametrize("bits", [1, 8, 60, 300, 1500, 5000])
+def test_pi_radius_counts_the_summation_error(bits):
+    """1 ulp covers the final floor, and the summation error, positive and
+    kept below 1 ulp by the guard bits, needs 1 more: the radius is 2 ulps,
+    no fewer (the error counted) and no more (the guard bits suffice)."""
+    assert cmlab._pi(bits).rad == 2
+
+
+@pytest.mark.parametrize("bits", [16, 64])
+@pytest.mark.parametrize("length", [0, 3, 20])
+@pytest.mark.parametrize(
+    "re, im, modulus, rad",
+    [
+        (F(1, 2), F(0), F(1, 2), 0),
+        (F(3, 8), F(-1, 2), F(5, 8), 0),  # a 3-4-5 triangle
+        (F(-3, 4), F(0), F(3, 4), 5),
+        (F(0), F(1, 16), F(1, 16), 1),
+    ],
+)
+def test_tail_bound_holds_the_geometric_tail_of_the_q_ball(bits, length, re, im, modulus, rad):
+    """The tail bound is at least sum_{e > N} |z|^e = |z|^(N+1) / (1 - |z|)
+    for every z of the ball, whose largest |z| is |mid| + rad."""
+    q = cmlab.Ball(int(re * 2**bits), int(im * 2**bits), rad, bits)
+    largest = modulus + F(rad, 2**bits)
+    exact = largest ** (length + 1) / (1 - largest)
+    assert F(cmlab._tail_bound(q, length), 2**bits) >= exact
+
+
 _EXP_ARGUMENTS = [(F(1, 3), F(-1, 7)), (F(-2, 5), F(1, 4)), (F(0), F(1, 2)), (F(-1, 2), F(0))]
 
 
@@ -260,6 +288,29 @@ def test_exp_pair_holds_exp(bits, squarings):
                 x = _mid_mpc(w) + mp.ldexp(w.rad, -bits) * mpc(u)
                 assert _inside(up, mp.exp(x * 2**squarings)), (re, im, u)
                 assert _inside(down, mp.exp(-x * 2**squarings)), (re, im, u)
+
+
+@pytest.mark.parametrize("bits", [16, 100, 700])
+def test_exp_pair_radius_covers_the_series_tail(bits):
+    """At 0 squarings the exp ball is the cut Taylor sum S_k(w), rebuilt here
+    with the same ball steps, widened by at least its true dropped tail
+    |exp(w) - S_k(w)| on top of the radius the rounding of those steps adds."""
+    for re, im in _EXP_ARGUMENTS:
+        w = cmlab.Ball(math.floor(re * 2**bits), math.floor(im * 2**bits), 0, bits)
+        if w.magnitude() > 1 << (bits - 1):
+            continue
+        total = term = cmlab.Ball.exact(1, bits)
+        k = 0
+        while term.magnitude() > 4:
+            k += 1
+            term = term * w / k
+            total = total + term
+        up, _ = cmlab._exp_pair(w, 0)
+        assert (up.re, up.im) == (total.re, total.im)
+        with mp.workprec(4 * bits + 64):
+            z = _mid_mpc(w)
+            tail = abs(mp.exp(z) - sum(z**i / mp.factorial(i) for i in range(k + 1)))
+            assert F(up.rad - total.rad, 2**bits) >= _exact(tail), (re, im, k)
 
 
 def test_j_truncation_overflow():

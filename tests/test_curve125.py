@@ -1,14 +1,17 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablelab import curve125
 from stablelab.exactmath import (
     INF,
+    Affine,
     SymbolicPolynomial,
+    envelope_min,
     interpolate_integer_polynomial,
     min_valuation,
-    monomial_valuation,
     normal_form,
     poly_to_coeffs,
     resultant_coeffs,
@@ -28,6 +31,11 @@ def g_plus():
 @pytest.fixture(scope="module")
 def hensel(g_plus):
     return curve125.hensel_certificate(g_plus)
+
+
+@pytest.fixture(scope="module")
+def hensel_pieces(g_plus):
+    return curve125._hensel_pieces(g_plus)
 
 
 def test_plus_curve_model_terms():
@@ -186,10 +194,7 @@ def test_dominance_certificate(g_plus):
     assert cert.data["coefficient_minima"] == (F(5, 2), 2, 2, F(9, 5), F(7, 5), 0)
     assert cert.data["polygon_roots"] == ((F(1, 2), 5),)
     # a competing monomial stays strictly above: 25*x0^3*y at 2 + 3/2 + 3/4
-    v = monomial_valuation(
-        (("x0", 3), ("y", 1)), F(25), curve125.EQ3_ASSIGNMENT, 5
-    )
-    assert v == F(17, 4) > F(5, 2)
+    assert min_valuation(25 * curve125.x0**3 * y, curve125.EQ3_ASSIGNMENT, 5).value == F(17, 4)
 
 
 def test_eq4_reduction(g_plus):
@@ -216,9 +221,73 @@ def test_hensel_certificate(g_plus):
     # the boundary witnesses: s^20/225 (from y^4) and -25 s^2 (from -25*x0)
     assert lo_wit[0].constant == -2 and lo_wit[0].slope == 10
     assert hi_wit[0].constant == 2 and hi_wit[0].slope == -8
-    assert all(v > 0 for v in cert.data["h1_interior_minima"].values())
+    assert cert.data["h1_interior_minima"] == {F(6, 25): F(2, 25)}
     assert cert.data["hp1_endpoint_minima"] == (0, 0)
     assert cert.data["delta_at_ram_circle"] == F(2, 25)
+
+
+def _positive_at_every_crossing(pieces, lo, hi):
+    """The all-crossings rule, the concavity rule's oracle: the envelope is
+    > 0 at every lambda in (lo, hi) where two pieces meet, at the midpoint
+    and at the ramification circle."""
+    distinct = sorted(set(pieces))
+    points = {(lo + hi) / 2, curve125.RAM_CIRCLE}
+    for i, a in enumerate(distinct):
+        for b in distinct[i + 1 :]:
+            rho = (a - b).root()
+            if rho is not None and lo < rho < hi:
+                points.add(rho)
+    return all(envelope_min(pieces, lam)[0] > 0 for lam in points)
+
+
+def test_hensel_envelope_is_positive_at_every_crossing(hensel_pieces):
+    assert _positive_at_every_crossing(hensel_pieces[0], *curve125.HENSEL_INTERVAL)
+
+
+def _through(lo, hi, at_lo, at_hi):
+    """The affine piece taking the value at_lo at lo and at_hi at hi."""
+    slope = (at_hi - at_lo) / (hi - lo)
+    return Affine(at_lo - slope * lo, slope)
+
+
+_POSITIVE = st.integers(1, 40).map(lambda n: F(n, 20))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    shared=st.booleans(),
+    lo_rise=_POSITIVE,
+    hi_rise=_POSITIVE,
+    others=st.lists(st.tuples(_POSITIVE, _POSITIVE), max_size=8),
+)
+def test_concavity_rule_agrees_with_the_crossings_rule(hensel_pieces, shared, lo_rise, hi_rise, others):
+    """Every piece set whose envelope is 0 at both ends with unique witnesses:
+    one piece is 0 at lo, one is 0 at hi (the same piece when ``shared``),
+    and every other piece is positive at both ends.  The certificate's
+    concavity rule and the all-crossings rule give the same verdict."""
+    lo, hi = curve125.HENSEL_INTERVAL
+    if shared:
+        pieces = [_through(lo, hi, F(0), F(0))]
+    else:
+        pieces = [_through(lo, hi, F(0), lo_rise), _through(lo, hi, hi_rise, F(0))]
+    pieces += [_through(lo, hi, a, b) for a, b in others]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(curve125, "_hensel_pieces", lambda _: (tuple(pieces), hensel_pieces[1]))
+        cert = curve125.hensel_certificate(None)
+    assert cert.passed == _positive_at_every_crossing(pieces, lo, hi) == (not shared)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        Affine(F(0), F(0)),  # flat zero: ties both ends and touches 0 inside
+        Affine(F(-2), F(9)),  # -1/5 at v(s) = 1/5, positive from 2/9 on
+    ],
+)
+def test_hensel_rejects_an_extra_h1_piece(g_plus, hensel_pieces, monkeypatch, extra):
+    h1_pieces, hp1_pieces = hensel_pieces
+    monkeypatch.setattr(curve125, "_hensel_pieces", lambda _: ((*h1_pieces, extra), hp1_pieces))
+    assert curve125.hensel_certificate(g_plus).status == "fail"
 
 
 def test_eq6_reduction(hensel):

@@ -46,3 +46,19 @@ def test_no_mpmath_imports(module):
         elif isinstance(node, ast.ImportFrom):
             imported.append(node.module or "")
     assert not [name for name in imported if name.split(".")[0] == "mpmath"], module
+
+
+def test_exactmath_all_lists_every_public_name_it_binds():
+    """A name dropped from an import list must leave ``__all__`` too."""
+    import stablelab.exactmath
+
+    bound = set()
+    for node in _TREES["exactmath/__init__.py"].body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+    public = {name for name in bound if not name.startswith("_")}
+    assert sorted(stablelab.exactmath.__all__) == sorted(public)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablelab import curve125, modmaps, sslab
 from stablelab.exactmath import (
     INF,
+    MinValuation,
     SymbolicPolynomial,
     affine,
     field_valuation,
@@ -87,6 +89,48 @@ def test_min_valuation_examples():
 def test_min_valuation_unassigned_symbol():
     with pytest.raises(KeyError):
         min_valuation(sym("a") + 1, {}, 5)
+    with pytest.raises(KeyError):
+        min_valuation(sym("a") * sym("b") + 1, {"a": F(1)}, 5)
+
+
+def _min_valuation_by_monomials(f, assignment, p):
+    """min_valuation's oracle: each monomial valued on its own, without
+    param_valuations."""
+    best, witnesses = INF, []
+    for mono, coeff in f.items():
+        v = val_rat(coeff, p)
+        if is_finite(v):
+            for name, e in mono:
+                if name not in assignment:
+                    raise KeyError(name)
+                v += e * F(assignment[name])
+        if v < best:
+            best, witnesses = v, [mono]
+        elif v == best and is_finite(v):
+            witnesses.append(mono)
+    return MinValuation(best, tuple(sorted(witnesses)), len(witnesses) == 1)
+
+
+def _oracle_cases():
+    g_plus = curve125.build_shifted_model()
+    yield g_plus, curve125.EQ3_ASSIGNMENT
+    for i in range(6):
+        yield g_plus.coefficient("x0", i), {"y": F(3, 4), "r": F(2, 5)}
+    for rmap in modmaps.builtin_maps().values():
+        for radius in (F(3, 2), F(5, 2), F(3, 10)):
+            for poly in (rmap.numerator, rmap.denominator):
+                yield poly, {rmap.source_coord: radius}
+    psi5 = sslab.division_polynomial_5()
+    for i in range(psi5.degree("x") + 1):
+        yield psi5.coefficient("x", i), {"t": F(1, 100)}
+
+
+def test_min_valuation_matches_the_per_monomial_loop():
+    cases = list(_oracle_cases())
+    assert len(cases) == 1 + 6 + 36 + 13
+    assert any(not mv.unique for mv in (min_valuation(f, a, 5) for f, a in cases))
+    for f, assignment in cases:
+        assert min_valuation(f, assignment, 5) == _min_valuation_by_monomials(f, assignment, 5)
 
 
 def test_field_valuation_examples():
