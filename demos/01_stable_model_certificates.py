@@ -4,7 +4,7 @@ Run:  python demos/01_stable_model_certificates.py
 """
 
 from stablelab import curve125
-from stablelab.exactmath import val_rat
+from stablelab.exactmath import root_valuation_multiset, val_rat
 
 print("The plus-quotient curve is cut out by a 14-term model f+(x, y),")
 print("with the degree-2 extension given by the fiber equation x*u^2 - y*u + 5.")
@@ -32,7 +32,7 @@ print("residual monomials all have valuation >=", eq4.residual_min, "\n")
 print("The ten ramification points of the double cover satisfy y^2 = 20x.")
 ram = curve125.ramification_polynomials()
 print("p_ram_y coefficient valuations:", [val_rat(c, 5) for c in ram.p_ram_y])
-print("root valuations:", curve125.root_valuation_multiset(ram.p_ram_y))
+print("root valuations:", root_valuation_multiset(ram.p_ram_y, 5))
 print("pairwise y-distances:", ram.y_distance_multiset)
 print("  -> two clusters of five:", curve125.cluster_sizes(ram.y_distance_multiset))
 print("pairwise x-distances:", ram.x_distance_multiset)
@@ -41,7 +41,9 @@ print("  (note the five extra-close cross-cluster pairs at 7/10)\n")
 print("The annulus 1/5 < v(s) < 1/4 parameterizes the region between the")
 print("good-reduction affinoid and the ramification circle v(s) = 6/25:")
 hensel = curve125.hensel_certificate(g_plus)
-print("v(h'(1)) endpoint minima:", hensel.data["hp1_endpoint_minima"], "(identically 0)")
+print("v(h'(1)) endpoint minima:", hensel.data["hp1_endpoint_minima"])
+print("its constant piece 0 lies strictly below every other piece inside the")
+print("annulus (at v(s) = 1/5 the piece -2 + 10 v(s) ties it), so v(h'(1)) = 0 there")
 ((lam, v),) = hensel.data["h1_interior_minima"].items()
 print("v(h(1)) is a minimum of affine pieces in v(s), hence concave: 0 at both ends")
 print(f"and {v} at v(s) = {lam}, so v(h(1)) > 0 on the whole open annulus")

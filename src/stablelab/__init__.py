@@ -11,6 +11,11 @@ import math
 
 __version__ = "0.1.0"
 
+#: p -> (center c, exponent e, prime power m, bound B) of conjectures
+#: 3.3.1-3.3.3, v_p((j - c)^e -/+ m) > B.  `cmlab.standard_spec` builds its
+#: specs from it, and the ledger suite reads it without loading cmlab.
+CM_CONGRUENCES = {5: (0, 2, 5**3, 3), 7: (1728, 4, 7**4, 4), 13: (5, 14, 13**7, 7)}
+
 
 def is_prime(n: int) -> bool:
     """Trial division.  It lives here, re-exported by exactmath, so that the

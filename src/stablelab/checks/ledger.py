@@ -3,15 +3,12 @@ budgets."""
 
 from __future__ import annotations
 
-from .. import ledger, quatlab
+from .. import CM_CONGRUENCES, ledger, quatlab
 from ..exactmath import is_prime
 from . import Check, Config
 
 
 _GENUS_EXPECTED = {125: 8, 343: 26, 2197: 184, 4913: 417}
-
-#: p -> (exponent, center) of the cm suite's congruence (cmlab.standard_spec)
-EXPONENT_CENTERS = {5: (2, 0), 7: (4, 1728), 13: (14, 5)}
 
 
 def _make_genus_check(N: int):
@@ -77,7 +74,7 @@ def _make_budget_check(p: int, config: Config):
 
 
 def _check_exponent_centers():
-    for p, (exponent, center) in EXPONENT_CENTERS.items():
+    for p, (center, exponent, _, _) in CM_CONGRUENCES.items():
         survey = ledger.ss_survey(p)
         if len(survey.entries) != 1:
             return "fail", f"p={p} does not have a unique supersingular class"

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 from .. import modmaps
-from ..exactmath import affine, param_valuations
+from ..exactmath import Affine
 from . import Check, Config
 
 
@@ -66,21 +66,12 @@ def _check_u_circle_image():
 
 
 def _check_j_circle_image():
-    """v(j) = v(numerator) - v(t^5).  On the cell 0 < lam < 5/2 the piece
-    6 lam of t^6 is the unique minimum of the numerator's valuations: every
-    other piece minus 6 lam is > 0 at 0 and >= 0 at 5/2, so > 0 in between.
-    Hence v(j) = v(t) on the whole cell; at 5/2 the disk claim 3.1.1 takes
-    over."""
-    rmap = modmaps.builtin_maps()["pi1_j"]
-    lead, end = affine(0, 6), F(5, 2)
-    numerator = [fn for fn, _ in param_valuations(rmap.numerator, {}, {"t": 1}, modmaps.P)]
-    denominator = [fn for fn, _ in param_valuations(rmap.denominator, {}, {"t": 1}, modmaps.P)]
-    if denominator != [affine(0, 5)] or lead not in numerator:
-        return "fail", "pi1_j is not t^6 + ... over t^5"
-    for fn in numerator:
-        gap = fn - lead
-        if fn != lead and not (gap(0) > 0 and gap(end) >= 0):
-            return "fail", f"piece {fn.constant} + {fn.slope} lam competes with 6 lam"
+    """On the cell 0 < v(t) < 5/2 the numerator piece 6 v(t) of t^6 and the
+    denominator piece 5 v(t) of t^5 each dominate alone, so v(j) = v(t) on
+    the whole cell; at 5/2 the disk claim 3.1.1 takes over."""
+    cert = modmaps.image_valuation(modmaps.builtin_maps()["pi1_j"], (F(0), F(5, 2)))
+    if cert.lower_bound != Affine(F(0), F(1)):
+        return "fail", f"on 0 < v(t) < 5/2: {cert.conclusion}, v(j) = {cert.lower_bound}"
     return "pass", (
         "v(t) = 3/2 maps to v(j) = 3/2: t^6 dominates alone on 0 < v(t) < 5/2, "
         "so v(j) = v(t) on the whole cell"

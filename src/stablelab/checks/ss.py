@@ -27,8 +27,6 @@ def _check_breakpoint(polygon):
         return "fail", f"breakpoints {polygon.breakpoints}"
     if polygon.vertex_sets() != ((0, 10, 12), (0, 12)):
         return "fail", f"vertex sets {polygon.vertex_sets()}"
-    if sslab.canonical_breakpoint() != F(5, 6):
-        return "fail", "slope balance lam/10 = (1-lam)/2 not at 5/6"
     return "pass", "vertices {(0,0),(10,lam),(12,1)} below 5/6 and {(0,0),(12,1)} above"
 
 
@@ -56,8 +54,8 @@ def _check_profile_above(polygon):
     return "pass", "at lam=9/10: all 24 nonzero points at v(z)=1/24; no canonical subgroup"
 
 
-def _check_threshold():
-    cert = sslab.too_ss_threshold()
+def _check_threshold(polygon):
+    cert = sslab.too_ss_threshold(polygon)
     if cert.status != "pass" or cert.threshold != F(5, 2):
         return "fail", f"threshold {cert.threshold}, status {cert.status}"
     return "pass", "j(t) = 6912t^3/(4t^3+27), v(j) = 3v(t); threshold v5(j) >= 5/2"
@@ -72,5 +70,5 @@ def suite(config: Config) -> list[Check]:
         Check("claim-3.2.1-breakpoint", "claim 3.2.1", lambda: _check_breakpoint(polygon())),
         Check("claim-3.2.1-profile-below", "claim 3.2.1", lambda: _check_profile_below(polygon())),
         Check("claim-3.2.1-profile-above", "claim 3.2.1", lambda: _check_profile_above(polygon())),
-        Check("claim-3.2.1-threshold", "claim 3.2.1", _check_threshold),
+        Check("claim-3.2.1-threshold", "claim 3.2.1", lambda: _check_threshold(polygon())),
     ]

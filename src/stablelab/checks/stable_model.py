@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from functools import cache
 
 from .. import curve125
-from ..exactmath import INF, val_rat
+from ..exactmath import INF, root_valuation_multiset, val_rat
 from . import Check, Config
 
 
@@ -32,8 +32,8 @@ def _check_ram_valuations(ram):
     )
     if vals != expected:
         return "fail", f"p_ram_y valuations {vals} differ from the published table"
-    y_roots = curve125.root_valuation_multiset(ram.p_ram_y)
-    x_roots = curve125.root_valuation_multiset(ram.p_ram_x)
+    y_roots = root_valuation_multiset(ram.p_ram_y, 5)
+    x_roots = root_valuation_multiset(ram.p_ram_x, 5)
     if y_roots != ((F(7, 10), 10),):
         return "fail", f"y-polygon gives {_fmt_multiset(y_roots)}"
     if x_roots != ((F(2, 5), 10),):
@@ -90,8 +90,8 @@ def _check_hensel(cert):
         return "fail", f"envelope certificate failed: {cert.data}"
     delta = cert.data["delta_at_ram_circle"]
     return "pass", (
-        "v(h'(1)) = 0 on the closed interval [1/5, 1/4]; v(h(1)) > 0 on the open "
-        f"annulus (zero exactly at the boundary circles); bound {delta} exported "
+        "v(h'(1)) = 0 and v(h(1)) > 0 on the open annulus 1/5 < v(s) < 1/4 "
+        f"(v(h(1)) is zero exactly at the boundary circles); bound {delta} exported "
         "at v(s) = 6/25"
     )
 

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactmath import INF, characteristic_polynomial, newton_polygon, univariate_mul, val_rat
+from . import CM_CONGRUENCES
+from .exactmath import INF, characteristic_polynomial, root_valuation_multiset, univariate_mul
+from .exactmath import newton_polygon  # noqa: F401  perfbench's tracer test reads it here
 
 SERIES_GUARD_BITS = 64
 PRECISION_GUARD_BITS = 32
@@ -489,23 +491,18 @@ def congruence_case(discriminant: int, p: int) -> int:
 
 
 def standard_spec(p: int, sign: str) -> CongruenceSpec:
-    table = {
-        5: (0, 2, 5**3, Fraction(3)),
-        7: (1728, 4, 7**4, Fraction(4)),
-        13: (5, 14, 13**7, Fraction(7)),
-    }
-    if p not in table:
+    if p not in CM_CONGRUENCES:
         raise ValueError(f"no congruence data for p = {p}")
     if sign not in "+-":
         raise ValueError("sign must be '+' or '-'")
-    center, exponent, power, bound = table[p]
-    return CongruenceSpec(p, center, exponent, sign, power, bound)
+    center, exponent, power, bound = CM_CONGRUENCES[p]
+    return CongruenceSpec(p, center, exponent, sign, power, Fraction(bound))
 
 
 class CongruenceResult(NamedTuple):
     passed: bool
     min_root_valuation: Fraction | float  # INF when every root is exact
-    root_valuations: tuple[tuple[Fraction, int], ...]
+    root_valuations: tuple[tuple[Fraction | float, int], ...]  # exact roots at INF, last
     auxiliary: tuple[int, ...]  # G(w), ascending
 
 
@@ -523,22 +520,12 @@ def congruence_check(H: ClassPolynomial, spec: CongruenceSpec) -> CongruenceResu
     shifted[0] += -spec.prime_power if spec.sign == "-" else spec.prime_power
     aux = characteristic_polynomial(shifted, list(H.coefficients))
 
-    stripped = list(aux)
-    exact_roots = 0
-    while stripped and stripped[0] == 0:
-        stripped.pop(0)
-        exact_roots += 1
-    multiset: list[tuple[Fraction, int]] = []
-    if exact_roots:
-        multiset.append((INF, exact_roots))
-    if len(stripped) >= 2:
-        polygon = newton_polygon([val_rat(coeff, spec.p) for coeff in stripped])
-        multiset.extend(polygon.root_valuations())
+    multiset = root_valuation_multiset(aux, spec.p)
     minimum = min((v for v, _ in multiset), default=INF)
     return CongruenceResult(
         passed=bool(minimum > spec.bound),
         min_root_valuation=minimum,
-        root_valuations=tuple(multiset),
+        root_valuations=multiset,
         auxiliary=aux,
     )
 

@@ -23,6 +23,7 @@ from .exactmath import (
     SymbolicPolynomial,
     ValuedSymbol,
     affine,
+    dominant_piece,
     envelope_min,
     inverse_mod,
     is_finite,
@@ -32,11 +33,11 @@ from .exactmath import (
     param_valuations,
     poly_to_coeffs,
     coeffs_to_poly,
+    root_valuation_multiset,
+    squarefree_part,
     characteristic_polynomial,
     difference_root_resultant,
     sym,
-    univariate_gcd,
-    val_rat,
 )
 
 P = 5
@@ -129,10 +130,6 @@ def build_shifted_model() -> SymbolicPolynomial:
     return g_plus
 
 
-def root_valuation_multiset(coeffs: Sequence[int]) -> tuple[tuple[Fraction, int], ...]:
-    return newton_polygon([val_rat(c, P) for c in coeffs]).root_valuations()
-
-
 def _integer_coeffs(f: SymbolicPolynomial, var: str) -> tuple[int, ...]:
     out = []
     for c in poly_to_coeffs(f, var):
@@ -147,22 +144,18 @@ def pairwise_distance_valuations(
 ) -> tuple[tuple[Fraction, int], ...]:
     """Multiset of v_5(root_i - root_j), i != j, for a squarefree integer poly.
 
-    Formed from D(z) = Res_y(f(y), f(y+z)), divided by z**deg f; the Newton
-    polygon of the quotient gives the full multiset of ordered differences.
+    The roots of D(z) = Res_y(f(y), f(y+z)) are the ordered differences; the
+    deg f differences root_i - root_i are its root 0 of multiplicity deg f,
+    and the rest are the distances.
     """
     coeffs = [int(c) for c in coeffs]
     deg = len(coeffs) - 1
-    derivative = [(i + 1) * c for i, c in enumerate(coeffs[1:])]
-    if len(univariate_gcd(coeffs, derivative)) != 1:
+    if len(squarefree_part(coeffs)) != len(coeffs):
         raise ValueError("polynomial is not squarefree")
-    dpoly = difference_root_resultant(coeffs)
-    if any(c != 0 for c in dpoly[:deg]):
-        raise ValueError("difference polynomial not divisible by z^deg")
-    quotient = dpoly[deg:]
-    multiset = root_valuation_multiset(quotient)
-    if sum(n for _, n in multiset) != deg * (deg - 1):
-        raise AssertionError("distance multiset does not cover all ordered pairs")
-    return multiset
+    *distances, zero = root_valuation_multiset(difference_root_resultant(coeffs), P)
+    if zero != (INF, deg):
+        raise AssertionError("D(z) must vanish to order deg f exactly at z = 0")
+    return tuple(distances)
 
 
 #: Published coefficient valuations of p_ram_y, ascending degree 0..10.
@@ -440,20 +433,23 @@ def _hensel_pieces(g_plus: SymbolicPolynomial) -> tuple[tuple[Affine, ...], tupl
     hp1 = G.derivative("yh").substitute("yh", 1)
     fixed = {"sqrt15": F(1, 2), "r": F(2, 5)}
     shift = affine(0, -10)
-    pieces1 = tuple(sorted({fn for fn, _ in param_valuations(h1, fixed, {"s": 1}, P, shift)}))
-    pieces2 = tuple(sorted({fn for fn, _ in param_valuations(hp1, fixed, {"s": 1}, P, shift)}))
-    return pieces1, pieces2
+    # one piece per monomial: two monomials with equal pieces are two witnesses
+    return tuple(
+        tuple(sorted(fn for fn, _ in param_valuations(h, fixed, {"s": 1}, P, shift)))
+        for h in (h1, hp1)
+    )
 
 
 def hensel_certificate(g_plus: SymbolicPolynomial) -> ReductionCertificate:
     """Valuation envelopes of h(1) and h'(1) on the annulus 1/5 < v(s) < 1/4.
 
-    Certifies, exactly: v(h'(1)) = 0 on the whole closed interval (it has a
-    constant valuation-0 piece and every other piece is nonnegative at both
-    endpoints); and v(h(1)) > 0 strictly inside the open interval, since the
-    h(1) envelope, a minimum of affine pieces, is concave, 0 at both
-    endpoints (each time with a unique witness, so the annulus is maximal)
-    and positive at v(s) = 6/25.  That value at the ramification circle is
+    Certifies, exactly: v(h'(1)) = 0 on the open annulus, since its constant
+    piece 0 lies strictly below every other h'(1) piece there (at v(s) = 1/5
+    the piece -2 + 10 v(s) ties it, so the closed interval is not claimed;
+    Hensel's lemma needs only the open annulus); and v(h(1)) > 0 strictly
+    inside the open interval, since the h(1) envelope, a minimum of affine
+    pieces, is concave, 0 at both endpoints (each time with a unique
+    witness, so the annulus is maximal) and positive at v(s) = 6/25.  That value at the ramification circle is
     exported as the error bound used by the genus-0-component reduction.
     """
     lo, hi = HENSEL_INTERVAL
@@ -470,13 +466,7 @@ def hensel_certificate(g_plus: SymbolicPolynomial) -> ReductionCertificate:
         and delta > 0
     )
 
-    constant_zero = Affine(F(0), F(0)) in hp1_pieces
-    others_ok = all(
-        fn(lo) >= 0 and fn(hi) >= 0 for fn in hp1_pieces if fn != Affine(F(0), F(0))
-    )
-    hp1_lo, _ = envelope_min(hp1_pieces, lo)
-    hp1_hi, _ = envelope_min(hp1_pieces, hi)
-    hp1_ok = constant_zero and others_ok and hp1_lo == 0 and hp1_hi == 0
+    hp1_ok = dominant_piece(hp1_pieces, lo, hi) == Affine(F(0), F(0))
 
     return ReductionCertificate(
         claim_id="hensel",
@@ -486,22 +476,16 @@ def hensel_certificate(g_plus: SymbolicPolynomial) -> ReductionCertificate:
             "h1_endpoint_minima": (lo_min, hi_min),
             "h1_endpoint_witnesses": (lo_wit, hi_wit),
             "h1_interior_minima": {RAM_CIRCLE: delta},
-            "hp1_endpoint_minima": (hp1_lo, hp1_hi),
+            "hp1_endpoint_minima": tuple(envelope_min(hp1_pieces, e)[0] for e in (lo, hi)),
             "delta_at_ram_circle": delta,
         },
     )
 
 
 def fiber_square_identity() -> ReductionCertificate:
-    """(2xu - y)^2 - (y^2 - 20x) factors exactly as 4x * (xu^2 - yu + 5)."""
-    model = plus_curve_model()
-    z = 2 * x * u - y
-    lhs = z**2 - (y**2 - 20 * x)
-    try:
-        quotient = lhs.exact_divide(model.fiber)
-    except ValueError:
-        return ReductionCertificate(claim_id="z_identity", status="fail")
-    ok = quotient == 4 * x and quotient * model.fiber == lhs
+    """(2xu - y)^2 - (y^2 - 20x) == 4x * (xu^2 - yu + 5), both sides expanded."""
+    quotient = 4 * x
+    ok = (2 * x * u - y) ** 2 - (y**2 - 20 * x) == quotient * plus_curve_model().fiber
     return ReductionCertificate(
         claim_id="z_identity",
         status="pass" if ok else "fail",

@@ -13,9 +13,9 @@ defining relation of an algebraic number, or a formal square root); see
 :class:`ValuedSymbol` and :func:`normal_form`.
 
 The univariate kernel at the end of the module works on dense ascending
-coefficient lists: trim, multiply, divmod, gcd, inverse modulo a polynomial,
-root power sums and their Newton-identity inversion.  It is the one
-implementation of these operations in the package.
+coefficient lists: trim, multiply, divmod, gcd, squarefree part, inverse
+modulo a polynomial, root power sums and their Newton-identity inversion.  It
+is the one implementation of these operations in the package.
 """
 
 from __future__ import annotations
@@ -219,33 +219,6 @@ class SymbolicPolynomial:
                 out[new] = out.get(new, _ZERO) + e * coeff
         return SymbolicPolynomial(out)
 
-    def exact_divide(self, divisor: SymbolicPolynomial) -> SymbolicPolynomial:
-        """Divide exactly; raise ValueError if the division leaves a remainder."""
-        divisor = self._coerce(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if divisor.is_constant():
-            return self / divisor.constant_value()
-        variables = sorted(self.symbols() | divisor.symbols())
-
-        def lex_key(mono: Monomial) -> tuple[int, ...]:
-            exps = dict(mono)
-            return tuple(exps.get(v, 0) for v in variables)
-
-        lead_mono = max(divisor.terms, key=lex_key)
-        lead_coeff = divisor.terms[lead_mono]
-        remainder = self
-        quotient: dict[Monomial, Fraction] = {}
-        while not remainder.is_zero():
-            mono = max(remainder.terms, key=lex_key)
-            q_mono = _mono_div(mono, lead_mono)
-            if q_mono is None:
-                raise ValueError("inexact polynomial division")
-            q_coeff = _exact_quotient(remainder.terms[mono], lead_coeff)
-            quotient[q_mono] = quotient.get(q_mono, _ZERO) + q_coeff
-            remainder = remainder - divisor * SymbolicPolynomial({q_mono: q_coeff})
-        return SymbolicPolynomial(quotient)
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
@@ -261,19 +234,6 @@ class SymbolicPolynomial:
             else:
                 parts.append(str(coeff))
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _mono_div(mono: Monomial, by: Monomial) -> Monomial | None:
-    exps = dict(mono)
-    for name, e in by:
-        have = exps.get(name, 0)
-        if have < e:
-            return None
-        if have == e:
-            del exps[name]
-        else:
-            exps[name] = have - e
-    return tuple(sorted(exps.items()))
 
 
 def sym(name: str) -> SymbolicPolynomial:
@@ -432,6 +392,15 @@ def univariate_gcd(a: Sequence, b: Sequence) -> list:
     if not a:
         return [_ZERO]
     return [_exact_quotient(c, a[-1]) for c in a]
+
+
+def squarefree_part(f: Sequence) -> list:
+    """f / gcd(f, f'): each distinct root of f once, with f's leading coefficient."""
+    derivative = [k * c for k, c in enumerate(f)][1:]
+    quotient, rem = univariate_divmod(f, univariate_gcd(f, derivative))
+    if rem:
+        raise ArithmeticError("gcd(f, f') does not divide f")
+    return quotient
 
 
 def inverse_mod(a: Sequence, modulus: Sequence) -> list:

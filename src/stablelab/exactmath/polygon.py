@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .valuation import INF, Affine, ExtValuation, envelope_min, is_finite
+from .valuation import INF, Affine, ExtValuation, envelope_min, is_finite, val_rat
 
 
 class NewtonPolygon(NamedTuple):
@@ -70,6 +70,20 @@ def newton_polygon(vals: Sequence[ExtValuation]) -> NewtonPolygon:
     if sum(n for _, n in segments) != finite[-1][0] - finite[0][0]:
         raise AssertionError("hull segments must span the finite points")
     return NewtonPolygon(points, tuple(hull), segments)
+
+
+def root_valuation_multiset(
+    coeffs: Sequence[int], p: int
+) -> tuple[tuple[ExtValuation, int], ...]:
+    """Sorted (valuation, count) pairs of the p-adic root valuations of the
+    polynomial with ascending coefficients ``coeffs``; each root 0 counts as
+    valuation INF, so it comes last."""
+    zeros = next((i for i, c in enumerate(coeffs) if c), None)
+    if zeros is None:
+        raise ValueError("the zero polynomial has no root multiset")
+    rest = [val_rat(c, p) for c in coeffs[zeros:]]
+    multiset = newton_polygon(rest).root_valuations() if len(rest) > 1 else ()
+    return multiset + (((INF, zeros),) if zeros else ())
 
 
 class PolygonCell(NamedTuple):

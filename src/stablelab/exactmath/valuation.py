@@ -153,6 +153,29 @@ def envelope_min(
     return best, tuple(witnesses)
 
 
+def dominant_piece(pieces: Sequence[Affine], lo, hi) -> Affine | None:
+    """The piece strictly below every other piece on the open interval (lo, hi).
+
+    The difference of two pieces is affine, so it is > 0 on the whole open
+    interval exactly when it is >= 0 at both endpoints and not 0 at both;
+    that is decided at lo and hi.  A piece listed twice ties its copy and is
+    never dominant.  None when no piece dominates.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    if not lo < hi:
+        raise ValueError("empty interval")
+    others = list(pieces)
+    if not others:
+        raise ValueError("no pieces")
+    best = min(others, key=lambda fn: fn((lo + hi) / 2))
+    others.remove(best)
+    for fn in others:
+        gap = fn - best
+        if gap(lo) < 0 or gap(hi) < 0 or gap(lo) == gap(hi) == 0:
+            return None
+    return best
+
+
 def field_valuation(
     a: SymbolicPolynomial, var: str, minpoly: SymbolicPolynomial, p: int
 ) -> ExtValuation:

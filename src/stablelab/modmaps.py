@@ -16,14 +16,17 @@ from typing import NamedTuple
 
 from . import curve125
 from .exactmath import (
+    Affine,
     SymbolicPolynomial,
     characteristic_polynomial,
+    dominant_piece,
     field_valuation,
     min_valuation,
     normal_form,
+    param_valuations,
     poly_to_coeffs,
+    squarefree_part,
     sym,
-    univariate_divmod,
     univariate_gcd,
     val_rat,
 )
@@ -65,9 +68,11 @@ class RationalMap:
 
 
 class ImageCertificate(NamedTuple):
-    lower_bound: Fraction
+    lower_bound: Fraction | Affine | None  # on a cell: Affine in lambda, or None
     unique: bool
-    conclusion: str  # "circle->circle exact" | "bound only (tie)"
+    # "circle->circle exact" | "bound only (tie)" on a circle,
+    # "cell exact" | "no dominant piece" on a cell
+    conclusion: str
 
 
 def builtin_maps() -> dict[str, RationalMap]:
@@ -90,7 +95,21 @@ def image_valuation(rmap: RationalMap, radius) -> ImageCertificate:
     image is the circle v(target) = lower_bound when both minima are attained
     by a unique monomial; on a tie only v(target) >= lower_bound is
     certified, which is the disk case.
+
+    A pair radius = (lo, hi) is the open cell lo < lambda < hi of circles
+    v(source) = lambda: when one numerator piece and one denominator piece
+    each lie strictly below the others on the whole cell, v(target) is their
+    difference, the affine function lower_bound of lambda.
     """
+    if isinstance(radius, tuple):
+        scaling = {rmap.source_coord: 1}
+        num, den = (
+            dominant_piece([fn for fn, _ in param_valuations(f, {}, scaling, P)], *radius)
+            for f in (rmap.numerator, rmap.denominator)
+        )
+        if num is None or den is None:
+            return ImageCertificate(None, False, "no dominant piece")
+        return ImageCertificate(num - den, True, "cell exact")
     assignment = {rmap.source_coord: Fraction(radius)}
     mv_num = min_valuation(rmap.numerator, assignment, P)
     mv_den = min_valuation(rmap.denominator, assignment, P)
@@ -172,10 +191,7 @@ def ramification_image_polynomial() -> RamImageCertificate:
     """
     pi5_t = poly_to_coeffs(builtin_maps()["pi5_t"].numerator, "u")
     ints = characteristic_polynomial(pi5_t, ramification_u_polynomial())
-    deriv = [(k + 1) * c for k, c in enumerate(ints[1:])]
-    quotient, rem = univariate_divmod(ints, univariate_gcd(ints, deriv))
-    if rem:
-        raise AssertionError("the gcd with the derivative must divide T exactly")
+    quotient = squarefree_part(ints)
     monic = [F(c) / quotient[-1] for c in quotient]
     if any(c.denominator != 1 for c in monic):
         raise ValueError("squarefree part is not integral after normalization")

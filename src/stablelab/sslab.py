@@ -14,10 +14,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exactmath import (
+    Affine,
     ParamPolygon,
     SymbolicPolynomial,
     affine,
-    min_valuation,
+    dominant_piece,
     param_valuations,
     parametric_polygon,
     sym,
@@ -48,21 +49,18 @@ def division_polynomial_5() -> SymbolicPolynomial:
     return 32 * c**2 * f4 - psi3**3
 
 
+def _t_pieces(f: SymbolicPolynomial) -> list[Affine]:
+    """The valuation pieces of f's monomials as functions of lambda = v_5(t)."""
+    return [fn for fn, _ in param_valuations(f, {}, {"t": 1}, P)]
+
+
 def torsion_polygon(psi5: SymbolicPolynomial) -> ParamPolygon:
     """Parametric Newton polygon of psi_5 in x over 0 < v_5(t) < 1."""
     pieces = []
     for i in range(psi5.degree("x") + 1):
         ci = psi5.coefficient("x", i)
-        if ci.is_zero():
-            pieces.append(None)
-        else:
-            pieces.append([fn for fn, _ in param_valuations(ci, {}, {"t": 1}, P)])
+        pieces.append(None if ci.is_zero() else _t_pieces(ci))
     return parametric_polygon(pieces, (F(0), F(1)))
-
-
-def canonical_breakpoint() -> Fraction:
-    """The lambda where the slopes lam/10 and (1 - lam)/2 agree: lam = 5/6."""
-    return (affine(0, F(1, 10)) - affine(F(1, 2), F(-1, 2))).root()
 
 
 def torsion_profile(polygon: ParamPolygon, lam) -> TorsionProfile:
@@ -85,14 +83,15 @@ def torsion_profile(polygon: ParamPolygon, lam) -> TorsionProfile:
     return TorsionProfile(
         x_root_valuations=x_roots,
         z_valuations=tuple(sorted(z_vals)),
-        canonical_subgroup=lam < canonical_breakpoint(),
+        # 4 points strictly nearest the origin form, with it, the canonical subgroup
+        canonical_subgroup=max(z_vals)[1] == 4,
     )
 
 
 class ThresholdCertificate(NamedTuple):
     j_numerator: SymbolicPolynomial
     j_denominator: SymbolicPolynomial
-    threshold: Fraction
+    threshold: Fraction | None  # None unless the polygon has one breakpoint
     status: str
 
 
@@ -101,27 +100,27 @@ def weierstrass_j(a: SymbolicPolynomial, b: SymbolicPolynomial) -> tuple[Symboli
     c4 = -48 * a
     delta = -16 * (4 * a**3 + 27 * b**2)
     # cancel the common -16 so the denominator is the classical 4a^3 + 27b^2
-    minus16 = SymbolicPolynomial.constant(-16)
-    return (c4**3).exact_divide(minus16), delta.exact_divide(minus16)
+    return c4**3 / -16, delta / -16
 
 
-def too_ss_threshold() -> ThresholdCertificate:
-    """v_5(j) = 3 v_5(t) on the family, so the threshold is 3 * (5/6) = 5/2."""
+def too_ss_threshold(polygon: ParamPolygon) -> ThresholdCertificate:
+    """v_5(j) = 3 v_5(t) on the family range of `torsion_polygon`, so the
+    threshold is 3 times its single breakpoint: 3 * (5/6) = 5/2."""
     num, den = weierstrass_j(t, SymbolicPolynomial.constant(1))
     expected_num = 6912 * t**3
     expected_den = 4 * t**3 + 27
-    # v(num) = 3*lambda with a unique witness; v(den) = 0 with unique witness
-    # (27 is a 5-adic unit and 3*lambda > 0 for every lambda > 0)
-    num_single = len(num.terms) == 1 and min_valuation(num, {"t": F(0)}, P).value == 0
-    den_min = min_valuation(den, {"t": F(1, 100)}, P)
-    den_ok = (
-        den_min.unique
-        and den_min.value == 0
-        and all(
-            fn.constant >= 0 and fn.slope >= 0
-            for fn, _ in param_valuations(den, {}, {"t": 1}, P)
-        )
+    # on 0 < v(t) < 1: 6912 t^3 is the single piece 3 v(t), and the unit 27
+    # lies strictly below 4 t^3, so v(j) = 3 v(t) exactly
+    num_piece, den_piece = (
+        dominant_piece(_t_pieces(f), polygon.lo, polygon.hi) for f in (num, den)
     )
-    threshold = 3 * canonical_breakpoint()
-    ok = num == expected_num and den == expected_den and num_single and den_ok
+    single = len(polygon.breakpoints) == 1
+    threshold = 3 * polygon.breakpoints[0] if single else None
+    ok = (
+        num == expected_num
+        and den == expected_den
+        and num_piece == affine(0, 3)
+        and den_piece == affine(0)
+        and single
+    )
     return ThresholdCertificate(num, den, threshold, "pass" if ok else "fail")

@@ -10,7 +10,7 @@ honestly rather than weakened.
 from fractions import Fraction as F
 
 from stablelab import cmlab, curve125, ledger, modmaps, quatlab, sslab
-from stablelab.exactmath import INF, val_rat
+from stablelab.exactmath import INF, root_valuation_multiset, val_rat
 
 
 def conclude(number: int, name: str, ok: bool, detail: str = ""):
@@ -41,7 +41,7 @@ def test_c02_ramification_valuation_table():
     ram = curve125.ramification_polynomials()
     vals = tuple(val_rat(c, 5) for c in ram.p_ram_y)
     table_ok = vals == (7, 7, 6, 6, 5, 5, 4, 4, 3, INF, 0)
-    polygon_ok = curve125.root_valuation_multiset(ram.p_ram_y) == ((F(7, 10), 10),)
+    polygon_ok = root_valuation_multiset(ram.p_ram_y, 5) == ((F(7, 10), 10),)
     conclude(2, "ramification valuations", table_ok and polygon_ok,
              "coefficients (0,inf,3,4,4,5,5,6,6,7,7); ten roots at 7/10")
 
@@ -115,7 +115,7 @@ def test_c07_too_supersingular_threshold():
     polygon = sslab.torsion_polygon(sslab.division_polynomial_5())
     below = sslab.torsion_profile(polygon, F(1, 2))
     above = sslab.torsion_profile(polygon, F(9, 10))
-    threshold = sslab.too_ss_threshold()
+    threshold = sslab.too_ss_threshold(polygon)
     ok = (
         polygon.breakpoints == (F(5, 6),)
         and polygon.vertex_sets() == ((0, 10, 12), (0, 12))

@@ -15,6 +15,7 @@ from stablelab.exactmath import (
     normal_form,
     poly_to_coeffs,
     resultant_coeffs,
+    root_valuation_multiset,
     sym,
     univariate_gcd,
     val_rat,
@@ -77,9 +78,9 @@ def test_ramification_valuation_table():
 
 def test_ramification_polygons():
     ram = curve125.ramification_polynomials()
-    assert curve125.root_valuation_multiset(ram.p_ram_y) == ((F(7, 10), 10),)
+    assert root_valuation_multiset(ram.p_ram_y, 5) == ((F(7, 10), 10),)
     # x = y^2/20 at the roots, so v(x) = 2*(7/10) - 1 = 2/5
-    assert curve125.root_valuation_multiset(ram.p_ram_x) == ((F(2, 5), 10),)
+    assert root_valuation_multiset(ram.p_ram_x, 5) == ((F(2, 5), 10),)
 
 
 def test_ramification_polynomials_squarefree():
@@ -287,6 +288,36 @@ def test_concavity_rule_agrees_with_the_crossings_rule(hensel_pieces, shared, lo
 def test_hensel_rejects_an_extra_h1_piece(g_plus, hensel_pieces, monkeypatch, extra):
     h1_pieces, hp1_pieces = hensel_pieces
     monkeypatch.setattr(curve125, "_hensel_pieces", lambda _: ((*h1_pieces, extra), hp1_pieces))
+    assert curve125.hensel_certificate(g_plus).status == "fail"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        Affine(F(1), F(-5)),  # 0 at v(s) = 1/5, negative inside the annulus
+        Affine(F(0), F(0)),  # a second constant piece: two witnesses could cancel
+    ],
+)
+def test_hensel_rejects_an_extra_hp1_piece(g_plus, hensel_pieces, monkeypatch, extra):
+    h1_pieces, hp1_pieces = hensel_pieces
+    monkeypatch.setattr(curve125, "_hensel_pieces", lambda _: (h1_pieces, (*hp1_pieces, extra)))
+    assert curve125.hensel_certificate(g_plus).status == "fail"
+
+
+def test_hensel_pieces_are_one_per_monomial(g_plus, monkeypatch):
+    """x0^5 y^2 / 5 lands on the monomial s^20 of the y^4 witness
+    (1/225 + 1/75 = 4/225, still valuation -2), so it is no second witness
+    and the certificate still passes.  Two distinct monomials sharing the
+    piece -2 + 10 v(s) could cancel, so they are two witnesses and fail."""
+    assert curve125.hensel_certificate(g_plus + curve125.x0**5 * y**2 / 5).passed
+    real = curve125.param_valuations
+    witness = Affine(F(-2), F(10))
+
+    def with_twin(f, *args):
+        pieces = real(f, *args)
+        return pieces + [(fn, (("twin", 1), *mono)) for fn, mono in pieces if fn == witness]
+
+    monkeypatch.setattr(curve125, "param_valuations", with_twin)
     assert curve125.hensel_certificate(g_plus).status == "fail"
 
 

@@ -124,13 +124,14 @@ def test_survey_crosscheck_stops_where_the_counts_part():
     assert survey.status == "pass"
 
 
-def test_exponent_center_table_matches_the_congruence_specs():
-    """The ledger suite keeps its own (exponent, center) table so that it does
-    not load cmlab; it must agree with the cm suite's congruence specs."""
+def test_exponent_center_crosscheck_reads_the_congruence_table(monkeypatch):
+    """The cm specs and the ledger crosscheck read one table: an exponent
+    changed there (3 at p = 7) reaches both, and the crosscheck fails."""
+    import stablelab
     from stablelab import cmlab
-    from stablelab.checks.ledger import EXPONENT_CENTERS
+    from stablelab.checks.ledger import _check_exponent_centers
 
-    assert sorted(EXPONENT_CENTERS) == [5, 7, 13]
-    for p in (5, 7, 13):
-        spec = cmlab.standard_spec(p, "-")
-        assert EXPONENT_CENTERS[p] == (spec.exponent, spec.center)
+    assert _check_exponent_centers()[0] == "pass"
+    monkeypatch.setitem(stablelab.CM_CONGRUENCES, 7, (1728, 3, 7**4, 4))
+    assert cmlab.standard_spec(7, "-").exponent == 3
+    assert _check_exponent_centers() == ("fail", "(p+1)/i = 4 != congruence exponent 3")

@@ -4,6 +4,7 @@ import pytest
 
 from stablelab import modmaps
 from stablelab.exactmath import (
+    Affine,
     interpolate_integer_polynomial,
     poly_to_coeffs,
     resultant_coeffs,
@@ -65,6 +66,18 @@ def test_image_valuations(maps):
     cert = modmaps.image_valuation(maps["pi1_j"], F(5, 2))
     assert cert.lower_bound == F(5, 2) and not cert.unique
     assert cert.conclusion == "bound only (tie)"
+
+
+def test_image_valuation_on_a_cell(maps):
+    """On 0 < v(t) < 5/2 the pieces 6 v(t) of t^6 over 5 v(t) of t^5 decide
+    v(j) = v(t); on (0, 3) the constant 15 of 5^15 undercuts 6 v(t) above
+    5/2, so no numerator piece dominates the whole cell."""
+    cert = modmaps.image_valuation(maps["pi1_j"], (F(0), F(5, 2)))
+    assert cert == (Affine(F(0), F(1)), True, "cell exact")
+    cert = modmaps.image_valuation(maps["pi1_j"], (F(0), F(3)))
+    assert cert == (None, False, "no dominant piece")
+    cert = modmaps.image_valuation(maps["pi5_t"], (F(0), F(1, 2)))
+    assert cert.lower_bound == Affine(F(0), F(5))  # u^5 below 25u while v(u) < 1/2
 
 
 def test_image_stability_within_cell(maps):

@@ -11,6 +11,7 @@ from stablelab.exactmath import (
     newton_polygon,
     parametric_polygon,
     poly_to_coeffs,
+    root_valuation_multiset,
     sym,
     val_rat,
 )
@@ -182,3 +183,13 @@ def test_newton_polygon_multiplicities_sum_to_degree(c0, middle, lead, p):
     roots = newton_polygon([val_rat(c, p) for c in coeffs]).root_valuations()
     assert sum(n for _, n in roots) == len(coeffs) - 1
     assert sum(v * n for v, n in roots) == val_rat(F(c0, lead), p)
+
+
+def test_root_valuation_multiset_counts_zero_roots_as_inf():
+    # x^2 (x^2 + 25): two roots at v = 1 and the double root 0
+    assert root_valuation_multiset([0, 0, 25, 0, 1], 5) == ((1, 2), (INF, 2))
+    assert root_valuation_multiset([0, 0, 1], 5) == ((INF, 2),)
+    assert root_valuation_multiset([7], 5) == ()
+    assert root_valuation_multiset([-5, 0, 1], 5) == ((F(1, 2), 2),)
+    with pytest.raises(ValueError):
+        root_valuation_multiset([0, 0], 5)

@@ -62,3 +62,17 @@ def test_exactmath_all_lists_every_public_name_it_binds():
             bound |= {target.id for target in node.targets if isinstance(target, ast.Name)}
     public = {name for name in bound if not name.startswith("_")}
     assert sorted(stablelab.exactmath.__all__) == sorted(public)
+
+
+@pytest.mark.parametrize("module", [name for name in _TREES if name.startswith("checks/")])
+def test_checks_do_no_valuation_arithmetic(module):
+    """Suite modules read certificates; the valuation pieces, envelopes and
+    minima behind them are computed in the layers."""
+    kernel = {"affine", "param_valuations", "envelope_min", "min_valuation"}
+    imported = {
+        alias.name
+        for node in ast.walk(_TREES[module])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & kernel, f"{module} imports {sorted(imported & kernel)}"

@@ -99,7 +99,7 @@ def test_division_polynomial_against_group_law():
 def test_torsion_polygon_breakpoint(polygon):
     assert polygon.breakpoints == (F(5, 6),)
     assert polygon.vertex_sets() == ((0, 10, 12), (0, 12))
-    assert sslab.canonical_breakpoint() == F(5, 6)
+    assert sslab.too_ss_threshold(polygon).threshold == 3 * F(5, 6)
 
 
 def test_torsion_profile_below(polygon):
@@ -136,8 +136,8 @@ def test_torsion_profile_boundary_errors(polygon):
         sslab.torsion_profile(polygon, F(1))
 
 
-def test_too_ss_threshold():
-    cert = sslab.too_ss_threshold()
+def test_too_ss_threshold(polygon):
+    cert = sslab.too_ss_threshold(polygon)
     assert cert.status == "pass"
     assert cert.threshold == F(5, 2)
     assert cert.j_numerator == 6912 * sslab.t**3
@@ -145,4 +145,19 @@ def test_too_ss_threshold():
     # v5(4t^3 + 27) = 0 whenever v5(t) > 0 since 27 is a unit
     assert val_rat(27, 5) == 0
     # v(j) at the breakpoint: 3 * 5/6 = 5/2
-    assert 3 * sslab.canonical_breakpoint() == F(5, 2)
+    assert 3 * polygon.breakpoints[0] == F(5, 2)
+
+
+def test_threshold_reads_the_polygon_breakpoint(polygon):
+    """The threshold is 3 times the polygon's breakpoint, not a literal: a
+    polygon whose breakpoint moved to 2/3 gives 2, and the check fails.
+    v(j) = 3 v(t) is certified on the polygon's range: on -1 < v(t) < 1 the
+    piece 3 v(t) of 4t^3 undercuts the unit 27, and the certificate fails."""
+    from stablelab.checks.ss import _check_threshold
+
+    moved = polygon._replace(breakpoints=(F(2, 3),))
+    assert sslab.too_ss_threshold(moved).threshold == 2
+    assert _check_threshold(moved)[0] == "fail"
+    assert _check_threshold(polygon)[0] == "pass"
+    assert sslab.too_ss_threshold(polygon._replace(breakpoints=())).status == "fail"
+    assert sslab.too_ss_threshold(polygon._replace(lo=F(-1))).status == "fail"

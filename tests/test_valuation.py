@@ -10,7 +10,9 @@ from stablelab.exactmath import (
     INF,
     MinValuation,
     SymbolicPolynomial,
+    Affine,
     affine,
+    dominant_piece,
     field_valuation,
     is_finite,
     min_valuation,
@@ -182,3 +184,46 @@ def test_param_valuations_shift():
     fn, mono = pieces[0]
     assert fn == affine(2, -8) and mono == (("s", 2),)
     assert fn(F(1, 4)) == 0
+
+
+def test_dominant_piece_decides_the_open_interval_at_its_endpoints():
+    zero, rising = affine(0), affine(-1, 5)  # rising ties zero at lambda = 1/5
+    assert dominant_piece([rising, zero], F(1, 5), F(1, 4)) == zero
+    assert dominant_piece([zero], 0, 1) == zero
+    # a piece that ties zero at 1/5 and falls below it inside dominates instead
+    assert dominant_piece([zero, affine(1, -5)], F(1, 5), F(1, 4)) == affine(1, -5)
+    # crossing inside: below on one part, above on the other
+    assert dominant_piece([zero, affine(-1, 2)], 0, 1) is None
+    # equal on the whole interval, or listed twice: never dominant
+    assert dominant_piece([zero, zero, rising], F(1, 5), F(1, 4)) is None
+    assert dominant_piece([affine(0, 6), affine(0, 6)], 0, F(5, 2)) is None
+    with pytest.raises(ValueError):
+        dominant_piece([zero], 1, 1)
+    with pytest.raises(ValueError):
+        dominant_piece([], 0, 1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=5))
+def test_dominant_piece_matches_sampling_between_crossings(raw):
+    """On (0, 1) a piece is dominant exactly when it is strictly below every
+    other piece at each midpoint between consecutive crossings in (0, 1):
+    between crossings the order of the pieces does not change."""
+    pieces = [Affine(F(a), F(b)) for a, b in raw]
+    cuts = {F(0), F(1)}
+    for i, a in enumerate(pieces):
+        for b in pieces[i + 1 :]:
+            rho = (a - b).root()
+            if rho is not None and 0 < rho < 1:
+                cuts.add(rho)
+    cuts = sorted(cuts)
+    samples = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
+    below = [
+        i for i, fn in enumerate(pieces)
+        if all(fn(lam) < other(lam) for lam in samples
+               for k, other in enumerate(pieces) if k != i)
+    ]
+    got = dominant_piece(pieces, 0, 1)
+    assert (got is None) == (not below)
+    if below:
+        assert got == pieces[below[0]]
