@@ -1,4 +1,4 @@
-"""Genus bookkeeping for X0(p^3): budgets, surveys and dual graphs.
+"""Genus bookkeeping for X0(p^3): budgets and surveys.
 
 Run:  python demos/06_genus_ledger.py
 """
@@ -23,13 +23,3 @@ for p in (5, 7, 13, 17):
     mark = "exact!" if budget.exact else "<="
     print(f"  p = {p:2d}: known total {budget.total_known:4d} {mark} "
           f"{budget.curve_genus}")
-print()
-
-print("Dual-graph genus of a user-supplied configuration; the p = 5 picture is")
-print("a genus-0 hub meeting four genus-2 components:")
-star = ledger.parse_graph_spec(
-    "vertex hub 0\n"
-    "vertex c1 2\nvertex c2 2\nvertex c3 2\nvertex c4 2\n"
-    "edge hub c1\nedge hub c2\nedge hub c3\nedge hub c4\n"
-)
-print("  graph genus =", ledger.graph_genus(star), "= g(X0(125))")

@@ -7,7 +7,8 @@ configuration could not be parsed or is invalid (an unknown config key, a
 config number that is not a JSON integer, a discriminant that is not a
 negative integer congruent to 0 or 1 mod 4, a prime that the selected suite
 cannot use, a negative genus, an ordinary_genera list that is not six long,
-or a cache_dir that exists and is not a directory); argparse also exits 2
+or a cache_dir that exists and is not a directory) or the --report path
+cannot be opened for writing, before any check runs; argparse also exits 2
 on an unknown option.  Checks run independently; one failure never aborts
 its siblings.
 """
@@ -19,6 +20,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 from . import __version__, is_prime
 from .checks import CM_ANCHORS, SUITES, Config, build_checks
@@ -181,13 +183,16 @@ def main(argv=None) -> int:
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report = run_suite(args.suite, config)
-    rendered = report.render(args.format)
+    destination = nullcontext(sys.stdout)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+        try:
+            destination = open(args.report, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"report error: {exc}", file=sys.stderr)
+            return 2
+    with destination as out:
+        report = run_suite(args.suite, config)
+        out.write(report.render(args.format))
     return 0 if report.overall == "pass" else 1
 
 

@@ -503,7 +503,6 @@ class CongruenceResult(NamedTuple):
     passed: bool
     min_root_valuation: Fraction | float  # INF when every root is exact
     root_valuations: tuple[tuple[Fraction | float, int], ...]  # exact roots at INF, last
-    auxiliary: tuple[int, ...]  # G(w), ascending
 
 
 def congruence_check(H: ClassPolynomial, spec: CongruenceSpec) -> CongruenceResult:
@@ -526,7 +525,6 @@ def congruence_check(H: ClassPolynomial, spec: CongruenceSpec) -> CongruenceResu
         passed=bool(minimum > spec.bound),
         min_root_valuation=minimum,
         root_valuations=multiset,
-        auxiliary=aux,
     )
 
 

@@ -25,19 +25,17 @@ from .exactmath import (
     affine,
     dominant_piece,
     envelope_min,
-    inverse_mod,
     is_finite,
     min_valuation,
     newton_polygon,
     normal_form,
     param_valuations,
     poly_to_coeffs,
-    coeffs_to_poly,
     root_valuation_multiset,
-    squarefree_part,
     characteristic_polynomial,
     difference_root_resultant,
     sym,
+    univariate_trim,
 )
 
 P = 5
@@ -51,6 +49,8 @@ sqrt15 = sym("sqrt15")
 R_SYMBOL = ValuedSymbol("r", F(2, 5), (5, 25 - 25 * r))
 SQRT15_SYMBOL = ValuedSymbol("sqrt15", F(1, 2), (2, SymbolicPolynomial.constant(15)))
 R_MINPOLY = r**5 + 25 * r - 25
+#: 1/r, read off the minimal polynomial: r * (r^4 + 25) = 25
+R_INVERSE = (r**4 + 25) / 25
 
 
 class PlusCurveModel(NamedTuple):
@@ -66,7 +66,6 @@ class RamificationData(NamedTuple):
 
 
 class ReductionCertificate(NamedTuple):
-    claim_id: str  # eq3 | eq4 | eq6 | hensel | z_identity
     status: str  # pass | fail
     dominant: tuple[Monomial, ...] = ()
     residual_min: Fraction | None = None
@@ -148,13 +147,12 @@ def pairwise_distance_valuations(
     deg f differences root_i - root_i are its root 0 of multiplicity deg f,
     and the rest are the distances.
     """
-    coeffs = [int(c) for c in coeffs]
-    deg = len(coeffs) - 1
-    if len(squarefree_part(coeffs)) != len(coeffs):
-        raise ValueError("polynomial is not squarefree")
+    coeffs = univariate_trim(int(c) for c in coeffs)
     *distances, zero = root_valuation_multiset(difference_root_resultant(coeffs), P)
-    if zero != (INF, deg):
-        raise AssertionError("D(z) must vanish to order deg f exactly at z = 0")
+    # roots of multiplicities m_i make D(z) vanish to order sum m_i^2 at 0,
+    # which equals deg f = sum m_i exactly when every m_i is 1
+    if zero != (INF, len(coeffs) - 1):
+        raise ValueError("polynomial is not squarefree")
     return tuple(distances)
 
 
@@ -251,7 +249,6 @@ def verify_dominance_eq3(g_plus: SymbolicPolynomial) -> ReductionCertificate:
         and residual > F(5, 2)
     )
     return ReductionCertificate(
-        claim_id="eq3",
         status="pass" if ok else "fail",
         dominant=mv.witnesses,
         residual_min=residual - mv.value if is_finite(residual) else None,
@@ -347,7 +344,6 @@ def _verify_reduction_eq4(g_plus: SymbolicPolynomial) -> ReductionCertificate:
         and pos_min > 0
     )
     return ReductionCertificate(
-        claim_id="eq4",
         status="pass" if ok else "fail",
         dominant=tuple(sorted(level0.terms)),
         residual_min=pos_min if is_finite(pos_min) else None,
@@ -369,7 +365,7 @@ def _verify_reduction_eq6(delta_bound: Fraction) -> ReductionCertificate:
         "alpha_eq6": F(6, 25), "beta_eq6": F(3, 10),
         "s0": F(0), "u0": F(0), "delta": delta_bound,
     }
-    inv_r = coeffs_to_poly(inverse_mod(poly_to_coeffs(r, "r"), poly_to_coeffs(R_MINPOLY, "r")), "r")
+    inv_r = R_INVERSE                    # 1/r via r^5 -> 25 - 25r
     inv_beta2 = beta**8 / 125            # 1/beta^2 via beta^10 -> 5^3
     inv_sqrt15 = sqrt15 / 15             # 1/sqrt15 via sqrt15^2 -> 15
 
@@ -393,7 +389,8 @@ def _verify_reduction_eq6(delta_bound: Fraction) -> ReductionCertificate:
     middle = 5 * F(6, 25) - (F(1, 2) + F(3, 10) + F(2, 5))  # v(alpha^5/(sqrt15 beta r))
     constant = 1 - (2 * F(3, 10) + F(2, 5))                 # v(5/(beta^2 r))
     ok = (
-        not negative
+        normal_form(r * inv_r, [R_SYMBOL]) == 1
+        and not negative
         and not target_negative
         and level0 == target0
         and pos_min > 0
@@ -402,7 +399,6 @@ def _verify_reduction_eq6(delta_bound: Fraction) -> ReductionCertificate:
         and delta_bound > 0
     )
     return ReductionCertificate(
-        claim_id="eq6",
         status="pass" if ok else "fail",
         dominant=tuple(sorted(level0.terms)),
         residual_min=pos_min if is_finite(pos_min) else None,
@@ -469,7 +465,6 @@ def hensel_certificate(g_plus: SymbolicPolynomial) -> ReductionCertificate:
     hp1_ok = dominant_piece(hp1_pieces, lo, hi) == Affine(F(0), F(0))
 
     return ReductionCertificate(
-        claim_id="hensel",
         status="pass" if h1_ok and hp1_ok else "fail",
         residual_min=delta,
         data={
@@ -487,7 +482,6 @@ def fiber_square_identity() -> ReductionCertificate:
     quotient = 4 * x
     ok = (2 * x * u - y) ** 2 - (y**2 - 20 * x) == quotient * plus_curve_model().fiber
     return ReductionCertificate(
-        claim_id="z_identity",
         status="pass" if ok else "fail",
         quotient=quotient,
     )

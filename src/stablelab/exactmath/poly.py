@@ -13,16 +13,15 @@ defining relation of an algebraic number, or a formal square root); see
 :class:`ValuedSymbol` and :func:`normal_form`.
 
 The univariate kernel at the end of the module works on dense ascending
-coefficient lists: trim, multiply, divmod, gcd, squarefree part, inverse
-modulo a polynomial, root power sums and their Newton-identity inversion.  It
-is the one implementation of these operations in the package.
+coefficient lists: trim, multiply, divmod, gcd, squarefree part, root power
+sums and their Newton-identity inversion.  It is the one implementation of
+these operations in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[tuple[str, int], ...]
@@ -329,14 +328,6 @@ def poly_to_coeffs(f: SymbolicPolynomial, var: str) -> list[Fraction]:
     return univariate_trim(out) or [_ZERO]
 
 
-def coeffs_to_poly(coeffs: Iterable, var: str) -> SymbolicPolynomial:
-    out: dict[Monomial, Fraction] = {}
-    for e, c in enumerate(coeffs):
-        if c != 0:
-            out[((var, e),) if e else ()] = c
-    return SymbolicPolynomial(out)
-
-
 def _exact_quotient(a, b):
     """a / b: an int when both are ints and b divides a, else a Fraction."""
     if b == 1:
@@ -401,20 +392,6 @@ def squarefree_part(f: Sequence) -> list:
     if rem:
         raise ArithmeticError("gcd(f, f') does not divide f")
     return quotient
-
-
-def inverse_mod(a: Sequence, modulus: Sequence) -> list:
-    """Inverse of a modulo a univariate polynomial, by extended Euclid."""
-    r0, r1 = univariate_trim(modulus), univariate_trim(a)
-    s0, s1 = [], [1]
-    while r1:
-        q, r = univariate_divmod(r0, r1)
-        r0, r1 = r1, r
-        qs1 = univariate_mul(q, s1)
-        s0, s1 = s1, univariate_trim(x - y for x, y in zip_longest(s0, qs1, fillvalue=0))
-    if len(r0) != 1:
-        raise ValueError("element is not invertible modulo the given polynomial")
-    return [_exact_quotient(c, r0[0]) for c in s0]
 
 
 def root_power_sums(f: Sequence, count: int) -> list:

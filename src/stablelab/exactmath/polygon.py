@@ -23,16 +23,12 @@ from .valuation import INF, Affine, ExtValuation, envelope_min, is_finite, val_r
 
 
 class NewtonPolygon(NamedTuple):
-    points: tuple[tuple[int, ExtValuation], ...]
     hull_vertices: tuple[tuple[int, Fraction], ...]
     segments: tuple[tuple[Fraction, int], ...]  # (slope, horizontal length)
 
     def root_valuations(self) -> tuple[tuple[Fraction, int], ...]:
         """Multiset of root valuations: (valuation, count), by convention -slope."""
         return tuple(sorted((-s, n) for s, n in self.segments))
-
-    def width(self) -> int:
-        return self.hull_vertices[-1][0] - self.hull_vertices[0][0]
 
 
 def lower_hull(points: Sequence[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
@@ -53,10 +49,7 @@ def lower_hull(points: Sequence[tuple[int, Fraction]]) -> list[tuple[int, Fracti
 
 def newton_polygon(vals: Sequence[ExtValuation]) -> NewtonPolygon:
     """Lower convex hull of {(i, vals[i]) : vals[i] finite}."""
-    points = tuple(
-        (i, Fraction(v) if is_finite(v) else INF) for i, v in enumerate(vals)
-    )
-    finite = [(i, v) for i, v in points if is_finite(v)]
+    finite = [(i, Fraction(v)) for i, v in enumerate(vals) if is_finite(v)]
     if len(finite) < 2:
         raise ValueError("need at least two finite valuations")
     hull = lower_hull(finite)
@@ -69,7 +62,7 @@ def newton_polygon(vals: Sequence[ExtValuation]) -> NewtonPolygon:
         raise AssertionError("hull slopes must increase strictly")
     if sum(n for _, n in segments) != finite[-1][0] - finite[0][0]:
         raise AssertionError("hull segments must span the finite points")
-    return NewtonPolygon(points, tuple(hull), segments)
+    return NewtonPolygon(tuple(hull), segments)
 
 
 def root_valuation_multiset(
@@ -89,15 +82,14 @@ def root_valuation_multiset(
 class PolygonCell(NamedTuple):
     """Combinatorial hull data valid on an open lambda-cell.
 
-    ``vertices`` are hull vertex indices; ``values`` the per-vertex affine
-    valuations; ``segments`` pairs (affine slope, length).  Root valuations at
-    a given lambda are -slope(lambda) with the segment lengths as counts.
+    ``vertices`` are hull vertex indices; ``segments`` pairs (affine slope,
+    length).  Root valuations at a given lambda are -slope(lambda) with the
+    segment lengths as counts.
     """
 
     lo: Fraction
     hi: Fraction
     vertices: tuple[int, ...]
-    values: tuple[Affine, ...]
     segments: tuple[tuple[Affine, int], ...]
 
     def root_valuations_at(self, lam) -> tuple[tuple[Fraction, int], ...]:
@@ -240,7 +232,6 @@ def _certify_cell(indexed, a: Fraction, b: Fraction):
                 rho = mid
             return rho
 
-    values = tuple(actives[i] for i in vertices)
     segments = tuple(
         (
             Affine(
@@ -251,4 +242,4 @@ def _certify_cell(indexed, a: Fraction, b: Fraction):
         )
         for i, j in zip(vertices, vertices[1:])
     )
-    return PolygonCell(a, b, vertices, values, segments)
+    return PolygonCell(a, b, vertices, segments)

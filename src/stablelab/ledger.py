@@ -2,9 +2,8 @@
 
 Implements the classical genus formula for X0(N), the supersingular class
 survey with automorphism orders (checked against the Eichler mass formula),
-a per-prime component budget that the conjectural stable-model components
-must fit into, and a dual-graph genus calculator for user-supplied
-configurations.
+and a per-prime component budget that the conjectural stable-model
+components must fit into.
 """
 
 from __future__ import annotations
@@ -163,7 +162,6 @@ class SSComponentLine(NamedTuple):
     curve_count: int
     cm_components: int  # 2(p+1)/i per curve
     cm_genus: int  # (p-1)/2 per component
-    edixhoven_genus: int
 
 
 class ComponentBudget(NamedTuple):
@@ -199,7 +197,7 @@ def component_budget(
             raise ValueError(f"i = {i} does not divide p + 1")
         cm_components = 2 * (p + 1) // i
         cm_genus = (p - 1) // 2
-        lines.append(SSComponentLine(aut_order, count, cm_components, cm_genus, g_edixhoven))
+        lines.append(SSComponentLine(aut_order, count, cm_components, cm_genus))
         total += count * (cm_components * cm_genus + 2 * g_edixhoven)
     total += sum(ordinary)
     curve_genus = genus_x0(p**3)
@@ -210,59 +208,3 @@ def component_budget(
     return ComponentBudget(
         p, tuple(lines), ordinary, total, curve_genus, exact=total == curve_genus
     )
-
-
-# -- dual graphs --------------------------------------------------------------
-
-
-class GraphSpec(NamedTuple):
-    vertices: tuple[tuple[str, int], ...]  # (id, genus)
-    edges: tuple[tuple[str, str], ...]
-
-
-def parse_graph_spec(text: str) -> GraphSpec:
-    """Plain-text graph: `vertex <id> <genus>` lines, then `edge <id> <id>`."""
-    vertices: list[tuple[str, int]] = []
-    edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "vertex" and len(parts) == 3:
-            vertices.append((parts[1], int(parts[2])))
-        elif parts[0] == "edge" and len(parts) == 3:
-            edges.append((parts[1], parts[2]))
-        else:
-            raise ValueError(f"bad graph line {lineno}: {raw!r}")
-    return GraphSpec(tuple(vertices), tuple(edges))
-
-
-def graph_genus(spec: GraphSpec) -> int:
-    """Arithmetic genus of a connected configuration:
-    sum of vertex genera plus the first Betti number |E| - |V| + 1."""
-    ids = [v for v, _ in spec.vertices]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate vertex ids")
-    index = {v: i for i, v in enumerate(ids)}
-    for a, b in spec.edges:
-        if a not in index or b not in index:
-            raise ValueError(f"edge references unknown vertex: {(a, b)}")
-    if not ids:
-        raise ValueError("empty graph")
-    # connectivity by union-find
-    parent = list(range(len(ids)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in spec.edges:
-        ra, rb = find(index[a]), find(index[b])
-        if ra != rb:
-            parent[ra] = rb
-    if len({find(i) for i in range(len(ids))}) != 1:
-        raise ValueError("graph is not connected")
-    return sum(g for _, g in spec.vertices) + len(spec.edges) - len(ids) + 1

@@ -101,7 +101,6 @@ def build_algebra(params: AlgebraParams) -> dict[tuple[int, int], tuple[int, int
 
 
 class OrbitReport(NamedTuple):
-    params: AlgebraParams
     orbits: tuple[tuple[int, AbarElement, int], ...]  # (size, representative, c^2 - alpha d^2)
     stabilizer: str
 
@@ -149,7 +148,7 @@ def orbit_analysis(params: AlgebraParams) -> OrbitReport:
     if len(fibres) != p - 1 or any(len(fibre) != p + 1 for fibre in fibres.values()):
         raise AssertionError(f"expected p - 1 fibres of size p + 1, found {len(fibres)}")
     orbits = tuple((len(fibre), fibre[0], norm) for norm, fibre in fibres.items())
-    return OrbitReport(params, orbits, "F_p^* (scalars), order p - 1")
+    return OrbitReport(orbits, "F_p^* (scalars), order p - 1")
 
 
 # -- the p = 7 worked example ------------------------------------------------

@@ -193,6 +193,18 @@ def test_exit_codes(tmp_path):
     assert statuses["genus-343"] == "pass"
 
 
+def test_unwritable_report_path_exits_2_before_any_check(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    for path in (tmp_path / "missing" / "r.json", tmp_path):
+        assert cli.main(["ledger", "--report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("report error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 def test_cli_text_format(tmp_path, capsys):
     code = cli.main(["ss", "--format", "text"])
     out = capsys.readouterr().out

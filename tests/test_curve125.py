@@ -1,7 +1,8 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablelab import curve125
@@ -18,6 +19,7 @@ from stablelab.exactmath import (
     root_valuation_multiset,
     sym,
     univariate_gcd,
+    univariate_mul,
     val_rat,
 )
 
@@ -180,11 +182,35 @@ def test_two_cluster_combinatorics():
 
 def test_pairwise_distance_trivial_example():
     assert curve125.pairwise_distance_valuations([-1, 0, 1]) == ((F(0), 2),)
+    assert curve125.pairwise_distance_valuations([-1, 0, 1, 0]) == ((F(0), 2),)
 
 
 def test_pairwise_distance_rejects_non_squarefree():
     with pytest.raises(ValueError):
         curve125.pairwise_distance_valuations([1, 2, 1])  # (x+1)^2
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.dictionaries(st.integers(-12, 12), st.integers(1, 3), min_size=1, max_size=3),
+       st.integers(-30, 30).filter(bool))
+@example({0: 2, 1: 1}, 1)  # x^2 (x - 1): the repeated root is 0
+@example({5: 3}, 1)  # a cube
+@example({0: 1, 5: 1, 30: 1}, 25)
+def test_pairwise_distance_squarefree_by_zero_order(roots, lead):
+    """lead * prod (x - a)^m is rejected exactly when some m > 1; otherwise
+    the distance counts cover the n(n - 1) ordered pairs of distinct roots."""
+    f = [lead]
+    for a, m in roots.items():
+        for _ in range(m):
+            f = univariate_mul(f, [-a, 1])
+    if max(roots.values()) > 1:
+        with pytest.raises(ValueError, match="not squarefree"):
+            curve125.pairwise_distance_valuations(f)
+        return
+    distances = curve125.pairwise_distance_valuations(f)
+    n = len(roots)
+    assert sum(count for _, count in distances) == n * (n - 1)
+    assert dict(distances) == Counter(val_rat(a - b, 5) for a in roots for b in roots if a != b)
 
 
 def test_dominance_certificate(g_plus):
@@ -329,6 +355,17 @@ def test_eq6_reduction(hensel):
     assert cert.data["delta_bound"] == F(2, 25)
 
 
+@pytest.mark.parametrize("wrong", [(r**4 + 24) / 25, (r**4 + 50) / 25],
+                         ids=["wrong-valuation", "right-valuation"])
+def test_eq6_certifies_the_inverse_of_r(hensel, monkeypatch, wrong):
+    """eq 6 scales by 1/r.  A wrong R_INVERSE enters the scaled fiber and the
+    target alike, so (r^4 + 50)/25, which has the valuation -2/5 of 1/r,
+    passes every residue test and only r * R_INVERSE = 1 rejects it."""
+    assert curve125.verify_reduction("eq6", None, hensel).passed
+    monkeypatch.setattr(curve125, "R_INVERSE", wrong)
+    assert curve125.verify_reduction("eq6", None, hensel).status == "fail"
+
+
 @pytest.mark.parametrize("cell, delta", [((2, 2), 1), ((1, 0), 5)])
 def test_one_wrong_table1_cell_fails_every_model_certificate(g_plus, cell, delta):
     """A g+ with one perturbed cell (15 -> 16 on x0^2 y^2, or 5 added to the
@@ -370,7 +407,7 @@ def test_reduction_certificates_carry_exact_rationals(g_plus, hensel):
         curve125.fiber_square_identity(),
     ]
     for cert in certificates:
-        assert cert.passed, cert.claim_id
+        assert cert.passed, cert
         if cert.residual_min is not None:
             assert isinstance(cert.residual_min, F)
             assert cert.residual_min > 0

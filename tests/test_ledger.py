@@ -77,33 +77,6 @@ def test_component_budget_violations():
         ledger.component_budget(5, g_edixhoven=100)
 
 
-def test_graph_genus_examples():
-    star = ledger.parse_graph_spec(
-        "vertex hub 0\n"
-        + "".join(f"vertex g{k} 2\nedge hub g{k}\n" for k in range(4))
-    )
-    assert ledger.graph_genus(star) == 8
-    single = ledger.GraphSpec((("v", 3),), ())
-    assert ledger.graph_genus(single) == 3
-    cycle = ledger.GraphSpec(
-        (("a", 0), ("b", 0), ("c", 0)), (("a", "b"), ("b", "c"), ("c", "a"))
-    )
-    assert ledger.graph_genus(cycle) == 1
-
-
-def test_graph_parse_and_errors():
-    spec = ledger.parse_graph_spec("# comment\nvertex a 1\nvertex b 2\nedge a b\n")
-    assert ledger.graph_genus(spec) == 3
-    with pytest.raises(ValueError):
-        ledger.parse_graph_spec("vertex a\n")
-    with pytest.raises(ValueError):
-        ledger.graph_genus(ledger.GraphSpec((("a", 0), ("b", 0)), ()))
-    with pytest.raises(ValueError):
-        ledger.graph_genus(ledger.GraphSpec((("a", 0),), (("a", "z"),)))
-    with pytest.raises(ValueError):
-        ledger.graph_genus(ledger.GraphSpec((("a", 0), ("a", 1)), ()))
-
-
 def test_survey_crosscheck_stops_where_the_counts_part():
     """The survey check compares the census (supersingular curves over
     F_p-bar) with the supersingular j in F_p only for p <= 31: the two counts

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from stablelab.exactmath import (
     SymbolicPolynomial,
     ValuedSymbol,
-    coeffs_to_poly,
-    inverse_mod,
     normal_form,
     poly_to_coeffs,
     squarefree_part,
@@ -51,7 +49,7 @@ def test_integer_polynomials_keep_int_coefficients():
     f = 3 * x**2 - 2 * x * y + 7
     g = (x - 5) ** 3 * (y + 2)
     for h in (f * g, f**4, f.substitute("x", g), (-16 * f * g) / -16, (6 * f) / 3,
-              coeffs_to_poly([2, 0, -1], "x"), (x / 2) * 4):
+              (x / 2) * 4):
         assert _coefficient_types(h) == {int}, h
     assert _coefficient_types(f / 2) == {int, F}
     assert poly_to_coeffs(f.substitute("y", 1), "x") == [7, -2, 3]
@@ -109,20 +107,11 @@ def test_rewrite_must_lower_degree():
 def test_univariate_helpers():
     coeffs = poly_to_coeffs(x**3 - 2 * x + 5, "x")
     assert coeffs == [5, -2, 0, 1]
-    assert coeffs_to_poly(coeffs, "x") == x**3 - 2 * x + 5
     q, rem = univariate_divmod([F(1), F(0), F(1)], [F(1), F(1)])  # (x^2+1)/(x+1)
     assert q == [F(-1), F(1)] and rem == [F(2)]
     g = univariate_gcd(poly_to_coeffs((x + 1) ** 2 * (x - 2), "x"),
                        poly_to_coeffs((x + 1) * (x - 3), "x"))
     assert g == [F(1), F(1)]
-
-
-def test_inverse_mod():
-    minpoly = poly_to_coeffs(r**5 + 25 * r - 25, "r")
-    inv = inverse_mod(poly_to_coeffs(r, "r"), minpoly)
-    assert inv == [F(1), 0, 0, 0, F(1, 25)]  # (r^4 + 25)/25
-    with pytest.raises(ValueError):
-        inverse_mod(minpoly, minpoly)
 
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
@@ -164,18 +153,6 @@ def test_gcd_divides_both(a, b):
     assume(g != [0])
     assert g[-1] == 1
     assert univariate_divmod(a, g)[1] == [] and univariate_divmod(b, g)[1] == []
-
-
-@PROPERTY
-@given(coefficient_lists, st.lists(coefficients, min_size=2, max_size=6))
-def test_inverse_mod_property(a, modulus):
-    assume(modulus[-1] != 0)
-    if univariate_gcd(a, modulus) != [1]:
-        with pytest.raises(ValueError):
-            inverse_mod(a, modulus)
-        return
-    inv = inverse_mod(a, modulus)
-    assert univariate_divmod(univariate_mul(inv, a), modulus)[1] == [1]
 
 
 @PROPERTY

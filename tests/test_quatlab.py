@@ -105,7 +105,7 @@ def _enumerated_orbits(params):
             seen |= orbit
     assert len(orbits) == p - 1
     assert len({inv for _, _, inv in orbits}) == p - 1
-    return quatlab.OrbitReport(params, tuple(orbits), "F_p^* (scalars), order p - 1")
+    return quatlab.OrbitReport(tuple(orbits), "F_p^* (scalars), order p - 1")
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
