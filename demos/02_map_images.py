@@ -31,10 +31,11 @@ print("both are involutions:", modmaps.is_involution(maps["w5"]),
 
 print("Where do the ten ramification points land on X0(5)?  Eliminating the")
 print("double-root parametrization x = 5/u^2, y = 10/u through pi5:")
-ric = modmaps.ramification_image_polynomial()
+ric = modmaps.ramification_image_polynomial(maps["pi5_t"])
 print("  eliminant degree:", len(ric.eliminant) - 1)
 print("  squarefree part:", ric.squarefree_part, " i.e. t^2 = 125\n")
 
+print("Each certificate raises CertificateError unless its claim holds.")
 print("The CM residue disks described in u match those pulled back through r:")
 disks = modmaps.cm_disk_identities()
 print("  v5(5^5/r^5 - 5^3) =", disks.u_disk_valuation, "> 3")

@@ -28,7 +28,7 @@ print()
 
 print("Below 5/6 four points sit strictly closer to the origin (the canonical")
 print("subgroup); at 5/6 and beyond all 24 are equidistant and none exists.")
-threshold = sslab.too_ss_threshold(polygon)
+threshold = sslab.too_ss_threshold(polygon)  # raises CertificateError unless v5(j) = 3*v5(t)
 print("j(t) =", threshold.j_numerator, "/", threshold.j_denominator)
-print("v5(j) = 3*v5(t), so the no-canonical-subgroup disk of X(1) is")
+print("v5(j) = 3*v5(t) on the polygon's range, so the no-canonical-subgroup disk of X(1) is")
 print("v5(j) >=", threshold.threshold)

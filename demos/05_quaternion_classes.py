@@ -7,7 +7,8 @@ from stablelab import quatlab
 
 print("The finite algebra F_p[i, eps_j, eps_k] models the mod-p endomorphisms")
 print("of a supersingular curve: i^2 = alpha (a non-residue), the eps's are")
-print("nilpotent, and i eps_j = eps_k = -eps_j i.\n")
+print("nilpotent, and i eps_j = eps_k = -eps_j i.  Each orbit certificate")
+print("raises CertificateError if a stabilizer, image or fibre count is off.\n")
 
 for p in (5, 7, 13, 17):
     alpha = quatlab.smallest_nonresidue(p)

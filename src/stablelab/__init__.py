@@ -17,6 +17,13 @@ __version__ = "0.1.0"
 CM_CONGRUENCES = {5: (0, 2, 5**3, 3), 7: (1728, 4, 7**4, 4), 13: (5, 14, 13**7, 7)}
 
 
+class CertificateError(AssertionError):
+    """A certificate's mathematical claim fails on its inputs; the message is
+    the reason.  `cli.run_suite` reports it as the check's fail details.
+    Invalid arguments raise ValueError instead, and a broken algorithm
+    invariant a plain AssertionError, both reported as internal errors."""
+
+
 def is_prime(n: int) -> bool:
     """Trial division.  It lives here, re-exported by exactmath, so that the
     CLI can validate primes without loading the exact-arithmetic kit."""

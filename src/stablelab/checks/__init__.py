@@ -1,9 +1,11 @@
 """The individual verification checks, grouped into suites.
 
-Every check returns (status, details) with status "pass", "fail" or
-"skipped" and never raises: a broken sibling must not silence the rest of a
-suite.  Checks cite the table / claim / conjecture they certify via the
-anchors in report.KNOWN_ANCHORS.
+A check returns (status, details) with status "pass", "fail" or "skipped"
+after comparing a certificate with the paper's stated value.  A certificate
+that fails raises CertificateError from its layer, and the check lets it
+through: `cli.run_suite` reports its reason as the fail details, so a broken
+sibling never silences the rest of a suite.  Checks cite the table / claim /
+conjecture they certify via the anchors in report.KNOWN_ANCHORS.
 
 Each suite is one module of this package (`stable_model`, `maps`, `ss`,
 `cm`, `quat`, `ledger`), imported by its SUITES entry on first call, so a

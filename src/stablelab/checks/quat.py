@@ -26,10 +26,7 @@ def _make_algebra_check(p: int):
 def _make_orbit_check(p: int):
     def run():
         alpha = quatlab.smallest_nonresidue(p)
-        try:
-            report = quatlab.orbit_analysis(quatlab.AlgebraParams(p, alpha))
-        except AssertionError as exc:
-            return "fail", str(exc)
+        report = quatlab.orbit_analysis(quatlab.AlgebraParams(p, alpha))
         return "pass", (
             f"{len(report.orbits)} orbits of size {p + 1}; stabilizers F_p^*; "
             "invariant c^2 - alpha*d^2 separates classes"
@@ -39,10 +36,7 @@ def _make_orbit_check(p: int):
 
 
 def _check_uniformizer():
-    try:
-        found = quatlab.uniformizer_image_search()
-    except AssertionError as exc:
-        return "fail", str(exc)
+    found = quatlab.uniformizer_image_search()
     return "pass", (
         "image class is exactly {+-2eps_j, +-2eps_k, +-3eps_j +- 3eps_k} "
         f"({len(found)} elements)"
@@ -50,10 +44,7 @@ def _check_uniformizer():
 
 
 def _check_refinement():
-    try:
-        parts = quatlab.aut_refinement()
-    except AssertionError as exc:
-        return "fail", str(exc)
+    parts = quatlab.aut_refinement()
     return "pass", f"conjugation by i splits the class into {len(parts)} pairs x, -x"
 
 
@@ -62,11 +53,6 @@ def _check_class_counts():
     for (p, aut), expected in cases.items():
         if quatlab.class_count(p, aut) != expected:
             return "fail", f"class_count({p}, {aut}) != {expected}"
-    try:
-        quatlab.class_count(7, 6)
-        return "fail", "class_count(7, 6) should reject 3 not dividing 8"
-    except ValueError:
-        pass
     return "pass", "2(p+1)/i equals 8, 4, 28 for (p, |Aut|) = (7,4), (5,6), (13,2)"
 
 

@@ -22,7 +22,7 @@ import sys
 import time
 from contextlib import nullcontext
 
-from . import __version__, is_prime
+from . import CertificateError, __version__, is_prime
 from .checks import CM_ANCHORS, SUITES, Config, build_checks
 from .report import CheckResult, SuiteReport
 
@@ -34,14 +34,19 @@ PRIME_FLOORS = {"quat": (3, "an odd prime"), "ledger": (5, "a prime p > 3")}
 def run_suite(suite: str, config: Config, clock=time.monotonic) -> SuiteReport:
     """Run every check of the suite and assemble a deterministic report.
 
-    ``clock`` is injectable so reports can be made byte-identical across runs
-    (timing is the only nondeterministic field).
+    This is the one place a failed certificate becomes a ``fail``: a
+    CertificateError's reason is the check's details, and any other
+    exception is reported as an internal error.  ``clock`` is injectable
+    so reports can be made byte-identical across runs (timing is the only
+    nondeterministic field).
     """
     results = []
     for check in build_checks(suite, config):
         started = clock()
         try:
             status, details = check.run()
+        except CertificateError as exc:
+            status, details = "fail", str(exc)
         except Exception as exc:  # a crashed check is a failed check
             status, details = "fail", f"internal error: {exc!r}"
         elapsed_ms = int((clock() - started) * 1000)

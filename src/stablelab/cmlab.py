@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import CM_CONGRUENCES
+from . import CM_CONGRUENCES, CertificateError
 from .exactmath import INF, characteristic_polynomial, root_valuation_multiset, univariate_mul
 from .exactmath import newton_polygon  # noqa: F401  perfbench's tracer test reads it here
 
@@ -434,7 +434,8 @@ def polynomial_from_taus(
     0 in the imaginary one: then every true coefficient lies within the
     returned error of the returned integer, and equals it when the product is
     known to be integral (the taus of the reduced forms of D give H_D).
-    Otherwise the precision is doubled, at most MAX_PRECISION_DOUBLINGS times.
+    Otherwise the precision is doubled, at most MAX_PRECISION_DOUBLINGS times,
+    before the build raises CertificateError.
     """
     for _ in range(MAX_PRECISION_DOUBLINGS + 1):
         coeffs = expand_product([j_tau(tau, precision) for tau in taus])
@@ -443,7 +444,7 @@ def polynomial_from_taus(
         if error < ROUNDING_TOLERANCE:
             return tuple(n for n, _ in rounded), precision, error
         precision *= 2
-    raise ArithmeticError(
+    raise CertificateError(
         "coefficient balls are not within 1e-6 of integers after precision escalation"
     )
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
+from . import CertificateError
 from .exactmath import (
     INF,
     Affine,
@@ -66,15 +67,10 @@ class RamificationData(NamedTuple):
 
 
 class ReductionCertificate(NamedTuple):
-    status: str  # pass | fail
     dominant: tuple[Monomial, ...] = ()
     residual_min: Fraction | None = None
     quotient: SymbolicPolynomial | None = None
     data: Mapping = MappingProxyType({})  # one shared default, so read-only
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
 
 def plus_curve_model() -> PlusCurveModel:
@@ -113,7 +109,7 @@ def build_shifted_model() -> SymbolicPolynomial:
     """g+(x0, y) = f+(x0 + r, y) reduced mod r^5 + 25r - 25 (table 1).
 
     Every coefficient of x0^i y^j (i <= 5, j <= 4) is compared exactly with
-    `table1_coefficients()`; any mismatch raises ValueError.
+    `table1_coefficients()`; any mismatch raises CertificateError.
     """
     model = plus_curve_model()
     g_plus = normal_form(model.f_plus.substitute("x", x0 + r), [R_SYMBOL])
@@ -123,7 +119,7 @@ def build_shifted_model() -> SymbolicPolynomial:
             got = g_plus.coefficient("x0", i).coefficient("y", j)
             want = expected.get((i, j), SymbolicPolynomial.zero())
             if got != want:
-                raise ValueError(
+                raise CertificateError(
                     f"shifted-model coefficient of x0^{i} y^{j} is {got}, expected {want}"
                 )
     return g_plus
@@ -133,7 +129,7 @@ def _integer_coeffs(f: SymbolicPolynomial, var: str) -> tuple[int, ...]:
     out = []
     for c in poly_to_coeffs(f, var):
         if c.denominator != 1:
-            raise ValueError("expected integer coefficients")
+            raise CertificateError(f"{var}-coefficient {c} is not an integer")
         out.append(int(c))
     return tuple(out)
 
@@ -145,14 +141,14 @@ def pairwise_distance_valuations(
 
     The roots of D(z) = Res_y(f(y), f(y+z)) are the ordered differences; the
     deg f differences root_i - root_i are its root 0 of multiplicity deg f,
-    and the rest are the distances.
+    and the rest are the distances.  A repeated root raises CertificateError.
     """
     coeffs = univariate_trim(int(c) for c in coeffs)
     *distances, zero = root_valuation_multiset(difference_root_resultant(coeffs), P)
     # roots of multiplicities m_i make D(z) vanish to order sum m_i^2 at 0,
     # which equals deg f = sum m_i exactly when every m_i is 1
     if zero != (INF, len(coeffs) - 1):
-        raise ValueError("polynomial is not squarefree")
+        raise CertificateError("polynomial is not squarefree")
     return tuple(distances)
 
 
@@ -165,15 +161,16 @@ def cluster_sizes(distance_multiset) -> tuple[int, ...]:
 
     For a multiset {(near, a), (far, b)} with far < near over 10 points, the
     partition into maximal near-clusters must have sum of squares 10 + a; the
-    unique integer partition realizing it is returned (error if ambiguous).
+    unique integer partition realizing it is returned; CertificateError if
+    the multiset forces none or several.
     """
     values = sorted(distance_multiset, key=lambda pair: pair[0])
     if len(values) != 2:
-        raise ValueError("expected exactly two distance values")
+        raise CertificateError("expected exactly two distance values")
     (_, cross_count), (_, near_count) = values
     total_points = 10
     if cross_count + near_count != total_points * (total_points - 1):
-        raise ValueError("multiset does not cover all ordered pairs")
+        raise CertificateError("multiset does not cover all ordered pairs")
     target = total_points + near_count  # sum of n_i^2 over clusters
 
     def partitions(n, maximum):
@@ -189,7 +186,7 @@ def cluster_sizes(distance_multiset) -> tuple[int, ...]:
         if sum(n * n for n in p) == target
     ]
     if len(matches) != 1:
-        raise ValueError(f"cluster structure ambiguous: {matches}")
+        raise CertificateError(f"cluster structure ambiguous: {matches}")
     return matches[0]
 
 
@@ -203,7 +200,7 @@ def ramification_polynomials() -> RamificationData:
     p_ram_y = _integer_coeffs(p_ram_y_poly, "y")
     p_ram_x = characteristic_polynomial([0, 0, F(1, 20)], p_ram_y)
     if len(p_ram_y) != 11 or len(p_ram_x) != 11:
-        raise ValueError("ramification polynomials must have degree 10")
+        raise CertificateError("ramification polynomials must have degree 10")
     return RamificationData(
         p_ram_y,
         p_ram_x,
@@ -248,8 +245,12 @@ def verify_dominance_eq3(g_plus: SymbolicPolynomial) -> ReductionCertificate:
         and polygon.root_valuations() == ((F(1, 2), 5),)
         and residual > F(5, 2)
     )
+    if not ok:
+        raise CertificateError(
+            f"eq 3 dominance fails: minimum {mv.value} attained by {mv.witnesses}, "
+            f"next monomial at {residual}, x0-polygon roots {polygon.root_valuations()}"
+        )
     return ReductionCertificate(
-        status="pass" if ok else "fail",
         dominant=mv.witnesses,
         residual_min=residual - mv.value if is_finite(residual) else None,
         data={
@@ -337,17 +338,15 @@ def _verify_reduction_eq4(g_plus: SymbolicPolynomial) -> ReductionCertificate:
         (("x1", 5),): 3,
         (("x1", 1),): 3,
     }
-    ok = (
-        not negative
-        and level0 == expected0
-        and residue == expected_residue
-        and pos_min > 0
-    )
+    if negative or level0 != expected0 or residue != expected_residue:
+        raise CertificateError(
+            f"eq 4 scaled model is not integral with residue y1^2 = 2*x1^5 + 2*x1: "
+            f"valuation-0 part {level0}, negative monomials {negative}"
+        )
     return ReductionCertificate(
-        status="pass" if ok else "fail",
         dominant=tuple(sorted(level0.terms)),
         residual_min=pos_min if is_finite(pos_min) else None,
-        data={"residue_mod5": residue, "negative": tuple(negative)},
+        data={"residue_mod5": residue},
     )
 
 
@@ -388,25 +387,23 @@ def _verify_reduction_eq6(delta_bound: Fraction) -> ReductionCertificate:
     target0, _, target_negative = _valuation_level_split(target, assignment)
     middle = 5 * F(6, 25) - (F(1, 2) + F(3, 10) + F(2, 5))  # v(alpha^5/(sqrt15 beta r))
     constant = 1 - (2 * F(3, 10) + F(2, 5))                 # v(5/(beta^2 r))
-    ok = (
-        normal_form(r * inv_r, [R_SYMBOL]) == 1
-        and not negative
-        and not target_negative
-        and level0 == target0
-        and pos_min > 0
-        and middle == 0
-        and constant == 0
-        and delta_bound > 0
-    )
+    if normal_form(r * inv_r, [R_SYMBOL]) != 1:
+        raise CertificateError(f"R_INVERSE = {inv_r} is not 1/r")
+    if delta_bound <= 0:
+        raise CertificateError(f"the Hensel error bound {delta_bound} is not positive")
+    if negative or target_negative:
+        raise CertificateError(
+            f"eq 6 scaled fiber is not integral: {negative + target_negative} "
+            "have negative valuation"
+        )
+    if level0 != target0 or (middle, constant) != (0, 0):
+        raise CertificateError(
+            f"eq 6 valuation-0 part {level0} differs from the target's {target0}"
+        )
     return ReductionCertificate(
-        status="pass" if ok else "fail",
         dominant=tuple(sorted(level0.terms)),
         residual_min=pos_min if is_finite(pos_min) else None,
-        data={
-            "delta_bound": delta_bound,
-            "coefficient_valuations": (middle, constant),
-            "negative": tuple(negative),
-        },
+        data={"delta_bound": delta_bound, "coefficient_valuations": (middle, constant)},
     )
 
 
@@ -461,11 +458,18 @@ def hensel_certificate(g_plus: SymbolicPolynomial) -> ReductionCertificate:
         and hi_min == 0 and len(hi_wit) == 1
         and delta > 0
     )
-
-    hp1_ok = dominant_piece(hp1_pieces, lo, hi) == Affine(F(0), F(0))
+    if not h1_ok:
+        raise CertificateError(
+            f"v(h(1)) is {lo_min} at v(s) = 1/5 ({len(lo_wit)} witnesses), {hi_min} at "
+            f"1/4 ({len(hi_wit)} witnesses) and {delta} at 6/25: not certified > 0 inside"
+        )
+    if dominant_piece(hp1_pieces, lo, hi) != Affine(F(0), F(0)):
+        raise CertificateError(
+            "the constant piece 0 of v(h'(1)) is not strictly below every other piece "
+            "on 1/5 < v(s) < 1/4"
+        )
 
     return ReductionCertificate(
-        status="pass" if h1_ok and hp1_ok else "fail",
         residual_min=delta,
         data={
             "h1_endpoint_minima": (lo_min, hi_min),
@@ -480,8 +484,6 @@ def hensel_certificate(g_plus: SymbolicPolynomial) -> ReductionCertificate:
 def fiber_square_identity() -> ReductionCertificate:
     """(2xu - y)^2 - (y^2 - 20x) == 4x * (xu^2 - yu + 5), both sides expanded."""
     quotient = 4 * x
-    ok = (2 * x * u - y) ** 2 - (y**2 - 20 * x) == quotient * plus_curve_model().fiber
-    return ReductionCertificate(
-        status="pass" if ok else "fail",
-        quotient=quotient,
-    )
+    if (2 * x * u - y) ** 2 - (y**2 - 20 * x) != quotient * plus_curve_model().fiber:
+        raise CertificateError("the fiber square identity has a nonzero remainder")
+    return ReductionCertificate(quotient=quotient)

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from . import CertificateError
 from .exactmath import is_prime
 
 F = Fraction
@@ -71,7 +72,7 @@ def genus_x0(N: int) -> int:
 
     genus = 1 + F(mu, 12) - F(nu2, 4) - F(nu3, 3) - F(nu_inf, 2)
     if genus.denominator != 1 or genus < 0:
-        raise AssertionError(f"genus formula gives {genus} for N = {N}")
+        raise CertificateError(f"genus formula gives {genus} for N = {N}")
     return int(genus)
 
 
@@ -109,7 +110,7 @@ def ss_survey(p: int) -> SSClassSurvey:
     has4 = 1 if p % 4 == 3 else 0
     rest = F(p - 1, 12) - F(has4, 2) - F(has6, 3)
     if rest.denominator != 1 or rest < 0:
-        raise AssertionError("mass bookkeeping failed")
+        raise CertificateError(f"p = {p} leaves {rest} curves with |Aut| = 2")
     entries = []
     if rest:
         entries.append((2, int(rest)))
@@ -119,7 +120,10 @@ def ss_survey(p: int) -> SSClassSurvey:
         entries.append((6, 1))
     survey = SSClassSurvey(p, tuple(entries), sum(F(n, a) for a, n in entries))
     if survey.mass != F(p - 1, 24):
-        raise AssertionError("Eichler mass formula violated")
+        raise CertificateError(
+            f"Eichler mass formula fails at p = {p}: sum 1/|Aut| = {survey.mass}, "
+            f"not (p-1)/24 = {F(p - 1, 24)}"
+        )
     return survey
 
 
@@ -194,7 +198,7 @@ def component_budget(
     for aut_order, count in survey.entries:
         i = aut_order // 2
         if (p + 1) % i:
-            raise ValueError(f"i = {i} does not divide p + 1")
+            raise CertificateError(f"i = {i} does not divide p + 1")
         cm_components = 2 * (p + 1) // i
         cm_genus = (p - 1) // 2
         lines.append(SSComponentLine(aut_order, count, cm_components, cm_genus))
@@ -202,7 +206,7 @@ def component_budget(
     total += sum(ordinary)
     curve_genus = genus_x0(p**3)
     if total > curve_genus:
-        raise ValueError(
+        raise CertificateError(
             f"component budget {total} exceeds the genus {curve_genus} of X0({p**3})"
         )
     return ComponentBudget(

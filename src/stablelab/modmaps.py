@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import curve125
+from . import CertificateError, curve125
 from .exactmath import (
     Affine,
     SymbolicPolynomial,
@@ -162,7 +162,6 @@ def is_involution(rmap: RationalMap) -> bool:
 class RamImageCertificate(NamedTuple):
     eliminant: tuple[int, ...]  # T(t), ascending integer coefficients
     squarefree_part: tuple[int, ...]
-    status: str
 
 
 def ramification_u_polynomial() -> list[int]:
@@ -182,27 +181,28 @@ def ramification_u_polynomial() -> list[int]:
     return p_ram_u
 
 
-def ramification_image_polynomial() -> RamImageCertificate:
+def ramification_image_polynomial(pi5_t: RationalMap) -> RamImageCertificate:
     """Eliminant of the composite sending ramification points into X0(5).
 
     T(t) = Res_u(p_ram_u, t - pi5_t(u)), the characteristic polynomial of
-    pi5_t over the roots of p_ram_u.  The certificate is that the squarefree
-    part of T is exactly t**2 - 125.
+    the polynomial map pi5_t (table 2's u -> t) over the roots of p_ram_u.
+    The certificate is that T has even degree and its squarefree part is
+    exactly t**2 - 125.
     """
-    pi5_t = poly_to_coeffs(builtin_maps()["pi5_t"].numerator, "u")
-    ints = characteristic_polynomial(pi5_t, ramification_u_polynomial())
+    numerator = poly_to_coeffs(pi5_t.numerator, "u")
+    ints = characteristic_polynomial(numerator, ramification_u_polynomial())
     quotient = squarefree_part(ints)
     monic = [F(c) / quotient[-1] for c in quotient]
-    if any(c.denominator != 1 for c in monic):
-        raise ValueError("squarefree part is not integral after normalization")
-    squarefree = tuple(int(c) for c in monic)
-    ok = squarefree == (-125, 0, 1) and len(ints) % 2 == 1  # even degree
-    return RamImageCertificate(ints, squarefree, "pass" if ok else "fail")
+    if monic != [-125, 0, 1] or len(ints) % 2 == 0:
+        raise CertificateError(
+            f"eliminant of degree {len(ints) - 1} has squarefree part with coefficients "
+            f"({', '.join(map(str, monic))}), not t^2 - 125"
+        )
+    return RamImageCertificate(ints, tuple(map(int, monic)))
 
 
 class DiskIdentityCertificate(NamedTuple):
-    u_disk_valuation: Fraction  # v5(5^5/r^5 - 5^3), must exceed 3
-    status: str
+    u_disk_valuation: Fraction  # v5(5^5/r^5 - 5^3), exceeds 3
 
 
 def cm_disk_identities() -> DiskIdentityCertificate:
@@ -213,4 +213,6 @@ def cm_disk_identities() -> DiskIdentityCertificate:
         SymbolicPolynomial.constant(5**5) - 5**3 * rr**5, [curve125.R_SYMBOL]
     )
     v = field_valuation(numerator, "r", curve125.R_MINPOLY, P) - 5 * F(2, 5)
-    return DiskIdentityCertificate(v, "pass" if v > 3 else "fail")
+    if v <= 3:
+        raise CertificateError(f"v5(5^5/r^5 - 5^3) = {v}, not > 3")
+    return DiskIdentityCertificate(v)

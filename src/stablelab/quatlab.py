@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import CertificateError
 from .exactmath import SymbolicPolynomial, is_prime, sym
 
 
@@ -96,7 +97,7 @@ def build_algebra(params: AlgebraParams) -> dict[tuple[int, int], tuple[int, int
         left = multiply(multiply(bi, bj, params), bk, params)
         right = multiply(bi, multiply(bj, bk, params), params)
         if left != right:
-            raise AssertionError(f"associativity fails on {bi}, {bj}, {bk}")
+            raise CertificateError(f"associativity fails on {bi}, {bj}, {bk}")
     return table
 
 
@@ -117,12 +118,13 @@ def orbit_analysis(params: AlgebraParams) -> OrbitReport:
     g -> u is F_p^* (every stabilizer, since z is a unit) and that the image
     has p + 1 elements of norm 1, hence is the whole norm-one group.  The
     orbits are therefore the fibres of the invariant N(z) = c^2 - alpha d^2,
-    verified to be p - 1 fibres of size p + 1.  Any failure raises.
+    verified to be p - 1 fibres of size p + 1.  Any failure raises
+    CertificateError.
     """
     p, alpha = params.p, params.alpha
     table = build_algebra(params)
     if table[(1, 2)] != (0, 0, 0, 1) or table[(2, 1)] != (0, 0, 0, p - 1):
-        raise AssertionError("i eps_j = eps_k = -eps_j i fails on the basis")
+        raise CertificateError("i eps_j = eps_k = -eps_j i fails on the basis")
     one = AbarElement(1, 0, 0, 0)
     kernel: list[AbarElement] = []
     image: set[AbarElement] = set()
@@ -132,21 +134,21 @@ def orbit_analysis(params: AlgebraParams) -> OrbitReport:
         g, conjugate = AbarElement(a, b, 0, 0), AbarElement(a, -b % p, 0, 0)
         conjugate_inverse = unit_inverse(conjugate, params)
         if multiply(conjugate, conjugate_inverse, params) != one:
-            raise AssertionError(f"unit_inverse({conjugate}) is not an inverse")
+            raise CertificateError(f"unit_inverse({conjugate}) is not an inverse")
         u = multiply(g, conjugate_inverse, params)
         if u == one:
             kernel.append(g)
         image.add(u)
     if len(kernel) != p - 1 or any(g.b != 0 for g in kernel):
-        raise AssertionError(f"stabilizer {kernel} is not F_p^*")
+        raise CertificateError(f"stabilizer {kernel} is not F_p^*")
     if len(image) != p + 1 or any((u.a * u.a - alpha * u.b * u.b) % p != 1 for u in image):
-        raise AssertionError("g / conj(g) does not run over the p + 1 units of norm 1")
+        raise CertificateError("g / conj(g) does not run over the p + 1 units of norm 1")
     fibres: dict[int, list[AbarElement]] = {}
     for c, d in itertools.product(range(p), repeat=2):
         if (c, d) != (0, 0):
             fibres.setdefault((c * c - alpha * d * d) % p, []).append(AbarElement(0, 0, c, d))
     if len(fibres) != p - 1 or any(len(fibre) != p + 1 for fibre in fibres.values()):
-        raise AssertionError(f"expected p - 1 fibres of size p + 1, found {len(fibres)}")
+        raise CertificateError(f"expected p - 1 fibres of size p + 1, found {len(fibres)}")
     orbits = tuple((len(fibre), fibre[0], norm) for norm, fibre in fibres.items())
     return OrbitReport(orbits, "F_p^* (scalars), order p - 1")
 
@@ -168,7 +170,7 @@ def quaternion_square_symbolic() -> tuple[SymbolicPolynomial, ...]:
         2 * a * d,
     )
     if tuple(components) != expected:
-        raise AssertionError("quaternion square does not reduce to the stated form")
+        raise CertificateError("quaternion square does not reduce to the stated form")
     return expected
 
 
@@ -221,7 +223,7 @@ def uniformizer_image_search() -> tuple[AbarElement, ...]:
         (3, 3), (3, p - 3), (p - 3, 3), (p - 3, p - 3),
     }
     if {(e.c, e.d) for e in found} != expected:
-        raise AssertionError("enumerated class differs from the expected 8 elements")
+        raise CertificateError("enumerated class differs from the expected 8 elements")
     return found
 
 
@@ -241,11 +243,11 @@ def aut_refinement() -> tuple[frozenset[AbarElement], ...]:
         conj = multiply(multiply(i_elem, x, params), i_inv, params)
         negated = AbarElement(0, 0, (-x.c) % p, (-x.d) % p)
         if conj != negated:
-            raise AssertionError("conjugation by i is not negation on the nilradical")
+            raise CertificateError("conjugation by i is not negation on the nilradical")
         parts[frozenset({x, conj})] = None
     partition = tuple(parts)
     if len(partition) != (p + 1) // 2 or any(len(part) != 2 for part in partition):
-        raise AssertionError("class does not split into (p+1)/2 pairs")
+        raise CertificateError("class does not split into (p+1)/2 pairs")
     return partition
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import CertificateError
 from .exactmath import (
     Affine,
     ParamPolygon,
@@ -75,11 +76,11 @@ def torsion_profile(polygon: ParamPolygon, lam) -> TorsionProfile:
     z_vals = []
     for v, count in x_roots:
         if v >= 0:
-            raise AssertionError("5-torsion x-roots must have negative valuation")
+            raise CertificateError("5-torsion x-roots must have negative valuation")
         # z = x/y is the parameter at the origin; v(z) = -v(x)/2 for v(x) < 0
         z_vals.append((-v / 2, 2 * count))
     if sum(n for _, n in z_vals) != 24:
-        raise AssertionError("the profile must cover the 24 nonzero 5-torsion points")
+        raise CertificateError("the profile must cover the 24 nonzero 5-torsion points")
     return TorsionProfile(
         x_root_valuations=x_roots,
         z_valuations=tuple(sorted(z_vals)),
@@ -91,8 +92,7 @@ def torsion_profile(polygon: ParamPolygon, lam) -> TorsionProfile:
 class ThresholdCertificate(NamedTuple):
     j_numerator: SymbolicPolynomial
     j_denominator: SymbolicPolynomial
-    threshold: Fraction | None  # None unless the polygon has one breakpoint
-    status: str
+    threshold: Fraction
 
 
 def weierstrass_j(a: SymbolicPolynomial, b: SymbolicPolynomial) -> tuple[SymbolicPolynomial, SymbolicPolynomial]:
@@ -107,20 +107,17 @@ def too_ss_threshold(polygon: ParamPolygon) -> ThresholdCertificate:
     """v_5(j) = 3 v_5(t) on the family range of `torsion_polygon`, so the
     threshold is 3 times its single breakpoint: 3 * (5/6) = 5/2."""
     num, den = weierstrass_j(t, SymbolicPolynomial.constant(1))
-    expected_num = 6912 * t**3
-    expected_den = 4 * t**3 + 27
+    if num != 6912 * t**3 or den != 4 * t**3 + 27:
+        raise CertificateError(f"j(t) = ({num}) / ({den}), not 6912t^3 / (4t^3 + 27)")
     # on 0 < v(t) < 1: 6912 t^3 is the single piece 3 v(t), and the unit 27
     # lies strictly below 4 t^3, so v(j) = 3 v(t) exactly
     num_piece, den_piece = (
         dominant_piece(_t_pieces(f), polygon.lo, polygon.hi) for f in (num, den)
     )
-    single = len(polygon.breakpoints) == 1
-    threshold = 3 * polygon.breakpoints[0] if single else None
-    ok = (
-        num == expected_num
-        and den == expected_den
-        and num_piece == affine(0, 3)
-        and den_piece == affine(0)
-        and single
-    )
-    return ThresholdCertificate(num, den, threshold, "pass" if ok else "fail")
+    if num_piece != affine(0, 3) or den_piece != affine(0):
+        raise CertificateError(
+            f"v(j) = 3 v(t) is not certified on {polygon.lo} < v(t) < {polygon.hi}"
+        )
+    if len(polygon.breakpoints) != 1:
+        raise CertificateError(f"the polygon has breakpoints {polygon.breakpoints}, not one")
+    return ThresholdCertificate(num, den, 3 * polygon.breakpoints[0])

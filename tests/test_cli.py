@@ -101,6 +101,85 @@ def test_each_shared_value_is_built_once_per_run(monkeypatch):
         assert calls == dict.fromkeys(calls, runs)
 
 
+def test_maps_suite_builds_the_maps_once_per_run(monkeypatch):
+    """The six checks that read table 2 and the ramification image share one
+    build of the maps, and each run builds them anew."""
+    from stablelab import modmaps
+
+    builds = []
+    build = modmaps.builtin_maps
+
+    def counted():
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(modmaps, "builtin_maps", counted)
+    for runs in (1, 2):
+        assert run("maps").overall == "pass"
+        assert len(builds) == runs
+
+
+_G_PLUS_CHECKS = (
+    "table-1-match",
+    "claim-2.1.1-dominance",
+    "claim-2.1.1-reduction",
+    "claim-2.2.1-hensel",
+    "claim-2.3.2-reduction",
+)
+
+
+def test_a_wrong_table1_cell_fails_the_g_plus_checks_with_its_reason(monkeypatch):
+    """One wrong cell of table 1 makes the shifted model's certificate raise:
+    the five checks that read g+ fail with the cell mismatch as details, the
+    others keep their verdicts, and nothing is an internal error."""
+    from stablelab import curve125
+
+    table = curve125.table1_coefficients
+    wrong = {**table(), (2, 2): table()[(2, 2)] + 1}  # 15 y^2 x0^2 becomes 16
+    monkeypatch.setattr(curve125, "table1_coefficients", lambda: wrong)
+    report = run("stable-model")
+    details = {r.id: r.details for r in report.results if r.status == "fail"}
+    assert set(details) == {*_G_PLUS_CHECKS, "claim-2.2.2-x-distances"}
+    for check_id in _G_PLUS_CHECKS:
+        assert details[check_id] == "shifted-model coefficient of x0^2 y^2 is 15, expected 16"
+    assert not any("internal error" in r.details for r in report.results)
+
+
+def test_a_failed_mass_identity_fails_the_checks_that_read_the_census(monkeypatch):
+    """A survey whose mass is not (p-1)/24 fails conjecture 3.4.5's
+    certificate: every check that reads a census reports the reason."""
+    from fractions import Fraction
+
+    from stablelab import ledger
+
+    record = ledger.SSClassSurvey
+    monkeypatch.setattr(
+        ledger, "SSClassSurvey", lambda p, entries, mass: record(p, entries, mass + Fraction(1, 24))
+    )
+    report = run("ledger", Config(primes=(5,)))
+    details = {r.id: r.details for r in report.results if r.status == "fail"}
+    assert set(details) == {"mass-formula", "survey-p05", "budget-p05", "exponent-center-crosscheck"}
+    reason = "Eichler mass formula fails at p = 5: sum 1/|Aut| = 5/24, not (p-1)/24 = 1/6"
+    assert set(details.values()) == {reason}
+    assert {r.id: r.status for r in report.results}["genus-125"] == "pass"
+
+
+@pytest.mark.parametrize("error", [TypeError, ValueError, AssertionError])
+def test_a_crash_in_a_layer_is_an_internal_error(monkeypatch, error):
+    """Only a CertificateError is a certificate's verdict: a layer that raises
+    anything else, a plain AssertionError included, has crashed."""
+    from stablelab import modmaps
+
+    def crash():
+        raise error("broken layer")
+
+    monkeypatch.setattr(modmaps, "cm_disk_identities", crash)
+    by_id = {r.id: r for r in run("maps").results}
+    assert by_id["claim-3.1.2-cm-disks"].status == "fail"
+    assert by_id["claim-3.1.2-cm-disks"].details == f"internal error: {error.__name__}('broken layer')"
+    assert by_id["claim-3.1.2-ramification-image"].status == "pass"
+
+
 def test_cm_suite_disc_override():
     report = run("cm", Config(primes=(5,), discriminants=(-20,)))
     ids = [r.id for r in report.results]

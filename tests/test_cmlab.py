@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc
 
-from stablelab import cmlab
+from stablelab import CertificateError, cmlab
 from stablelab.exactmath import interpolate_integer_polynomial, resultant_coeffs, val_rat
 
 
@@ -319,7 +319,7 @@ def test_j_truncation_overflow():
 
 
 def test_class_polynomial_rounding_escalation_fails_eventually():
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(CertificateError, match="after precision escalation"):
         cmlab.polynomial_from_taus(
             [f.tau() for f in cmlab.reduced_forms(-260)], precision=4
         )

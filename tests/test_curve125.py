@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stablelab import curve125
+from stablelab import CertificateError, curve125
 from stablelab.exactmath import (
     INF,
     Affine,
@@ -176,7 +176,7 @@ def test_x_distances_via_y_route():
 
 def test_two_cluster_combinatorics():
     assert curve125.cluster_sizes(((F(7, 10), 50), (F(4, 5), 40))) == (5, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(CertificateError, match="does not cover all ordered pairs"):
         curve125.cluster_sizes(((F(7, 10), 50), (F(4, 5), 30)))
 
 
@@ -186,7 +186,7 @@ def test_pairwise_distance_trivial_example():
 
 
 def test_pairwise_distance_rejects_non_squarefree():
-    with pytest.raises(ValueError):
+    with pytest.raises(CertificateError, match="not squarefree"):
         curve125.pairwise_distance_valuations([1, 2, 1])  # (x+1)^2
 
 
@@ -204,7 +204,7 @@ def test_pairwise_distance_squarefree_by_zero_order(roots, lead):
         for _ in range(m):
             f = univariate_mul(f, [-a, 1])
     if max(roots.values()) > 1:
-        with pytest.raises(ValueError, match="not squarefree"):
+        with pytest.raises(CertificateError, match="not squarefree"):
             curve125.pairwise_distance_valuations(f)
         return
     distances = curve125.pairwise_distance_valuations(f)
@@ -215,7 +215,6 @@ def test_pairwise_distance_squarefree_by_zero_order(roots, lead):
 
 def test_dominance_certificate(g_plus):
     cert = curve125.verify_dominance_eq3(g_plus)
-    assert cert.passed
     assert cert.dominant == ((("x0", 1),), (("x0", 5),), (("y", 2),))
     assert cert.data["min_valuation"] == F(5, 2)
     assert cert.data["coefficient_minima"] == (F(5, 2), 2, 2, F(9, 5), F(7, 5), 0)
@@ -226,7 +225,6 @@ def test_dominance_certificate(g_plus):
 
 def test_eq4_reduction(g_plus):
     cert = curve125.verify_reduction("eq4", g_plus, None)
-    assert cert.passed
     assert cert.data["residue_mod5"] == {
         (("y1", 2),): 1,
         (("x1", 5),): 3,
@@ -240,7 +238,6 @@ def test_eq4_reduction(g_plus):
 
 def test_hensel_certificate(g_plus):
     cert = curve125.hensel_certificate(g_plus)
-    assert cert.passed
     lo_min, hi_min = cert.data["h1_endpoint_minima"]
     assert lo_min == 0 and hi_min == 0
     lo_wit, hi_wit = cert.data["h1_endpoint_witnesses"]
@@ -269,6 +266,15 @@ def _positive_at_every_crossing(pieces, lo, hi):
 
 def test_hensel_envelope_is_positive_at_every_crossing(hensel_pieces):
     assert _positive_at_every_crossing(hensel_pieces[0], *curve125.HENSEL_INTERVAL)
+
+
+def _certifies(certificate, *args):
+    """True when the certificate holds on ``args``, False when it raises."""
+    try:
+        certificate(*args)
+    except CertificateError:
+        return False
+    return True
 
 
 def _through(lo, hi, at_lo, at_hi):
@@ -300,8 +306,8 @@ def test_concavity_rule_agrees_with_the_crossings_rule(hensel_pieces, shared, lo
     pieces += [_through(lo, hi, a, b) for a, b in others]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(curve125, "_hensel_pieces", lambda _: (tuple(pieces), hensel_pieces[1]))
-        cert = curve125.hensel_certificate(None)
-    assert cert.passed == _positive_at_every_crossing(pieces, lo, hi) == (not shared)
+        certified = _certifies(curve125.hensel_certificate, None)
+    assert certified == _positive_at_every_crossing(pieces, lo, hi) == (not shared)
 
 
 @pytest.mark.parametrize(
@@ -314,7 +320,8 @@ def test_concavity_rule_agrees_with_the_crossings_rule(hensel_pieces, shared, lo
 def test_hensel_rejects_an_extra_h1_piece(g_plus, hensel_pieces, monkeypatch, extra):
     h1_pieces, hp1_pieces = hensel_pieces
     monkeypatch.setattr(curve125, "_hensel_pieces", lambda _: ((*h1_pieces, extra), hp1_pieces))
-    assert curve125.hensel_certificate(g_plus).status == "fail"
+    with pytest.raises(CertificateError, match="not certified > 0"):
+        curve125.hensel_certificate(g_plus)
 
 
 @pytest.mark.parametrize(
@@ -327,7 +334,8 @@ def test_hensel_rejects_an_extra_h1_piece(g_plus, hensel_pieces, monkeypatch, ex
 def test_hensel_rejects_an_extra_hp1_piece(g_plus, hensel_pieces, monkeypatch, extra):
     h1_pieces, hp1_pieces = hensel_pieces
     monkeypatch.setattr(curve125, "_hensel_pieces", lambda _: (h1_pieces, (*hp1_pieces, extra)))
-    assert curve125.hensel_certificate(g_plus).status == "fail"
+    with pytest.raises(CertificateError, match="constant piece 0 of v\\(h'\\(1\\)\\)"):
+        curve125.hensel_certificate(g_plus)
 
 
 def test_hensel_pieces_are_one_per_monomial(g_plus, monkeypatch):
@@ -335,7 +343,7 @@ def test_hensel_pieces_are_one_per_monomial(g_plus, monkeypatch):
     (1/225 + 1/75 = 4/225, still valuation -2), so it is no second witness
     and the certificate still passes.  Two distinct monomials sharing the
     piece -2 + 10 v(s) could cancel, so they are two witnesses and fail."""
-    assert curve125.hensel_certificate(g_plus + curve125.x0**5 * y**2 / 5).passed
+    curve125.hensel_certificate(g_plus + curve125.x0**5 * y**2 / 5)
     real = curve125.param_valuations
     witness = Affine(F(-2), F(10))
 
@@ -344,12 +352,12 @@ def test_hensel_pieces_are_one_per_monomial(g_plus, monkeypatch):
         return pieces + [(fn, (("twin", 1), *mono)) for fn, mono in pieces if fn == witness]
 
     monkeypatch.setattr(curve125, "param_valuations", with_twin)
-    assert curve125.hensel_certificate(g_plus).status == "fail"
+    with pytest.raises(CertificateError):
+        curve125.hensel_certificate(g_plus)
 
 
 def test_eq6_reduction(hensel):
     cert = curve125.verify_reduction("eq6", None, hensel)
-    assert cert.passed
     assert cert.data["coefficient_valuations"] == (0, 0)
     assert cert.residual_min == F(2, 25)
     assert cert.data["delta_bound"] == F(2, 25)
@@ -361,9 +369,10 @@ def test_eq6_certifies_the_inverse_of_r(hensel, monkeypatch, wrong):
     """eq 6 scales by 1/r.  A wrong R_INVERSE enters the scaled fiber and the
     target alike, so (r^4 + 50)/25, which has the valuation -2/5 of 1/r,
     passes every residue test and only r * R_INVERSE = 1 rejects it."""
-    assert curve125.verify_reduction("eq6", None, hensel).passed
+    curve125.verify_reduction("eq6", None, hensel)
     monkeypatch.setattr(curve125, "R_INVERSE", wrong)
-    assert curve125.verify_reduction("eq6", None, hensel).status == "fail"
+    with pytest.raises(CertificateError, match="is not 1/r"):
+        curve125.verify_reduction("eq6", None, hensel)
 
 
 @pytest.mark.parametrize("cell, delta", [((2, 2), 1), ((1, 0), 5)])
@@ -372,14 +381,18 @@ def test_one_wrong_table1_cell_fails_every_model_certificate(g_plus, cell, delta
     x0 coefficient) is rejected by eq 3, eq 4 and the Hensel envelope."""
     i, j = cell
     mutant = g_plus + delta * curve125.x0**i * y**j
-    assert curve125.verify_dominance_eq3(mutant).status == "fail"
-    assert curve125.verify_reduction("eq4", mutant, None).status == "fail"
-    assert curve125.hensel_certificate(mutant).status == "fail"
+    with pytest.raises(CertificateError, match="eq 3 dominance fails"):
+        curve125.verify_dominance_eq3(mutant)
+    with pytest.raises(CertificateError, match="eq 4 scaled model"):
+        curve125.verify_reduction("eq4", mutant, None)
+    with pytest.raises(CertificateError):
+        curve125.hensel_certificate(mutant)
 
 
 def test_eq6_fails_without_a_positive_hensel_bound(hensel):
     flat = hensel._replace(data={**hensel.data, "delta_at_ram_circle": F(0)})
-    assert curve125.verify_reduction("eq6", None, flat).status == "fail"
+    with pytest.raises(CertificateError, match="Hensel error bound 0 is not positive"):
+        curve125.verify_reduction("eq6", None, flat)
 
 
 def test_verify_reduction_unknown_claim(g_plus, hensel):
@@ -387,14 +400,17 @@ def test_verify_reduction_unknown_claim(g_plus, hensel):
         curve125.verify_reduction("eq7", g_plus, hensel)
 
 
-def test_fiber_square_identity():
+def test_fiber_square_identity(monkeypatch):
     cert = curve125.fiber_square_identity()
-    assert cert.passed
     assert cert.quotient == 4 * x
     # u = y/(2x) kills (2xu - y)^2, so y^2 - 20x = -4x * fiber / x-part there;
     # numeric check at x=1, y=0, u=t: (2t)^2 + 20 = 4(t^2 + 5)
     t = sym("t")
     assert (2 * t) ** 2 + 20 == 4 * (t**2 + 5)
+    model = curve125.plus_curve_model()
+    monkeypatch.setattr(curve125, "plus_curve_model", lambda: model._replace(fiber=model.fiber + 1))
+    with pytest.raises(CertificateError, match="nonzero remainder"):
+        curve125.fiber_square_identity()
 
 
 def test_reduction_certificates_carry_exact_rationals(g_plus, hensel):
@@ -407,7 +423,6 @@ def test_reduction_certificates_carry_exact_rationals(g_plus, hensel):
         curve125.fiber_square_identity(),
     ]
     for cert in certificates:
-        assert cert.passed, cert
         if cert.residual_min is not None:
             assert isinstance(cert.residual_min, F)
             assert cert.residual_min > 0

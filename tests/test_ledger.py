@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablelab import ledger
+from stablelab import CertificateError, ledger
 
 
 def test_genus_values():
@@ -15,6 +15,14 @@ def test_genus_values():
     assert ledger.genus_x0(11) == 1
     with pytest.raises(ValueError):
         ledger.genus_x0(0)
+
+
+def test_genus_formula_rejects_a_fractional_genus(monkeypatch):
+    """Counting two elliptic points of order 3 on X0(125), where there are
+    none, gives 8 - 2/3: the formula's integrality check raises."""
+    monkeypatch.setattr(ledger, "_kronecker_minus3", lambda p: 1)
+    with pytest.raises(CertificateError, match="genus formula gives 22/3 for N = 125"):
+        ledger.genus_x0(125)
 
 
 def test_ss_survey_examples():
@@ -71,9 +79,9 @@ def test_component_budgets_inequality():
 
 
 def test_component_budget_violations():
-    with pytest.raises(ValueError):
+    with pytest.raises(CertificateError, match="exceeds the genus 26"):
         ledger.component_budget(7, ordinary_genera=[1000] * 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(CertificateError, match="exceeds the genus 8"):
         ledger.component_budget(5, g_edixhoven=100)
 
 

@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablelab import modmaps
+from stablelab import CertificateError, modmaps
 from stablelab.exactmath import (
     Affine,
+    SymbolicPolynomial,
     interpolate_integer_polynomial,
     poly_to_coeffs,
     resultant_coeffs,
@@ -87,9 +88,8 @@ def test_image_stability_within_cell(maps):
         assert cert.unique and cert.lower_bound == 5 * lam
 
 
-def test_ramification_image_polynomial():
-    cert = modmaps.ramification_image_polynomial()
-    assert cert.status == "pass"
+def test_ramification_image_polynomial(maps):
+    cert = modmaps.ramification_image_polynomial(maps["pi5_t"])
     assert cert.squarefree_part == (-125, 0, 1)
     degree = len(cert.eliminant) - 1
     assert degree == 10 and degree % 2 == 0
@@ -108,13 +108,28 @@ def test_ramification_image_sylvester_interpolation_route(maps):
         (t0, resultant_coeffs(p_ram_u, [t0 - pi5_t[0]] + [-c for c in pi5_t[1:]]))
         for t0 in range(-5, 6)
     ]
-    cert = modmaps.ramification_image_polynomial()
+    cert = modmaps.ramification_image_polynomial(maps["pi5_t"])
     assert interpolate_integer_polynomial(samples) == list(cert.eliminant)
+
+
+def test_ramification_image_rejects_another_map():
+    """u -> u^5 sends the ramification points elsewhere: its eliminant's
+    squarefree part is not t^2 - 125, and the certificate raises."""
+    u = sym("u")
+    wrong = modmaps.RationalMap("u5", "u", "t", u**5, SymbolicPolynomial.constant(1))
+    with pytest.raises(CertificateError, match="not t\\^2 - 125"):
+        modmaps.ramification_image_polynomial(wrong)
+
+
+def test_cm_disk_identities_reject_the_boundary(monkeypatch):
+    """v5(5^5/r^5 - 5^3) = 3 is the boundary of the disk, not inside it."""
+    monkeypatch.setattr(modmaps, "field_valuation", lambda *args: F(5))
+    with pytest.raises(CertificateError, match="= 3, not > 3"):
+        modmaps.cm_disk_identities()
 
 
 def test_cm_disk_identities():
     cert = modmaps.cm_disk_identities()
-    assert cert.status == "pass"
     assert cert.u_disk_valuation == F(17, 5)
     assert cert.u_disk_valuation > 3
     assert val_rat(125, 5) == 3  # the boundary itself is not inside the disk

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablelab import quatlab
+from stablelab import CertificateError, quatlab
 from stablelab.checks import Config
 from stablelab.cli import run_suite
 
@@ -137,7 +137,7 @@ def _inverse_without_norm(x, params):
 def test_orbit_certificate_rejects_mutants(monkeypatch, name, mutant):
     monkeypatch.setattr(quatlab, name, mutant)
     for p in (3, 5, 7, 13):
-        with pytest.raises(AssertionError):
+        with pytest.raises(CertificateError):
             quatlab.orbit_analysis(quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p)))
     report = run_suite("quat", Config(primes=(7,)), clock=lambda: 0.0)
     orbits = {r.id: r for r in report.results}["lemma-3.4.1-orbits-p07"]

@@ -34,7 +34,7 @@ def test_dataclasses_are_frozen(cls):
 
 
 def test_reduction_certificate_default_data_is_read_only():
-    first = curve125.ReductionCertificate("pass")
+    first = curve125.ReductionCertificate()
     with pytest.raises(TypeError):
         first.data["leak"] = 1
-    assert dict(curve125.ReductionCertificate("fail").data) == {}
+    assert dict(curve125.ReductionCertificate().data) == {}

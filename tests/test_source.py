@@ -85,7 +85,35 @@ def test_every_exactmath_export_has_a_reader():
     assert not unread, f"exported but never read: {sorted(unread)}"
 
 
-@pytest.mark.parametrize("module", [name for name in _TREES if name.startswith("checks/")])
+_CHECKS = [name for name in _TREES if name.startswith("checks/")]
+
+
+@pytest.mark.parametrize("module", _CHECKS)
+def test_checks_leave_certificate_failures_to_run_suite(module):
+    """A failed certificate reaches the report only through `cli.run_suite`:
+    a suite module has no try statement, raises no CertificateError and
+    reads no status of a layer record.  `CongruenceResult.passed` is a
+    measured root valuation compared with the conjecture's bound, so the cm
+    suite reads it."""
+    tree = _TREES[module]
+    tries = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Try, ast.TryStar))]
+    raises = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and "CertificateError" in ast.unparse(node)
+    ]
+    verdicts = {"status"} if module == "checks/cm.py" else {"status", "passed"}
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in verdicts
+    ]
+    assert not tries, f"{module}: try on lines {tries}"
+    assert not raises, f"{module}: raises CertificateError on lines {raises}"
+    assert not reads, f"{module}: reads a record status on lines {reads}"
+
+
+@pytest.mark.parametrize("module", _CHECKS)
 def test_checks_do_no_valuation_arithmetic(module):
     """Suite modules read certificates; the valuation pieces, envelopes and
     minima behind them are computed in the layers."""

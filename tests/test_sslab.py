@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablelab import sslab
+from stablelab import CertificateError, sslab
 from stablelab.exactmath import val_rat
 
 
@@ -127,6 +127,16 @@ def test_torsion_profile_point_bookkeeping(polygon):
             assert dict(profile.z_valuations)[near] == 4
 
 
+@pytest.mark.parametrize("mutant, reason", [
+    (lambda psi5: psi5 + sslab.x**13, "must have negative valuation"),  # a root at v(x) = 1
+    (lambda psi5: psi5 * (5 * sslab.x - 1), "24 nonzero 5-torsion points"),  # 13 x-roots
+])
+def test_torsion_profile_rejects_a_wrong_division_polynomial(mutant, reason):
+    polygon = sslab.torsion_polygon(mutant(sslab.division_polynomial_5()))
+    with pytest.raises(CertificateError, match=reason):
+        sslab.torsion_profile(polygon, F(1, 2))
+
+
 def test_torsion_profile_boundary_errors(polygon):
     with pytest.raises(ValueError):
         sslab.torsion_profile(polygon, F(5, 6))
@@ -138,7 +148,6 @@ def test_torsion_profile_boundary_errors(polygon):
 
 def test_too_ss_threshold(polygon):
     cert = sslab.too_ss_threshold(polygon)
-    assert cert.status == "pass"
     assert cert.threshold == F(5, 2)
     assert cert.j_numerator == 6912 * sslab.t**3
     assert cert.j_denominator == 4 * sslab.t**3 + 27
@@ -159,5 +168,7 @@ def test_threshold_reads_the_polygon_breakpoint(polygon):
     assert sslab.too_ss_threshold(moved).threshold == 2
     assert _check_threshold(moved)[0] == "fail"
     assert _check_threshold(polygon)[0] == "pass"
-    assert sslab.too_ss_threshold(polygon._replace(breakpoints=())).status == "fail"
-    assert sslab.too_ss_threshold(polygon._replace(lo=F(-1))).status == "fail"
+    with pytest.raises(CertificateError, match="not one"):
+        sslab.too_ss_threshold(polygon._replace(breakpoints=()))
+    with pytest.raises(CertificateError, match="v\\(j\\) = 3 v\\(t\\) is not certified"):
+        sslab.too_ss_threshold(polygon._replace(lo=F(-1)))
