@@ -16,16 +16,20 @@ function in the loaded modules before a suite module is imported still
 wraps every call, whereas a name bound at that later import would escape it.
 
 A value that several checks read is built at most once per run and passed
-in: `suite(config)` wraps its builder in `functools.cache`, so the memo is
-made when the suite is built and dies with the run, and the checks hand the
-value to the layer functions as an argument.  No layer module memoizes.
+in: `suite(config)` wraps its builder in `once`, so the memo is made when
+the suite is built and dies with the run, and the checks hand the value to
+the layer functions as an argument.  A builder that raises is not run
+again: every check that reads it gets the same exception.  No layer module
+memoizes.
 """
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TypeVar
+
+T = TypeVar("T")
 
 
 class Config(NamedTuple):
@@ -43,6 +47,24 @@ class Check:
     id: str
     claim_ref: str
     run: Callable[[], tuple[str, str]]
+
+
+def once(builder: Callable[[], T]) -> Callable[[], T]:
+    """The builder's value, or the exception it raised, kept for the run."""
+    outcome: list = []
+
+    def value() -> T:
+        if not outcome:
+            try:
+                outcome.append((builder(), None))
+            except Exception as error:
+                outcome.append((None, error))
+        result, error = outcome[0]
+        if error is not None:
+            raise error
+        return result
+
+    return value
 
 
 #: the primes of conjectures 3.3.1-3.3.3, the only ones the cm suite checks

@@ -4,11 +4,10 @@ section 3.1."""
 from __future__ import annotations
 
 from fractions import Fraction as F
-from functools import cache
 
 from .. import modmaps
 from ..exactmath import Affine
-from . import Check, Config
+from . import Check, Config, once
 
 
 _EXPECTED_DEGREES = {
@@ -97,7 +96,7 @@ def _check_cm_disks():
 
 
 def suite(config: Config) -> list[Check]:
-    maps = cache(modmaps.builtin_maps)
+    maps = once(modmaps.builtin_maps)
     return [
         Check("table-2-transcription", "table 2", lambda: _check_table2(maps())),
         Check("al-involutions", "table 2", lambda: _check_involutions(maps())),

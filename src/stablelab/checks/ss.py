@@ -4,11 +4,10 @@ claim 3.2.1."""
 from __future__ import annotations
 
 from fractions import Fraction as F
-from functools import cache
 
 from .. import sslab
 from ..exactmath import val_rat
-from . import Check, Config
+from . import Check, Config, once
 
 
 def _check_division_polynomial_5(psi5):
@@ -62,8 +61,8 @@ def _check_threshold(polygon):
 
 
 def suite(config: Config) -> list[Check]:
-    psi5 = cache(sslab.division_polynomial_5)
-    polygon = cache(lambda: sslab.torsion_polygon(psi5()))
+    psi5 = once(sslab.division_polynomial_5)
+    polygon = once(lambda: sslab.torsion_polygon(psi5()))
     return [
         Check("claim-3.2.1-division-polynomial", "claim 3.2.1",
               lambda: _check_division_polynomial_5(psi5())),

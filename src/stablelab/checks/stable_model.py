@@ -4,11 +4,10 @@ section 2."""
 from __future__ import annotations
 
 from fractions import Fraction as F
-from functools import cache
 
 from .. import curve125
 from ..exactmath import INF, root_valuation_multiset, val_rat
-from . import Check, Config
+from . import Check, Config, once
 
 
 def _fmt_multiset(ms) -> str:
@@ -104,9 +103,9 @@ def _check_z_identity():
 
 
 def suite(config: Config) -> list[Check]:
-    g_plus = cache(curve125.build_shifted_model)  # raises on any cell mismatch
-    ram = cache(curve125.ramification_polynomials)
-    hensel = cache(lambda: curve125.hensel_certificate(g_plus()))
+    g_plus = once(curve125.build_shifted_model)  # raises on any cell mismatch
+    ram = once(curve125.ramification_polynomials)
+    hensel = once(lambda: curve125.hensel_certificate(g_plus()))
     return [
         Check("table-1-match", "table 1", lambda: _check_table1(g_plus())),
         Check("ramification-valuation-table", "section 2.2", lambda: _check_ram_valuations(ram())),

@@ -44,12 +44,8 @@ class QuadForm:
         return self.b * self.b - 4 * self.a * self.c
 
     def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
+        """A form is reduced when reduction leaves it as it is."""
+        return self.reduced() == self
 
     def is_primitive(self) -> bool:
         return math.gcd(math.gcd(self.a, self.b), self.c) == 1

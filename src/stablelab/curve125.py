@@ -36,6 +36,7 @@ from .exactmath import (
     characteristic_polynomial,
     difference_root_resultant,
     sym,
+    symbol_valuations,
     univariate_trim,
 )
 
@@ -46,11 +47,10 @@ x, y, u = sym("x"), sym("y"), sym("u")
 x0, r = sym("x0"), sym("r")
 sqrt15 = sym("sqrt15")
 
-#: r is any root of r^5 + 25r - 25 (totally ramified over Q_5, v(r) = 2/5)
+#: r is any root of r^5 + 25r - 25, totally ramified over Q_5
 R_SYMBOL = ValuedSymbol("r", F(2, 5), (5, 25 - 25 * r))
 SQRT15_SYMBOL = ValuedSymbol("sqrt15", F(1, 2), (2, SymbolicPolynomial.constant(15)))
-R_MINPOLY = r**5 + 25 * r - 25
-#: 1/r, read off the minimal polynomial: r * (r^4 + 25) = 25
+#: 1/r, read off the rule r^5 -> 25 - 25r: r * (r^4 + 25) = 25
 R_INVERSE = (r**4 + 25) / 25
 
 
@@ -211,7 +211,8 @@ def ramification_polynomials() -> RamificationData:
 
 # -- dominance of x0^5 + 25 x0 = 15 y^2 (the approximating equation) --------
 
-EQ3_ASSIGNMENT = {"x0": F(1, 2), "y": F(3, 4), "r": F(2, 5)}
+#: the circle of eq 3; r's valuation comes from R_SYMBOL
+EQ3_ASSIGNMENT = {"x0": F(1, 2), "y": F(3, 4)}
 EQ3_DOMINANT = (
     (("x0", 1),),
     (("x0", 5),),
@@ -223,18 +224,18 @@ def verify_dominance_eq3(g_plus: SymbolicPolynomial) -> ReductionCertificate:
     """At v(x0) = 1/2, v(y) = 3/4 exactly the monomials x0^5, 25*x0, 15*y^2
     of g+ attain the minimal valuation 5/2; the Newton polygon in x0 then
     forces v(x0) = 1/2 at all five roots over any y on that circle."""
-    mv = min_valuation(g_plus, EQ3_ASSIGNMENT, P)
+    assignment = {**symbol_valuations([R_SYMBOL], P), **EQ3_ASSIGNMENT}
+    mv = min_valuation(g_plus, assignment, P)
 
     coeff_minima = [
-        min_valuation(g_plus.coefficient("x0", i), {"y": F(3, 4), "r": F(2, 5)}, P).value
-        for i in range(6)
+        min_valuation(g_plus.coefficient("x0", i), assignment, P).value for i in range(6)
     ]
     polygon = newton_polygon(coeff_minima)
 
     residual = min(
         (
             fn.constant
-            for fn, m in param_valuations(g_plus, EQ3_ASSIGNMENT, {}, P)
+            for fn, m in param_valuations(g_plus, assignment, {}, P)
             if m not in mv.witnesses
         ),
         default=INF,
@@ -242,7 +243,7 @@ def verify_dominance_eq3(g_plus: SymbolicPolynomial) -> ReductionCertificate:
     ok = (
         mv.value == F(5, 2)
         and mv.witnesses == EQ3_DOMINANT
-        and polygon.root_valuations() == ((F(1, 2), 5),)
+        and polygon.root_valuations() == ((EQ3_ASSIGNMENT["x0"], 5),)
         and residual > F(5, 2)
     )
     if not ok:
@@ -315,15 +316,13 @@ def verify_reduction(
 
 def _verify_reduction_eq4(g_plus: SymbolicPolynomial) -> ReductionCertificate:
     alpha, beta = sym("alpha_eq4"), sym("beta_eq4")
+    # x0 = alpha x1 and y = beta y1 on the circle of eq 3
     symbols = [
         R_SYMBOL,
-        ValuedSymbol("alpha_eq4", F(1, 2), (2, SymbolicPolynomial.constant(5))),
-        ValuedSymbol("beta_eq4", F(3, 4), (2, 5 * alpha)),
+        ValuedSymbol("alpha_eq4", EQ3_ASSIGNMENT["x0"], (2, SymbolicPolynomial.constant(5))),
+        ValuedSymbol("beta_eq4", EQ3_ASSIGNMENT["y"], (2, 5 * alpha)),
     ]
-    assignment = {
-        "r": F(2, 5), "alpha_eq4": F(1, 2), "beta_eq4": F(3, 4),
-        "x1": F(0), "y1": F(0),
-    }
+    assignment = {**symbol_valuations(symbols, P), "x1": F(0), "y1": F(0)}
     scaled = g_plus.substitute("x0", alpha * sym("x1")).substitute("y", beta * sym("y1"))
     # 1/(15 beta^2) = alpha/375 after beta^2 -> 5 alpha, alpha^2 -> 5
     scaled = normal_form(scaled * alpha / 375, symbols)
@@ -353,17 +352,14 @@ def _verify_reduction_eq4(g_plus: SymbolicPolynomial) -> ReductionCertificate:
 def _verify_reduction_eq6(delta_bound: Fraction) -> ReductionCertificate:
     alpha, beta = sym("alpha_eq6"), sym("beta_eq6")
     s0, u0, delta = sym("s0"), sym("u0"), sym("delta")
+    # s = alpha s0 on the circle that carries the ramification points
     symbols = [
         R_SYMBOL,
         SQRT15_SYMBOL,
-        ValuedSymbol("alpha_eq6", F(6, 25), (25, SymbolicPolynomial.constant(5**6))),
+        ValuedSymbol("alpha_eq6", RAM_CIRCLE, (25, SymbolicPolynomial.constant(5**6))),
         ValuedSymbol("beta_eq6", F(3, 10), (10, SymbolicPolynomial.constant(5**3))),
     ]
-    assignment = {
-        "r": F(2, 5), "sqrt15": F(1, 2),
-        "alpha_eq6": F(6, 25), "beta_eq6": F(3, 10),
-        "s0": F(0), "u0": F(0), "delta": delta_bound,
-    }
+    assignment = {**symbol_valuations(symbols, P), "s0": F(0), "u0": F(0), "delta": delta_bound}
     inv_r = R_INVERSE                    # 1/r via r^5 -> 25 - 25r
     inv_beta2 = beta**8 / 125            # 1/beta^2 via beta^10 -> 5^3
     inv_sqrt15 = sqrt15 / 15             # 1/sqrt15 via sqrt15^2 -> 15
@@ -385,8 +381,11 @@ def _verify_reduction_eq6(delta_bound: Fraction) -> ReductionCertificate:
 
     level0, pos_min, negative = _valuation_level_split(scaled, assignment)
     target0, _, target_negative = _valuation_level_split(target, assignment)
-    middle = 5 * F(6, 25) - (F(1, 2) + F(3, 10) + F(2, 5))  # v(alpha^5/(sqrt15 beta r))
-    constant = 1 - (2 * F(3, 10) + F(2, 5))                 # v(5/(beta^2 r))
+    # the coefficients alpha^5/(sqrt15 beta r) of s0^5 u0 and 5/(beta^2 r)
+    middle, constant = (
+        min_valuation(c, assignment, P)
+        for c in (target.coefficient("u0", 1).coefficient("s0", 5), target.coefficient("u0", 0))
+    )
     if normal_form(r * inv_r, [R_SYMBOL]) != 1:
         raise CertificateError(f"R_INVERSE = {inv_r} is not 1/r")
     if delta_bound <= 0:
@@ -396,14 +395,18 @@ def _verify_reduction_eq6(delta_bound: Fraction) -> ReductionCertificate:
             f"eq 6 scaled fiber is not integral: {negative + target_negative} "
             "have negative valuation"
         )
-    if level0 != target0 or (middle, constant) != (0, 0):
+    if not all(c.value == 0 and c.unique for c in (middle, constant)):
+        raise CertificateError(
+            f"eq 6 target coefficients have valuations {middle.value}, {constant.value}: not units"
+        )
+    if level0 != target0:
         raise CertificateError(
             f"eq 6 valuation-0 part {level0} differs from the target's {target0}"
         )
     return ReductionCertificate(
         dominant=tuple(sorted(level0.terms)),
         residual_min=pos_min if is_finite(pos_min) else None,
-        data={"delta_bound": delta_bound, "coefficient_valuations": (middle, constant)},
+        data={"delta_bound": delta_bound, "coefficient_valuations": (middle.value, constant.value)},
     )
 
 
@@ -424,7 +427,7 @@ def _hensel_pieces(g_plus: SymbolicPolynomial) -> tuple[tuple[Affine, ...], tupl
     G = normal_form(subbed, [R_SYMBOL, SQRT15_SYMBOL])
     h1 = G.substitute("yh", 1)
     hp1 = G.derivative("yh").substitute("yh", 1)
-    fixed = {"sqrt15": F(1, 2), "r": F(2, 5)}
+    fixed = symbol_valuations([R_SYMBOL, SQRT15_SYMBOL], P)
     shift = affine(0, -10)
     # one piece per monomial: two monomials with equal pieces are two witnesses
     return tuple(

@@ -1,4 +1,6 @@
-"""Exact rational, valuation, polynomial, resultant and Newton-polygon kit."""
+"""Exact rational, valuation, polynomial, resultant and Newton-polygon kit.
+
+Its exports are the names the imports below bind."""
 
 from .poly import (
     Monomial,
@@ -44,46 +46,7 @@ from .valuation import (
     is_prime,
     min_valuation,
     param_valuations,
+    symbol_valuations,
     val_rat,
 )
 
-__all__ = [
-    "Affine",
-    "ExtValuation",
-    "INF",
-    "MinValuation",
-    "Monomial",
-    "NewtonPolygon",
-    "ParamPolygon",
-    "PolygonCell",
-    "SymbolicPolynomial",
-    "ValuedSymbol",
-    "affine",
-    "bareiss_determinant",
-    "characteristic_polynomial",
-    "difference_root_resultant",
-    "dominant_piece",
-    "envelope_min",
-    "field_valuation",
-    "interpolate_integer_polynomial",
-    "is_finite",
-    "is_prime",
-    "min_valuation",
-    "monic_from_power_sums",
-    "newton_polygon",
-    "normal_form",
-    "param_valuations",
-    "parametric_polygon",
-    "poly_to_coeffs",
-    "resultant_coeffs",
-    "root_power_sums",
-    "root_valuation_multiset",
-    "squarefree_part",
-    "sym",
-    "sylvester_matrix",
-    "univariate_divmod",
-    "univariate_gcd",
-    "univariate_mul",
-    "univariate_trim",
-    "val_rat",
-]

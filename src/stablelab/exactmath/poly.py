@@ -20,6 +20,7 @@ these operations in the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -242,27 +243,28 @@ def sym(name: str) -> SymbolicPolynomial:
 
 @dataclass(frozen=True)
 class ValuedSymbol:
-    """A formal coordinate with an assigned valuation and optional rewrite.
+    """A formal coordinate with a stated valuation and its rewrite rule.
 
     ``rewrite = (n, g)`` means symbol**n rewrites to the polynomial g, e.g.
     a root r of r**5 + 25r - 25 carries the rule r**5 -> 25 - 25r, and a
     formal sqrt(15) carries sqrt15**2 -> 15.  The replacement must have
-    degree < n in the symbol itself so rewriting terminates.
+    degree < n in the symbol itself so rewriting terminates.  The stated
+    valuation is certified against the rule by
+    ``valuation.symbol_valuations``, which is where certificates read it.
     """
 
     name: str
     valuation: Fraction
-    rewrite: tuple[int, SymbolicPolynomial] | None = None
+    rewrite: tuple[int, SymbolicPolynomial]
 
     def __post_init__(self):
-        if self.rewrite is not None:
-            n, g = self.rewrite
-            poly = SymbolicPolynomial._coerce(g)
-            object.__setattr__(self, "rewrite", (n, poly))
-            if n < 1 or poly.degree(self.name) >= n:
-                raise ValueError(
-                    f"rewrite for {self.name} must replace a power by lower-degree terms"
-                )
+        n, g = self.rewrite
+        poly = SymbolicPolynomial._coerce(g)
+        object.__setattr__(self, "rewrite", (n, poly))
+        if n < 1 or poly.degree(self.name) >= n:
+            raise ValueError(
+                f"rewrite for {self.name} must replace a power by lower-degree terms"
+            )
 
 
 def normal_form(
@@ -276,8 +278,6 @@ def normal_form(
     """
     rules: dict[str, tuple[int, SymbolicPolynomial]] = {}
     for s in symbols:
-        if s.rewrite is None:
-            continue
         if s.name in rules:
             raise ValueError(f"conflicting rewrite rules for symbol {s.name!r}")
         rules[s.name] = s.rewrite
@@ -376,17 +376,28 @@ def univariate_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
 
 
 def univariate_gcd(a: Sequence, b: Sequence) -> list:
-    """Monic gcd of two dense coefficient lists (Euclid over Q); [0] if both are zero."""
+    """gcd of two dense coefficient lists by Euclid over Q; [0] if both are zero.
+
+    It is monic, except for integer input: there it is the primitive integer
+    gcd with a positive leading coefficient, which by Gauss's lemma divides
+    each input in Z[x], so quotients by it stay ints.
+    """
+    integral = all(type(c) is int for c in (*a, *b))
     a, b = univariate_trim(a), univariate_trim(b)
     while b:
         a, b = b, univariate_divmod(a, b)[1]
     if not a:
         return [_ZERO]
-    return [_exact_quotient(c, a[-1]) for c in a]
+    monic = [_exact_quotient(c, a[-1]) for c in a]
+    if not integral:
+        return monic
+    # the lcm of the denominators clears them and leaves content 1
+    scale = math.lcm(*(Fraction(c).denominator for c in monic))
+    return [int(c * scale) for c in monic]
 
 
 def squarefree_part(f: Sequence) -> list:
-    """f / gcd(f, f'): each distinct root of f once, with f's leading coefficient."""
+    """f / gcd(f, f'): each distinct root of f once; integer input stays in ints."""
     derivative = [k * c for k, c in enumerate(f)][1:]
     quotient, rem = univariate_divmod(f, univariate_gcd(f, derivative))
     if rem:

@@ -4,17 +4,19 @@ The extended valuation type is ``Fraction | INF`` where ``INF`` is the float
 infinity: it absorbs addition and compares above every Fraction, which is
 exactly the arithmetic the valuation of 0 needs.  All finite valuations stay
 Fractions.
+
+Every valuation of a polynomial expression is read off its monomials by
+``param_valuations``; a symbol's valuation is the one stated in its
+``ValuedSymbol``, certified against its rewrite rule by ``symbol_valuations``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .. import is_prime
-from .poly import Monomial, SymbolicPolynomial, poly_to_coeffs
-from .resultant import characteristic_polynomial
+from .. import CertificateError, is_prime
+from .poly import Monomial, SymbolicPolynomial, ValuedSymbol, normal_form
 
 INF = float("inf")
 
@@ -176,42 +178,41 @@ def dominant_piece(pieces: Sequence[Affine], lo, hi) -> Affine | None:
     return best
 
 
-def field_valuation(
-    a: SymbolicPolynomial, var: str, minpoly: SymbolicPolynomial, p: int
-) -> ExtValuation:
-    """Valuation of an element of a totally ramified extension Q(var).
+def symbol_valuations(symbols: Iterable[ValuedSymbol], p: int) -> dict[str, Fraction]:
+    """The stated valuation of each symbol, certified against its rule.
 
-    The minimal polynomial must be monic with integer coefficients and a
-    pure-slope Newton polygon whose slope has denominator deg(minpoly); then
-    the extension of the p-adic valuation is determined by the norm alone:
-    v(a) = val_rat(N(a)) / deg(minpoly).  The norm of d*a, with d the common
-    denominator of a's coefficients, is (-1)^deg times the constant term of
-    the characteristic polynomial of d*a (power sums of the roots), and
-    v(a) = v(d*a) - v(d).  Anything else is rejected rather than approximated.
+    Symbols are read in order.  A rule s**n -> g says s is a root of
+    s**n - g; g is valued with the symbols before s and with s itself, and
+    v(s) is certified when n * v(s) equals that minimum and a single monomial
+    of g attains it: then the line of slope -v(s) meets the Newton polygon of
+    s**n - g along an edge, so a root of valuation v(s) exists.  Returns
+    name -> valuation; the first symbol that fails raises CertificateError.
     """
-    from .polygon import newton_polygon
+    valuations: dict[str, Fraction] = {}
+    for s in symbols:
+        n, g = s.rewrite
+        valuations[s.name] = s.valuation
+        mv = min_valuation(g, valuations, p)
+        if not (mv.unique and mv.value == n * s.valuation):
+            raise CertificateError(
+                f"v({s.name}) = {s.valuation} does not fit the rule {s.name}^{n} -> {g}: "
+                f"{n} * v({s.name}) = {n * s.valuation}, but the rule's minimum is "
+                f"{mv.value}, attained by {len(mv.witnesses)} monomials"
+            )
+    return valuations
 
-    mcoeffs = poly_to_coeffs(minpoly, var)
-    deg = len(mcoeffs) - 1
-    if deg < 1 or mcoeffs[-1] != 1 or any(c.denominator != 1 for c in mcoeffs):
-        raise ValueError(
-            "minimal polynomial must be monic of positive degree with integer coefficients"
-        )
-    polygon = newton_polygon([val_rat(c, p) for c in mcoeffs])
-    if len(polygon.segments) != 1:
-        raise ValueError("Newton polygon of the minimal polynomial is not pure-slope")
-    slope, length = polygon.segments[0]
-    if length != deg or (-slope).denominator != deg:
-        raise ValueError(
-            "extension is not totally ramified; valuation not determined by the norm"
-        )
+
+def field_valuation(a: SymbolicPolynomial, symbol: ValuedSymbol, p: int) -> ExtValuation:
+    """Valuation of an element a of Q(symbol), the point case of the one rule.
+
+    a is normal-formed by the symbol's rule and valued monomial by monomial
+    at the symbol's certified valuation; a unique minimum is exact, and a tie
+    raises ValueError rather than report a bound.
+    """
+    a = normal_form(a, [symbol])
     if a.is_zero():
         return INF
-    extra = a.symbols() - {var}
-    if extra:
-        raise ValueError(f"element involves symbols beyond {var!r}: {sorted(extra)}")
-    coeffs = poly_to_coeffs(a, var)
-    d = math.lcm(*(c.denominator for c in coeffs))
-    modulus = [int(c) for c in mcoeffs]
-    signed_norm = characteristic_polynomial([int(c * d) for c in coeffs], modulus)[0]
-    return val_rat(signed_norm, p) / deg - val_rat(d, p)
+    mv = min_valuation(a, symbol_valuations([symbol], p), p)
+    if not mv.unique:
+        raise ValueError(f"monomials {mv.witnesses} of {a} tie at valuation {mv.value}")
+    return mv.value

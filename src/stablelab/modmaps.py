@@ -22,17 +22,16 @@ from .exactmath import (
     dominant_piece,
     field_valuation,
     min_valuation,
-    normal_form,
     param_valuations,
     poly_to_coeffs,
     squarefree_part,
     sym,
+    symbol_valuations,
     univariate_gcd,
     val_rat,
 )
 
 P = 5
-F = Fraction
 
 t, u = sym("t"), sym("u")
 
@@ -186,19 +185,19 @@ def ramification_image_polynomial(pi5_t: RationalMap) -> RamImageCertificate:
 
     T(t) = Res_u(p_ram_u, t - pi5_t(u)), the characteristic polynomial of
     the polynomial map pi5_t (table 2's u -> t) over the roots of p_ram_u.
-    The certificate is that T has even degree and its squarefree part is
-    exactly t**2 - 125.
+    The certificate is that T has even degree and its squarefree part is an
+    integer multiple of t**2 - 125.
     """
     numerator = poly_to_coeffs(pi5_t.numerator, "u")
     ints = characteristic_polynomial(numerator, ramification_u_polynomial())
     quotient = squarefree_part(ints)
-    monic = [F(c) / quotient[-1] for c in quotient]
-    if monic != [-125, 0, 1] or len(ints) % 2 == 0:
+    lead = quotient[-1]
+    if quotient != [-125 * lead, 0, lead] or len(ints) % 2 == 0:
         raise CertificateError(
             f"eliminant of degree {len(ints) - 1} has squarefree part with coefficients "
-            f"({', '.join(map(str, monic))}), not t^2 - 125"
+            f"({', '.join(map(str, quotient))}), not t^2 - 125 up to a factor"
         )
-    return RamImageCertificate(ints, tuple(map(int, monic)))
+    return RamImageCertificate(ints, tuple(c // lead for c in quotient))
 
 
 class DiskIdentityCertificate(NamedTuple):
@@ -208,11 +207,8 @@ class DiskIdentityCertificate(NamedTuple):
 def cm_disk_identities() -> DiskIdentityCertificate:
     """v5(5**5/r**5 - 5**3) > 3, so the description of the CM residue disks in
     u matches the one pulled back through r."""
-    rr = sym("r")
-    numerator = normal_form(
-        SymbolicPolynomial.constant(5**5) - 5**3 * rr**5, [curve125.R_SYMBOL]
-    )
-    v = field_valuation(numerator, "r", curve125.R_MINPOLY, P) - 5 * F(2, 5)
+    v_r = symbol_valuations([curve125.R_SYMBOL], P)["r"]
+    v = field_valuation(5**5 - 5**3 * curve125.r**5, curve125.R_SYMBOL, P) - 5 * v_r
     if v <= 3:
         raise CertificateError(f"v5(5^5/r^5 - 5^3) = {v}, not > 3")
     return DiskIdentityCertificate(v)

@@ -145,6 +145,74 @@ def test_a_wrong_table1_cell_fails_the_g_plus_checks_with_its_reason(monkeypatch
     assert not any("internal error" in r.details for r in report.results)
 
 
+def test_a_failed_shared_certificate_is_built_once_per_run(monkeypatch):
+    """`once` keeps a builder's exception as it keeps its value: with one
+    wrong table-1 cell the five checks that read g+ share one failed build."""
+    from stablelab import curve125
+
+    table, build = curve125.table1_coefficients, curve125.build_shifted_model
+    wrong = {**table(), (2, 2): table()[(2, 2)] + 1}
+    builds = []
+
+    def counted():
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(curve125, "table1_coefficients", lambda: wrong)
+    monkeypatch.setattr(curve125, "build_shifted_model", counted)
+    for runs in (1, 2):
+        assert run("stable-model").overall == "fail"
+        assert len(builds) == runs
+
+
+def test_once_keeps_a_value_or_an_exception():
+    from stablelab.checks import once
+
+    calls = []
+
+    def flaky():
+        calls.append(None)
+        raise ValueError(len(calls))
+
+    failing, constant = once(flaky), once(lambda: [len(calls)])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^1$"):
+            failing()
+    assert constant() is constant() and len(calls) == 1
+
+
+#: the checks whose certificates read a symbol's valuation
+_VALUED_CHECKS = {
+    "stable-model": (
+        "claim-2.1.1-dominance",
+        "claim-2.1.1-reduction",
+        "claim-2.2.1-hensel",
+        "claim-2.3.2-reduction",
+    ),
+    "maps": ("claim-3.1.2-cm-disks",),
+}
+
+
+def test_a_wrong_valuation_of_r_fails_every_check_that_reads_it(monkeypatch):
+    """With r stated at v(r) = 1/5, which its rule r^5 -> 25 - 25r refutes,
+    each check whose certificate values r fails with a reason naming r;
+    the rule itself is unchanged, so the other checks keep their verdicts."""
+    from fractions import Fraction
+
+    from stablelab import curve125
+    from stablelab.exactmath import ValuedSymbol
+
+    wrong = ValuedSymbol("r", Fraction(1, 5), curve125.R_SYMBOL.rewrite)
+    monkeypatch.setattr(curve125, "R_SYMBOL", wrong)
+    for suite, check_ids in _VALUED_CHECKS.items():
+        report = run(suite)
+        details = {r.id: r.details for r in report.results if r.status == "fail"}
+        assert set(details) - {"claim-2.2.2-x-distances"} == set(check_ids), suite
+        for check_id in check_ids:
+            assert details[check_id].startswith("v(r) = 1/5 does not fit the rule"), check_id
+        assert not any("internal error" in r.details for r in report.results)
+
+
 def test_a_failed_mass_identity_fails_the_checks_that_read_the_census(monkeypatch):
     """A survey whose mass is not (p-1)/24 fails conjecture 3.4.5's
     certificate: every check that reads a census reports the reason."""

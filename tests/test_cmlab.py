@@ -22,6 +22,25 @@ def test_reduced_forms_examples():
         cmlab.reduced_forms(20)
 
 
+def _is_reduced_by_inequalities(form):
+    """|b| <= a <= c, with b >= 0 when |b| = a or a = c."""
+    a, b, c = form.a, form.b, form.c
+    return abs(b) <= a <= c and not ((abs(b) == a or a == c) and b < 0)
+
+
+def test_is_reduced_matches_the_inequalities():
+    forms = [
+        cmlab.QuadForm(a, b, c)
+        for a in range(1, 16)
+        for b in range(-24, 25)
+        for c in range(1, 24)
+        if b * b < 4 * a * c
+    ]
+    assert sum(map(_is_reduced_by_inequalities, forms)) > 1000
+    for form in forms:
+        assert form.is_reduced() == _is_reduced_by_inequalities(form), form
+
+
 def test_reduced_forms_against_brute_force():
     """Class numbers agree with a direct scan of all reduced triples."""
     for disc in (-20, -80, -180, -120, -55, -280, -40, -160, -15, -60, -35, -260,
@@ -36,7 +55,7 @@ def test_reduced_forms_against_brute_force():
                     if b * b - 4 * a * c != disc:
                         continue
                     form = cmlab.QuadForm(a, b, c)
-                    if form.is_reduced() and form.is_primitive():
+                    if _is_reduced_by_inequalities(form) and form.is_primitive():
                         count += 1
         assert count == cmlab.class_number(disc), disc
 

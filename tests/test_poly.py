@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 from itertools import zip_longest
 
@@ -149,9 +150,15 @@ def test_divmod_by_monic_integer_stays_integral(num, den):
 @PROPERTY
 @given(coefficient_lists, coefficient_lists)
 def test_gcd_divides_both(a, b):
+    """Monic for Fraction input; the primitive integer gcd with a positive
+    leading coefficient for integer input, which keeps the ring of the inputs."""
     g = univariate_gcd(a, b)
     assume(g != [0])
-    assert g[-1] == 1
+    if all(type(c) is int for c in a + b):
+        assert all(type(c) is int for c in g)
+        assert g[-1] > 0 and math.gcd(*g) == 1
+    else:
+        assert g[-1] == 1
     assert univariate_divmod(a, g)[1] == [] and univariate_divmod(b, g)[1] == []
 
 
@@ -165,4 +172,6 @@ def test_squarefree_part_keeps_each_root_once(roots, lead):
         once = univariate_mul(once, [-a, 1])
         for _ in range(m):
             f = univariate_mul(f, [-a, 1])
-    assert squarefree_part(f) == once
+    part = squarefree_part(f)
+    assert part == once
+    assert all(type(c) is int for c in part)

@@ -48,32 +48,22 @@ def test_no_mpmath_imports(module):
     assert not [name for name in imported if name.split(".")[0] == "mpmath"], module
 
 
-def test_exactmath_all_lists_every_public_name_it_binds():
-    """A name dropped from an import list must leave ``__all__`` too."""
-    import stablelab.exactmath
-
-    bound = set()
-    for node in _TREES["exactmath/__init__.py"].body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            bound.add(node.name)
-        elif isinstance(node, ast.Assign):
-            bound |= {target.id for target in node.targets if isinstance(target, ast.Name)}
-    public = {name for name in bound if not name.startswith("_")}
-    assert sorted(stablelab.exactmath.__all__) == sorted(public)
-
-
 #: Test-oracle entry points that nothing in the package calls; they stay
 #: exported until they move under tests/.
 _ORACLE_EXPORTS = {"resultant_coeffs", "interpolate_integer_polynomial"}
 
 
 def test_every_exactmath_export_has_a_reader():
-    """Each name ``exactmath`` exports is read in a package module other than
-    ``exactmath/__init__.py``, so no dead kernel routine stays exported."""
-    import stablelab.exactmath
-
+    """Each name the imports of ``exactmath/__init__.py`` bind is read in a
+    package module other than that one, so no dead kernel routine stays
+    exported."""
+    exported = {
+        alias.asname or alias.name
+        for node in _TREES["exactmath/__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {"symbol_valuations", "field_valuation", "min_valuation"} <= exported
     read = {
         node.id if isinstance(node, ast.Name) else node.attr
         for module, tree in _TREES.items()
@@ -81,7 +71,7 @@ def test_every_exactmath_export_has_a_reader():
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
-    unread = set(stablelab.exactmath.__all__) - read - _ORACLE_EXPORTS
+    unread = exported - read - _ORACLE_EXPORTS
     assert not unread, f"exported but never read: {sorted(unread)}"
 
 
@@ -94,9 +84,20 @@ def test_checks_leave_certificate_failures_to_run_suite(module):
     a suite module has no try statement, raises no CertificateError and
     reads no status of a layer record.  `CongruenceResult.passed` is a
     measured root valuation compared with the conjecture's bound, so the cm
-    suite reads it."""
+    suite reads it.  The one try is in `checks.once`, which keeps a
+    builder's exception only to raise it again to every reader."""
     tree = _TREES[module]
-    tries = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Try, ast.TryStar))]
+    memo = [
+        node
+        for node in ast.walk(tree)
+        if module == "checks/__init__.py" and isinstance(node, ast.FunctionDef) and node.name == "once"
+    ]
+    kept = {id(node) for fn in memo for node in ast.walk(fn)}
+    tries = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Try, ast.TryStar)) and id(node) not in kept
+    ]
     raises = [
         node.lineno
         for node in ast.walk(tree)
@@ -125,3 +126,46 @@ def test_checks_do_no_valuation_arithmetic(module):
         for alias in node.names
     }
     assert not imported & kernel, f"{module} imports {sorted(imported & kernel)}"
+
+
+def _valued_symbol_names() -> set[str]:
+    return {
+        node.args[0].value
+        for tree in _TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "ValuedSymbol"
+        and isinstance(node.args[0], ast.Constant)
+    }
+
+
+@pytest.mark.parametrize("module", _TREES)
+def test_no_dict_literal_states_a_symbol_valuation(module):
+    """Each symbol's valuation is stated once, in its ValuedSymbol, and read
+    through `symbol_valuations`, which certifies it against its rule; so no
+    dict literal uses a symbol's name as a key."""
+    names = _valued_symbol_names()
+    assert {"r", "sqrt15", "alpha_eq4", "beta_eq4", "alpha_eq6", "beta_eq6"} <= names
+    keyed = [
+        (node.lineno, key.value)
+        for node in ast.walk(_TREES[module])
+        if isinstance(node, ast.Dict)
+        for key in node.keys
+        if isinstance(key, ast.Constant) and key.value in names
+    ]
+    assert not keyed, f"{module}: symbol names as dict keys {keyed}"
+
+
+def test_valuation_imports_nothing_from_resultant():
+    """A field valuation is the monomial rule's point case, not a norm
+    computed through a resultant."""
+    imported = [
+        node.lineno
+        for node in ast.walk(_TREES["exactmath/valuation.py"])
+        if isinstance(node, ast.ImportFrom)
+        and (
+            (node.module or "").split(".")[-1] == "resultant"
+            or any(alias.name == "resultant" for alias in node.names)
+        )
+    ]
+    assert not imported, f"imports from exactmath.resultant on lines {imported}"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,22 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablelab import curve125, modmaps, sslab
+from stablelab import CertificateError, curve125, modmaps, sslab
 from stablelab.exactmath import (
     INF,
     MinValuation,
     SymbolicPolynomial,
     Affine,
+    ValuedSymbol,
     affine,
+    characteristic_polynomial,
     dominant_piece,
     field_valuation,
     is_finite,
     min_valuation,
     normal_form,
     param_valuations,
+    poly_to_coeffs,
     sym,
+    symbol_valuations,
 )
-from stablelab.curve125 import R_MINPOLY, R_SYMBOL
+from stablelab.curve125 import R_SYMBOL, SQRT15_SYMBOL
 from stablelab.exactmath import val_rat
 
 
@@ -115,9 +120,10 @@ def _min_valuation_by_monomials(f, assignment, p):
 
 def _oracle_cases():
     g_plus = curve125.build_shifted_model()
-    yield g_plus, curve125.EQ3_ASSIGNMENT
+    assignment = {**symbol_valuations([R_SYMBOL], 5), **curve125.EQ3_ASSIGNMENT}
+    yield g_plus, assignment
     for i in range(6):
-        yield g_plus.coefficient("x0", i), {"y": F(3, 4), "r": F(2, 5)}
+        yield g_plus.coefficient("x0", i), assignment
     for rmap in modmaps.builtin_maps().values():
         for radius in (F(3, 2), F(5, 2), F(3, 10)):
             for poly in (rmap.numerator, rmap.denominator):
@@ -135,45 +141,105 @@ def test_min_valuation_matches_the_per_monomial_loop():
         assert min_valuation(f, assignment, 5) == _min_valuation_by_monomials(f, assignment, 5)
 
 
+def test_symbol_valuations_certifies_every_symbol_of_the_certificates():
+    alpha, beta = sym("alpha"), sym("beta")
+    symbols = [
+        R_SYMBOL,
+        SQRT15_SYMBOL,
+        ValuedSymbol("alpha", F(1, 2), (2, SymbolicPolynomial.constant(5))),
+        ValuedSymbol("beta", F(3, 4), (2, 5 * alpha)),  # valued with alpha before it
+    ]
+    assert symbol_valuations(symbols, 5) == {
+        "r": F(2, 5), "sqrt15": F(1, 2), "alpha": F(1, 2), "beta": F(3, 4)
+    }
+    assert symbol_valuations([], 5) == {}
+
+
+def test_symbol_valuations_rejects_a_wrong_r():
+    """r^5 -> 25 - 25r: at v(r) = 1/5, 5 v(r) = 1 but the rule has valuation 2."""
+    wrong = ValuedSymbol("r", F(1, 5), R_SYMBOL.rewrite)
+    with pytest.raises(CertificateError, match=r"^v\(r\) = 1/5 does not fit"):
+        symbol_valuations([SQRT15_SYMBOL, wrong], 5)
+
+
+def test_symbol_valuations_rejects_a_wrong_beta_of_eq4():
+    """beta^2 -> 5 alpha forces v(beta) = (1 + 1/2)/2 = 3/4, not 1/2."""
+    alpha = sym("alpha")
+    symbols = [
+        ValuedSymbol("alpha", F(1, 2), (2, SymbolicPolynomial.constant(5))),
+        ValuedSymbol("beta", F(1, 2), (2, 5 * alpha)),
+    ]
+    with pytest.raises(CertificateError, match=r"^v\(beta\) = 1/2"):
+        symbol_valuations(symbols, 5)
+
+
+@pytest.mark.parametrize("valuation", [F(0), F(1, 2), F(-1)])
+def test_symbol_valuations_rejects_a_tied_rule(valuation):
+    """The golden ratio x^2 -> x + 1 is a unit: at v(x) = 0 its rule's two
+    monomials tie, and at any other v(x) the rule's minimum is not 2 v(x)."""
+    golden = ValuedSymbol("x", valuation, (2, sym("x") + 1))
+    with pytest.raises(CertificateError, match=r"^v\(x\)"):
+        symbol_valuations([golden], 5)
+
+
 def test_field_valuation_examples():
     r = sym("r")
-    assert field_valuation(r, "r", R_MINPOLY, 5) == F(2, 5)
-    assert field_valuation(SymbolicPolynomial.constant(5), "r", R_MINPOLY, 5) == 1
-    assert field_valuation(SymbolicPolynomial.zero(), "r", R_MINPOLY, 5) == INF
+    assert field_valuation(r, R_SYMBOL, 5) == F(2, 5)
+    assert field_valuation(SymbolicPolynomial.constant(5), R_SYMBOL, 5) == 1
+    assert field_valuation(SymbolicPolynomial.zero(), R_SYMBOL, 5) == INF
     # 5^5 - 5^3 r^5 normal-forms to 3125 r, valuation 5 + 2/5
     numerator = normal_form(SymbolicPolynomial.constant(5**5) - 5**3 * r**5, [R_SYMBOL])
     assert numerator == 3125 * r
-    assert field_valuation(numerator, "r", R_MINPOLY, 5) == F(27, 5)
-    # rational elements: the common denominator is cleared, then subtracted
-    assert field_valuation(r / 5, "r", R_MINPOLY, 5) == F(-3, 5)
-    assert field_valuation(SymbolicPolynomial.constant(F(1, 25)), "r", R_MINPOLY, 5) == -2
-    assert field_valuation(r**2 / 10 + 1, "r", R_MINPOLY, 5) == F(-1, 5)  # v(r^2/10) < v(1)
+    assert field_valuation(numerator, R_SYMBOL, 5) == F(27, 5)
+    assert field_valuation(5**5 - 5**3 * r**5, R_SYMBOL, 5) == F(27, 5)  # normal-formed inside
+    assert field_valuation(r**5 + 25 * r - 25, R_SYMBOL, 5) == INF
+    assert field_valuation(r / 5, R_SYMBOL, 5) == F(-3, 5)
+    assert field_valuation(SymbolicPolynomial.constant(F(1, 25)), R_SYMBOL, 5) == -2
+    assert field_valuation(r**2 / 10 + 1, R_SYMBOL, 5) == F(-1, 5)  # v(r^2/10) < v(1)
 
 
 def test_field_valuation_rejects_unramified():
-    xx = sym("x")
-    with pytest.raises(ValueError):
-        field_valuation(xx, "x", xx**2 - xx - 1, 5)  # golden-ratio field: slope 0
+    golden = ValuedSymbol("x", F(0), (2, sym("x") + 1))  # golden-ratio field: a tied rule
+    with pytest.raises(CertificateError):
+        field_valuation(sym("x"), golden, 5)
+
+
+def test_field_valuation_rejects_a_tie():
+    """s^2 -> 25 at v(s) = 1 certifies, but 5 + s is 10 or 0 as s = 5 or -5:
+    its two monomials tie, and no valuation is reported."""
+    s = ValuedSymbol("s", F(1), (2, SymbolicPolynomial.constant(25)))
+    assert field_valuation(sym("s") * 5, s, 5) == 2
+    with pytest.raises(ValueError, match="tie"):
+        field_valuation(5 + sym("s"), s, 5)
+
+
+def _norm_valuation(a, p=5):
+    """field_valuation's oracle over Q(r): v(a) = v(N(d a)) / 5 - v(d), with d
+    the common denominator of a's coefficients and the norm read off the
+    characteristic polynomial of d a, the constant term up to sign."""
+    coeffs = poly_to_coeffs(normal_form(a, [R_SYMBOL]), "r")
+    d = math.lcm(*(F(c).denominator for c in coeffs))
+    modulus = poly_to_coeffs(sym("r") ** 5 - R_SYMBOL.rewrite[1], "r")
+    signed_norm = characteristic_polynomial([c * d for c in coeffs], modulus)[0]
+    return val_rat(signed_norm, p) / 5 - val_rat(d, p)
 
 
 def test_unique_minimum_matches_field_valuation():
-    """When the generic minimum is unique it is the exact valuation of the
-    evaluated element of Q(r); checked on 10 randomized instances."""
+    """The monomial minimum of an element of Q(r) is its valuation by the
+    norm, on randomized elements of degree up to 8 in r with rational
+    coefficients, normal-formed before they are valued."""
     rng = random.Random(99)
     r = sym("r")
     produced = 0
-    while produced < 10:
+    while produced < 300:
         poly = SymbolicPolynomial.zero()
-        for e in range(5):
-            if rng.random() < 0.7:
-                coeff = rng.randint(1, 4) * 5 ** rng.randint(0, 3)
+        for e in range(9):
+            if rng.random() < 0.5:
+                coeff = F(rng.randint(-4, 4) * 5 ** rng.randint(0, 3), rng.choice([1, 2, 5, 25]))
                 poly = poly + coeff * r**e
-        if poly.is_zero():
+        if normal_form(poly, [R_SYMBOL]).is_zero():
             continue
-        mv = min_valuation(poly, {"r": F(2, 5)}, 5)
-        if not mv.unique:
-            continue
-        assert field_valuation(poly, "r", R_MINPOLY, 5) == mv.value
+        assert field_valuation(poly, R_SYMBOL, 5) == _norm_valuation(poly)
         produced += 1
 
 
