@@ -17,7 +17,7 @@ for p in (5, 7, 13, 17):
 print()
 
 print("Component budget: per supersingular curve, 2(p+1)/i components of")
-print("genus (p-1)/2 plus two Edixhoven components (genus configurable):")
+print("genus (p-1)/2; the Edixhoven-type and ordinary components have genus 0:")
 for p in (5, 7, 13, 17):
     budget = ledger.component_budget(p)
     mark = "exact!" if budget.exact else "<="

@@ -38,8 +38,6 @@ class Config(NamedTuple):
     primes: tuple[int, ...] | None = None
     discriminants: tuple[int, ...] | None = None
     cache_dir: str | None = None
-    g_E: int = 0  # genus of each of the two Edixhoven-type components
-    ordinary_genera: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)

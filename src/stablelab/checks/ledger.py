@@ -53,10 +53,10 @@ def _make_survey_check(p: int):
     return run
 
 
-def _make_budget_check(p: int, config: Config):
+def _make_budget_check(p: int):
     def run():
-        budget = ledger.component_budget(p, config.g_E, config.ordinary_genera)
-        if p == 5 and config.g_E == 0 and not config.ordinary_genera:
+        budget = ledger.component_budget(p)
+        if p == 5:
             if not budget.exact or budget.total_known != 8:
                 return "fail", f"expected exact equality 8 = 4*2, got {budget.total_known}"
             return "pass", "exact: 4 components of genus 2 account for the full genus 8"
@@ -97,7 +97,7 @@ def suite(config: Config) -> list[Check]:
     checks.append(Check("mass-formula", "conjecture 3.4.5", _check_mass_formula))
     for p in primes:
         checks.append(Check(f"survey-p{p:02d}", "conjecture 3.4.5", _make_survey_check(p)))
-        checks.append(Check(f"budget-p{p:02d}", "guess 3.4.6", _make_budget_check(p, config)))
+        checks.append(Check(f"budget-p{p:02d}", "guess 3.4.6", _make_budget_check(p)))
     checks.append(
         Check("exponent-center-crosscheck", "section 3.4 class count", _check_exponent_centers)
     )

@@ -6,11 +6,10 @@ or none ran (every check skipped, or the suite built none), 2 the
 configuration could not be parsed or is invalid (an unknown config key, a
 config number that is not a JSON integer, a discriminant that is not a
 negative integer congruent to 0 or 1 mod 4, a prime that the selected suite
-cannot use, a negative genus, an ordinary_genera list that is not six long,
-or a cache_dir that exists and is not a directory) or the --report path
-cannot be opened for writing, before any check runs; argparse also exits 2
-on an unknown option.  Checks run independently; one failure never aborts
-its siblings.
+cannot use, or a cache_dir that exists and is not a directory) or the
+--report path cannot be opened for writing, before any check runs; argparse
+also exits 2 on an unknown option.  Checks run independently; one failure
+never aborts its siblings.
 """
 
 from __future__ import annotations
@@ -126,21 +125,7 @@ def _build_config(args, file_config: dict) -> Config:
         raise ValueError("cache_dir must be a string")
     if cache_dir is not None and os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
         raise ValueError(f"cache_dir {cache_dir!r} exists and is not a directory")
-    g_E = as_int("g_E", file_config.get("g_E", 0))
-    ordinary_genera = as_int_tuple("ordinary_genera", file_config.get("ordinary_genera"))
-    if ordinary_genera is not None and len(ordinary_genera) != 6:
-        raise ValueError(
-            f"ordinary_genera must list the six ordinary components, got {len(ordinary_genera)}"
-        )
-    if g_E < 0 or any(g < 0 for g in ordinary_genera or ()):
-        raise ValueError("g_E and ordinary_genera must not be negative")
-    return Config(
-        primes=primes,
-        discriminants=discriminants,
-        cache_dir=cache_dir,
-        g_E=g_E,
-        ordinary_genera=ordinary_genera,
-    )
+    return Config(primes=primes, discriminants=discriminants, cache_dir=cache_dir)
 
 
 def make_parser() -> argparse.ArgumentParser:

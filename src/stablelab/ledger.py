@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import CertificateError
 from .exactmath import is_prime
@@ -171,44 +171,33 @@ class SSComponentLine(NamedTuple):
 class ComponentBudget(NamedTuple):
     p: int
     lines: tuple[SSComponentLine, ...]
-    ordinary_genera: tuple[int, ...]
     total_known: int
     curve_genus: int
     exact: bool
 
 
-def component_budget(
-    p: int,
-    g_edixhoven: int = 0,
-    ordinary_genera: Sequence[int] | None = None,
-) -> ComponentBudget:
-    """Genus budget for the conjectural components of X0(p^3).
+def component_budget(p: int) -> ComponentBudget:
+    """Genus budget for the conjectural components of X0(p^3) (guess 3.4.6).
 
-    Per supersingular curve with i = |Aut|/2: one genus-0 component over the
-    Atkin-Lehner circle, two copies of the Edixhoven component (genus
-    configurable, default 0), and 2(p+1)/i components of genus (p-1)/2 each;
-    plus the six ordinary components (genera configurable, default 0).  The
-    known total must not exceed the genus of X0(p^3); for p = 5 with the
-    default inputs it is exactly 8 = 4 * 2.
+    Per supersingular curve with i = |Aut|/2: one component over the
+    Atkin-Lehner circle and two Edixhoven-type components, all of genus 0,
+    and 2(p+1)/i components of genus (p-1)/2 each; plus the six ordinary
+    components, of genus 0.  The known total must not exceed the genus of
+    X0(p^3); for p = 5 it is exactly 8 = 4 * 2.
     """
-    survey = ss_survey(p)
-    ordinary = tuple(ordinary_genera) if ordinary_genera is not None else (0,) * 6
     lines = []
     total = 0
-    for aut_order, count in survey.entries:
+    for aut_order, count in ss_survey(p).entries:
         i = aut_order // 2
         if (p + 1) % i:
             raise CertificateError(f"i = {i} does not divide p + 1")
         cm_components = 2 * (p + 1) // i
         cm_genus = (p - 1) // 2
         lines.append(SSComponentLine(aut_order, count, cm_components, cm_genus))
-        total += count * (cm_components * cm_genus + 2 * g_edixhoven)
-    total += sum(ordinary)
+        total += count * cm_components * cm_genus
     curve_genus = genus_x0(p**3)
     if total > curve_genus:
         raise CertificateError(
             f"component budget {total} exceeds the genus {curve_genus} of X0({p**3})"
         )
-    return ComponentBudget(
-        p, tuple(lines), ordinary, total, curve_genus, exact=total == curve_genus
-    )
+    return ComponentBudget(p, tuple(lines), total, curve_genus, exact=total == curve_genus)

@@ -319,7 +319,7 @@ def test_unknown_suite():
         build_checks("bogus", Config())
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["maps", "--report", str(tmp_path / "maps.json")]) == 0
     assert cli.main(["stable-model", "--report", str(tmp_path / "sm.json")]) == 1
 
@@ -327,17 +327,16 @@ def test_exit_codes(tmp_path):
     bad.write_text("{not json")
     assert cli.main(["maps", "--config", str(bad)]) == 2
 
-    # a config-driven failure: ordinary genera overflowing the budget
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"primes": [7], "ordinary_genera": [1000] * 6}))
-    assert (
-        cli.main(["ledger", "--config", str(config), "--report", str(tmp_path / "l.json")])
-        == 1
-    )
-    payload = json.loads((tmp_path / "l.json").read_text())
-    statuses = {c["id"]: c["status"] for c in payload["checks"]}
-    assert statuses["budget-p07"] == "fail"
-    assert statuses["genus-343"] == "pass"
+    # an overflowing component budget is a fail with its reason, not a crash
+    from stablelab import ledger
+
+    genus_x0 = ledger.genus_x0
+    monkeypatch.setattr(ledger, "genus_x0", lambda N: 7 if N == 125 else genus_x0(N))
+    path = tmp_path / "ledger.json"
+    assert cli.main(["ledger", "--p", "5", "--report", str(path)]) == 1
+    budget = {c["id"]: c for c in json.loads(path.read_text())["checks"]}["budget-p05"]
+    assert budget["status"] == "fail"
+    assert budget["details"].startswith("component budget 8 exceeds the genus 7 of X0(125)")
 
 
 def test_unwritable_report_path_exits_2_before_any_check(tmp_path, capsys, monkeypatch):
@@ -392,6 +391,9 @@ def test_config_file_dotted_keys(tmp_path, capsys):
     for document, message in (
         ({"discriminants.case1": [-20]}, "unknown config keys ['discriminants.case1']"),
         ({"discriminants": {"case1": [-20]}}, "discriminants must be a list of integers"),
+        # keys of older config files: the component budget takes no genus inputs
+        ({"g_E": 0}, "unknown config keys ['g_E']"),
+        ({"ordinary_genera": [0, 0, 0, 0, 0, 0]}, "unknown config keys ['ordinary_genera']"),
     ):
         config.write_text(json.dumps(document))
         assert cli.main(["cm", "--config", str(config)]) == 2
@@ -415,7 +417,6 @@ def test_config_file_mixed_discriminants(tmp_path):
     assert len(details) == 4  # two row checks, two congruences
     assert payload["config"] == {
         "primes": [5], "discriminants": [-20, -40], "cache_dir": str(tmp_path),
-        "g_E": 0, "ordinary_genera": None,
     }
 
 
@@ -523,8 +524,6 @@ def test_non_string_cache_dir_rejected(tmp_path, capsys):
     ({"discriminants": [-20.7]}, "discriminants"),
     ({"discriminants": [-40, "-20"]}, "discriminants"),
     ({"discriminants": [-20, True]}, "discriminants"),
-    ({"g_E": 1.5}, "g_E"),
-    ({"ordinary_genera": [2, False]}, "ordinary_genera"),
 ])
 def test_non_integer_config_numbers_rejected(tmp_path, capsys, document, key):
     config = tmp_path / "config.json"
@@ -546,20 +545,6 @@ def test_all_reads_the_suite_table_at_call_time(monkeypatch):
     assert ids.index("table-2-transcription") < ids.index("stub") < ids.index("class-count-2p1i")
 
 
-def test_ordinary_genera_keep_their_multiplicity(tmp_path):
-    """Six ordinary components of genus 1 add 6, not 1: at p = 7 the budget
-    24 + 6 = 30 exceeds the genus 26 of X0(343)."""
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"ordinary_genera": [1] * 6}))
-    path = tmp_path / "ledger.json"
-    assert cli.main(["ledger", "--p", "7", "--config", str(config), "--report", str(path)]) == 1
-    payload = json.loads(path.read_text())
-    budget = {c["id"]: c for c in payload["checks"]}["budget-p07"]
-    assert budget["status"] == "fail"
-    assert "component budget 30 exceeds the genus 26" in budget["details"]
-    assert payload["config"]["ordinary_genera"] == [1] * 6
-
-
 @pytest.mark.parametrize("document", [
     {"g_E": -100},
     {"ordinary_genera": [0, 0, 0, 0, 0, -1]},
@@ -568,10 +553,12 @@ def test_ordinary_genera_keep_their_multiplicity(tmp_path):
     {"ordinary_genera": []},
 ])
 def test_invalid_genera_rejected(tmp_path, capsys, document):
+    """The budget takes no genus inputs: a config file that still sets the
+    former genus keys, to any value, exits 2 naming the key."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(document))
     assert cli.main(["ledger", "--p", "5", "--config", str(config)]) == 2
-    assert "config error: " in capsys.readouterr().err
+    assert f"config error: unknown config keys {sorted(document)}" in capsys.readouterr().err
 
 
 def test_cache_dir_that_is_a_file_rejected(tmp_path, capsys):

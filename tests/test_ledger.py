@@ -78,11 +78,13 @@ def test_component_budgets_inequality():
     assert sum(l.curve_count * l.cm_components for l in budget17.lines) == 12 + 36
 
 
-def test_component_budget_violations():
-    with pytest.raises(CertificateError, match="exceeds the genus 26"):
-        ledger.component_budget(7, ordinary_genera=[1000] * 6)
-    with pytest.raises(CertificateError, match="exceeds the genus 8"):
-        ledger.component_budget(5, g_edixhoven=100)
+def test_component_budget_violations(monkeypatch):
+    """With g(X0(125)) read as 7, the four genus-2 components overflow it."""
+    genus_x0 = ledger.genus_x0
+    monkeypatch.setattr(ledger, "genus_x0", lambda N: 7 if N == 125 else genus_x0(N))
+    with pytest.raises(CertificateError, match="component budget 8 exceeds the genus 7"):
+        ledger.component_budget(5)
+    assert ledger.component_budget(7).total_known == 24
 
 
 def test_survey_crosscheck_stops_where_the_counts_part():
