@@ -40,7 +40,7 @@ class Config(NamedTuple):
     cache_dir: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # perfbench's tracer rebuilds a Check with dataclasses.replace
 class Check:
     id: str
     claim_ref: str

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -30,15 +29,14 @@ ROUNDING_TOLERANCE = Fraction(1, 10**6)
 MAX_PRECISION_DOUBLINGS = 3
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
-    a: int
-    b: int
-    c: int
+class QuadForm(NamedTuple("QuadForm", [("a", int), ("b", int), ("c", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a <= 0 or self.discriminant() >= 0:
+    def __new__(cls, a: int, b: int, c: int):
+        form = super().__new__(cls, a, b, c)
+        if a <= 0 or form.discriminant() >= 0:
             raise ValueError("form must be positive definite")
+        return form
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -490,7 +488,7 @@ def congruence_case(discriminant: int, p: int) -> int:
 def standard_spec(p: int, sign: str) -> CongruenceSpec:
     if p not in CM_CONGRUENCES:
         raise ValueError(f"no congruence data for p = {p}")
-    if sign not in "+-":
+    if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     center, exponent, power, bound = CM_CONGRUENCES[p]
     return CongruenceSpec(p, center, exponent, sign, power, Fraction(bound))

@@ -21,9 +21,8 @@ these operations in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -96,9 +95,6 @@ class SymbolicPolynomial:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
         return self.terms.get((), _ZERO)
-
-    def symbols(self) -> set[str]:
-        return {name for mono in self.terms for name, _ in mono}
 
     def items(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self.terms.items())
@@ -241,8 +237,12 @@ def sym(name: str) -> SymbolicPolynomial:
     return SymbolicPolynomial.variable(name)
 
 
-@dataclass(frozen=True)
-class ValuedSymbol:
+class ValuedSymbol(
+    NamedTuple(
+        "ValuedSymbol",
+        [("name", str), ("valuation", Fraction), ("rewrite", tuple[int, SymbolicPolynomial])],
+    )
+):
     """A formal coordinate with a stated valuation and its rewrite rule.
 
     ``rewrite = (n, g)`` means symbol**n rewrites to the polynomial g, e.g.
@@ -253,18 +253,14 @@ class ValuedSymbol:
     ``valuation.symbol_valuations``, which is where certificates read it.
     """
 
-    name: str
-    valuation: Fraction
-    rewrite: tuple[int, SymbolicPolynomial]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, g = self.rewrite
+    def __new__(cls, name: str, valuation: Fraction, rewrite: tuple[int, SymbolicPolynomial]):
+        n, g = rewrite
         poly = SymbolicPolynomial._coerce(g)
-        object.__setattr__(self, "rewrite", (n, poly))
-        if n < 1 or poly.degree(self.name) >= n:
-            raise ValueError(
-                f"rewrite for {self.name} must replace a power by lower-degree terms"
-            )
+        if n < 1 or poly.degree(name) >= n:
+            raise ValueError(f"rewrite for {name} must replace a power by lower-degree terms")
+        return super().__new__(cls, name, valuation, (n, poly))
 
 
 def normal_form(

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import CertificateError
+from . import CertificateError, quatlab
 from .exactmath import is_prime
 
 F = Fraction
@@ -181,17 +181,14 @@ def component_budget(p: int) -> ComponentBudget:
 
     Per supersingular curve with i = |Aut|/2: one component over the
     Atkin-Lehner circle and two Edixhoven-type components, all of genus 0,
-    and 2(p+1)/i components of genus (p-1)/2 each; plus the six ordinary
-    components, of genus 0.  The known total must not exceed the genus of
-    X0(p^3); for p = 5 it is exactly 8 = 4 * 2.
+    and 2(p+1)/i components (`quatlab.class_count`) of genus (p-1)/2 each;
+    plus the six ordinary components, of genus 0.  The known total must not
+    exceed the genus of X0(p^3); for p = 5 it is exactly 8 = 4 * 2.
     """
     lines = []
     total = 0
     for aut_order, count in ss_survey(p).entries:
-        i = aut_order // 2
-        if (p + 1) % i:
-            raise CertificateError(f"i = {i} does not divide p + 1")
-        cm_components = 2 * (p + 1) // i
+        _, cm_components = quatlab.class_count(p, aut_order)
         cm_genus = (p - 1) // 2
         lines.append(SSComponentLine(aut_order, count, cm_components, cm_genus))
         total += count * cm_components * cm_genus

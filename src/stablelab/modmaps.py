@@ -10,7 +10,6 @@ exact when a unique monomial attains the minimum, otherwise only as a bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -36,21 +35,28 @@ P = 5
 t, u = sym("t"), sym("u")
 
 
-@dataclass(frozen=True)
-class RationalMap:
-    name: str
-    source_coord: str
-    target_coord: str
-    numerator: SymbolicPolynomial
-    denominator: SymbolicPolynomial
+class RationalMap(
+    NamedTuple(
+        "RationalMap",
+        [
+            ("name", str),
+            ("source_coord", str),
+            ("target_coord", str),
+            ("numerator", SymbolicPolynomial),
+            ("denominator", SymbolicPolynomial),
+        ],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        num = poly_to_coeffs(self.numerator, self.source_coord)
-        den = poly_to_coeffs(self.denominator, self.source_coord)
+    def __new__(cls, name, source_coord, target_coord, numerator, denominator):
+        num = poly_to_coeffs(numerator, source_coord)
+        den = poly_to_coeffs(denominator, source_coord)
         if all(c == 0 for c in den):
             raise ValueError("denominator is identically zero")
         if len(univariate_gcd(num, den)) != 1:
-            raise ValueError(f"map {self.name} has a common factor")
+            raise ValueError(f"map {name} has a common factor")
+        return super().__new__(cls, name, source_coord, target_coord, numerator, denominator)
 
     def degrees(self) -> tuple[int, int]:
         return (

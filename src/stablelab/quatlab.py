@@ -13,7 +13,6 @@ c^2 - alpha d^2 (the norm of z) follow from one pass over F_{p^2}^*; see
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -30,17 +29,15 @@ class AbarElement(NamedTuple):
     d: int
 
 
-@dataclass(frozen=True)
-class AlgebraParams:
-    p: int
-    alpha: int
+class AlgebraParams(NamedTuple("AlgebraParams", [("p", int), ("alpha", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, alpha = self.p, self.alpha
+    def __new__(cls, p: int, alpha: int):
         if p < 3 or not is_prime(p):
             raise ValueError(f"{p} is not an odd prime")
         if pow(alpha % p, (p - 1) // 2, p) != p - 1:
             raise ValueError(f"{alpha} is not a quadratic non-residue mod {p}")
+        return super().__new__(cls, p, alpha)
 
 
 def smallest_nonresidue(p: int) -> int:

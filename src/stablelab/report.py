@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 #: Anchor strings a check may cite; each names a table, claim, conjecture,
@@ -50,20 +49,19 @@ class CheckResult(NamedTuple):
     elapsed_ms: int
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    version: str
-    config: dict
-    results: tuple[CheckResult, ...]
+class SuiteReport(
+    NamedTuple(
+        "SuiteReport",
+        [("suite", str), ("version", str), ("config", dict), ("results", tuple[CheckResult, ...])],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        ids = [r.id for r in self.results]
-        if len(set(ids)) != len(ids):
+    def __new__(cls, suite: str, version: str, config: dict, results):
+        results = tuple(sorted(results, key=lambda r: r.id))
+        if len({r.id for r in results}) != len(results):
             raise ValueError("duplicate check ids in report")
-        object.__setattr__(
-            self, "results", tuple(sorted(self.results, key=lambda r: r.id))
-        )
+        return super().__new__(cls, suite, version, config, results)
 
     @property
     def overall(self) -> str:

@@ -656,6 +656,12 @@ def test_characteristic_polynomial_is_the_resultant():
     assert list(via_traces) == interpolate_integer_polynomial(samples)
 
 
+@pytest.mark.parametrize("sign", ["", "+-", "x"])
+def test_standard_spec_takes_one_sign(sign):
+    with pytest.raises(ValueError, match="sign must be"):
+        cmlab.standard_spec(5, sign)
+
+
 def test_congruence_case_classification():
     assert cmlab.congruence_case(-20, 5) == 1
     assert cmlab.congruence_case(-40, 5) == 2

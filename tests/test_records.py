@@ -1,5 +1,7 @@
-"""The package's records are immutable: each is a NamedTuple or a frozen
-dataclass, and no default value is shared mutable state."""
+"""The package's records are immutable and no default value is shared
+mutable state.  Each record is a NamedTuple, and one that validates its
+fields subclasses a NamedTuple and checks them in ``__new__``; the one
+frozen dataclass is ``checks.Check``."""
 
 import dataclasses
 import importlib
@@ -23,7 +25,7 @@ _DATACLASSES = [cls for cls in _CLASSES if dataclasses.is_dataclass(cls)]
 @pytest.mark.parametrize("cls", _NAMED_TUPLES, ids=lambda cls: cls.__qualname__)
 def test_named_tuple_fields_cannot_be_assigned(cls):
     record = cls._make(range(len(cls._fields)))
-    for name in cls._fields:
+    for name in cls._fields + ("unlisted",):  # a subclass keeps __slots__ = ()
         with pytest.raises(AttributeError):
             setattr(record, name, None)
 

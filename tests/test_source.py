@@ -35,17 +35,43 @@ def test_no_memoizing_decorators(module):
     assert not memoized, f"{module}: memoized {memoized}"
 
 
-@pytest.mark.parametrize("module", _TREES)
-def test_no_mpmath_imports(module):
-    """Class polynomials are built in integer ball arithmetic, so mpmath is a
-    test oracle only and no verifier process loads it."""
+def _imported(module: str) -> list[str]:
+    """The modules named by the import statements of a package module."""
     imported = []
     for node in ast.walk(_TREES[module]):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported.append(node.module or "")
-    assert not [name for name in imported if name.split(".")[0] == "mpmath"], module
+    return imported
+
+
+@pytest.mark.parametrize("module", _TREES)
+def test_no_mpmath_imports(module):
+    """Class polynomials are built in integer ball arithmetic, so mpmath is a
+    test oracle only and no verifier process loads it."""
+    assert not [name for name in _imported(module) if name.split(".")[0] == "mpmath"], module
+
+
+@pytest.mark.parametrize("module", [name for name in _TREES if name != "checks/__init__.py"])
+def test_only_check_is_a_dataclass(module):
+    """Records are NamedTuples; one that validates its fields subclasses a
+    NamedTuple and checks them in ``__new__``.  `checks.Check` stays a frozen
+    dataclass because perfbench's tracer rebuilds it with
+    ``dataclasses.replace``; no other module imports `dataclasses`."""
+    assert "dataclasses" not in _imported(module), module
+
+
+@pytest.mark.parametrize("module", _TREES)
+def test_no_record_is_built_past_its_validation(module):
+    """`_make` and `_replace` build a NamedTuple without calling its
+    ``__new__``, so they would skip a validating record's checks."""
+    calls = [
+        node.lineno
+        for node in ast.walk(_TREES[module])
+        if isinstance(node, ast.Attribute) and node.attr in {"_make", "_replace"}
+    ]
+    assert not calls, f"{module}: _make or _replace on lines {calls}"
 
 
 #: Test-oracle entry points that nothing in the package calls; they stay
