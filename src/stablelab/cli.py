@@ -2,23 +2,28 @@
 machine-readable report.
 
 Exit codes: 0 at least one check passed and none failed, 1 a check failed
-or none ran (every check skipped, or the suite built none), 2 the
-configuration could not be parsed or is invalid (an unknown config key, a
-config number that is not a JSON integer, a discriminant that is not a
-negative integer congruent to 0 or 1 mod 4, a prime that the selected suite
-cannot use, or a cache_dir that exists and is not a directory) or the
---report path cannot be opened for writing, before any check runs; argparse
-also exits 2 on an unknown option.  Checks run independently; one failure
-never aborts its siblings.
+or none ran (every check skipped, or the suite built none), 2 the command
+line or the configuration could not be parsed or is invalid, before any
+check runs.  A bad command line (no suite or an unknown one, an unknown or
+ambiguous option, an option without its value, a --p that is not an
+integer, a --format other than json or text) raises SystemExit(2) after the
+usage line on stderr; --help prints the usage line and exits 0.  The other
+exits 2 print one line: an unknown config key, a config number that is not
+a JSON integer, a discriminant that is not a negative integer congruent to
+0 or 1 mod 4, a prime that the selected suite cannot use, --disc given to a
+suite that reads no discriminants, a cache_dir that exists and is not a
+directory, or a --report path that cannot be opened for writing.  Checks
+run independently; one failure never aborts its siblings.
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import os
 import sys
 import time
+from collections import namedtuple
 from contextlib import nullcontext
 
 from . import CertificateError, __version__, is_prime
@@ -28,6 +33,8 @@ from .report import CheckResult, SuiteReport
 SUITE_NAMES = (*SUITES, "all")
 #: suite -> (least prime the suite can use, how to say so)
 PRIME_FLOORS = {"quat": (3, "an odd prime"), "ledger": (5, "a prime p > 3")}
+#: suites stated at p = 5 alone; they read no prime
+P5_SUITES = ("stable-model", "maps", "ss")
 
 
 def run_suite(suite: str, config: Config, clock=time.monotonic) -> SuiteReport:
@@ -114,8 +121,12 @@ def _build_config(args, file_config: dict) -> Config:
         # under `all` such a prime still serves quat and ledger; cm adds no check
         if args.suite == "cm" and p not in CM_ANCHORS:
             raise ValueError(f"the cm suite needs one of the primes {supported}, got p = {p}")
+        if args.suite in P5_SUITES and p != 5:
+            raise ValueError(f"the {args.suite} suite is stated at p = 5 only, got p = {p}")
     discriminants = file_config.get("discriminants")
     if args.disc is not None:
+        if args.suite not in ("cm", "all"):
+            raise ValueError(f"the {args.suite} suite reads no discriminants, got --disc")
         discriminants = [as_disc_item(v) for v in args.disc.split(",")]
     discriminants = as_discriminants("discriminants", discriminants)
     cache_dir = file_config.get("cache_dir")
@@ -128,45 +139,44 @@ def _build_config(args, file_config: dict) -> Config:
     return Config(primes=primes, discriminants=discriminants, cache_dir=cache_dir)
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="verify",
-        description="Run the exact-arithmetic verification suites.",
-    )
-    parser.add_argument("suite", choices=SUITE_NAMES)
-    parser.add_argument("--p", type=int, help="restrict prime-indexed checks to one prime")
-    parser.add_argument(
-        "--disc", help="comma-separated discriminants for the cm suite (overrides the config)"
-    )
-    parser.add_argument("--cache-dir", help="directory for the class-polynomial cache")
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--report", help="write the report to this path")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    return parser
+#: a parsed `verify` command line; each field after the suite is a long option
+Args = namedtuple("Args", "suite p disc cache_dir config report format",
+                  defaults=(None, None, None, None, None, "json"))
+#: getopt's long options; a trailing "=" marks one that takes a value
+LONG_OPTIONS = (*(f"{field.replace('_', '-')}=" for field in Args._fields[1:]), "help")
+USAGE = ("usage: verify [-h|--help] [--p P] [--disc D1,D2,...] [--cache-dir DIR]"
+         f" [--config FILE] [--report PATH] [--format {{json,text}}] {{{','.join(SUITE_NAMES)}}}")
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """Fold `--disc -52,-104` into `--disc=-52,-104` so argparse does not
-    mistake the negative discriminants for an option."""
-    out = []
-    skip = False
-    for i, arg in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if arg == "--disc" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"--disc={argv[i + 1]}")
-            skip = True
-        else:
-            out.append(arg)
-    return out
+def parse_args(argv: list[str]) -> Args:
+    """Read a `verify` command line; a bad one exits 2 after the usage line.
+    GNU getopt takes options before or after the suite and unique prefixes
+    (`--rep`), and hands an option its next argument verbatim (`--disc -52,-104`).
+    """
+    try:
+        pairs, suites = getopt.gnu_getopt(argv, "h", LONG_OPTIONS)
+        options = {name.lstrip("-").replace("-", "_"): value for name, value in pairs}
+        if "h" in options or "help" in options:
+            print(USAGE)
+            raise SystemExit(0)
+        if len(suites) != 1 or suites[0] not in SUITE_NAMES:
+            raise getopt.GetoptError(f"give one suite of {', '.join(SUITE_NAMES)}, got {suites}")
+        if options.get("format", "json") not in ("json", "text"):
+            raise getopt.GetoptError(f"--format takes json or text, got {options['format']!r}")
+        if "p" in options:
+            options["p"] = int(options["p"])
+        return Args(suites[0], **options)
+    except getopt.GetoptError as exc:  # callers match `unrecognized arguments: --x`
+        unknown = exc.msg.endswith("not recognized")
+        message = f"unrecognized arguments: {exc.msg.split()[1]}" if unknown else exc.msg
+    except ValueError:
+        message = f"--p takes an integer, got {options['p']!r}"
+    print(f"{USAGE}\nverify: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_join_negative_values(list(argv)))
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         file_config = load_config_file(args.config) if args.config else {}
         config = _build_config(args, file_config)

@@ -463,6 +463,32 @@ def test_invalid_precision_rejected(tmp_path, capsys):
     assert "config error: unknown config keys ['precision_bits']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    ("cm --p 13 --disc -52,-104", (Config(primes=(13,), discriminants=(-52, -104)), None)),
+    ("--p 5 cm --disc=-20", (Config(primes=(5,), discriminants=(-20,)), None)),
+    ("cm --rep PATH --disc=-20", (Config(discriminants=(-20,)), "PATH")),
+    ("cm --p=5 --disc=-20", (Config(primes=(5,), discriminants=(-20,)), None)),
+    ("", 2), ("bogus", 2), ("cm --p x", 2), ("cm --format xml", 2), ("cm --c DIR", 2),
+    ("cm --disc", 2), ("cm --precision 300", 2), ("cm ss", 2), ("--help", 0),
+])
+def test_command_line_parsing(capsys, argv, expected):
+    """Options go before or after the suite, as `--opt value` or `--opt=value`
+    or a unique prefix, and a negative --disc list is a value.  A bad command
+    line exits 2 after the usage line; --help prints it and exits 0."""
+    if isinstance(expected, tuple):
+        args = cli.parse_args(argv.split())
+        assert (cli._build_config(args, {}), args.report) == expected
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv.split())
+    assert exc.value.code == expected
+    out, err = capsys.readouterr()
+    usage = out if expected == 0 else err
+    assert usage.startswith("usage: verify")
+    options = [f"--{option.rstrip('=')}" for option in cli.LONG_OPTIONS]
+    assert all(name in usage for name in (*cli.SUITE_NAMES, *options))
+
+
 def test_suite_without_checks_is_not_a_pass(tmp_path, capsys):
     """A prime without a cm conjecture is a config error for the cm suite;
     `all` keeps it for quat and ledger, and cm adds no check for it."""
@@ -475,7 +501,7 @@ def test_suite_without_checks_is_not_a_pass(tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert "config error: the cm suite needs one of the primes 5, 7, 13" in err
-    args = cli.make_parser().parse_args(["all", "--p", "17"])
+    args = cli.parse_args(["all", "--p", "17"])
     assert cli._build_config(args, {}).primes == (17,)
     assert build_checks("cm", Config(primes=(17,))) == []
 
@@ -499,15 +525,25 @@ def test_malformed_disc_names_the_option_and_the_item(capsys, disc, item):
 
 
 def test_unusable_primes_rejected(tmp_path, capsys):
+    """Each suite takes only the primes it can use, and --disc only where a
+    suite reads discriminants: stable-model, maps and ss are stated at p = 5."""
     for argv in (["quat", "--p", "2"], ["quat", "--p", "9"], ["ledger", "--p", "1"],
-                 ["ledger", "--p", "9"], ["ledger", "--p", "3"], ["all", "--p", "2"]):
+                 ["ledger", "--p", "9"], ["ledger", "--p", "3"], ["all", "--p", "2"],
+                 ["maps", "--p", "7"], ["stable-model", "--p", "7"], ["ss", "--disc=-20"]):
         assert cli.main(argv) == 2, argv
         assert "config error: the " in capsys.readouterr().err
+    assert cli.main(["ss", "--p", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: the ss suite is stated at p = 5 only, got p = 4" in err
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"primes": [5, 4]}))
     assert cli.main(["ledger", "--config", str(config)]) == 2
+    config.write_text(json.dumps({"primes": [5, 7]}))
+    assert cli.main(["maps", "--config", str(config)]) == 2
+    assert "the maps suite is stated at p = 5 only, got p = 7" in capsys.readouterr().err
     path = tmp_path / "quat3.json"
     assert cli.main(["quat", "--p", "3", "--report", str(path)]) == 0
+    assert cli.main(["ss", "--p", "5", "--report", str(tmp_path / "ss5.json")]) == 0
 
 
 def test_non_string_cache_dir_rejected(tmp_path, capsys):
@@ -589,10 +625,14 @@ def _mpmath(modules: set[str]) -> set[str]:
     return {name for name in modules if name.split(".")[0] == "mpmath"}
 
 
+#: the argparse parse path; `verify` reads its command line with getopt
+_PARSER_CHAIN = {"argparse", "locale"}
+
+
 def test_importing_the_cli_loads_no_layer():
     loaded = _modules_after("import stablelab.cli")
     assert "stablelab.cli" in loaded
-    assert not loaded & (_LABS | {"mpmath", "stablelab.exactmath"})
+    assert not loaded & (_LABS | _PARSER_CHAIN | {"mpmath", "stablelab.exactmath"})
 
 
 def test_each_suite_loads_only_its_layers():
@@ -601,13 +641,14 @@ def test_each_suite_loads_only_its_layers():
         "assert cli.main(['cm', '--p', '5', '--disc=-20', '--report', os.devnull]) == 0"
     )
     assert "stablelab.cmlab" in cm
-    assert not cm & (_LABS - {"stablelab.cmlab"})
+    assert not cm & ((_LABS - {"stablelab.cmlab"}) | _PARSER_CHAIN)
     assert not _mpmath(cm)
     everything = _modules_after(
         "from stablelab import cli\n"
         "assert cli.main(['all', '--report', os.devnull]) == 1"
     )
     assert _LABS <= everything and not _mpmath(everything)
+    assert not everything & _PARSER_CHAIN
     stable_model = _modules_after(
         "from stablelab import cli\n"
         "assert cli.main(['stable-model', '--report', os.devnull]) == 1"
