@@ -45,10 +45,10 @@ hensel = curve125.hensel_certificate(g_plus)
 print("v(h'(1)) endpoint minima:", hensel.data["hp1_endpoint_minima"])
 print("its constant piece 0 lies strictly below every other piece inside the")
 print("annulus (at v(s) = 1/5 the piece -2 + 10 v(s) ties it), so v(h'(1)) = 0 there")
-((lam, v),) = hensel.data["h1_interior_minima"].items()
 print("v(h(1)) is a minimum of affine pieces in v(s), hence concave: 0 at both ends")
-print(f"and {v} at v(s) = {lam}, so v(h(1)) > 0 on the whole open annulus")
-print("exported error bound at v(s) = 6/25:", hensel.data["delta_at_ram_circle"], "\n")
+print(f"and {hensel.residual_min} at v(s) = {curve125.RAM_CIRCLE}, "
+      "so v(h(1)) > 0 on the whole open annulus")
+print("exported error bound at v(s) = 6/25:", hensel.residual_min, "\n")
 
 print("With that bound the fiber equation reduces on the middle circle to the")
 eq6 = curve125.verify_reduction("eq6", None, hensel)

@@ -17,6 +17,12 @@ __version__ = "0.1.0"
 CM_CONGRUENCES = {5: (0, 2, 5**3, 3), 7: (1728, 4, 7**4, 4), 13: (5, 14, 13**7, 7)}
 
 
+def divides_once(p: int, n: int) -> bool:
+    """p divides n exactly once, the hypothesis p || D of conjectures
+    3.3.1-3.3.3.  The cm suite, the CLI and `cmlab.congruence_case` read it."""
+    return n % p == 0 and (n // p) % p != 0
+
+
 class CertificateError(AssertionError):
     """A certificate's mathematical claim fails on its inputs; the message is
     the reason.  `cli.run_suite` reports it as the check's fail details.

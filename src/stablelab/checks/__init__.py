@@ -1,11 +1,13 @@
 """The individual verification checks, grouped into suites.
 
-A check returns (status, details) with status "pass", "fail" or "skipped"
-after comparing a certificate with the paper's stated value.  A certificate
-that fails raises CertificateError from its layer, and the check lets it
-through: `cli.run_suite` reports its reason as the fail details, so a broken
-sibling never silences the rest of a suite.  Checks cite the table / claim /
-conjecture they certify via the anchors in report.KNOWN_ANCHORS.
+A check compares a certificate with the paper's stated value and returns
+the details of its pass.  A mismatch raises CertificateError with the
+reason, from the check or from its layer, and the check lets a layer's
+through: `cli.run_suite` turns a return into a pass and a CertificateError
+into a fail with the reason as details, so a broken sibling never silences
+the rest of a suite, and no module here spells a status.  Checks cite the
+table / claim / conjecture they certify via the anchors in
+report.KNOWN_ANCHORS.
 
 Each suite is one module of this package (`stable_model`, `maps`, `ss`,
 `cm`, `quat`, `ledger`), imported by its SUITES entry on first call, so a
@@ -44,7 +46,7 @@ class Config(NamedTuple):
 class Check:
     id: str
     claim_ref: str
-    run: Callable[[], tuple[str, str]]
+    run: Callable[[], str]  # the pass details; a failure raises CertificateError
 
 
 def once(builder: Callable[[], T]) -> Callable[[], T]:

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import os
 
-from .. import cmlab
-from ..exactmath import val_rat
+from .. import CertificateError, cmlab, divides_once
 from . import CM_ANCHORS, Check, Config
 
 
@@ -20,10 +19,12 @@ def _make_crosscheck(row: cmlab.TableRow):
     def run():
         h = cmlab.class_number(row.discriminant)
         if len(row.taus) != h:
-            return "fail", f"row has {len(row.taus)} tau values but h({row.discriminant}) = {h}"
+            raise CertificateError(
+                f"row has {len(row.taus)} tau values but h({row.discriminant}) = {h}"
+            )
         if not cmlab.table_crosscheck(row):
-            return "fail", "row tau-polynomial differs from the class polynomial"
-        return "pass", (
+            raise CertificateError("row tau-polynomial differs from the class polynomial")
+        return (
             f"{row.label}: {len(row.taus)} tau values; row polynomial equals "
             f"H({row.discriminant})"
         )
@@ -33,8 +34,6 @@ def _make_crosscheck(row: cmlab.TableRow):
 
 def _make_congruence(disc: int, p: int, config: Config):
     def run():
-        if val_rat(disc, p) != 1:
-            return "skipped", f"p does not exactly divide {disc}: hypothesis excluded"
         sign = "-" if cmlab.congruence_case(disc, p) == 1 else "+"
         spec = cmlab.standard_spec(p, sign)
         H = cmlab.class_polynomial(disc, cache=_cache(config))
@@ -43,11 +42,11 @@ def _make_congruence(disc: int, p: int, config: Config):
             f"v{p}((j - {spec.center})^{spec.exponent} {sign} {spec.prime_power})"
         )
         if not result.passed:
-            return "fail", (
+            raise CertificateError(
                 f"{description} has minimum {result.min_root_valuation}, "
                 f"needs > {spec.bound}"
             )
-        return "pass", (
+        return (
             f"{description} > {spec.bound} per root "
             f"(minimum {result.min_root_valuation}, h = {H.degree}, "
             f"precision {H.precision_used}, rounding error < 1e-6)"
@@ -57,11 +56,13 @@ def _make_congruence(disc: int, p: int, config: Config):
 
 
 def suite(config: Config) -> list[Check]:
-    """One congruence check per (p, D), its case derived from D; at p = 5 a
-    D of tables 3-4 also gets its row check.  A prime outside CM_ANCHORS adds
-    no check (the CLI rejects it when the cm suite runs alone).  The default
-    discriminants are those of tables 3-4 for p = 5 and one per case for 7
-    and 13."""
+    """One congruence check per (p, D) with p dividing D exactly once, the
+    conjectures' hypothesis, its case derived from D; at p = 5 a D of tables
+    3-4 also gets its row check.  A prime outside CM_ANCHORS adds no check
+    (the CLI rejects it when the cm suite runs alone), nor does a D outside
+    the hypothesis (the CLI rejects a D that fits none of the primes).  The
+    default discriminants are those of tables 3-4 for p = 5 and one per case
+    for 7 and 13."""
     primes = config.primes if config.primes is not None else tuple(CM_ANCHORS)
     discs = config.discriminants
     rows_by_disc = {row.discriminant: row for row in cmlab.table_rows()}
@@ -76,6 +77,7 @@ def suite(config: Config) -> list[Check]:
             row = rows_by_disc.get(disc)
             if row is not None and p == 5:
                 checks.append(Check(f"{tag}-row", "tables 3-4", _make_crosscheck(row)))
-            checks.append(Check(f"{tag}-congruence", CM_ANCHORS[p],
-                                _make_congruence(disc, p, config)))
+            if divides_once(p, disc):
+                checks.append(Check(f"{tag}-congruence", CM_ANCHORS[p],
+                                    _make_congruence(disc, p, config)))
     return checks

@@ -3,7 +3,7 @@ budgets."""
 
 from __future__ import annotations
 
-from .. import CM_CONGRUENCES, ledger, quatlab
+from .. import CM_CONGRUENCES, CertificateError, ledger, quatlab
 from ..exactmath import is_prime
 from . import Check, Config
 
@@ -15,8 +15,8 @@ def _make_genus_check(N: int):
     def run():
         got = ledger.genus_x0(N)
         if got != _GENUS_EXPECTED[N]:
-            return "fail", f"genus {got} != {_GENUS_EXPECTED[N]}"
-        return "pass", f"genus of X0({N}) = {got}"
+            raise CertificateError(f"genus {got} != {_GENUS_EXPECTED[N]}")
+        return f"genus of X0({N}) = {got}"
 
     return run
 
@@ -25,7 +25,7 @@ def _check_mass_formula():
     for p in range(5, 100):
         if is_prime(p):
             ledger.ss_survey(p)  # raises CertificateError if the mass identity fails
-    return "pass", "sum 1/|Aut| = (p-1)/24 for all primes 5 <= p < 100"
+    return "sum 1/|Aut| = (p-1)/24 for all primes 5 <= p < 100"
 
 
 def _make_survey_check(p: int):
@@ -39,7 +39,7 @@ def _make_survey_check(p: int):
     def run():
         survey = ledger.ss_survey(p)
         if p in expected and survey.entries != expected[p]:
-            return "fail", f"survey {survey.entries}"
+            raise CertificateError(f"survey {survey.entries}")
         # the census counts supersingular curves over F_p-bar, the brute force
         # only j in F_p; the two agree for every prime 5 <= p <= 31 and first
         # differ at p = 37 (3 vs 1), so the comparison stops at 31
@@ -47,8 +47,8 @@ def _make_survey_check(p: int):
         if brute is not None:
             count = sum(n for _, n in survey.entries)
             if count != len(brute):
-                return "fail", f"survey counts {count} but {len(brute)} ss j-invariants"
-        return "pass", f"aut-order census {survey.entries}, mass {survey.mass}"
+                raise CertificateError(f"survey counts {count} but {len(brute)} ss j-invariants")
+        return f"aut-order census {survey.entries}, mass {survey.mass}"
 
     return run
 
@@ -58,9 +58,9 @@ def _make_budget_check(p: int):
         budget = ledger.component_budget(p)
         if p == 5:
             if not budget.exact or budget.total_known != 8:
-                return "fail", f"expected exact equality 8 = 4*2, got {budget.total_known}"
-            return "pass", "exact: 4 components of genus 2 account for the full genus 8"
-        return "pass", (
+                raise CertificateError(f"expected exact equality 8 = 4*2, got {budget.total_known}")
+            return "exact: 4 components of genus 2 account for the full genus 8"
+        return (
             f"known component genera total {budget.total_known} <= "
             f"genus {budget.curve_genus} of X0({p**3})"
         )
@@ -72,15 +72,15 @@ def _check_exponent_centers():
     for p, (center, exponent, _, _) in CM_CONGRUENCES.items():
         survey = ledger.ss_survey(p)
         if len(survey.entries) != 1:
-            return "fail", f"p={p} does not have a unique supersingular class"
+            raise CertificateError(f"p={p} does not have a unique supersingular class")
         aut = survey.entries[0][0]
         per_extension, _ = quatlab.class_count(p, aut)
         if per_extension != exponent:
-            return "fail", f"(p+1)/i = {per_extension} != congruence exponent {exponent}"
+            raise CertificateError(f"(p+1)/i = {per_extension} != congruence exponent {exponent}")
         ss_js = ledger.supersingular_j_invariants(p)
         if ss_js != (center % p,):
-            return "fail", f"supersingular j mod {p} is {ss_js}, center {center}"
-    return "pass", (
+            raise CertificateError(f"supersingular j mod {p} is {ss_js}, center {center}")
+    return (
         "(p+1)/i = 2, 4, 14 matches the congruence exponents; centers 0, 1728, 5 "
         "reduce to the unique supersingular j mod p"
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-from .. import modmaps
+from .. import CertificateError, modmaps
 from ..exactmath import Affine
 from . import Check, Config, once
 
@@ -33,33 +33,33 @@ _DIRECT_FORMULAS = {
 def _check_table2(maps):
     for name, rmap in maps.items():
         if rmap.degrees() != _EXPECTED_DEGREES[name]:
-            return "fail", f"{name} has degrees {rmap.degrees()}"
+            raise CertificateError(f"{name} has degrees {rmap.degrees()}")
         for point in (F(2), F(-3, 7)):
             if rmap.evaluate(point) != _DIRECT_FORMULAS[name](point):
-                return "fail", f"{name} disagrees with direct evaluation at {point}"
-    return "pass", "all six maps transcribed; degrees and two-point evaluations agree"
+                raise CertificateError(f"{name} disagrees with direct evaluation at {point}")
+    return "all six maps transcribed; degrees and two-point evaluations agree"
 
 
 def _check_involutions(maps):
     for name in ("w5", "w25"):
         if not modmaps.is_involution(maps[name]):
-            return "fail", f"{name} composed with itself is not the identity"
-    return "pass", "w5 o w5 = id and w25 o w25 = id as exact rational maps"
+            raise CertificateError(f"{name} composed with itself is not the identity")
+    return "w5 o w5 = id and w25 o w25 = id as exact rational maps"
 
 
 def _check_al_circles(maps):
     got5 = modmaps.al_fixed_circle(maps["w5"])
     got25 = modmaps.al_fixed_circle(maps["w25"])
     if (got5, got25) != (F(3, 2), F(1, 2)):
-        return "fail", f"fixed circles ({got5}, {got25})"
-    return "pass", "fixed circles v(t) = 3/2 for w5 and v(u) = 1/2 for w25"
+        raise CertificateError(f"fixed circles ({got5}, {got25})")
+    return "fixed circles v(t) = 3/2 for w5 and v(u) = 1/2 for w25"
 
 
 def _check_u_circle_image(maps):
     cert = modmaps.image_valuation(maps["pi5_t"], F(3, 10))
     if cert.lower_bound != F(3, 2) or not cert.unique:
-        return "fail", f"image valuation {cert.lower_bound}, unique={cert.unique}"
-    return "pass", "v(u) = 3/10 maps to v(t) = 3/2, unique dominant monomial u^5"
+        raise CertificateError(f"image valuation {cert.lower_bound}, unique={cert.unique}")
+    return "v(u) = 3/10 maps to v(t) = 3/2, unique dominant monomial u^5"
 
 
 def _check_j_circle_image(maps):
@@ -68,8 +68,8 @@ def _check_j_circle_image(maps):
     the whole cell; at 5/2 the disk claim 3.1.1 takes over."""
     cert = modmaps.image_valuation(maps["pi1_j"], (F(0), F(5, 2)))
     if cert.lower_bound != Affine(F(0), F(1)):
-        return "fail", f"on 0 < v(t) < 5/2: {cert.conclusion}, v(j) = {cert.lower_bound}"
-    return "pass", (
+        raise CertificateError(f"on 0 < v(t) < 5/2: {cert.conclusion}, v(j) = {cert.lower_bound}")
+    return (
         "v(t) = 3/2 maps to v(j) = 3/2: t^6 dominates alone on 0 < v(t) < 5/2, "
         "so v(j) = v(t) on the whole cell"
     )
@@ -78,21 +78,21 @@ def _check_j_circle_image(maps):
 def _check_j_disk_image(maps):
     cert = modmaps.image_valuation(maps["pi1_j"], F(5, 2))
     if cert.lower_bound != F(5, 2) or cert.unique:
-        return "fail", f"bound {cert.lower_bound}, unique={cert.unique}"
+        raise CertificateError(f"bound {cert.lower_bound}, unique={cert.unique}")
     if cert.conclusion != "bound only (tie)":
-        return "fail", f"conclusion {cert.conclusion!r}"
-    return "pass", "v(t) = 5/2 gives only the bound v(j) >= 5/2 (t^2 ties 5^5): disk"
+        raise CertificateError(f"conclusion {cert.conclusion!r}")
+    return "v(t) = 5/2 gives only the bound v(j) >= 5/2 (t^2 ties 5^5): disk"
 
 
 def _check_ram_image(maps):
     cert = modmaps.ramification_image_polynomial(maps["pi5_t"])
     degree = len(cert.eliminant) - 1
-    return "pass", f"eliminant degree {degree}; squarefree part t^2 - 125"
+    return f"eliminant degree {degree}; squarefree part t^2 - 125"
 
 
 def _check_cm_disks():
     cert = modmaps.cm_disk_identities()
-    return "pass", f"v5(5^5/r^5 - 5^3) = {cert.u_disk_valuation} > 3"
+    return f"v5(5^5/r^5 - 5^3) = {cert.u_disk_valuation} > 3"
 
 
 def suite(config: Config) -> list[Check]:

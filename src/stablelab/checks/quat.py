@@ -3,7 +3,7 @@ F_p[i, eps_j, eps_k]."""
 
 from __future__ import annotations
 
-from .. import quatlab
+from .. import CertificateError, quatlab
 from ..exactmath import sym
 from . import Check, Config
 
@@ -13,12 +13,12 @@ def _make_algebra_check(p: int):
         alpha = quatlab.smallest_nonresidue(p)
         table = quatlab.build_algebra(quatlab.AlgebraParams(p, alpha))
         if table[(1, 2)] != (0, 0, 0, 1):
-            return "fail", "i * eps_j != eps_k"
+            raise CertificateError("i * eps_j != eps_k")
         if table[(2, 3)] != (0, 0, 0, 0) or table[(2, 2)] != (0, 0, 0, 0):
-            return "fail", "nilpotent products do not vanish"
+            raise CertificateError("nilpotent products do not vanish")
         if table[(1, 3)] != (0, 0, alpha % p, 0):
-            return "fail", "i * eps_k != alpha * eps_j"
-        return "pass", f"alpha = {alpha}: relations hold, associativity exhaustive on basis"
+            raise CertificateError("i * eps_k != alpha * eps_j")
+        return f"alpha = {alpha}: relations hold, associativity exhaustive on basis"
 
     return run
 
@@ -27,7 +27,7 @@ def _make_orbit_check(p: int):
     def run():
         alpha = quatlab.smallest_nonresidue(p)
         report = quatlab.orbit_analysis(quatlab.AlgebraParams(p, alpha))
-        return "pass", (
+        return (
             f"{len(report.orbits)} orbits of size {p + 1}; stabilizers F_p^*; "
             "invariant c^2 - alpha*d^2 separates classes"
         )
@@ -37,7 +37,7 @@ def _make_orbit_check(p: int):
 
 def _check_uniformizer():
     found = quatlab.uniformizer_image_search()
-    return "pass", (
+    return (
         "image class is exactly {+-2eps_j, +-2eps_k, +-3eps_j +- 3eps_k} "
         f"({len(found)} elements)"
     )
@@ -45,23 +45,23 @@ def _check_uniformizer():
 
 def _check_refinement():
     parts = quatlab.aut_refinement()
-    return "pass", f"conjugation by i splits the class into {len(parts)} pairs x, -x"
+    return f"conjugation by i splits the class into {len(parts)} pairs x, -x"
 
 
 def _check_class_counts():
     cases = {(7, 4): (4, 8), (5, 6): (2, 4), (13, 2): (14, 28)}
     for (p, aut), expected in cases.items():
         if quatlab.class_count(p, aut) != expected:
-            return "fail", f"class_count({p}, {aut}) != {expected}"
-    return "pass", "2(p+1)/i equals 8, 4, 28 for (p, |Aut|) = (7,4), (5,6), (13,2)"
+            raise CertificateError(f"class_count({p}, {aut}) != {expected}")
+    return "2(p+1)/i equals 8, 4, 28 for (p, |Aut|) = (7,4), (5,6), (13,2)"
 
 
 def _check_quaternion_norm():
     a = quatlab.QuatElement(*(sym(name) for name in ("a1", "b1", "c1", "d1")))
     b = quatlab.QuatElement(*(sym(name) for name in ("a2", "b2", "c2", "d2")))
     if (a * b).norm() != a.norm() * b.norm():
-        return "fail", "N(xy) - N(x)N(y) is not the zero polynomial"
-    return "pass", "norm a^2 + b^2 + 7c^2 + 7d^2 multiplicative as a polynomial identity"
+        raise CertificateError("N(xy) - N(x)N(y) is not the zero polynomial")
+    return "norm a^2 + b^2 + 7c^2 + 7d^2 multiplicative as a polynomial identity"
 
 
 def suite(config: Config) -> list[Check]:

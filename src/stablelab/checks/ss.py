@@ -5,28 +5,28 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-from .. import sslab
+from .. import CertificateError, sslab
 from ..exactmath import val_rat
 from . import Check, Config, once
 
 
 def _check_division_polynomial_5(psi5):
     if psi5.degree("x") != 12:
-        return "fail", f"degree {psi5.degree('x')}"
+        raise CertificateError(f"degree {psi5.degree('x')}")
     if psi5.coefficient("x", 12) != 5:
-        return "fail", f"leading coefficient {psi5.coefficient('x', 12)}"
+        raise CertificateError(f"leading coefficient {psi5.coefficient('x', 12)}")
     coeff10 = psi5.coefficient("x", 10)
     if coeff10 != 62 * sslab.t or val_rat(62, 5) != 0:
-        return "fail", f"x^10 coefficient {coeff10}"
-    return "pass", "degree 12, leading coefficient 5, x^10 coefficient 62t (unit times t)"
+        raise CertificateError(f"x^10 coefficient {coeff10}")
+    return "degree 12, leading coefficient 5, x^10 coefficient 62t (unit times t)"
 
 
 def _check_breakpoint(polygon):
     if polygon.breakpoints != (F(5, 6),):
-        return "fail", f"breakpoints {polygon.breakpoints}"
+        raise CertificateError(f"breakpoints {polygon.breakpoints}")
     if polygon.vertex_sets() != ((0, 10, 12), (0, 12)):
-        return "fail", f"vertex sets {polygon.vertex_sets()}"
-    return "pass", "vertices {(0,0),(10,lam),(12,1)} below 5/6 and {(0,0),(12,1)} above"
+        raise CertificateError(f"vertex sets {polygon.vertex_sets()}")
+    return "vertices {(0,0),(10,lam),(12,1)} below 5/6 and {(0,0),(12,1)} above"
 
 
 def _check_profile_below(polygon):
@@ -37,8 +37,8 @@ def _check_profile_below(polygon):
         and profile.canonical_subgroup
     )
     if not ok:
-        return "fail", f"profile {profile}"
-    return "pass", "at lam=1/2: 20 points at v(z)=lam/20, 4 at (1-lam)/4; canonical subgroup"
+        raise CertificateError(f"profile {profile}")
+    return "at lam=1/2: 20 points at v(z)=lam/20, 4 at (1-lam)/4; canonical subgroup"
 
 
 def _check_profile_above(polygon):
@@ -49,15 +49,15 @@ def _check_profile_above(polygon):
         and not profile.canonical_subgroup
     )
     if not ok:
-        return "fail", f"profile {profile}"
-    return "pass", "at lam=9/10: all 24 nonzero points at v(z)=1/24; no canonical subgroup"
+        raise CertificateError(f"profile {profile}")
+    return "at lam=9/10: all 24 nonzero points at v(z)=1/24; no canonical subgroup"
 
 
 def _check_threshold(polygon):
     cert = sslab.too_ss_threshold(polygon)
     if cert.threshold != F(5, 2):
-        return "fail", f"threshold {cert.threshold}"
-    return "pass", "j(t) = 6912t^3/(4t^3+27), v(j) = 3v(t); threshold v5(j) >= 5/2"
+        raise CertificateError(f"threshold {cert.threshold}")
+    return "j(t) = 6912t^3/(4t^3+27), v(j) = 3v(t); threshold v5(j) >= 5/2"
 
 
 def suite(config: Config) -> list[Check]:

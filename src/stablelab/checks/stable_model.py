@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-from .. import curve125
+from .. import CertificateError, curve125
 from ..exactmath import INF, root_valuation_multiset, val_rat
 from . import Check, Config, once
 
@@ -20,8 +20,8 @@ def _check_table1(g_plus):
         g_plus.substitute("x0", curve125.x - curve125.r), [curve125.R_SYMBOL]
     )
     if roundtrip != curve125.plus_curve_model().f_plus:
-        return "fail", "round-trip back to the original model is inexact"
-    return "pass", f"all 16 table cells match exactly ({nonzero} monomials); round-trip exact"
+        raise CertificateError("round-trip back to the original model is inexact")
+    return f"all 16 table cells match exactly ({nonzero} monomials); round-trip exact"
 
 
 def _check_ram_valuations(ram):
@@ -30,14 +30,14 @@ def _check_ram_valuations(ram):
         F(v) if v != INF else INF for v in curve125.P_RAM_Y_VALUATIONS
     )
     if vals != expected:
-        return "fail", f"p_ram_y valuations {vals} differ from the published table"
+        raise CertificateError(f"p_ram_y valuations {vals} differ from the published table")
     y_roots = root_valuation_multiset(ram.p_ram_y, 5)
     x_roots = root_valuation_multiset(ram.p_ram_x, 5)
     if y_roots != ((F(7, 10), 10),):
-        return "fail", f"y-polygon gives {_fmt_multiset(y_roots)}"
+        raise CertificateError(f"y-polygon gives {_fmt_multiset(y_roots)}")
     if x_roots != ((F(2, 5), 10),):
-        return "fail", f"x-polygon gives {_fmt_multiset(x_roots)}"
-    return "pass", (
+        raise CertificateError(f"x-polygon gives {_fmt_multiset(x_roots)}")
+    return (
         "coefficient valuations (0,inf,3,4,4,5,5,6,6,7,7); "
         "all ten roots at v(y)=7/10, v(x)=2/5"
     )
@@ -46,27 +46,27 @@ def _check_ram_valuations(ram):
 def _check_y_distances(ram):
     expected = ((F(7, 10), 50), (F(4, 5), 40))
     if ram.y_distance_multiset != expected:
-        return "fail", f"computed {_fmt_multiset(ram.y_distance_multiset)}"
+        raise CertificateError(f"computed {_fmt_multiset(ram.y_distance_multiset)}")
     clusters = curve125.cluster_sizes(ram.y_distance_multiset)
     if clusters != (5, 5):
-        return "fail", f"multiset is not forced into two 5-clusters: {clusters}"
-    return "pass", "y-differences {7/10 x50, 4/5 x40}; realizable only as two 5-clusters"
+        raise CertificateError(f"multiset is not forced into two 5-clusters: {clusters}")
+    return "y-differences {7/10 x50, 4/5 x40}; realizable only as two 5-clusters"
 
 
 def _check_x_distances(ram):
     claimed = ((F(1, 2), 90),)
-    if ram.x_distance_multiset == claimed:
-        return "pass", "x-differences all at valuation 1/2"
-    return "fail", (
-        f"claimed {{1/2 x90}}, computed {_fmt_multiset(ram.x_distance_multiset)}: "
-        "five cross-cluster pairs are closer (7/10); the in-cluster distances "
-        "used downstream are all 1/2"
-    )
+    if ram.x_distance_multiset != claimed:
+        raise CertificateError(
+            f"claimed {{1/2 x90}}, computed {_fmt_multiset(ram.x_distance_multiset)}: "
+            "five cross-cluster pairs are closer (7/10); the in-cluster distances "
+            "used downstream are all 1/2"
+        )
+    return "x-differences all at valuation 1/2"
 
 
 def _check_eq3(g_plus):
     curve125.verify_dominance_eq3(g_plus)
-    return "pass", (
+    return (
         "minimum 5/2 attained exactly by x0^5, 25*x0, 15*y^2; "
         "polygon in x0 has single slope -1/2 (all five roots at v=1/2)"
     )
@@ -74,24 +74,23 @@ def _check_eq3(g_plus):
 
 def _check_eq4(g_plus):
     cert = curve125.verify_reduction("eq4", g_plus, None)
-    return "pass", (
+    return (
         f"residue equation y1^2 = 2*x1^5 + 2*x1 over F5; "
         f"all residual monomials have valuation >= {cert.residual_min}"
     )
 
 
 def _check_hensel(cert):
-    delta = cert.data["delta_at_ram_circle"]
-    return "pass", (
+    return (
         "v(h'(1)) = 0 and v(h(1)) > 0 on the open annulus 1/5 < v(s) < 1/4 "
-        f"(v(h(1)) is zero exactly at the boundary circles); bound {delta} exported "
-        "at v(s) = 6/25"
+        "(v(h(1)) is zero exactly at the boundary circles); "
+        f"bound {cert.residual_min} exported at v(s) = 6/25"
     )
 
 
 def _check_eq6(hensel):
     cert = curve125.verify_reduction("eq6", None, hensel)
-    return "pass", (
+    return (
         "valuation-0 part matches u0^2 - (a^5/(sqrt15*b*r))s0^5*u0 + 5/(b^2*r) "
         f"term for term; residual minimum {cert.residual_min}"
     )
@@ -99,7 +98,7 @@ def _check_eq6(hensel):
 
 def _check_z_identity():
     curve125.fiber_square_identity()
-    return "pass", "(2xu - y)^2 - (y^2 - 20x) = 4x * (xu^2 - yu + 5) exactly"
+    return "(2xu - y)^2 - (y^2 - 20x) = 4x * (xu^2 - yu + 5) exactly"
 
 
 def suite(config: Config) -> list[Check]:

@@ -1,17 +1,18 @@
 """Batch runner: `verify <suite>` executes a verification suite and writes a
 machine-readable report.
 
-Exit codes: 0 at least one check passed and none failed, 1 a check failed
-or none ran (every check skipped, or the suite built none), 2 the command
-line or the configuration could not be parsed or is invalid, before any
-check runs.  A bad command line (no suite or an unknown one, an unknown or
-ambiguous option, an option without its value, a --p that is not an
-integer, a --format other than json or text) raises SystemExit(2) after the
-usage line on stderr; --help prints the usage line and exits 0.  The other
-exits 2 print one line: an unknown config key, a config number that is not
-a JSON integer, a discriminant that is not a negative integer congruent to
-0 or 1 mod 4, a prime that the selected suite cannot use, --disc given to a
-suite that reads no discriminants, a cache_dir that exists and is not a
+Exit codes: 0 at least one check ran and every check passed, 1 a check
+failed or the suite built none, 2 the command line or the configuration
+could not be parsed or is invalid, before any check runs.  A bad command
+line (no suite or an unknown one, an unknown or ambiguous option, an option
+without its value, a --p that is not an integer, a --format other than json
+or text) raises SystemExit(2) after the usage line on stderr; --help prints
+the usage line and exits 0.  The other exits 2 print one line: an unknown
+config key, an empty config list, a config number that is not a JSON
+integer, a discriminant that is not a negative integer congruent to 0 or 1
+mod 4, a prime that the selected suite cannot use, --disc given to a suite
+that reads no discriminants, a discriminant that no cm prime of the cm or
+all suite divides exactly once, a cache_dir that exists and is not a
 directory, or a --report path that cannot be opened for writing.  Checks
 run independently; one failure never aborts its siblings.
 """
@@ -26,7 +27,7 @@ import time
 from collections import namedtuple
 from contextlib import nullcontext
 
-from . import CertificateError, __version__, is_prime
+from . import CertificateError, __version__, divides_once, is_prime
 from .checks import CM_ANCHORS, SUITES, Config, build_checks
 from .report import CheckResult, SuiteReport
 
@@ -40,17 +41,17 @@ P5_SUITES = ("stable-model", "maps", "ss")
 def run_suite(suite: str, config: Config, clock=time.monotonic) -> SuiteReport:
     """Run every check of the suite and assemble a deterministic report.
 
-    This is the one place a failed certificate becomes a ``fail``: a
-    CertificateError's reason is the check's details, and any other
-    exception is reported as an internal error.  ``clock`` is injectable
-    so reports can be made byte-identical across runs (timing is the only
-    nondeterministic field).
+    This is the one place a status is decided: a check that returns passes
+    with the returned details, a CertificateError is a ``fail`` with its
+    reason as the details, and any other exception is reported as an
+    internal error.  ``clock`` is injectable so reports can be made
+    byte-identical across runs (timing is the only nondeterministic field).
     """
     results = []
     for check in build_checks(suite, config):
         started = clock()
         try:
-            status, details = check.run()
+            status, details = "pass", check.run()
         except CertificateError as exc:
             status, details = "fail", str(exc)
         except Exception as exc:  # a crashed check is a failed check
@@ -91,6 +92,8 @@ def _build_config(args, file_config: dict) -> Config:
             return None
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{key} must be a list of integers, got {value!r}")
+        if not value:
+            raise ValueError(f"{key} must list at least one integer")
         return tuple(as_int(key, v) for v in value)
 
     def as_distinct(key, value):  # deduped, order kept
@@ -129,6 +132,12 @@ def _build_config(args, file_config: dict) -> Config:
             raise ValueError(f"the {args.suite} suite reads no discriminants, got --disc")
         discriminants = [as_disc_item(v) for v in args.disc.split(",")]
     discriminants = as_discriminants("discriminants", discriminants)
+    if args.suite in ("cm", "all"):
+        cm_primes = [p for p in primes or CM_ANCHORS if p in CM_ANCHORS]
+        for d in discriminants or ():
+            if not any(divides_once(p, d) for p in cm_primes):
+                raise ValueError(f"the cm suite needs a discriminant that one of its "
+                                 f"primes {cm_primes} divides exactly once, got {d}")
     cache_dir = file_config.get("cache_dir")
     if args.cache_dir is not None:
         cache_dir = args.cache_dir

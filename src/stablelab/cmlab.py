@@ -19,7 +19,7 @@ import os
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import CM_CONGRUENCES, CertificateError
+from . import CM_CONGRUENCES, CertificateError, divides_once
 from .exactmath import INF, characteristic_polynomial, root_valuation_multiset, univariate_mul
 from .exactmath import newton_polygon  # noqa: F401  perfbench's tracer test reads it here
 
@@ -479,7 +479,7 @@ def congruence_case(discriminant: int, p: int) -> int:
     hypothesis); the case is decided by whether -discriminant/p is a square
     mod p.
     """
-    if discriminant >= 0 or discriminant % p or (discriminant // p) % p == 0:
+    if discriminant >= 0 or not divides_once(p, discriminant):
         raise ValueError(f"p = {p} must divide the discriminant {discriminant} exactly once")
     unit = (-(discriminant // p)) % p
     return 1 if pow(unit, (p - 1) // 2, p) == 1 else 2

@@ -303,14 +303,14 @@ def verify_reduction(
 
     eq6: on the circle v(s) = 6/25, with s = alpha s0, u = beta u0 and
     y = (s^5/sqrt15)(1 + delta) (delta the annulus-parameterization error,
-    bounded by the Hensel certificate's "delta_at_ram_circle"), the fiber
+    bounded by the Hensel certificate's residual_min), the fiber
     equation scaled by 1/(r beta^2) is integral and its valuation-0 part is
     u0^2 - (alpha^5/(sqrt15 beta r)) s0^5 u0 + 5/(beta^2 r), term for term.
     """
     if claim_id == "eq4":
         return _verify_reduction_eq4(g_plus)
     if claim_id == "eq6":
-        return _verify_reduction_eq6(hensel.data["delta_at_ram_circle"])
+        return _verify_reduction_eq6(hensel.residual_min)
     raise ValueError(f"unknown reduction claim {claim_id!r}")
 
 
@@ -406,7 +406,7 @@ def _verify_reduction_eq6(delta_bound: Fraction) -> ReductionCertificate:
     return ReductionCertificate(
         dominant=tuple(sorted(level0.terms)),
         residual_min=pos_min if is_finite(pos_min) else None,
-        data={"delta_bound": delta_bound, "coefficient_valuations": (middle.value, constant.value)},
+        data={"coefficient_valuations": (middle.value, constant.value)},
     )
 
 
@@ -445,8 +445,9 @@ def hensel_certificate(g_plus: SymbolicPolynomial) -> ReductionCertificate:
     Hensel's lemma needs only the open annulus); and v(h(1)) > 0 strictly
     inside the open interval, since the h(1) envelope, a minimum of affine
     pieces, is concave, 0 at both endpoints (each time with a unique
-    witness, so the annulus is maximal) and positive at v(s) = 6/25.  That value at the ramification circle is
-    exported as the error bound used by the genus-0-component reduction.
+    witness, so the annulus is maximal) and positive at v(s) = 6/25.  That
+    value at the ramification circle is the certificate's residual_min, the
+    error bound used by the genus-0-component reduction.
     """
     lo, hi = HENSEL_INTERVAL
     h1_pieces, hp1_pieces = _hensel_pieces(g_plus)
@@ -477,9 +478,7 @@ def hensel_certificate(g_plus: SymbolicPolynomial) -> ReductionCertificate:
         data={
             "h1_endpoint_minima": (lo_min, hi_min),
             "h1_endpoint_witnesses": (lo_wit, hi_wit),
-            "h1_interior_minima": {RAM_CIRCLE: delta},
             "hp1_endpoint_minima": tuple(envelope_min(hp1_pieces, e)[0] for e in (lo, hi)),
-            "delta_at_ram_circle": delta,
         },
     )
 

@@ -44,7 +44,7 @@ KNOWN_ANCHORS = frozenset(
 class CheckResult(NamedTuple):
     id: str
     claim_ref: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail
     details: str
     elapsed_ms: int
 
@@ -65,10 +65,10 @@ class SuiteReport(
 
     @property
     def overall(self) -> str:
-        """A pass needs one passing check and no failing one: a suite whose
-        checks were all skipped, or that built none, ran no check."""
-        statuses = {r.status for r in self.results}
-        return "pass" if "pass" in statuses and "fail" not in statuses else "fail"
+        """A pass needs some checks, all of them passing: a suite that built
+        none ran no check."""
+        passed = self.results and all(r.status == "pass" for r in self.results)
+        return "pass" if passed else "fail"
 
     def to_json(self) -> dict:
         return {

@@ -255,17 +255,21 @@ def test_cm_suite_disc_override():
     assert report.overall == "pass"
 
 
-def test_cm_suite_skips_excluded_hypothesis(tmp_path):
-    """A skipped check is no failure, but a suite whose checks all skipped
-    ran no check, so it is no pass either."""
-    report = run("cm", Config(primes=(5,), discriminants=(-50,)))
-    assert [r.status for r in report.results] == ["skipped"]
-    assert report.overall == "fail"
+def test_cm_suite_skips_excluded_hypothesis(tmp_path, capsys):
+    """A (p, D) outside the hypothesis p || D gets no congruence check, so a
+    suite left with none ran no check and is no pass; the CLI rejects a D
+    that no configured cm prime divides exactly once."""
+    assert build_checks("cm", Config(primes=(5,), discriminants=(-50,))) == []
+    assert run("cm", Config(primes=(5,), discriminants=(-50,))).overall == "fail"
     path = tmp_path / "cm7.json"
-    assert cli.main(["cm", "--p", "7", "--disc=-20", "--report", str(path)]) == 1
-    payload = json.loads(path.read_text())
-    assert [c["status"] for c in payload["checks"]] == ["skipped"]
-    assert payload["overall"] == "fail"
+    assert cli.main(["cm", "--p", "7", "--disc=-20", "--report", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: the cm suite needs a discriminant that one of its primes [7] "
+        "divides exactly once, got -20\n"
+    )
+    assert not path.exists()
+    ids = [c.id for c in build_checks("all", Config(discriminants=(-20,))) if "D0020" in c.id]
+    assert ids == ["conjecture-3.3.1-D0020-row", "conjecture-3.3.1-D0020-congruence"]
 
 
 @pytest.fixture(scope="module")
@@ -288,7 +292,7 @@ def test_report_schema():
     assert isinstance(payload["version"], str)
     for check in payload["checks"]:
         assert set(check) == {"id", "claim_ref", "status", "details", "elapsed_ms"}
-        assert check["status"] in ("pass", "fail", "skipped")
+        assert check["status"] in ("pass", "fail")
         assert isinstance(check["elapsed_ms"], int)
 
 
@@ -546,6 +550,19 @@ def test_unusable_primes_rejected(tmp_path, capsys):
     assert cli.main(["ss", "--p", "5", "--report", str(tmp_path / "ss5.json")]) == 0
 
 
+@pytest.mark.parametrize("suite, document, key", [
+    ("quat", {"primes": []}, "primes"),
+    ("cm", {"discriminants": []}, "discriminants"),
+    ("all", {"primes": [], "discriminants": [-20]}, "primes"),
+])
+def test_empty_config_lists_rejected(tmp_path, capsys, suite, document, key):
+    """An empty list would run no check of the suites that read it."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    assert cli.main([suite, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: {key} must list at least one integer\n"
+
+
 def test_non_string_cache_dir_rejected(tmp_path, capsys):
     config = tmp_path / "config.json"
     for bad in (5, ["cache"], True):
@@ -574,7 +591,7 @@ def test_all_reads_the_suite_table_at_call_time(monkeypatch):
     from stablelab import checks
 
     assert cli.SUITE_NAMES == (*checks.SUITES, "all")
-    stub = checks.Check("stub", "table 1", lambda: ("pass", ""))
+    stub = checks.Check("stub", "table 1", lambda: "")
     monkeypatch.setitem(checks.SUITES, "ss", lambda config: [stub])
     ids = [c.id for c in build_checks("all", Config(primes=(5,)))]
     assert "stub" in ids and "claim-3.2.1-threshold" not in ids

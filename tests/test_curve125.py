@@ -245,9 +245,8 @@ def test_hensel_certificate(g_plus):
     # the boundary witnesses: s^20/225 (from y^4) and -25 s^2 (from -25*x0)
     assert lo_wit[0].constant == -2 and lo_wit[0].slope == 10
     assert hi_wit[0].constant == 2 and hi_wit[0].slope == -8
-    assert cert.data["h1_interior_minima"] == {F(6, 25): F(2, 25)}
+    assert cert.residual_min == F(2, 25)  # v(h(1)) at v(s) = 6/25
     assert cert.data["hp1_endpoint_minima"] == (0, 0)
-    assert cert.data["delta_at_ram_circle"] == F(2, 25)
 
 
 def _positive_at_every_crossing(pieces, lo, hi):
@@ -360,7 +359,6 @@ def test_eq6_reduction(hensel):
     cert = curve125.verify_reduction("eq6", None, hensel)
     assert cert.data["coefficient_valuations"] == (0, 0)
     assert cert.residual_min == F(2, 25)
-    assert cert.data["delta_bound"] == F(2, 25)
 
 
 @pytest.mark.parametrize("wrong", [(r**4 + 24) / 25, (r**4 + 50) / 25],
@@ -390,7 +388,7 @@ def test_one_wrong_table1_cell_fails_every_model_certificate(g_plus, cell, delta
 
 
 def test_eq6_fails_without_a_positive_hensel_bound(hensel):
-    flat = hensel._replace(data={**hensel.data, "delta_at_ram_circle": F(0)})
+    flat = hensel._replace(residual_min=F(0))
     with pytest.raises(CertificateError, match="Hensel error bound 0 is not positive"):
         curve125.verify_reduction("eq6", None, flat)
 

@@ -114,7 +114,8 @@ def test_exponent_center_crosscheck_reads_the_congruence_table(monkeypatch):
     from stablelab import cmlab
     from stablelab.checks.ledger import _check_exponent_centers
 
-    assert _check_exponent_centers()[0] == "pass"
+    assert _check_exponent_centers().startswith("(p+1)/i = 2, 4, 14 matches")
     monkeypatch.setitem(stablelab.CM_CONGRUENCES, 7, (1728, 3, 7**4, 4))
     assert cmlab.standard_spec(7, "-").exponent == 3
-    assert _check_exponent_centers() == ("fail", "(p+1)/i = 4 != congruence exponent 3")
+    with pytest.raises(CertificateError, match=r"^\(p\+1\)/i = 4 != congruence exponent 3$"):
+        _check_exponent_centers()

@@ -231,7 +231,7 @@ def test_quaternion_norm_check_is_an_identity(monkeypatch):
     from stablelab.checks import quat
 
     assert quat._check_quaternion_norm() == (
-        "pass", "norm a^2 + b^2 + 7c^2 + 7d^2 multiplicative as a polynomial identity"
+        "norm a^2 + b^2 + 7c^2 + 7d^2 multiplicative as a polynomial identity"
     )
 
     def sign_flipped(x, y):
@@ -245,4 +245,5 @@ def test_quaternion_norm_check_is_an_identity(monkeypatch):
         )
 
     monkeypatch.setattr(quatlab, "quaternion_multiply", sign_flipped)
-    assert quat._check_quaternion_norm()[0] == "fail"
+    with pytest.raises(CertificateError, match=r"N\(xy\) - N\(x\)N\(y\) is not the zero"):
+        quat._check_quaternion_norm()

@@ -166,8 +166,9 @@ def test_threshold_reads_the_polygon_breakpoint(polygon):
 
     moved = polygon._replace(breakpoints=(F(2, 3),))
     assert sslab.too_ss_threshold(moved).threshold == 2
-    assert _check_threshold(moved)[0] == "fail"
-    assert _check_threshold(polygon)[0] == "pass"
+    with pytest.raises(CertificateError, match="^threshold 2$"):
+        _check_threshold(moved)
+    assert _check_threshold(polygon).endswith("threshold v5(j) >= 5/2")
     with pytest.raises(CertificateError, match="not one"):
         sslab.too_ss_threshold(polygon._replace(breakpoints=()))
     with pytest.raises(CertificateError, match="v\\(j\\) = 3 v\\(t\\) is not certified"):
