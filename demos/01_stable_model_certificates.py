@@ -4,7 +4,7 @@ Run:  python demos/01_stable_model_certificates.py
 """
 
 from stablelab import curve125
-from stablelab.exactmath import root_valuation_multiset, val_rat
+from stablelab.exactmath import min_valuation, root_valuation_multiset, symbol_valuations, val_rat
 
 print("The plus-quotient curve is cut out by a 14-term model f+(x, y),")
 print("with the degree-2 extension given by the fiber equation x*u^2 - y*u + 5.")
@@ -20,15 +20,18 @@ print("coefficient of x0^4:", g_plus.coefficient("x0", 4).coefficient("y", 0))
 print()
 
 print("At v(x0) = 1/2, v(y) = 3/4 exactly three monomials dominate,")
-cert = curve125.verify_dominance_eq3(g_plus)
-print("witnesses:", cert.dominant, "at valuation", cert.data["min_valuation"])
-print("so the curve is approximated by x0^5 + 25*x0 = 15*y^2 there.")
-print("Newton polygon in x0:", cert.data["polygon_roots"], "(five roots at 1/2)\n")
+curve125.verify_dominance_eq3(g_plus)
+assignment = {**symbol_valuations([curve125.R_SYMBOL], 5), **curve125.EQ3_ASSIGNMENT}
+mv = min_valuation(g_plus, assignment, 5)
+print("witnesses:", mv.witnesses, "at valuation", mv.value)
+print("so the curve is approximated by x0^5 + 25*x0 = 15*y^2 there,")
+print("and the Newton polygon in x0 puts all five roots at v(x0) = 1/2.\n")
 
 print("Scaling by alpha = sqrt(5), beta = 5^(3/4) produces an integral model;")
-eq4 = curve125.verify_reduction("eq4", g_plus, None)
-print("its residue over F5-bar is y1^2 = 2*x1^5 + 2*x1:", eq4.data["residue_mod5"])
-print("residual monomials all have valuation >=", eq4.residual_min, "\n")
+eq4_residual = curve125.verify_reduction("eq4", g_plus, None)
+print("its valuation-0 part is y1^2 - x1^5/3 - x1/3, and 1/3 = 2 in F5, so its")
+print("residue over F5-bar is y1^2 = 2*x1^5 + 2*x1")
+print("residual monomials all have valuation >=", eq4_residual, "\n")
 
 print("The ten ramification points of the double cover satisfy y^2 = 20x.")
 ram = curve125.ramification_polynomials()
@@ -41,23 +44,22 @@ print("  (note the five extra-close cross-cluster pairs at 7/10)\n")
 
 print("The annulus 1/5 < v(s) < 1/4 parameterizes the region between the")
 print("good-reduction affinoid and the ramification circle v(s) = 6/25:")
-hensel = curve125.hensel_certificate(g_plus)
-print("v(h'(1)) endpoint minima:", hensel.data["hp1_endpoint_minima"])
-print("its constant piece 0 lies strictly below every other piece inside the")
-print("annulus (at v(s) = 1/5 the piece -2 + 10 v(s) ties it), so v(h'(1)) = 0 there")
+delta = curve125.hensel_certificate(g_plus)
+print("the constant piece 0 of v(h'(1)) lies strictly below every other piece inside")
+print("the annulus (at v(s) = 1/5 the piece -2 + 10 v(s) ties it), so v(h'(1)) = 0 there")
 print("v(h(1)) is a minimum of affine pieces in v(s), hence concave: 0 at both ends")
-print(f"and {hensel.residual_min} at v(s) = {curve125.RAM_CIRCLE}, "
+print(f"and {delta} at v(s) = {curve125.RAM_CIRCLE}, "
       "so v(h(1)) > 0 on the whole open annulus")
-print("exported error bound at v(s) = 6/25:", hensel.residual_min, "\n")
+print("exported error bound at v(s) = 6/25:", delta, "\n")
 
 print("With that bound the fiber equation reduces on the middle circle to the")
-eq6 = curve125.verify_reduction("eq6", None, hensel)
+eq6_residual = curve125.verify_reduction("eq6", None, delta)
 print("genus-0-component equation; its valuation-0 part matches term for term,")
-print("and the residual monomials have valuation >=", eq6.residual_min, "\n")
+print("and the residual monomials have valuation >=", eq6_residual, "\n")
 
 print("Finally the square-completion identity behind the double cover:")
-fz = curve125.fiber_square_identity()
-print("(2xu - y)^2 - (y^2 - 20x) =", fz.quotient, "* (xu^2 - yu + 5)")
+curve125.fiber_square_identity()
+print("(2xu - y)^2 - (y^2 - 20x) = 4*x * (xu^2 - yu + 5)")
 print()
 print("Budget: 2 copies of the good-reduction affinoid + 2 affinoids over the")
 print("ramification clusters = 4 components of genus 2 = the full genus 8,")

@@ -15,12 +15,12 @@ for name, rmap in maps.items():
 print()
 
 print("A circle maps to a circle exactly when one monomial dominates alone:")
-cert = modmaps.image_valuation(maps["pi5_t"], F(3, 10))
-print(f"  v(u) = 3/10  ->  v(t) = {cert.lower_bound}  ({cert.conclusion})")
-cert = modmaps.image_valuation(maps["pi1_j"], F(3, 2))
-print(f"  v(t) = 3/2   ->  v(j) = {cert.lower_bound}  ({cert.conclusion})")
-cert = modmaps.image_valuation(maps["pi1_j"], F(5, 2))
-print(f"  v(t) = 5/2   ->  v(j) >= {cert.lower_bound}  ({cert.conclusion})")
+for rmap, source, radius in ((maps["pi5_t"], "u", F(3, 10)), (maps["pi1_j"], "t", F(3, 2)),
+                             (maps["pi1_j"], "t", F(5, 2))):
+    cert = modmaps.image_valuation(rmap, radius)
+    relation, wording = ("=", "circle->circle exact") if cert.unique else (">=", "bound only (tie)")
+    print(f"  v({source}) = {radius}  ->  v({rmap.target_coord}) {relation} "
+          f"{cert.lower_bound}  ({wording})")
 print("The tie in the last line is how a circle image fattens into a disk.\n")
 
 print("Atkin-Lehner fixed circles (lambda with v(c) - lambda = lambda):")
@@ -31,11 +31,10 @@ print("both are involutions:", modmaps.is_involution(maps["w5"]),
 
 print("Where do the ten ramification points land on X0(5)?  Eliminating the")
 print("double-root parametrization x = 5/u^2, y = 10/u through pi5:")
-ric = modmaps.ramification_image_polynomial(maps["pi5_t"])
-print("  eliminant degree:", len(ric.eliminant) - 1)
-print("  squarefree part:", ric.squarefree_part, " i.e. t^2 = 125\n")
+eliminant = modmaps.ramification_image_polynomial(maps["pi5_t"])
+print("  eliminant degree:", len(eliminant) - 1)
+print("  its squarefree part is a multiple of t^2 - 125, i.e. t^2 = 125\n")
 
 print("Each certificate raises CertificateError unless its claim holds.")
 print("The CM residue disks described in u match those pulled back through r:")
-disks = modmaps.cm_disk_identities()
-print("  v5(5^5/r^5 - 5^3) =", disks.u_disk_valuation, "> 3")
+print("  v5(5^5/r^5 - 5^3) =", modmaps.cm_disk_identities(), "> 3")

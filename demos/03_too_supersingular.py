@@ -6,6 +6,7 @@ Run:  python demos/03_too_supersingular.py
 from fractions import Fraction as F
 
 from stablelab import sslab
+from stablelab.exactmath import SymbolicPolynomial
 
 print("Family: y^2 = x^3 + t*x + 1 over the supersingular disk v5(t) > 0.")
 psi5 = sslab.division_polynomial_5()
@@ -29,6 +30,7 @@ print()
 print("Below 5/6 four points sit strictly closer to the origin (the canonical")
 print("subgroup); at 5/6 and beyond all 24 are equidistant and none exists.")
 threshold = sslab.too_ss_threshold(polygon)  # raises CertificateError unless v5(j) = 3*v5(t)
-print("j(t) =", threshold.j_numerator, "/", threshold.j_denominator)
+j_num, j_den = sslab.weierstrass_j(sslab.t, SymbolicPolynomial.constant(1))
+print("j(t) =", j_num, "/", j_den)
 print("v5(j) = 3*v5(t) on the polygon's range, so the no-canonical-subgroup disk of X(1) is")
-print("v5(j) >=", threshold.threshold)
+print("v5(j) >=", threshold)

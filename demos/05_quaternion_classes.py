@@ -12,11 +12,11 @@ print("raises CertificateError if a stabilizer, image or fibre count is off.\n")
 
 for p in (5, 7, 13, 17):
     alpha = quatlab.smallest_nonresidue(p)
-    report = quatlab.orbit_analysis(quatlab.AlgebraParams(p, alpha))
-    sizes = sorted({size for size, _, _ in report.orbits})
-    print(f"p = {p:2d}, alpha = {alpha}: {len(report.orbits)} conjugation orbits "
+    orbits = quatlab.orbit_analysis(quatlab.AlgebraParams(p, alpha))
+    sizes = sorted({size for size, _, _ in orbits})
+    print(f"p = {p:2d}, alpha = {alpha}: {len(orbits)} conjugation orbits "
           f"of size {sizes[0]} on the {p*p - 1} nonzero nilpotents "
-          f"(stabilizers {report.stabilizer})")
+          "(stabilizers F_p^*, the scalars, of order p - 1)")
 print()
 print("Writing c*eps_j + d*eps_k = z*eps_j with z = c + d*i, conjugation by g is")
 print("multiplication by g/conj(g), which runs over the p + 1 elements of norm 1,")

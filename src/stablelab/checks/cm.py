@@ -24,6 +24,12 @@ def _make_crosscheck(row: cmlab.TableRow):
             )
         if not cmlab.table_crosscheck(row):
             raise CertificateError("row tau-polynomial differs from the class polynomial")
+        case = cmlab.congruence_case(row.discriminant, 5)
+        if row.case != case:
+            raise CertificateError(
+                f"the table places D = {row.discriminant} in case {row.case}, "
+                f"but at p = 5 it is in case {case}"
+            )
         return (
             f"{row.label}: {len(row.taus)} tau values; row polynomial equals "
             f"H({row.discriminant})"

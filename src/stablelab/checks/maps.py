@@ -68,7 +68,7 @@ def _check_j_circle_image(maps):
     the whole cell; at 5/2 the disk claim 3.1.1 takes over."""
     cert = modmaps.image_valuation(maps["pi1_j"], (F(0), F(5, 2)))
     if cert.lower_bound != Affine(F(0), F(1)):
-        raise CertificateError(f"on 0 < v(t) < 5/2: {cert.conclusion}, v(j) = {cert.lower_bound}")
+        raise CertificateError(f"on 0 < v(t) < 5/2: {cert}, not v(j) = v(t)")
     return (
         "v(t) = 3/2 maps to v(j) = 3/2: t^6 dominates alone on 0 < v(t) < 5/2, "
         "so v(j) = v(t) on the whole cell"
@@ -79,20 +79,16 @@ def _check_j_disk_image(maps):
     cert = modmaps.image_valuation(maps["pi1_j"], F(5, 2))
     if cert.lower_bound != F(5, 2) or cert.unique:
         raise CertificateError(f"bound {cert.lower_bound}, unique={cert.unique}")
-    if cert.conclusion != "bound only (tie)":
-        raise CertificateError(f"conclusion {cert.conclusion!r}")
     return "v(t) = 5/2 gives only the bound v(j) >= 5/2 (t^2 ties 5^5): disk"
 
 
 def _check_ram_image(maps):
-    cert = modmaps.ramification_image_polynomial(maps["pi5_t"])
-    degree = len(cert.eliminant) - 1
-    return f"eliminant degree {degree}; squarefree part t^2 - 125"
+    eliminant = modmaps.ramification_image_polynomial(maps["pi5_t"])
+    return f"eliminant degree {len(eliminant) - 1}; squarefree part t^2 - 125"
 
 
 def _check_cm_disks():
-    cert = modmaps.cm_disk_identities()
-    return f"v5(5^5/r^5 - 5^3) = {cert.u_disk_valuation} > 3"
+    return f"v5(5^5/r^5 - 5^3) = {modmaps.cm_disk_identities()} > 3"
 
 
 def suite(config: Config) -> list[Check]:

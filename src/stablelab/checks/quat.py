@@ -26,9 +26,9 @@ def _make_algebra_check(p: int):
 def _make_orbit_check(p: int):
     def run():
         alpha = quatlab.smallest_nonresidue(p)
-        report = quatlab.orbit_analysis(quatlab.AlgebraParams(p, alpha))
+        orbits = quatlab.orbit_analysis(quatlab.AlgebraParams(p, alpha))
         return (
-            f"{len(report.orbits)} orbits of size {p + 1}; stabilizers F_p^*; "
+            f"{len(orbits)} orbits of size {p + 1}; stabilizers F_p^*; "
             "invariant c^2 - alpha*d^2 separates classes"
         )
 

@@ -54,9 +54,9 @@ def _check_profile_above(polygon):
 
 
 def _check_threshold(polygon):
-    cert = sslab.too_ss_threshold(polygon)
-    if cert.threshold != F(5, 2):
-        raise CertificateError(f"threshold {cert.threshold}")
+    threshold = sslab.too_ss_threshold(polygon)
+    if threshold != F(5, 2):
+        raise CertificateError(f"threshold {threshold}")
     return "j(t) = 6912t^3/(4t^3+27), v(j) = 3v(t); threshold v5(j) >= 5/2"
 
 

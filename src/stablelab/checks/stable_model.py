@@ -73,26 +73,26 @@ def _check_eq3(g_plus):
 
 
 def _check_eq4(g_plus):
-    cert = curve125.verify_reduction("eq4", g_plus, None)
+    residual_min = curve125.verify_reduction("eq4", g_plus, None)
     return (
         f"residue equation y1^2 = 2*x1^5 + 2*x1 over F5; "
-        f"all residual monomials have valuation >= {cert.residual_min}"
+        f"all residual monomials have valuation >= {residual_min}"
     )
 
 
-def _check_hensel(cert):
+def _check_hensel(delta):
     return (
         "v(h'(1)) = 0 and v(h(1)) > 0 on the open annulus 1/5 < v(s) < 1/4 "
         "(v(h(1)) is zero exactly at the boundary circles); "
-        f"bound {cert.residual_min} exported at v(s) = 6/25"
+        f"bound {delta} exported at v(s) = 6/25"
     )
 
 
-def _check_eq6(hensel):
-    cert = curve125.verify_reduction("eq6", None, hensel)
+def _check_eq6(delta):
+    residual_min = curve125.verify_reduction("eq6", None, delta)
     return (
         "valuation-0 part matches u0^2 - (a^5/(sqrt15*b*r))s0^5*u0 + 5/(b^2*r) "
-        f"term for term; residual minimum {cert.residual_min}"
+        f"term for term; residual minimum {residual_min}"
     )
 
 
@@ -104,7 +104,7 @@ def _check_z_identity():
 def suite(config: Config) -> list[Check]:
     g_plus = once(curve125.build_shifted_model)  # raises on any cell mismatch
     ram = once(curve125.ramification_polynomials)
-    hensel = once(lambda: curve125.hensel_certificate(g_plus()))
+    delta = once(lambda: curve125.hensel_certificate(g_plus()))
     return [
         Check("table-1-match", "table 1", lambda: _check_table1(g_plus())),
         Check("ramification-valuation-table", "section 2.2", lambda: _check_ram_valuations(ram())),
@@ -112,7 +112,7 @@ def suite(config: Config) -> list[Check]:
         Check("claim-2.2.2-x-distances", "claim 2.2.2", lambda: _check_x_distances(ram())),
         Check("claim-2.1.1-dominance", "eq 3", lambda: _check_eq3(g_plus())),
         Check("claim-2.1.1-reduction", "eq 4", lambda: _check_eq4(g_plus())),
-        Check("claim-2.2.1-hensel", "claim 2.2.1", lambda: _check_hensel(hensel())),
-        Check("claim-2.3.2-reduction", "eq 6", lambda: _check_eq6(hensel())),
+        Check("claim-2.2.1-hensel", "claim 2.2.1", lambda: _check_hensel(delta())),
+        Check("claim-2.3.2-reduction", "eq 6", lambda: _check_eq6(delta())),
         Check("claim-2.3.1-z-identity", "claim 2.3.1", _check_z_identity),
     ]

@@ -497,7 +497,6 @@ def standard_spec(p: int, sign: str) -> CongruenceSpec:
 class CongruenceResult(NamedTuple):
     passed: bool
     min_root_valuation: Fraction | float  # INF when every root is exact
-    root_valuations: tuple[tuple[Fraction | float, int], ...]  # exact roots at INF, last
 
 
 def congruence_check(H: ClassPolynomial, spec: CongruenceSpec) -> CongruenceResult:
@@ -514,13 +513,8 @@ def congruence_check(H: ClassPolynomial, spec: CongruenceSpec) -> CongruenceResu
     shifted[0] += -spec.prime_power if spec.sign == "-" else spec.prime_power
     aux = characteristic_polynomial(shifted, list(H.coefficients))
 
-    multiset = root_valuation_multiset(aux, spec.p)
-    minimum = min((v for v, _ in multiset), default=INF)
-    return CongruenceResult(
-        passed=bool(minimum > spec.bound),
-        min_root_valuation=minimum,
-        root_valuations=multiset,
-    )
+    minimum = min((v for v, _ in root_valuation_multiset(aux, spec.p)), default=INF)
+    return CongruenceResult(passed=bool(minimum > spec.bound), min_root_valuation=minimum)
 
 
 # -- the published example tables -------------------------------------------

@@ -13,20 +13,17 @@ annulus parameterization.
 from __future__ import annotations
 
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import CertificateError
 from .exactmath import (
     INF,
     Affine,
-    Monomial,
     SymbolicPolynomial,
     ValuedSymbol,
     affine,
     dominant_piece,
     envelope_min,
-    is_finite,
     min_valuation,
     newton_polygon,
     normal_form,
@@ -64,13 +61,6 @@ class RamificationData(NamedTuple):
     p_ram_x: tuple[int, ...]
     y_distance_multiset: tuple[tuple[Fraction, int], ...]
     x_distance_multiset: tuple[tuple[Fraction, int], ...]
-
-
-class ReductionCertificate(NamedTuple):
-    dominant: tuple[Monomial, ...] = ()
-    residual_min: Fraction | None = None
-    quotient: SymbolicPolynomial | None = None
-    data: Mapping = MappingProxyType({})  # one shared default, so read-only
 
 
 def plus_curve_model() -> PlusCurveModel:
@@ -220,7 +210,7 @@ EQ3_DOMINANT = (
 )
 
 
-def verify_dominance_eq3(g_plus: SymbolicPolynomial) -> ReductionCertificate:
+def verify_dominance_eq3(g_plus: SymbolicPolynomial) -> None:
     """At v(x0) = 1/2, v(y) = 3/4 exactly the monomials x0^5, 25*x0, 15*y^2
     of g+ attain the minimal valuation 5/2; the Newton polygon in x0 then
     forces v(x0) = 1/2 at all five roots over any y on that circle."""
@@ -251,15 +241,6 @@ def verify_dominance_eq3(g_plus: SymbolicPolynomial) -> ReductionCertificate:
             f"eq 3 dominance fails: minimum {mv.value} attained by {mv.witnesses}, "
             f"next monomial at {residual}, x0-polygon roots {polygon.root_valuations()}"
         )
-    return ReductionCertificate(
-        dominant=mv.witnesses,
-        residual_min=residual - mv.value if is_finite(residual) else None,
-        data={
-            "min_valuation": mv.value,
-            "coefficient_minima": tuple(coeff_minima),
-            "polygon_roots": polygon.root_valuations(),
-        },
-    )
 
 
 # -- good-reduction and genus-0-component residue equations -----------------
@@ -281,21 +262,15 @@ def _valuation_level_split(f, assignment):
     return SymbolicPolynomial(level0), pos_min, negative
 
 
-def _residues_mod5(f: SymbolicPolynomial) -> dict[Monomial, int]:
-    out = {}
-    for mono, coeff in f.items():
-        num, den = coeff.numerator, coeff.denominator
-        out[mono] = num * pow(den, -1, P) % P
-    return out
-
-
 def verify_reduction(
-    claim_id: str, g_plus: SymbolicPolynomial | None, hensel: ReductionCertificate | None
-) -> ReductionCertificate:
-    """Certify the residue equation of the scaled model ('eq4' or 'eq6').
+    claim_id: str, g_plus: SymbolicPolynomial | None, delta: Fraction | None
+) -> Fraction:
+    """Certify the residue equation of the scaled model ('eq4' or 'eq6') and
+    return the least positive valuation among the scaled model's monomials.
 
-    eq4 reads only the shifted model g_plus and eq6 only the Hensel
-    certificate; the claim that does not read an argument accepts None.
+    eq4 reads only the shifted model g_plus and eq6 only the Hensel bound
+    delta of `hensel_certificate`; the claim that does not read an argument
+    accepts None.
 
     eq4: with alpha = sqrt(5), beta = 5^(3/4) the scaled plus-curve model
     (1/(15 beta^2)) g+(alpha x1, beta y1) is integral and reduces to
@@ -303,18 +278,18 @@ def verify_reduction(
 
     eq6: on the circle v(s) = 6/25, with s = alpha s0, u = beta u0 and
     y = (s^5/sqrt15)(1 + delta) (delta the annulus-parameterization error,
-    bounded by the Hensel certificate's residual_min), the fiber
+    of valuation at least the Hensel bound), the fiber
     equation scaled by 1/(r beta^2) is integral and its valuation-0 part is
     u0^2 - (alpha^5/(sqrt15 beta r)) s0^5 u0 + 5/(beta^2 r), term for term.
     """
     if claim_id == "eq4":
         return _verify_reduction_eq4(g_plus)
     if claim_id == "eq6":
-        return _verify_reduction_eq6(hensel.residual_min)
+        return _verify_reduction_eq6(delta)
     raise ValueError(f"unknown reduction claim {claim_id!r}")
 
 
-def _verify_reduction_eq4(g_plus: SymbolicPolynomial) -> ReductionCertificate:
+def _verify_reduction_eq4(g_plus: SymbolicPolynomial) -> Fraction:
     alpha, beta = sym("alpha_eq4"), sym("beta_eq4")
     # x0 = alpha x1 and y = beta y1 on the circle of eq 3
     symbols = [
@@ -329,27 +304,17 @@ def _verify_reduction_eq4(g_plus: SymbolicPolynomial) -> ReductionCertificate:
 
     level0, pos_min, negative = _valuation_level_split(scaled, assignment)
     x1, y1 = sym("x1"), sym("y1")
+    # 1/3 = 2 in F5, so this valuation-0 part reduces to y1^2 = 2 x1^5 + 2 x1
     expected0 = y1**2 - F(1, 3) * x1**5 - F(1, 3) * x1
-    residue = _residues_mod5(level0)
-    # y1^2 = 2 x1^5 + 2 x1 over F5: valuation-0 part == y1^2 + 3 x1^5 + 3 x1
-    expected_residue = {
-        (("y1", 2),): 1,
-        (("x1", 5),): 3,
-        (("x1", 1),): 3,
-    }
-    if negative or level0 != expected0 or residue != expected_residue:
+    if negative or level0 != expected0:
         raise CertificateError(
             f"eq 4 scaled model is not integral with residue y1^2 = 2*x1^5 + 2*x1: "
             f"valuation-0 part {level0}, negative monomials {negative}"
         )
-    return ReductionCertificate(
-        dominant=tuple(sorted(level0.terms)),
-        residual_min=pos_min if is_finite(pos_min) else None,
-        data={"residue_mod5": residue},
-    )
+    return pos_min
 
 
-def _verify_reduction_eq6(delta_bound: Fraction) -> ReductionCertificate:
+def _verify_reduction_eq6(delta_bound: Fraction) -> Fraction:
     alpha, beta = sym("alpha_eq6"), sym("beta_eq6")
     s0, u0, delta = sym("s0"), sym("u0"), sym("delta")
     # s = alpha s0 on the circle that carries the ramification points
@@ -403,11 +368,7 @@ def _verify_reduction_eq6(delta_bound: Fraction) -> ReductionCertificate:
         raise CertificateError(
             f"eq 6 valuation-0 part {level0} differs from the target's {target0}"
         )
-    return ReductionCertificate(
-        dominant=tuple(sorted(level0.terms)),
-        residual_min=pos_min if is_finite(pos_min) else None,
-        data={"coefficient_valuations": (middle.value, constant.value)},
-    )
+    return pos_min
 
 
 # -- the annulus parameterization (Hensel) certificate ----------------------
@@ -436,8 +397,9 @@ def _hensel_pieces(g_plus: SymbolicPolynomial) -> tuple[tuple[Affine, ...], tupl
     )
 
 
-def hensel_certificate(g_plus: SymbolicPolynomial) -> ReductionCertificate:
-    """Valuation envelopes of h(1) and h'(1) on the annulus 1/5 < v(s) < 1/4.
+def hensel_certificate(g_plus: SymbolicPolynomial) -> Fraction:
+    """Valuation envelopes of h(1) and h'(1) on the annulus 1/5 < v(s) < 1/4;
+    returns the Hensel bound delta, v(h(1)) at the ramification circle.
 
     Certifies, exactly: v(h'(1)) = 0 on the open annulus, since its constant
     piece 0 lies strictly below every other h'(1) piece there (at v(s) = 1/5
@@ -446,8 +408,8 @@ def hensel_certificate(g_plus: SymbolicPolynomial) -> ReductionCertificate:
     inside the open interval, since the h(1) envelope, a minimum of affine
     pieces, is concave, 0 at both endpoints (each time with a unique
     witness, so the annulus is maximal) and positive at v(s) = 6/25.  That
-    value at the ramification circle is the certificate's residual_min, the
-    error bound used by the genus-0-component reduction.
+    value delta at the ramification circle is the error bound that the
+    genus-0-component reduction (eq 6) reads.
     """
     lo, hi = HENSEL_INTERVAL
     h1_pieces, hp1_pieces = _hensel_pieces(g_plus)
@@ -472,20 +434,10 @@ def hensel_certificate(g_plus: SymbolicPolynomial) -> ReductionCertificate:
             "the constant piece 0 of v(h'(1)) is not strictly below every other piece "
             "on 1/5 < v(s) < 1/4"
         )
-
-    return ReductionCertificate(
-        residual_min=delta,
-        data={
-            "h1_endpoint_minima": (lo_min, hi_min),
-            "h1_endpoint_witnesses": (lo_wit, hi_wit),
-            "hp1_endpoint_minima": tuple(envelope_min(hp1_pieces, e)[0] for e in (lo, hi)),
-        },
-    )
+    return delta
 
 
-def fiber_square_identity() -> ReductionCertificate:
+def fiber_square_identity() -> None:
     """(2xu - y)^2 - (y^2 - 20x) == 4x * (xu^2 - yu + 5), both sides expanded."""
-    quotient = 4 * x
-    if (2 * x * u - y) ** 2 - (y**2 - 20 * x) != quotient * plus_curve_model().fiber:
+    if (2 * x * u - y) ** 2 - (y**2 - 20 * x) != 4 * x * plus_curve_model().fiber:
         raise CertificateError("the fiber square identity has a nonzero remainder")
-    return ReductionCertificate(quotient=quotient)

@@ -92,7 +92,6 @@ def _kronecker_minus3(p: int) -> int:
 
 
 class SSClassSurvey(NamedTuple):
-    p: int
     entries: tuple[tuple[int, int], ...]  # (|Aut|, number of curves)
     mass: Fraction
 
@@ -118,7 +117,7 @@ def ss_survey(p: int) -> SSClassSurvey:
         entries.append((4, 1))
     if has6:
         entries.append((6, 1))
-    survey = SSClassSurvey(p, tuple(entries), sum(F(n, a) for a, n in entries))
+    survey = SSClassSurvey(tuple(entries), sum(F(n, a) for a, n in entries))
     if survey.mass != F(p - 1, 24):
         raise CertificateError(
             f"Eichler mass formula fails at p = {p}: sum 1/|Aut| = {survey.mass}, "
@@ -161,16 +160,7 @@ def supersingular_j_invariants(p: int) -> tuple[int, ...]:
 # -- component budgets -------------------------------------------------------
 
 
-class SSComponentLine(NamedTuple):
-    aut_order: int
-    curve_count: int
-    cm_components: int  # 2(p+1)/i per curve
-    cm_genus: int  # (p-1)/2 per component
-
-
 class ComponentBudget(NamedTuple):
-    p: int
-    lines: tuple[SSComponentLine, ...]
     total_known: int
     curve_genus: int
     exact: bool
@@ -185,16 +175,13 @@ def component_budget(p: int) -> ComponentBudget:
     plus the six ordinary components, of genus 0.  The known total must not
     exceed the genus of X0(p^3); for p = 5 it is exactly 8 = 4 * 2.
     """
-    lines = []
     total = 0
     for aut_order, count in ss_survey(p).entries:
         _, cm_components = quatlab.class_count(p, aut_order)
-        cm_genus = (p - 1) // 2
-        lines.append(SSComponentLine(aut_order, count, cm_components, cm_genus))
-        total += count * cm_components * cm_genus
+        total += count * cm_components * ((p - 1) // 2)
     curve_genus = genus_x0(p**3)
     if total > curve_genus:
         raise CertificateError(
             f"component budget {total} exceeds the genus {curve_genus} of X0({p**3})"
         )
-    return ComponentBudget(p, tuple(lines), total, curve_genus, exact=total == curve_genus)
+    return ComponentBudget(total, curve_genus, exact=total == curve_genus)

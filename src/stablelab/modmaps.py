@@ -74,10 +74,7 @@ class RationalMap(
 
 class ImageCertificate(NamedTuple):
     lower_bound: Fraction | Affine | None  # on a cell: Affine in lambda, or None
-    unique: bool
-    # "circle->circle exact" | "bound only (tie)" on a circle,
-    # "cell exact" | "no dominant piece" on a cell
-    conclusion: str
+    unique: bool  # exact image; False is a bound only (a tie), or no dominant piece
 
 
 def builtin_maps() -> dict[str, RationalMap]:
@@ -113,19 +110,14 @@ def image_valuation(rmap: RationalMap, radius) -> ImageCertificate:
             for f in (rmap.numerator, rmap.denominator)
         )
         if num is None or den is None:
-            return ImageCertificate(None, False, "no dominant piece")
-        return ImageCertificate(num - den, True, "cell exact")
+            return ImageCertificate(None, False)
+        return ImageCertificate(num - den, True)
     assignment = {rmap.source_coord: Fraction(radius)}
     mv_num = min_valuation(rmap.numerator, assignment, P)
     mv_den = min_valuation(rmap.denominator, assignment, P)
     if not mv_den.witnesses:
         raise ValueError("denominator has infinite valuation on the circle")
-    unique = mv_num.unique and mv_den.unique
-    return ImageCertificate(
-        lower_bound=mv_num.value - mv_den.value,
-        unique=unique,
-        conclusion="circle->circle exact" if unique else "bound only (tie)",
-    )
+    return ImageCertificate(mv_num.value - mv_den.value, mv_num.unique and mv_den.unique)
 
 
 def al_fixed_circle(rmap: RationalMap) -> Fraction:
@@ -164,11 +156,6 @@ def is_involution(rmap: RationalMap) -> bool:
     return num == den * sym(rmap.source_coord)
 
 
-class RamImageCertificate(NamedTuple):
-    eliminant: tuple[int, ...]  # T(t), ascending integer coefficients
-    squarefree_part: tuple[int, ...]
-
-
 def ramification_u_polynomial() -> list[int]:
     """Degree-10 integer polynomial satisfied by the u coordinates of the
     ramification points, ascending.
@@ -186,8 +173,9 @@ def ramification_u_polynomial() -> list[int]:
     return p_ram_u
 
 
-def ramification_image_polynomial(pi5_t: RationalMap) -> RamImageCertificate:
-    """Eliminant of the composite sending ramification points into X0(5).
+def ramification_image_polynomial(pi5_t: RationalMap) -> tuple[int, ...]:
+    """Eliminant of the composite sending ramification points into X0(5),
+    as ascending integer coefficients.
 
     T(t) = Res_u(p_ram_u, t - pi5_t(u)), the characteristic polynomial of
     the polynomial map pi5_t (table 2's u -> t) over the roots of p_ram_u.
@@ -203,18 +191,14 @@ def ramification_image_polynomial(pi5_t: RationalMap) -> RamImageCertificate:
             f"eliminant of degree {len(ints) - 1} has squarefree part with coefficients "
             f"({', '.join(map(str, quotient))}), not t^2 - 125 up to a factor"
         )
-    return RamImageCertificate(ints, tuple(c // lead for c in quotient))
+    return ints
 
 
-class DiskIdentityCertificate(NamedTuple):
-    u_disk_valuation: Fraction  # v5(5^5/r^5 - 5^3), exceeds 3
-
-
-def cm_disk_identities() -> DiskIdentityCertificate:
-    """v5(5**5/r**5 - 5**3) > 3, so the description of the CM residue disks in
-    u matches the one pulled back through r."""
+def cm_disk_identities() -> Fraction:
+    """v5(5**5/r**5 - 5**3), certified > 3, so the description of the CM
+    residue disks in u matches the one pulled back through r."""
     v_r = symbol_valuations([curve125.R_SYMBOL], P)["r"]
     v = field_valuation(5**5 - 5**3 * curve125.r**5, curve125.R_SYMBOL, P) - 5 * v_r
     if v <= 3:
         raise CertificateError(f"v5(5^5/r^5 - 5^3) = {v}, not > 3")
-    return DiskIdentityCertificate(v)
+    return v

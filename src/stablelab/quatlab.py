@@ -98,14 +98,10 @@ def build_algebra(params: AlgebraParams) -> dict[tuple[int, int], tuple[int, int
     return table
 
 
-class OrbitReport(NamedTuple):
-    orbits: tuple[tuple[int, AbarElement, int], ...]  # (size, representative, c^2 - alpha d^2)
-    stabilizer: str
-
-
-def orbit_analysis(params: AlgebraParams) -> OrbitReport:
+def orbit_analysis(params: AlgebraParams) -> tuple[tuple[int, AbarElement, int], ...]:
     """Conjugation orbits of F_{p^2}^* on the nonzero nilradical, certified
-    from the algebra's structure in O(p^2) operations.
+    from the algebra's structure in O(p^2) operations, as (size,
+    representative, c^2 - alpha d^2) triples.
 
     Write c eps_j + d eps_k = z eps_j with z = c + d*i.  The basis identities
     i eps_j = eps_k = -eps_j i, checked on the table of `build_algebra`, give
@@ -146,8 +142,7 @@ def orbit_analysis(params: AlgebraParams) -> OrbitReport:
             fibres.setdefault((c * c - alpha * d * d) % p, []).append(AbarElement(0, 0, c, d))
     if len(fibres) != p - 1 or any(len(fibre) != p + 1 for fibre in fibres.values()):
         raise CertificateError(f"expected p - 1 fibres of size p + 1, found {len(fibres)}")
-    orbits = tuple((len(fibre), fibre[0], norm) for norm, fibre in fibres.items())
-    return OrbitReport(orbits, "F_p^* (scalars), order p - 1")
+    return tuple((len(fibre), fibre[0], norm) for norm, fibre in fibres.items())
 
 
 # -- the p = 7 worked example ------------------------------------------------

@@ -89,12 +89,6 @@ def torsion_profile(polygon: ParamPolygon, lam) -> TorsionProfile:
     )
 
 
-class ThresholdCertificate(NamedTuple):
-    j_numerator: SymbolicPolynomial
-    j_denominator: SymbolicPolynomial
-    threshold: Fraction
-
-
 def weierstrass_j(a: SymbolicPolynomial, b: SymbolicPolynomial) -> tuple[SymbolicPolynomial, SymbolicPolynomial]:
     """j-invariant of y^2 = x^3 + ax + b as an exact fraction c4^3 / Delta."""
     c4 = -48 * a
@@ -103,7 +97,7 @@ def weierstrass_j(a: SymbolicPolynomial, b: SymbolicPolynomial) -> tuple[Symboli
     return c4**3 / -16, delta / -16
 
 
-def too_ss_threshold(polygon: ParamPolygon) -> ThresholdCertificate:
+def too_ss_threshold(polygon: ParamPolygon) -> Fraction:
     """v_5(j) = 3 v_5(t) on the family range of `torsion_polygon`, so the
     threshold is 3 times its single breakpoint: 3 * (5/6) = 5/2."""
     num, den = weierstrass_j(t, SymbolicPolynomial.constant(1))
@@ -120,4 +114,4 @@ def too_ss_threshold(polygon: ParamPolygon) -> ThresholdCertificate:
         )
     if len(polygon.breakpoints) != 1:
         raise CertificateError(f"the polygon has breakpoints {polygon.breakpoints}, not one")
-    return ThresholdCertificate(num, den, 3 * polygon.breakpoints[0])
+    return 3 * polygon.breakpoints[0]

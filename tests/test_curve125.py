@@ -13,11 +13,13 @@ from stablelab.exactmath import (
     envelope_min,
     interpolate_integer_polynomial,
     min_valuation,
+    newton_polygon,
     normal_form,
     poly_to_coeffs,
     resultant_coeffs,
     root_valuation_multiset,
     sym,
+    symbol_valuations,
     univariate_gcd,
     univariate_mul,
     val_rat,
@@ -214,39 +216,43 @@ def test_pairwise_distance_squarefree_by_zero_order(roots, lead):
 
 
 def test_dominance_certificate(g_plus):
-    cert = curve125.verify_dominance_eq3(g_plus)
-    assert cert.dominant == ((("x0", 1),), (("x0", 5),), (("y", 2),))
-    assert cert.data["min_valuation"] == F(5, 2)
-    assert cert.data["coefficient_minima"] == (F(5, 2), 2, 2, F(9, 5), F(7, 5), 0)
-    assert cert.data["polygon_roots"] == ((F(1, 2), 5),)
+    assert curve125.verify_dominance_eq3(g_plus) is None
+    assignment = {**symbol_valuations([curve125.R_SYMBOL], 5), **curve125.EQ3_ASSIGNMENT}
+    mv = min_valuation(g_plus, assignment, 5)
+    assert mv.witnesses == ((("x0", 1),), (("x0", 5),), (("y", 2),))
+    assert mv.value == F(5, 2)
+    minima = [min_valuation(g_plus.coefficient("x0", i), assignment, 5).value for i in range(6)]
+    assert minima == [F(5, 2), 2, 2, F(9, 5), F(7, 5), 0]
+    assert newton_polygon(minima).root_valuations() == ((F(1, 2), 5),)
+    rest = SymbolicPolynomial({m: c for m, c in g_plus.items() if m not in mv.witnesses})
+    assert min_valuation(rest, assignment, 5).value > F(5, 2)
     # a competing monomial stays strictly above: 25*x0^3*y at 2 + 3/2 + 3/4
     assert min_valuation(25 * curve125.x0**3 * y, curve125.EQ3_ASSIGNMENT, 5).value == F(17, 4)
 
 
 def test_eq4_reduction(g_plus):
-    cert = curve125.verify_reduction("eq4", g_plus, None)
-    assert cert.data["residue_mod5"] == {
-        (("y1", 2),): 1,
-        (("x1", 5),): 3,
-        (("x1", 1),): 3,
-    }
+    assert curve125.verify_reduction("eq4", g_plus, None) == F(1, 4)
+    # the certified valuation-0 part y1^2 - x1^5/3 - x1/3 reduces to
+    # y1^2 + 3 x1^5 + 3 x1 over F5, the residue y1^2 = 2 x1^5 + 2 x1
+    residues = [c.numerator * pow(c.denominator, -1, 5) % 5 for c in (F(1), F(-1, 3), F(-1, 3))]
+    assert residues == [1, 3, 3]
     # the scaling valuations behind the residue: v(alpha^5/(15 beta^2)) = 0
     assert 5 * F(1, 2) - (1 + 2 * F(3, 4)) == 0
     assert 2 - 4 * F(1, 2) == 0  # v(25 / alpha^4)
-    assert cert.residual_min is not None and cert.residual_min > 0
 
 
-def test_hensel_certificate(g_plus):
-    cert = curve125.hensel_certificate(g_plus)
-    lo_min, hi_min = cert.data["h1_endpoint_minima"]
+def test_hensel_certificate(g_plus, hensel_pieces):
+    assert curve125.hensel_certificate(g_plus) == F(2, 25)  # v(h(1)) at v(s) = 6/25
+    h1_pieces, hp1_pieces = hensel_pieces
+    lo, hi = curve125.HENSEL_INTERVAL
+    (lo_min, lo_wit), (hi_min, hi_wit) = (envelope_min(h1_pieces, e) for e in (lo, hi))
     assert lo_min == 0 and hi_min == 0
-    lo_wit, hi_wit = cert.data["h1_endpoint_witnesses"]
     assert len(lo_wit) == 1 and len(hi_wit) == 1
     # the boundary witnesses: s^20/225 (from y^4) and -25 s^2 (from -25*x0)
     assert lo_wit[0].constant == -2 and lo_wit[0].slope == 10
     assert hi_wit[0].constant == 2 and hi_wit[0].slope == -8
-    assert cert.residual_min == F(2, 25)  # v(h(1)) at v(s) = 6/25
-    assert cert.data["hp1_endpoint_minima"] == (0, 0)
+    assert envelope_min(h1_pieces, curve125.RAM_CIRCLE)[0] == F(2, 25)
+    assert [envelope_min(hp1_pieces, e)[0] for e in (lo, hi)] == [0, 0]
 
 
 def _positive_at_every_crossing(pieces, lo, hi):
@@ -356,9 +362,14 @@ def test_hensel_pieces_are_one_per_monomial(g_plus, monkeypatch):
 
 
 def test_eq6_reduction(hensel):
-    cert = curve125.verify_reduction("eq6", None, hensel)
-    assert cert.data["coefficient_valuations"] == (0, 0)
-    assert cert.residual_min == F(2, 25)
+    assert hensel == F(2, 25)
+    assert curve125.verify_reduction("eq6", None, hensel) == F(2, 25)
+    # the target's coefficients alpha^5/(sqrt15 beta r) and 5/(beta^2 r) are
+    # units: v(alpha) = 6/25, v(sqrt15) = 1/2, v(beta) = 3/10, v(r) = 2/5
+    v_alpha, v_beta = curve125.RAM_CIRCLE, F(3, 10)
+    v_sqrt15, v_r = curve125.SQRT15_SYMBOL.valuation, curve125.R_SYMBOL.valuation
+    assert 5 * v_alpha - v_sqrt15 - v_beta - v_r == 0
+    assert 1 - 2 * v_beta - v_r == 0
 
 
 @pytest.mark.parametrize("wrong", [(r**4 + 24) / 25, (r**4 + 50) / 25],
@@ -387,10 +398,9 @@ def test_one_wrong_table1_cell_fails_every_model_certificate(g_plus, cell, delta
         curve125.hensel_certificate(mutant)
 
 
-def test_eq6_fails_without_a_positive_hensel_bound(hensel):
-    flat = hensel._replace(residual_min=F(0))
+def test_eq6_fails_without_a_positive_hensel_bound():
     with pytest.raises(CertificateError, match="Hensel error bound 0 is not positive"):
-        curve125.verify_reduction("eq6", None, flat)
+        curve125.verify_reduction("eq6", None, F(0))
 
 
 def test_verify_reduction_unknown_claim(g_plus, hensel):
@@ -399,8 +409,9 @@ def test_verify_reduction_unknown_claim(g_plus, hensel):
 
 
 def test_fiber_square_identity(monkeypatch):
-    cert = curve125.fiber_square_identity()
-    assert cert.quotient == 4 * x
+    assert curve125.fiber_square_identity() is None
+    u = sym("u")
+    assert (2 * x * u - y) ** 2 - (y**2 - 20 * x) == 4 * x * curve125.plus_curve_model().fiber
     # u = y/(2x) kills (2xu - y)^2, so y^2 - 20x = -4x * fiber / x-part there;
     # numeric check at x=1, y=0, u=t: (2t)^2 + 20 = 4(t^2 + 5)
     t = sym("t")
@@ -412,18 +423,15 @@ def test_fiber_square_identity(monkeypatch):
 
 
 def test_reduction_certificates_carry_exact_rationals(g_plus, hensel):
-    """Residual minima are positive Fractions computed exactly, never floats."""
-    certificates = [
-        curve125.verify_dominance_eq3(g_plus),
+    """Residual minima and the Hensel bound are positive Fractions computed
+    exactly, never floats."""
+    values = [
         curve125.verify_reduction("eq4", g_plus, None),
         curve125.verify_reduction("eq6", None, hensel),
         hensel,
-        curve125.fiber_square_identity(),
     ]
-    for cert in certificates:
-        if cert.residual_min is not None:
-            assert isinstance(cert.residual_min, F)
-            assert cert.residual_min > 0
+    for value in values:
+        assert isinstance(value, F) and value > 0
 
 
 def test_min_valuation_lower_bound_on_evaluations():

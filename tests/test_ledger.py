@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablelab import CertificateError, ledger
+from stablelab import CertificateError, ledger, quatlab
 
 
 def test_genus_values():
@@ -66,8 +66,9 @@ def test_supersingular_centers():
 def test_component_budget_exact_for_5():
     budget = ledger.component_budget(5)
     assert budget.exact and budget.total_known == 8 == budget.curve_genus
-    line = budget.lines[0]
-    assert line.cm_components == 4 and line.cm_genus == 2
+    # one supersingular curve, |Aut| = 6: 4 CM components of genus (5 - 1)/2 = 2
+    ((aut, count),) = ledger.ss_survey(5).entries
+    assert count == 1 and quatlab.class_count(5, aut)[1] == 4
 
 
 def test_component_budgets_inequality():
@@ -75,7 +76,8 @@ def test_component_budgets_inequality():
     assert ledger.component_budget(13).total_known == 168 <= 184
     budget17 = ledger.component_budget(17)
     assert budget17.total_known == 384 <= 417
-    assert sum(l.curve_count * l.cm_components for l in budget17.lines) == 12 + 36
+    census = ledger.ss_survey(17).entries
+    assert sum(count * quatlab.class_count(17, aut)[1] for aut, count in census) == 12 + 36
 
 
 def test_component_budget_violations(monkeypatch):

@@ -10,7 +10,6 @@ import pkgutil
 import pytest
 
 import stablelab
-from stablelab import curve125
 
 _CLASSES = [
     cls
@@ -33,10 +32,3 @@ def test_named_tuple_fields_cannot_be_assigned(cls):
 @pytest.mark.parametrize("cls", _DATACLASSES, ids=lambda cls: cls.__qualname__)
 def test_dataclasses_are_frozen(cls):
     assert cls.__dataclass_params__.frozen
-
-
-def test_reduction_certificate_default_data_is_read_only():
-    first = curve125.ReductionCertificate()
-    with pytest.raises(TypeError):
-        first.data["leak"] = 1
-    assert dict(curve125.ReductionCertificate().data) == {}

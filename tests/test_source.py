@@ -101,6 +101,58 @@ def test_every_exactmath_export_has_a_reader():
     assert not unread, f"exported but never read: {sorted(unread)}"
 
 
+def _record_fields() -> dict[str, tuple[str, ...]]:
+    """Record name -> fields, for every NamedTuple class in the package: the
+    annotated names of a class body on a ``NamedTuple`` base, and the field
+    list of a functional ``NamedTuple("Name", [...])`` base."""
+    records = {}
+    for tree in _TREES.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for base in node.bases:
+                if isinstance(base, ast.Name) and base.id == "NamedTuple":
+                    records[node.name] = tuple(
+                        item.target.id
+                        for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    )
+                elif isinstance(base, ast.Call) and ast.unparse(base.func) == "NamedTuple":
+                    records[node.name] = tuple(field.elts[0].value for field in base.args[1].elts)
+    return records
+
+
+#: Record fields that nothing in the package reads, each kept for a reader
+#: outside it.
+_UNREAD_FIELDS = {
+    # perfbench's tests build a ClassPolynomial from four positional fields
+    "ClassPolynomial.max_rounding_error",
+    # the polygon tests pin the lower hull that the segments are read from
+    "NewtonPolygon.hull_vertices",
+}
+
+
+def test_every_record_field_has_a_reader():
+    """Each field of a NamedTuple record is read as an attribute somewhere in
+    the package, so a certificate returns only what a check or another
+    certificate reads."""
+    records = _record_fields()
+    assert {"AlgebraParams", "ClassPolynomial", "ImageCertificate", "RationalMap"} <= set(records)
+    read = {
+        node.attr
+        for tree in _TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    unread = {
+        f"{record}.{field}"
+        for record, fields in records.items()
+        for field in fields
+        if field not in read
+    }
+    assert unread == _UNREAD_FIELDS, f"fields that nothing reads: {sorted(unread - _UNREAD_FIELDS)}"
+
+
 _CHECKS = [name for name in _TREES if name.startswith("checks/")]
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from stablelab import CertificateError, sslab
-from stablelab.exactmath import val_rat
+from stablelab.exactmath import SymbolicPolynomial, val_rat
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,7 @@ def test_division_polynomial_against_group_law():
 def test_torsion_polygon_breakpoint(polygon):
     assert polygon.breakpoints == (F(5, 6),)
     assert polygon.vertex_sets() == ((0, 10, 12), (0, 12))
-    assert sslab.too_ss_threshold(polygon).threshold == 3 * F(5, 6)
+    assert sslab.too_ss_threshold(polygon) == 3 * F(5, 6)
 
 
 def test_torsion_profile_below(polygon):
@@ -147,10 +147,10 @@ def test_torsion_profile_boundary_errors(polygon):
 
 
 def test_too_ss_threshold(polygon):
-    cert = sslab.too_ss_threshold(polygon)
-    assert cert.threshold == F(5, 2)
-    assert cert.j_numerator == 6912 * sslab.t**3
-    assert cert.j_denominator == 4 * sslab.t**3 + 27
+    assert sslab.too_ss_threshold(polygon) == F(5, 2)
+    num, den = sslab.weierstrass_j(sslab.t, SymbolicPolynomial.constant(1))
+    assert num == 6912 * sslab.t**3
+    assert den == 4 * sslab.t**3 + 27
     # v5(4t^3 + 27) = 0 whenever v5(t) > 0 since 27 is a unit
     assert val_rat(27, 5) == 0
     # v(j) at the breakpoint: 3 * 5/6 = 5/2
@@ -165,7 +165,7 @@ def test_threshold_reads_the_polygon_breakpoint(polygon):
     from stablelab.checks.ss import _check_threshold
 
     moved = polygon._replace(breakpoints=(F(2, 3),))
-    assert sslab.too_ss_threshold(moved).threshold == 2
+    assert sslab.too_ss_threshold(moved) == 2
     with pytest.raises(CertificateError, match="^threshold 2$"):
         _check_threshold(moved)
     assert _check_threshold(polygon).endswith("threshold v5(j) >= 5/2")
