@@ -20,6 +20,6 @@ print("Component budget: per supersingular curve, 2(p+1)/i components of")
 print("genus (p-1)/2; the Edixhoven-type and ordinary components have genus 0:")
 for p in (5, 7, 13, 17):
     budget = ledger.component_budget(p)
-    mark = "exact!" if budget.exact else "<="
+    mark = "exact!" if budget.total_known == budget.curve_genus else "<="
     print(f"  p = {p:2d}: known total {budget.total_known:4d} {mark} "
           f"{budget.curve_genus}")

@@ -11,10 +11,11 @@ import math
 
 __version__ = "0.1.0"
 
-#: p -> (center c, exponent e, prime power m, bound B) of conjectures
-#: 3.3.1-3.3.3, v_p((j - c)^e -/+ m) > B.  `cmlab.standard_spec` builds its
-#: specs from it, and the ledger suite reads it without loading cmlab.
-CM_CONGRUENCES = {5: (0, 2, 5**3, 3), 7: (1728, 4, 7**4, 4), 13: (5, 14, 13**7, 7)}
+#: p -> (anchor, center c, exponent e, bound B) of conjectures 3.3.1-3.3.3,
+#: v_p((j - c)^e -/+ p^B) > B.  `cmlab.standard_spec` builds its specs from
+#: it; the CLI, the cm suite and the ledger suite read it without loading cmlab.
+CM_CONGRUENCES = {5: ("conjecture 3.3.1", 0, 2, 3), 7: ("conjecture 3.3.2", 1728, 4, 4),
+                  13: ("conjecture 3.3.3", 5, 14, 7)}
 
 
 def divides_once(p: int, n: int) -> bool:

@@ -67,10 +67,6 @@ def once(builder: Callable[[], T]) -> Callable[[], T]:
     return value
 
 
-#: the primes of conjectures 3.3.1-3.3.3, the only ones the cm suite checks
-CM_ANCHORS = {5: "conjecture 3.3.1", 7: "conjecture 3.3.2", 13: "conjecture 3.3.3"}
-
-
 def _lazy_suite(module: str) -> Callable[[Config], list[Check]]:
     def build(config: Config) -> list[Check]:
         return importlib.import_module(f"{__name__}.{module}").suite(config)

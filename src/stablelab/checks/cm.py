@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import os
 
-from .. import CertificateError, cmlab, divides_once
-from . import CM_ANCHORS, Check, Config
+from .. import CM_CONGRUENCES, CertificateError, cmlab, divides_once
+from . import Check, Config
 
 
 def _cache(config: Config) -> cmlab.ClassPolyCache | None:
@@ -44,6 +44,9 @@ def _make_congruence(disc: int, p: int, config: Config):
         spec = cmlab.standard_spec(p, sign)
         H = cmlab.class_polynomial(disc, cache=_cache(config))
         result = cmlab.congruence_check(H, spec)
+        # the certified error n/d is below 2^-k: n < 2^bits(n), d >= 2^(bits(d) - 1)
+        error = H.max_rounding_error
+        k = error.denominator.bit_length() - error.numerator.bit_length() - 1
         description = (
             f"v{p}((j - {spec.center})^{spec.exponent} {sign} {spec.prime_power})"
         )
@@ -55,7 +58,7 @@ def _make_congruence(disc: int, p: int, config: Config):
         return (
             f"{description} > {spec.bound} per root "
             f"(minimum {result.min_root_valuation}, h = {H.degree}, "
-            f"precision {H.precision_used}, rounding error < 1e-6)"
+            f"precision {H.precision_used}, rounding error < 2^-{k})"
         )
 
     return run
@@ -64,26 +67,26 @@ def _make_congruence(disc: int, p: int, config: Config):
 def suite(config: Config) -> list[Check]:
     """One congruence check per (p, D) with p dividing D exactly once, the
     conjectures' hypothesis, its case derived from D; at p = 5 a D of tables
-    3-4 also gets its row check.  A prime outside CM_ANCHORS adds no check
+    3-4 also gets its row check.  A prime outside CM_CONGRUENCES adds no check
     (the CLI rejects it when the cm suite runs alone), nor does a D outside
     the hypothesis (the CLI rejects a D that fits none of the primes).  The
     default discriminants are those of tables 3-4 for p = 5 and one per case
     for 7 and 13."""
-    primes = config.primes if config.primes is not None else tuple(CM_ANCHORS)
+    primes = config.primes if config.primes is not None else tuple(CM_CONGRUENCES)
     discs = config.discriminants
     rows_by_disc = {row.discriminant: row for row in cmlab.table_rows()}
     defaults = {5: tuple(rows_by_disc), **cmlab.EXTRA_DISCRIMINANTS}
     checks: list[Check] = []
     for p in primes:
-        if p not in CM_ANCHORS:
+        if p not in CM_CONGRUENCES:
             continue
-        prefix = CM_ANCHORS[p].replace(" ", "-")
+        anchor = CM_CONGRUENCES[p][0]
         for disc in discs if discs is not None else defaults[p]:
-            tag = f"{prefix}-D{abs(disc):04d}"
+            tag = f"{anchor.replace(' ', '-')}-D{abs(disc):04d}"
             row = rows_by_disc.get(disc)
             if row is not None and p == 5:
                 checks.append(Check(f"{tag}-row", "tables 3-4", _make_crosscheck(row)))
             if divides_once(p, disc):
-                checks.append(Check(f"{tag}-congruence", CM_ANCHORS[p],
+                checks.append(Check(f"{tag}-congruence", anchor,
                                     _make_congruence(disc, p, config)))
     return checks

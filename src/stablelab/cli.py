@@ -5,16 +5,16 @@ Exit codes: 0 at least one check ran and every check passed, 1 a check
 failed or the suite built none, 2 the command line or the configuration
 could not be parsed or is invalid, before any check runs.  A bad command
 line (no suite or an unknown one, an unknown or ambiguous option, an option
-without its value, a --p that is not an integer, a --format other than json
-or text) raises SystemExit(2) after the usage line on stderr; --help prints
-the usage line and exits 0.  The other exits 2 print one line: an unknown
-config key, an empty config list, a config number that is not a JSON
-integer, a discriminant that is not a negative integer congruent to 0 or 1
-mod 4, a prime that the selected suite cannot use, --disc given to a suite
-that reads no discriminants, a discriminant that no cm prime of the cm or
-all suite divides exactly once, a cache_dir that exists and is not a
-directory, or a --report path that cannot be opened for writing.  Checks
-run independently; one failure never aborts its siblings.
+without its value or given twice, a --p that is not an integer, a --format
+other than json or text) raises SystemExit(2) after the usage line on
+stderr; --help prints the usage line and exits 0.  The other exits 2 print
+one line: an unknown config key, an empty config list, a config number that
+is not a JSON integer, a discriminant that is not a negative integer
+congruent to 0 or 1 mod 4, a prime that the selected suite cannot use,
+--disc given to a suite that reads no discriminants, a discriminant that no
+cm prime of the cm or all suite divides exactly once, a cache_dir that
+exists and is not a directory, or a --report path that cannot be opened for
+writing.  Checks run independently; one failure never aborts its siblings.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import time
 from collections import namedtuple
 from contextlib import nullcontext
 
-from . import CertificateError, __version__, divides_once, is_prime
-from .checks import CM_ANCHORS, SUITES, Config, build_checks
+from . import CM_CONGRUENCES, CertificateError, __version__, divides_once, is_prime
+from .checks import SUITES, Config, build_checks
 from .report import CheckResult, SuiteReport
 
 SUITE_NAMES = (*SUITES, "all")
@@ -116,13 +116,13 @@ def _build_config(args, file_config: dict) -> Config:
     primes = as_distinct("primes", file_config.get("primes"))
     if args.p is not None:
         primes = (args.p,)
-    supported = ", ".join(map(str, CM_ANCHORS))
+    supported = ", ".join(map(str, CM_CONGRUENCES))
     for p in primes or ():
         for suite, (least, need) in PRIME_FLOORS.items():
             if args.suite in (suite, "all") and (p < least or not is_prime(p)):
                 raise ValueError(f"the {suite} suite needs {need}, got p = {p}")
         # under `all` such a prime still serves quat and ledger; cm adds no check
-        if args.suite == "cm" and p not in CM_ANCHORS:
+        if args.suite == "cm" and p not in CM_CONGRUENCES:
             raise ValueError(f"the cm suite needs one of the primes {supported}, got p = {p}")
         if args.suite in P5_SUITES and p != 5:
             raise ValueError(f"the {args.suite} suite is stated at p = 5 only, got p = {p}")
@@ -133,7 +133,7 @@ def _build_config(args, file_config: dict) -> Config:
         discriminants = [as_disc_item(v) for v in args.disc.split(",")]
     discriminants = as_discriminants("discriminants", discriminants)
     if args.suite in ("cm", "all"):
-        cm_primes = [p for p in primes or CM_ANCHORS if p in CM_ANCHORS]
+        cm_primes = [p for p in primes or CM_CONGRUENCES if p in CM_CONGRUENCES]
         for d in discriminants or ():
             if not any(divides_once(p, d) for p in cm_primes):
                 raise ValueError(f"the cm suite needs a discriminant that one of its "
@@ -164,7 +164,12 @@ def parse_args(argv: list[str]) -> Args:
     """
     try:
         pairs, suites = getopt.gnu_getopt(argv, "h", LONG_OPTIONS)
-        options = {name.lstrip("-").replace("-", "_"): value for name, value in pairs}
+        options = {}
+        for name, value in pairs:
+            key = name.lstrip("-").replace("-", "_")
+            if key in options:
+                raise getopt.GetoptError(f"{name} given twice")
+            options[key] = value
         if "h" in options or "help" in options:
             print(USAGE)
             raise SystemExit(0)

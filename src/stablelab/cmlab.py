@@ -490,8 +490,8 @@ def standard_spec(p: int, sign: str) -> CongruenceSpec:
         raise ValueError(f"no congruence data for p = {p}")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    center, exponent, power, bound = CM_CONGRUENCES[p]
-    return CongruenceSpec(p, center, exponent, sign, power, Fraction(bound))
+    _, center, exponent, bound = CM_CONGRUENCES[p]
+    return CongruenceSpec(p, center, exponent, sign, p**bound, Fraction(bound))
 
 
 class CongruenceResult(NamedTuple):

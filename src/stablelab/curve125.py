@@ -35,6 +35,7 @@ from .exactmath import (
     sym,
     symbol_valuations,
     univariate_trim,
+    valuation_levels,
 )
 
 P = 5
@@ -215,30 +216,23 @@ def verify_dominance_eq3(g_plus: SymbolicPolynomial) -> None:
     of g+ attain the minimal valuation 5/2; the Newton polygon in x0 then
     forces v(x0) = 1/2 at all five roots over any y on that circle."""
     assignment = {**symbol_valuations([R_SYMBOL], P), **EQ3_ASSIGNMENT}
-    mv = min_valuation(g_plus, assignment, P)
+    levels = valuation_levels(g_plus, assignment, P) + ((INF, ()),) * 2  # INF if absent
+    (minimum, witnesses), (residual, _) = levels[:2]
 
     coeff_minima = [
         min_valuation(g_plus.coefficient("x0", i), assignment, P).value for i in range(6)
     ]
     polygon = newton_polygon(coeff_minima)
 
-    residual = min(
-        (
-            fn.constant
-            for fn, m in param_valuations(g_plus, assignment, {}, P)
-            if m not in mv.witnesses
-        ),
-        default=INF,
-    )
     ok = (
-        mv.value == F(5, 2)
-        and mv.witnesses == EQ3_DOMINANT
+        minimum == F(5, 2)
+        and witnesses == EQ3_DOMINANT
         and polygon.root_valuations() == ((EQ3_ASSIGNMENT["x0"], 5),)
         and residual > F(5, 2)
     )
     if not ok:
         raise CertificateError(
-            f"eq 3 dominance fails: minimum {mv.value} attained by {mv.witnesses}, "
+            f"eq 3 dominance fails: minimum {minimum} attained by {witnesses}, "
             f"next monomial at {residual}, x0-polygon roots {polygon.root_valuations()}"
         )
 
@@ -248,18 +242,11 @@ def verify_dominance_eq3(g_plus: SymbolicPolynomial) -> None:
 
 def _valuation_level_split(f, assignment):
     """(valuation-0 part, min positive valuation, negative witnesses)."""
-    level0 = {}
-    pos_min = INF
-    negative = []
-    for fn, mono in param_valuations(f, assignment, {}, P):
-        v = fn.constant
-        if v < 0:
-            negative.append(mono)
-        elif v == 0:
-            level0[mono] = f.terms[mono]
-        elif v < pos_min:
-            pos_min = v
-    return SymbolicPolynomial(level0), pos_min, negative
+    levels = valuation_levels(f, assignment, P)
+    level0 = next((monos for v, monos in levels if v == 0), ())
+    pos_min = next((v for v, _ in levels if v > 0), INF)
+    negative = [mono for v, monos in levels if v < 0 for mono in monos]
+    return SymbolicPolynomial({mono: f.terms[mono] for mono in level0}), pos_min, negative
 
 
 def verify_reduction(

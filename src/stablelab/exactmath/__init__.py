@@ -25,14 +25,7 @@ from .polygon import (
     parametric_polygon,
     root_valuation_multiset,
 )
-from .resultant import (
-    bareiss_determinant,
-    characteristic_polynomial,
-    difference_root_resultant,
-    interpolate_integer_polynomial,
-    resultant_coeffs,
-    sylvester_matrix,
-)
+from .resultant import characteristic_polynomial, difference_root_resultant
 from .valuation import (
     INF,
     Affine,
@@ -48,5 +41,6 @@ from .valuation import (
     param_valuations,
     symbol_valuations,
     val_rat,
+    valuation_levels,
 )
 

@@ -24,7 +24,14 @@ from .valuation import INF, Affine, ExtValuation, envelope_min, is_finite, val_r
 
 class NewtonPolygon(NamedTuple):
     hull_vertices: tuple[tuple[int, Fraction], ...]
-    segments: tuple[tuple[Fraction, int], ...]  # (slope, horizontal length)
+
+    @property
+    def segments(self) -> tuple[tuple[Fraction, int], ...]:
+        """(slope, horizontal length) of each edge between hull vertices."""
+        return tuple(
+            (Fraction(b[1] - a[1], b[0] - a[0]), b[0] - a[0])
+            for a, b in zip(self.hull_vertices, self.hull_vertices[1:])
+        )
 
     def root_valuations(self) -> tuple[tuple[Fraction, int], ...]:
         """Multiset of root valuations: (valuation, count), by convention -slope."""
@@ -52,17 +59,14 @@ def newton_polygon(vals: Sequence[ExtValuation]) -> NewtonPolygon:
     finite = [(i, Fraction(v)) for i, v in enumerate(vals) if is_finite(v)]
     if len(finite) < 2:
         raise ValueError("need at least two finite valuations")
-    hull = lower_hull(finite)
-    segments = tuple(
-        (Fraction(b[1] - a[1], b[0] - a[0]), b[0] - a[0])
-        for a, b in zip(hull, hull[1:])
-    )
+    polygon = NewtonPolygon(tuple(lower_hull(finite)))
+    segments = polygon.segments
     slopes = [s for s, _ in segments]
     if any(s1 >= s2 for s1, s2 in zip(slopes, slopes[1:])):
         raise AssertionError("hull slopes must increase strictly")
     if sum(n for _, n in segments) != finite[-1][0] - finite[0][0]:
         raise AssertionError("hull segments must span the finite points")
-    return NewtonPolygon(tuple(hull), segments)
+    return polygon
 
 
 def root_valuation_multiset(

@@ -8,8 +8,10 @@ pairwise-difference polynomial Res_y(f(y), f(y + z)).
 
 Sylvester matrices, fraction-free (Bareiss) elimination over int/Fraction
 entries and Newton interpolation of an integer polynomial from exact values
-are kept as the independent test oracle for both; nothing on the verify path
-calls them.
+are the independent test oracle for both: nothing on the verify path calls
+them and `exactmath` does not export them.  They stay here, not under tests/,
+only because perfbench's tracer wraps `bareiss_determinant` and
+`interpolate_integer_polynomial` by name, until ROADMAP item 1.
 """
 
 from __future__ import annotations

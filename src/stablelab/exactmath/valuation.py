@@ -6,8 +6,9 @@ exactly the arithmetic the valuation of 0 needs.  All finite valuations stay
 Fractions.
 
 Every valuation of a polynomial expression is read off its monomials by
-``param_valuations``; a symbol's valuation is the one stated in its
-``ValuedSymbol``, certified against its rewrite rule by ``symbol_valuations``.
+``param_valuations``, whose point case ``valuation_levels`` groups them by
+valuation; a symbol's valuation is the one stated in its ``ValuedSymbol``,
+certified against its rewrite rule by ``symbol_valuations``.
 """
 
 from __future__ import annotations
@@ -122,19 +123,24 @@ def param_valuations(
     return out
 
 
+def valuation_levels(
+    f: SymbolicPolynomial, assignment: Mapping[str, Fraction], p: int
+) -> tuple[tuple[Fraction, tuple[Monomial, ...]], ...]:
+    """The point case of ``param_valuations`` (no symbol scales with lambda):
+    the monomials of f as (valuation, sorted monomials), lowest level first."""
+    levels: dict[Fraction, list[Monomial]] = {}
+    for fn, mono in param_valuations(f, assignment, {}, p):
+        levels.setdefault(fn.constant, []).append(mono)
+    return tuple((v, tuple(sorted(monos))) for v, monos in sorted(levels.items()))
+
+
 def min_valuation(
     f: SymbolicPolynomial, assignment: Mapping[str, Fraction], p: int
 ) -> MinValuation:
-    """The point case of ``param_valuations``: no symbol scales with lambda,
-    so each monomial's valuation is the constant of its piece."""
-    best: ExtValuation = INF
-    witnesses: list[Monomial] = []
-    for fn, mono in param_valuations(f, assignment, {}, p):
-        if fn.constant < best:
-            best, witnesses = fn.constant, [mono]
-        elif fn.constant == best:
-            witnesses.append(mono)
-    return MinValuation(best, tuple(sorted(witnesses)), len(witnesses) == 1)
+    """The lowest of ``valuation_levels``, or INF for the zero polynomial."""
+    levels = valuation_levels(f, assignment, p)
+    value, witnesses = levels[0] if levels else (INF, ())
+    return MinValuation(value, witnesses, len(witnesses) == 1)
 
 
 def envelope_min(

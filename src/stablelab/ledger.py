@@ -163,7 +163,6 @@ def supersingular_j_invariants(p: int) -> tuple[int, ...]:
 class ComponentBudget(NamedTuple):
     total_known: int
     curve_genus: int
-    exact: bool
 
 
 def component_budget(p: int) -> ComponentBudget:
@@ -184,4 +183,4 @@ def component_budget(p: int) -> ComponentBudget:
         raise CertificateError(
             f"component budget {total} exceeds the genus {curve_genus} of X0({p**3})"
         )
-    return ComponentBudget(total, curve_genus, exact=total == curve_genus)
+    return ComponentBudget(total, curve_genus)

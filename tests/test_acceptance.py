@@ -200,7 +200,7 @@ def test_c10_genus_ledger():
     )
     budget5 = ledger.component_budget(5)
     budget_ok = (
-        budget5.exact and budget5.total_known == 8
+        budget5.total_known == budget5.curve_genus == 8
         and ledger.component_budget(7).total_known <= 26
         and ledger.component_budget(13).total_known <= 184
         and ledger.component_budget(17).total_known <= 417

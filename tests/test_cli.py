@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -321,6 +323,23 @@ def test_verify_all_report_matches_golden(all_report):
     assert all_report.render("json") == golden.read_text(encoding="utf-8")
 
 
+def test_printed_rounding_bounds_are_certified(all_report):
+    """Each congruence check prints `rounding error < 2^-k`: the certified
+    error of its build is below 2^-k, and 2^-k is below the tolerance that
+    accepted the build.  The 16 checks of `verify all`, and one D outside
+    the tables (-660, h = 8)."""
+    from stablelab import cmlab
+
+    drawn = run("cm", Config(primes=(5,), discriminants=(-660,))).results
+    congruences = [r for r in (*all_report.results, *drawn) if r.id.endswith("-congruence")]
+    assert len(congruences) == 17 and "h = 8" in congruences[-1].details
+    for result in congruences:
+        disc = -int(re.search(r"-D(\d+)-congruence$", result.id).group(1))
+        k = int(re.search(r"rounding error < 2\^-(\d+)\)$", result.details).group(1))
+        error = cmlab.class_polynomial(disc).max_rounding_error
+        assert error < F(1, 2**k) < cmlab.ROUNDING_TOLERANCE, result.id
+
+
 def test_report_byte_identical_with_injected_clock(tmp_path):
     config = Config(primes=(5,), cache_dir=str(tmp_path))
     first = run("cm", config).render("json")
@@ -509,6 +528,19 @@ def test_command_line_parsing(capsys, argv, expected):
     assert usage.startswith("usage: verify")
     options = [f"--{option.rstrip('=')}" for option in cli.LONG_OPTIONS]
     assert all(name in usage for name in (*cli.SUITE_NAMES, *options))
+
+
+@pytest.mark.parametrize("argv, option", [
+    ("cm --disc=-20 --disc=-40", "--disc"), ("cm --p 5 --p 7", "--p"),
+])
+def test_a_repeated_option_exits_2(capsys, argv, option):
+    """An option given twice is an error, not a silent choice of one value."""
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: verify")
+    assert err.endswith(f"verify: error: {option} given twice\n")
 
 
 def test_suite_without_checks_is_not_a_pass(tmp_path, capsys):

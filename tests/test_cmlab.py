@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc
 
 from stablelab import CertificateError, cmlab
-from stablelab.exactmath import interpolate_integer_polynomial, resultant_coeffs, val_rat
+from stablelab.exactmath import val_rat
+from stablelab.exactmath.resultant import interpolate_integer_polynomial, resultant_coeffs
 
 
 def test_reduced_forms_examples():

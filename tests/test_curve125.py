@@ -11,12 +11,10 @@ from stablelab.exactmath import (
     Affine,
     SymbolicPolynomial,
     envelope_min,
-    interpolate_integer_polynomial,
     min_valuation,
     newton_polygon,
     normal_form,
     poly_to_coeffs,
-    resultant_coeffs,
     root_valuation_multiset,
     sym,
     symbol_valuations,
@@ -24,6 +22,7 @@ from stablelab.exactmath import (
     univariate_mul,
     val_rat,
 )
+from stablelab.exactmath.resultant import interpolate_integer_polynomial, resultant_coeffs
 
 r, x, y = sym("r"), sym("x"), sym("y")
 

@@ -6,13 +6,12 @@ from stablelab import CertificateError, modmaps
 from stablelab.exactmath import (
     Affine,
     SymbolicPolynomial,
-    interpolate_integer_polynomial,
     poly_to_coeffs,
-    resultant_coeffs,
     squarefree_part,
     sym,
     val_rat,
 )
+from stablelab.exactmath.resultant import interpolate_integer_polynomial, resultant_coeffs
 
 
 @pytest.fixture(scope="module")

@@ -74,11 +74,6 @@ def test_no_record_is_built_past_its_validation(module):
     assert not calls, f"{module}: _make or _replace on lines {calls}"
 
 
-#: Test-oracle entry points that nothing in the package calls; they stay
-#: exported until they move under tests/.
-_ORACLE_EXPORTS = {"resultant_coeffs", "interpolate_integer_polynomial"}
-
-
 def test_every_exactmath_export_has_a_reader():
     """Each name the imports of ``exactmath/__init__.py`` bind is read in a
     package module other than that one, so no dead kernel routine stays
@@ -97,7 +92,7 @@ def test_every_exactmath_export_has_a_reader():
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
-    unread = exported - read - _ORACLE_EXPORTS
+    unread = exported - read
     assert not unread, f"exported but never read: {sorted(unread)}"
 
 
@@ -122,16 +117,6 @@ def _record_fields() -> dict[str, tuple[str, ...]]:
     return records
 
 
-#: Record fields that nothing in the package reads, each kept for a reader
-#: outside it.
-_UNREAD_FIELDS = {
-    # perfbench's tests build a ClassPolynomial from four positional fields
-    "ClassPolynomial.max_rounding_error",
-    # the polygon tests pin the lower hull that the segments are read from
-    "NewtonPolygon.hull_vertices",
-}
-
-
 def test_every_record_field_has_a_reader():
     """Each field of a NamedTuple record is read as an attribute somewhere in
     the package, so a certificate returns only what a check or another
@@ -150,7 +135,7 @@ def test_every_record_field_has_a_reader():
         for field in fields
         if field not in read
     }
-    assert unread == _UNREAD_FIELDS, f"fields that nothing reads: {sorted(unread - _UNREAD_FIELDS)}"
+    assert not unread, f"fields that nothing reads: {sorted(unread)}"
 
 
 _CHECKS = [name for name in _TREES if name.startswith("checks/")]
@@ -197,7 +182,7 @@ def test_checks_leave_certificate_failures_to_run_suite(module):
 def test_checks_do_no_valuation_arithmetic(module):
     """Suite modules read certificates; the valuation pieces, envelopes and
     minima behind them are computed in the layers."""
-    kernel = {"affine", "param_valuations", "envelope_min", "min_valuation"}
+    kernel = {"affine", "param_valuations", "valuation_levels", "envelope_min", "min_valuation"}
     imported = {
         alias.name
         for node in ast.walk(_TREES[module])

@@ -24,6 +24,7 @@ from stablelab.exactmath import (
     poly_to_coeffs,
     sym,
     symbol_valuations,
+    valuation_levels,
 )
 from stablelab.curve125 import R_SYMBOL, SQRT15_SYMBOL
 from stablelab.exactmath import val_rat
@@ -139,6 +140,29 @@ def test_min_valuation_matches_the_per_monomial_loop():
     assert any(not mv.unique for mv in (min_valuation(f, a, 5) for f, a in cases))
     for f, assignment in cases:
         assert min_valuation(f, assignment, 5) == _min_valuation_by_monomials(f, assignment, 5)
+
+
+def test_valuation_levels_partition_the_monomials_lowest_first():
+    """The levels ascend, are disjoint and cover every monomial, each
+    monomial sits on the level of its own valuation, and the first level is
+    `min_valuation`."""
+    cases = list(_oracle_cases())
+    assert any(f.is_zero() for f, _ in cases)
+    for f, assignment in cases:
+        levels = valuation_levels(f, assignment, 5)
+        values = [v for v, _ in levels]
+        assert values == sorted(set(values))
+        monomials = [mono for _, monos in levels for mono in monos]
+        assert sorted(monomials) == sorted(mono for mono, _ in f.items())
+        for v, monos in levels:
+            for mono in monos:
+                alone = SymbolicPolynomial({mono: f.terms[mono]})
+                assert _min_valuation_by_monomials(alone, assignment, 5).value == v
+        value, witnesses = levels[0] if levels else (INF, ())  # f = 0 has no level
+        first = MinValuation(value, witnesses, len(witnesses) == 1)
+        assert first == min_valuation(f, assignment, 5) == _min_valuation_by_monomials(
+            f, assignment, 5
+        )
 
 
 def test_symbol_valuations_certifies_every_symbol_of_the_certificates():
