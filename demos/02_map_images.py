@@ -21,13 +21,17 @@ for rmap, source, radius in ((maps["pi5_t"], "u", F(3, 10)), (maps["pi1_j"], "t"
     relation, wording = ("=", "circle->circle exact") if cert.unique else (">=", "bound only (tie)")
     print(f"  v({source}) = {radius}  ->  v({rmap.target_coord}) {relation} "
           f"{cert.lower_bound}  ({wording})")
-print("The tie in the last line is how a circle image fattens into a disk.\n")
+print("The tie in the last line is how a circle image fattens into a disk.")
+image = modmaps.cell_image_valuation(maps["pi1_j"], F(0), F(5, 2))
+print(f"On the whole cell 0 < v(t) < 5/2, v(j) = {image.constant} + {image.slope}*v(t):")
+print("t^6 over t^5 dominates alone there, so every circle in it maps exactly.\n")
 
 print("Atkin-Lehner fixed circles (lambda with v(c) - lambda = lambda):")
 print("  w5 = 125/t :", modmaps.al_fixed_circle(maps["w5"]))
 print("  w25 = 5/u  :", modmaps.al_fixed_circle(maps["w25"]))
-print("both are involutions:", modmaps.is_involution(maps["w5"]),
-      modmaps.is_involution(maps["w25"]), "\n")
+for name in ("w5", "w25"):
+    modmaps.involution_identity(maps[name])  # raises CertificateError unless the identity holds
+print("both are involutions: w5(w5(t)) = t and w25(w25(u)) = u as rational maps\n")
 
 print("Where do the ten ramification points land on X0(5)?  Eliminating the")
 print("double-root parametrization x = 5/u^2, y = 10/u through pi5:")

@@ -15,16 +15,18 @@ print("5-division polynomial: degree", psi5.degree("x"),
 print("x^10 coefficient:", psi5.coefficient("x", 10), "\n")
 
 polygon = sslab.torsion_polygon(psi5)
-print("Parametric Newton polygon in lambda = v5(t) on (0, 1):")
+print(f"Parametric Newton polygon in lambda = v5(t) on ({polygon.lo}, {polygon.hi}),")
+print(f"stored as {len(polygon.cells)} certified cells; all else is read off them:")
 print("  hull vertex sets:", polygon.vertex_sets())
-print("  breakpoint:", polygon.breakpoints, "\n")
+print("  breakpoint (where the vertex set changes):",
+      ", ".join(map(str, polygon.breakpoints)), "\n")
 
 for lam in (F(1, 2), F(9, 10)):
     profile = sslab.torsion_profile(polygon, lam)
     print(f"lambda = {lam}:")
     print("  x-root valuations:", profile.x_root_valuations)
     print("  z = x/y valuations over the 24 points:", profile.z_valuations)
-    print("  canonical subgroup:", profile.canonical_subgroup)
+    print("  canonical subgroup (4 points strictly nearest):", profile.canonical_subgroup)
 print()
 
 print("Below 5/6 four points sit strictly closer to the origin (the canonical")

@@ -80,9 +80,10 @@ def _check_exponent_centers():
         ss_js = ledger.supersingular_j_invariants(p)
         if ss_js != (center % p,):
             raise CertificateError(f"supersingular j mod {p} is {ss_js}, center {center}")
+    _, centers, exponents, _ = zip(*CM_CONGRUENCES.values())
     return (
-        "(p+1)/i = 2, 4, 14 matches the congruence exponents; centers 0, 1728, 5 "
-        "reduce to the unique supersingular j mod p"
+        f"(p+1)/i = {', '.join(map(str, exponents))} matches the congruence exponents; "
+        f"centers {', '.join(map(str, centers))} reduce to the unique supersingular j mod p"
     )
 
 

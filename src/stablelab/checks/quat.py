@@ -53,7 +53,9 @@ def _check_class_counts():
     for (p, aut), expected in cases.items():
         if quatlab.class_count(p, aut) != expected:
             raise CertificateError(f"class_count({p}, {aut}) != {expected}")
-    return "2(p+1)/i equals 8, 4, 28 for (p, |Aut|) = (7,4), (5,6), (13,2)"
+    counts = ", ".join(str(count) for _, count in cases.values())
+    pairs = ", ".join(f"({p},{aut})" for p, aut in cases)
+    return f"2(p+1)/i equals {counts} for (p, |Aut|) = {pairs}"
 
 
 def _check_quaternion_norm():

@@ -29,27 +29,21 @@ def _check_breakpoint(polygon):
     return "vertices {(0,0),(10,lam),(12,1)} below 5/6 and {(0,0),(12,1)} above"
 
 
-def _check_profile_below(polygon):
-    profile = sslab.torsion_profile(polygon, F(1, 2))
-    ok = (
-        profile.x_root_valuations == ((F(-1, 4), 2), (F(-1, 20), 10))
-        and profile.z_valuations == ((F(1, 40), 20), (F(1, 8), 4))
-        and profile.canonical_subgroup
-    )
-    if not ok:
+def _check_profile(polygon, lam, x_roots, z_vals, canonical):
+    profile = sslab.torsion_profile(polygon, lam)
+    got = (profile.x_root_valuations, profile.z_valuations, profile.canonical_subgroup)
+    if got != (x_roots, z_vals, canonical):
         raise CertificateError(f"profile {profile}")
+
+
+def _check_profile_below(polygon):
+    _check_profile(polygon, F(1, 2), ((F(-1, 4), 2), (F(-1, 20), 10)),
+                   ((F(1, 40), 20), (F(1, 8), 4)), True)
     return "at lam=1/2: 20 points at v(z)=lam/20, 4 at (1-lam)/4; canonical subgroup"
 
 
 def _check_profile_above(polygon):
-    profile = sslab.torsion_profile(polygon, F(9, 10))
-    ok = (
-        profile.x_root_valuations == ((F(-1, 12), 12),)
-        and profile.z_valuations == ((F(1, 24), 24),)
-        and not profile.canonical_subgroup
-    )
-    if not ok:
-        raise CertificateError(f"profile {profile}")
+    _check_profile(polygon, F(9, 10), ((F(-1, 12), 12),), ((F(1, 24), 24),), False)
     return "at lam=9/10: all 24 nonzero points at v(z)=1/24; no canonical subgroup"
 
 

@@ -37,10 +37,8 @@ def _check_ram_valuations(ram):
         raise CertificateError(f"y-polygon gives {_fmt_multiset(y_roots)}")
     if x_roots != ((F(2, 5), 10),):
         raise CertificateError(f"x-polygon gives {_fmt_multiset(x_roots)}")
-    return (
-        "coefficient valuations (0,inf,3,4,4,5,5,6,6,7,7); "
-        "all ten roots at v(y)=7/10, v(x)=2/5"
-    )
+    published = ",".join(map(str, reversed(curve125.P_RAM_Y_VALUATIONS)))
+    return f"coefficient valuations ({published}); all ten roots at v(y)=7/10, v(x)=2/5"
 
 
 def _check_y_distances(ram):

@@ -98,10 +98,6 @@ def reduced_forms(discriminant: int) -> list[QuadForm]:
     return sorted(forms)
 
 
-def class_number(discriminant: int) -> int:
-    return len(reduced_forms(discriminant))
-
-
 # -- ball arithmetic --------------------------------------------------------
 #
 # A Ball is the complex disk |z - (re + im i) 2^-bits| <= rad 2^-bits: a
@@ -462,14 +458,17 @@ def class_polynomial(discriminant: int, cache: ClassPolyCache | None = None) -> 
 
 
 class CongruenceSpec(NamedTuple):
-    """Per-root requirement v_p((j - center)^exponent sign prime_power) > bound."""
+    """Per-root requirement v_p((j - center)^exponent sign p^bound) > bound."""
 
     p: int
     center: int
     exponent: int
     sign: str  # "-" or "+"
-    prime_power: int
-    bound: Fraction
+    bound: int
+
+    @property
+    def prime_power(self) -> int:
+        return self.p**self.bound
 
 
 def congruence_case(discriminant: int, p: int) -> int:
@@ -491,7 +490,7 @@ def standard_spec(p: int, sign: str) -> CongruenceSpec:
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     _, center, exponent, bound = CM_CONGRUENCES[p]
-    return CongruenceSpec(p, center, exponent, sign, p**bound, Fraction(bound))
+    return CongruenceSpec(p, center, exponent, sign, bound)
 
 
 class CongruenceResult(NamedTuple):
@@ -553,12 +552,25 @@ def table_rows() -> tuple[TableRow, ...]:
 EXTRA_DISCRIMINANTS = {7: (-28, -84), 13: (-52, -104)}
 
 
-def table_crosscheck(row: TableRow) -> bool:
+def table_crosscheck(row: TableRow) -> None:
     """The row's tau-polynomial prod (X - j(tau)) equals H_D, decided exactly.
 
     j is injective on SL2(Z)\\H and H_D is squarefree with one root per class
-    of primitive forms of discriminant D, so the two polynomials agree exactly
-    when the row's tau values reduce to the forms of ``reduced_forms(D)``, each
-    once.  No j-value, class polynomial or floating point is involved.
+    of primitive forms of discriminant D, so the two agree exactly when the
+    row's h(D) tau values reduce to distinct forms of discriminant D, which
+    are then ``reduced_forms(D)``.  No j-value, class polynomial or floating
+    point is involved.  A wrong count, a form of another discriminant or a
+    class hit twice raises CertificateError.
     """
-    return sorted(t.form().reduced() for t in row.taus) == reduced_forms(row.discriminant)
+    D, h = row.discriminant, len(reduced_forms(row.discriminant))
+    if len(row.taus) != h:
+        raise CertificateError(f"row has {len(row.taus)} tau values but h({D}) = {h}")
+    first_tau: dict[QuadForm, Tau] = {}
+    for tau in row.taus:
+        form = tau.form().reduced()
+        if form.discriminant() != D:
+            raise CertificateError(f"{tau} gives the form {tuple(form)} of discriminant "
+                                   f"{form.discriminant()}, not {D}")
+        if form in first_tau:
+            raise CertificateError(f"{first_tau[form]} and {tau} reduce to one class {tuple(form)}")
+        first_tau[form] = tau

@@ -116,7 +116,7 @@ def build_shifted_model() -> SymbolicPolynomial:
     return g_plus
 
 
-def _integer_coeffs(f: SymbolicPolynomial, var: str) -> tuple[int, ...]:
+def integer_coeffs(f: SymbolicPolynomial, var: str) -> tuple[int, ...]:
     out = []
     for c in poly_to_coeffs(f, var):
         if c.denominator != 1:
@@ -188,7 +188,7 @@ def ramification_polynomials() -> RamificationData:
     polynomial of x = y^2/20 over the roots of p_ram_y."""
     model = plus_curve_model()
     p_ram_y_poly = 20**5 * model.f_plus.substitute("x", (y * y) / 20)
-    p_ram_y = _integer_coeffs(p_ram_y_poly, "y")
+    p_ram_y = integer_coeffs(p_ram_y_poly, "y")
     p_ram_x = characteristic_polynomial([0, 0, F(1, 20)], p_ram_y)
     if len(p_ram_y) != 11 or len(p_ram_x) != 11:
         raise CertificateError("ramification polynomials must have degree 10")

@@ -110,15 +110,30 @@ class PolygonCell(NamedTuple):
 class ParamPolygon(NamedTuple):
     """Newton polygon of a family, as a certified cell decomposition.
 
-    ``breakpoints`` are exactly the interior lambda values where the hull's
-    vertex set changes; ``cells`` cover the interval in order.  Adjacent cells
-    sharing a boundary that is not a breakpoint have equal vertex sets.
+    ``cells`` cover the interval in order and are all it stores: the interval
+    runs from the first cell's ``lo`` to the last cell's ``hi``, and the
+    ``breakpoints`` are the interior lambda values where the hull's vertex
+    set changes, each the ``lo`` of a cell whose vertex set differs from its
+    predecessor's.
     """
 
-    lo: Fraction
-    hi: Fraction
-    breakpoints: tuple[Fraction, ...]
     cells: tuple[PolygonCell, ...]
+
+    @property
+    def lo(self) -> Fraction:
+        return self.cells[0].lo
+
+    @property
+    def hi(self) -> Fraction:
+        return self.cells[-1].hi
+
+    def _changes(self) -> list[PolygonCell]:
+        """The cells whose vertex set differs from the previous cell's."""
+        return [c2 for c1, c2 in zip(self.cells, self.cells[1:]) if c1.vertices != c2.vertices]
+
+    @property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple(cell.lo for cell in self._changes())
 
     def cell_at(self, lam) -> PolygonCell:
         lam = Fraction(lam)
@@ -132,11 +147,7 @@ class ParamPolygon(NamedTuple):
         raise AssertionError("cell decomposition does not cover the interval")
 
     def vertex_sets(self) -> tuple[tuple[int, ...], ...]:
-        seen = [self.cells[0].vertices]
-        for cell in self.cells[1:]:
-            if cell.vertices != seen[-1]:
-                seen.append(cell.vertices)
-        return tuple(seen)
+        return (self.cells[0].vertices,) + tuple(cell.vertices for cell in self._changes())
 
 
 def _normalize_pvals(
@@ -144,12 +155,7 @@ def _normalize_pvals(
 ) -> list[tuple[int, tuple[Affine, ...]]]:
     out = []
     for i, entry in enumerate(pvals):
-        if entry is None:
-            continue
-        if isinstance(entry, Affine):
-            out.append((i, (entry,)))
-            continue
-        pieces = tuple(entry)
+        pieces = (entry,) if isinstance(entry, Affine) else tuple(entry or ())
         if pieces:
             out.append((i, pieces))
     return out
@@ -175,25 +181,16 @@ def parametric_polygon(
 
     cells: list[PolygonCell] = []
     work = [(lo, hi)]
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("cell refinement did not terminate")
+    for _ in range(10_000):
+        if not work:
+            return ParamPolygon(tuple(sorted(cells, key=lambda c: c.lo)))
         a, b = work.pop()
         cell_or_split = _certify_cell(indexed, a, b)
         if isinstance(cell_or_split, PolygonCell):
             cells.append(cell_or_split)
         else:
-            rho = cell_or_split
-            work.append((a, rho))
-            work.append((rho, b))
-    cells.sort(key=lambda c: c.lo)
-
-    breakpoints = tuple(
-        c2.lo for c1, c2 in zip(cells, cells[1:]) if c1.vertices != c2.vertices
-    )
-    return ParamPolygon(lo, hi, breakpoints, tuple(cells))
+            work += [(a, cell_or_split), (cell_or_split, b)]
+    raise RuntimeError("cell refinement did not terminate")
 
 
 def _certify_cell(indexed, a: Fraction, b: Fraction):

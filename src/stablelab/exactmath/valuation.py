@@ -57,7 +57,10 @@ class MinValuation(NamedTuple):
 
     value: ExtValuation
     witnesses: tuple[Monomial, ...]
-    unique: bool
+
+    @property
+    def unique(self) -> bool:
+        return len(self.witnesses) == 1
 
 
 class Affine(NamedTuple):
@@ -140,7 +143,7 @@ def min_valuation(
     """The lowest of ``valuation_levels``, or INF for the zero polynomial."""
     levels = valuation_levels(f, assignment, p)
     value, witnesses = levels[0] if levels else (INF, ())
-    return MinValuation(value, witnesses, len(witnesses) == 1)
+    return MinValuation(value, witnesses)
 
 
 def envelope_min(

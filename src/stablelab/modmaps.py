@@ -73,8 +73,8 @@ class RationalMap(
 
 
 class ImageCertificate(NamedTuple):
-    lower_bound: Fraction | Affine | None  # on a cell: Affine in lambda, or None
-    unique: bool  # exact image; False is a bound only (a tie), or no dominant piece
+    lower_bound: Fraction
+    unique: bool  # exact image; False is a bound only (a tie)
 
 
 def builtin_maps() -> dict[str, RationalMap]:
@@ -97,21 +97,7 @@ def image_valuation(rmap: RationalMap, radius) -> ImageCertificate:
     image is the circle v(target) = lower_bound when both minima are attained
     by a unique monomial; on a tie only v(target) >= lower_bound is
     certified, which is the disk case.
-
-    A pair radius = (lo, hi) is the open cell lo < lambda < hi of circles
-    v(source) = lambda: when one numerator piece and one denominator piece
-    each lie strictly below the others on the whole cell, v(target) is their
-    difference, the affine function lower_bound of lambda.
     """
-    if isinstance(radius, tuple):
-        scaling = {rmap.source_coord: 1}
-        num, den = (
-            dominant_piece([fn for fn, _ in param_valuations(f, {}, scaling, P)], *radius)
-            for f in (rmap.numerator, rmap.denominator)
-        )
-        if num is None or den is None:
-            return ImageCertificate(None, False)
-        return ImageCertificate(num - den, True)
     assignment = {rmap.source_coord: Fraction(radius)}
     mv_num = min_valuation(rmap.numerator, assignment, P)
     mv_den = min_valuation(rmap.denominator, assignment, P)
@@ -120,14 +106,28 @@ def image_valuation(rmap: RationalMap, radius) -> ImageCertificate:
     return ImageCertificate(mv_num.value - mv_den.value, mv_num.unique and mv_den.unique)
 
 
+def cell_image_valuation(rmap: RationalMap, lo, hi) -> Affine | None:
+    """Image of the open cell lo < lambda < hi of circles v(source) = lambda.
+
+    When one numerator piece and one denominator piece each lie strictly
+    below the others on the whole cell, v(target) is their difference, an
+    affine function of lambda; None when either has no dominant piece.
+    """
+    scaling = {rmap.source_coord: 1}
+    num, den = (
+        dominant_piece([fn for fn, _ in param_valuations(f, {}, scaling, P)], lo, hi)
+        for f in (rmap.numerator, rmap.denominator)
+    )
+    if num is None or den is None:
+        return None
+    return num - den
+
+
 def al_fixed_circle(rmap: RationalMap) -> Fraction:
     """Fixed circle of an involution c/x: the lambda with v(c) - lambda = lambda."""
-    num = rmap.numerator
-    den = rmap.denominator
-    if not num.is_constant() or den != sym(rmap.source_coord):
+    if not rmap.numerator.is_constant() or rmap.denominator != sym(rmap.source_coord):
         raise ValueError("map is not of the involution form c/x")
-    v = val_rat(num.constant_value(), P)
-    return Fraction(v, 2)
+    return Fraction(val_rat(rmap.numerator.constant_value(), P), 2)
 
 
 def compose(outer: RationalMap, inner: RationalMap) -> tuple[SymbolicPolynomial, SymbolicPolynomial]:
@@ -150,10 +150,13 @@ def compose(outer: RationalMap, inner: RationalMap) -> tuple[SymbolicPolynomial,
     return plug(num_c), plug(den_c)
 
 
-def is_involution(rmap: RationalMap) -> bool:
-    """Check map(map(x)) = x as an exact rational-function identity."""
+def involution_identity(rmap: RationalMap) -> None:
+    """map(map(x)) == x as an exact rational-function identity."""
     num, den = compose(rmap, rmap)
-    return num == den * sym(rmap.source_coord)
+    if num != den * sym(rmap.source_coord):
+        raise CertificateError(
+            f"{rmap.name} o {rmap.name} = ({num}) / ({den}), not {rmap.source_coord}"
+        )
 
 
 def ramification_u_polynomial() -> list[int]:
@@ -161,16 +164,16 @@ def ramification_u_polynomial() -> list[int]:
     ramification points, ascending.
 
     At a ramification point the fiber equation has the double root
-    u = y/(2x), which forces x = 5/u**2 and y = 10/u; substituting into the
-    plus-curve model and clearing u**10 sends x**i y**j to
-    5**i 10**j u**(10 - 2i - j).
+    u = y/(2x), which forces x = 5/u**2 and y = 10/u.  With w = 1/u the
+    plus-curve model becomes a polynomial of degree 10 in w, and clearing
+    u**10 reverses its coefficients.
     """
-    p_ram_u = [0] * 11
-    for mono, coeff in curve125.plus_curve_model().f_plus.items():
-        exps = dict(mono)
-        i, jj = exps.get("x", 0), exps.get("y", 0)
-        p_ram_u[10 - 2 * i - jj] += int(coeff) * 5**i * 10**jj
-    return p_ram_u
+    w = sym("w")
+    f_w = curve125.plus_curve_model().f_plus.substitute("x", 5 * w**2).substitute("y", 10 * w)
+    p_ram_w = curve125.integer_coeffs(f_w, "w")
+    if len(p_ram_w) != 11:
+        raise CertificateError("the ramification u-polynomial must have degree 10")
+    return list(reversed(p_ram_w))
 
 
 def ramification_image_polynomial(pi5_t: RationalMap) -> tuple[int, ...]:

@@ -34,7 +34,11 @@ x, t = sym("x"), sym("t")
 class TorsionProfile(NamedTuple):
     x_root_valuations: tuple[tuple[Fraction, int], ...]
     z_valuations: tuple[tuple[Fraction, int], ...]  # over points, not x-roots
-    canonical_subgroup: bool
+
+    @property
+    def canonical_subgroup(self) -> bool:
+        """4 points strictly nearest the origin form, with it, the canonical subgroup."""
+        return max(self.z_valuations)[1] == 4
 
 
 def division_polynomial_5() -> SymbolicPolynomial:
@@ -65,12 +69,9 @@ def torsion_polygon(psi5: SymbolicPolynomial) -> ParamPolygon:
 
 
 def torsion_profile(polygon: ParamPolygon, lam) -> TorsionProfile:
-    """Valuation profile of the 5-torsion at v_5(t) = lam in (0, 1) on `torsion_polygon`."""
-    lam = Fraction(lam)
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
-    if lam in polygon.breakpoints:
-        raise ValueError(f"lambda {lam} is the polygon breakpoint; no open cell")
+    """Valuation profile of the 5-torsion at v_5(t) = lam on `torsion_polygon`;
+    a lam outside the polygon's open interval, or at its breakpoint, has no
+    cell and raises ValueError."""
     cell = polygon.cell_at(lam)
     x_roots = cell.root_valuations_at(lam)
     z_vals = []
@@ -81,12 +82,7 @@ def torsion_profile(polygon: ParamPolygon, lam) -> TorsionProfile:
         z_vals.append((-v / 2, 2 * count))
     if sum(n for _, n in z_vals) != 24:
         raise CertificateError("the profile must cover the 24 nonzero 5-torsion points")
-    return TorsionProfile(
-        x_root_valuations=x_roots,
-        z_valuations=tuple(sorted(z_vals)),
-        # 4 points strictly nearest the origin form, with it, the canonical subgroup
-        canonical_subgroup=max(z_vals)[1] == 4,
-    )
+    return TorsionProfile(x_roots, tuple(sorted(z_vals)))
 
 
 def weierstrass_j(a: SymbolicPolynomial, b: SymbolicPolynomial) -> tuple[SymbolicPolynomial, SymbolicPolynomial]:

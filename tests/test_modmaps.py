@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablelab import CertificateError, modmaps
+from stablelab import CertificateError, curve125, modmaps
 from stablelab.exactmath import (
     Affine,
     SymbolicPolynomial,
@@ -43,8 +43,17 @@ def test_map_constructor_rejects_common_factor():
 
 
 def test_involutions(maps):
-    assert modmaps.is_involution(maps["w5"])
-    assert modmaps.is_involution(maps["w25"])
+    assert modmaps.involution_identity(maps["w5"]) is None
+    assert modmaps.involution_identity(maps["w25"]) is None
+
+
+def test_involution_identity_rejects_a_map_not_of_the_form_c_over_x():
+    """125/(t + 1) composed with itself is 125(t + 1)/(t + 126), not t."""
+    t = sym("t")
+    shifted = modmaps.RationalMap("w", "t", "t", SymbolicPolynomial.constant(125), t + 1)
+    composed = "^w o w = \\(125\\*t \\+ 125\\) / \\(t \\+ 126\\), not t$"
+    with pytest.raises(CertificateError, match=composed):
+        modmaps.involution_identity(shifted)
 
 
 def test_al_fixed_circles(maps):
@@ -71,12 +80,10 @@ def test_image_valuation_on_a_cell(maps):
     """On 0 < v(t) < 5/2 the pieces 6 v(t) of t^6 over 5 v(t) of t^5 decide
     v(j) = v(t); on (0, 3) the constant 15 of 5^15 undercuts 6 v(t) above
     5/2, so no numerator piece dominates the whole cell."""
-    cert = modmaps.image_valuation(maps["pi1_j"], (F(0), F(5, 2)))
-    assert cert == (Affine(F(0), F(1)), True)
-    cert = modmaps.image_valuation(maps["pi1_j"], (F(0), F(3)))
-    assert cert == (None, False)  # no dominant piece
-    cert = modmaps.image_valuation(maps["pi5_t"], (F(0), F(1, 2)))
-    assert cert.lower_bound == Affine(F(0), F(5))  # u^5 below 25u while v(u) < 1/2
+    assert modmaps.cell_image_valuation(maps["pi1_j"], F(0), F(5, 2)) == Affine(F(0), F(1))
+    assert modmaps.cell_image_valuation(maps["pi1_j"], F(0), F(3)) is None  # no dominant piece
+    # u^5 below 25u while v(u) < 1/2
+    assert modmaps.cell_image_valuation(maps["pi5_t"], F(0), F(1, 2)) == Affine(F(0), F(5))
 
 
 def test_image_stability_within_cell(maps):
@@ -95,6 +102,19 @@ def test_ramification_image_polynomial(maps):
     assert isinstance(eliminant, tuple) and all(isinstance(c, int) for c in eliminant)
     # a symbolic root tau with tau^2 = 125 has valuation v(125)/2 = 3/2
     assert val_rat(125, 5) / 2 == F(3, 2)
+
+
+def test_ramification_u_polynomial_matches_the_monomial_rule():
+    """x = 5/u^2 and y = 10/u, cleared of u^10, send each monomial x^i y^j of
+    the plus-curve model to 5^i 10^j u^(10 - 2i - j)."""
+    by_monomial = [0] * 11
+    for mono, coeff in curve125.plus_curve_model().f_plus.items():
+        exps = dict(mono)
+        i, j = exps.get("x", 0), exps.get("y", 0)
+        by_monomial[10 - 2 * i - j] += int(coeff) * 5**i * 10**j
+    p_ram_u = modmaps.ramification_u_polynomial()
+    assert p_ram_u == by_monomial
+    assert p_ram_u == [-3125, 0, 15625, 31250, 34375, 25000, 13125, 5000, 1375, 250, 25]
 
 
 def test_ramification_image_sylvester_interpolation_route(maps):

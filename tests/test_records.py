@@ -10,6 +10,9 @@ import pkgutil
 import pytest
 
 import stablelab
+from stablelab.exactmath import MinValuation, ParamPolygon
+from stablelab.modmaps import ImageCertificate
+from stablelab.sslab import TorsionProfile
 
 _CLASSES = [
     cls
@@ -32,3 +35,13 @@ def test_named_tuple_fields_cannot_be_assigned(cls):
 @pytest.mark.parametrize("cls", _DATACLASSES, ids=lambda cls: cls.__qualname__)
 def test_dataclasses_are_frozen(cls):
     assert cls.__dataclass_params__.frozen
+
+
+def test_records_store_no_field_that_another_decides():
+    """A polygon's ends and breakpoints, a unique minimum and a canonical
+    subgroup are read off the fields that decide them, so no record can
+    state them inconsistently."""
+    assert ParamPolygon._fields == ("cells",)
+    assert MinValuation._fields == ("value", "witnesses")
+    assert TorsionProfile._fields == ("x_root_valuations", "z_valuations")
+    assert ImageCertificate._fields == ("lower_bound", "unique")

@@ -179,6 +179,22 @@ def test_checks_leave_certificate_failures_to_run_suite(module):
 
 
 @pytest.mark.parametrize("module", _CHECKS)
+def test_checks_do_not_reword_a_layer_verdict(module):
+    """A layer certificate raises CertificateError with its own reason, so no
+    check tests a call's truth with ``if not <call>:`` to raise a fixed
+    message in its place."""
+    verdicts = [
+        node.lineno
+        for node in ast.walk(_TREES[module])
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.UnaryOp)
+        and isinstance(node.test.op, ast.Not)
+        and isinstance(node.test.operand, ast.Call)
+    ]
+    assert not verdicts, f"{module}: `if not <call>:` on lines {verdicts}"
+
+
+@pytest.mark.parametrize("module", _CHECKS)
 def test_checks_do_no_valuation_arithmetic(module):
     """Suite modules read certificates; the valuation pieces, envelopes and
     minima behind them are computed in the layers."""

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from stablelab import CertificateError, sslab
-from stablelab.exactmath import SymbolicPolynomial, val_rat
+from stablelab.exactmath import ParamPolygon, PolygonCell, SymbolicPolynomial, val_rat
 
 
 @pytest.fixture(scope="module")
@@ -164,12 +164,21 @@ def test_threshold_reads_the_polygon_breakpoint(polygon):
     piece 3 v(t) of 4t^3 undercuts the unit 27, and the certificate fails."""
     from stablelab.checks.ss import _check_threshold
 
-    moved = polygon._replace(breakpoints=(F(2, 3),))
+    def cells(*ends_and_vertices):  # the threshold reads no segment
+        return ParamPolygon(tuple(
+            PolygonCell(F(lo), F(hi), vertices, ()) for lo, hi, vertices in ends_and_vertices
+        ))
+
+    moved = cells((0, F(2, 3), (0, 10, 12)), (F(2, 3), 1, (0, 12)))
+    assert moved.breakpoints == (F(2, 3),)
     assert sslab.too_ss_threshold(moved) == 2
     with pytest.raises(CertificateError, match="^threshold 2$"):
         _check_threshold(moved)
     assert _check_threshold(polygon).endswith("threshold v5(j) >= 5/2")
+    single = cells((0, 1, (0, 12)))
     with pytest.raises(CertificateError, match="not one"):
-        sslab.too_ss_threshold(polygon._replace(breakpoints=()))
+        sslab.too_ss_threshold(single)
+    wide = cells((-1, F(5, 6), (0, 10, 12)), (F(5, 6), 1, (0, 12)))
+    assert (wide.lo, wide.hi, wide.breakpoints) == (-1, 1, (F(5, 6),))
     with pytest.raises(CertificateError, match="v\\(j\\) = 3 v\\(t\\) is not certified"):
-        sslab.too_ss_threshold(polygon._replace(lo=F(-1)))
+        sslab.too_ss_threshold(wide)

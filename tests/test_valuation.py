@@ -116,7 +116,7 @@ def _min_valuation_by_monomials(f, assignment, p):
             best, witnesses = v, [mono]
         elif v == best and is_finite(v):
             witnesses.append(mono)
-    return MinValuation(best, tuple(sorted(witnesses)), len(witnesses) == 1)
+    return MinValuation(best, tuple(sorted(witnesses)))
 
 
 def _oracle_cases():
@@ -159,7 +159,7 @@ def test_valuation_levels_partition_the_monomials_lowest_first():
                 alone = SymbolicPolynomial({mono: f.terms[mono]})
                 assert _min_valuation_by_monomials(alone, assignment, 5).value == v
         value, witnesses = levels[0] if levels else (INF, ())  # f = 0 has no level
-        first = MinValuation(value, witnesses, len(witnesses) == 1)
+        first = MinValuation(value, witnesses)
         assert first == min_valuation(f, assignment, 5) == _min_valuation_by_monomials(
             f, assignment, 5
         )
