@@ -4,7 +4,7 @@ Run:  python demos/01_stable_model_certificates.py
 """
 
 from stablelab import curve125
-from stablelab.exactmath import min_valuation, root_valuation_multiset, symbol_valuations, val_rat
+from stablelab.exactmath import root_valuation_multiset, val_rat
 
 print("The plus-quotient curve is cut out by a 14-term model f+(x, y),")
 print("with the degree-2 extension given by the fiber equation x*u^2 - y*u + 5.")
@@ -19,16 +19,14 @@ g_plus = curve125.build_shifted_model()
 print("coefficient of x0^4:", g_plus.coefficient("x0", 4).coefficient("y", 0))
 print()
 
-print("At v(x0) = 1/2, v(y) = 3/4 exactly three monomials dominate,")
+print("At v(x0) = 1/2, v(y) = 3/4 no monomial of g+ lies below valuation 5/2,")
 curve125.verify_dominance_eq3(g_plus)
-assignment = {**symbol_valuations([curve125.R_SYMBOL], 5), **curve125.EQ3_ASSIGNMENT}
-mv = min_valuation(g_plus, assignment, 5)
-print("witnesses:", mv.witnesses, "at valuation", mv.value)
+print("and its valuation-5/2 part is exactly", curve125.EQ3)
 print("so the curve is approximated by x0^5 + 25*x0 = 15*y^2 there,")
 print("and the Newton polygon in x0 puts all five roots at v(x0) = 1/2.\n")
 
 print("Scaling by alpha = sqrt(5), beta = 5^(3/4) produces an integral model;")
-eq4_residual = curve125.verify_reduction("eq4", g_plus, None)
+eq4_residual = curve125.reduction_eq4(g_plus)
 print("its valuation-0 part is y1^2 - x1^5/3 - x1/3, and 1/3 = 2 in F5, so its")
 print("residue over F5-bar is y1^2 = 2*x1^5 + 2*x1")
 print("residual monomials all have valuation >=", eq4_residual, "\n")
@@ -53,7 +51,7 @@ print(f"and {delta} at v(s) = {curve125.RAM_CIRCLE}, "
 print("exported error bound at v(s) = 6/25:", delta, "\n")
 
 print("With that bound the fiber equation reduces on the middle circle to the")
-eq6_residual = curve125.verify_reduction("eq6", None, delta)
+eq6_residual = curve125.reduction_eq6(delta)
 print("genus-0-component equation; its valuation-0 part matches term for term,")
 print("and the residual monomials have valuation >=", eq6_residual, "\n")
 

@@ -35,9 +35,9 @@ print("class into (7+1)/2 = 4 sign-pairs:",
 print()
 
 for p, aut in ((5, 6), (7, 4), (13, 2)):
-    per_ext, total = quatlab.class_count(p, aut)
+    per_ext = quatlab.class_count(p, aut)
     print(f"p = {p:2d}, |Aut| = {aut}: {per_ext} classes per ramified quadratic "
-          f"extension, {total} in total")
+          f"extension, {2 * per_ext} in total")
 print()
 print("Those totals (4, 8, 28) are the CM residue-disk counts at p = 5, 7, 13,")
 print("and the per-extension counts (2, 4, 14) are the congruence exponents")

@@ -74,7 +74,7 @@ def _check_exponent_centers():
         if len(survey.entries) != 1:
             raise CertificateError(f"p={p} does not have a unique supersingular class")
         aut = survey.entries[0][0]
-        per_extension, _ = quatlab.class_count(p, aut)
+        per_extension = quatlab.class_count(p, aut)
         if per_extension != exponent:
             raise CertificateError(f"(p+1)/i = {per_extension} != congruence exponent {exponent}")
         ss_js = ledger.supersingular_j_invariants(p)

@@ -71,7 +71,7 @@ def _check_eq3(g_plus):
 
 
 def _check_eq4(g_plus):
-    residual_min = curve125.verify_reduction("eq4", g_plus, None)
+    residual_min = curve125.reduction_eq4(g_plus)
     return (
         f"residue equation y1^2 = 2*x1^5 + 2*x1 over F5; "
         f"all residual monomials have valuation >= {residual_min}"
@@ -87,7 +87,7 @@ def _check_hensel(delta):
 
 
 def _check_eq6(delta):
-    residual_min = curve125.verify_reduction("eq6", None, delta)
+    residual_min = curve125.reduction_eq6(delta)
     return (
         "valuation-0 part matches u0^2 - (a^5/(sqrt15*b*r))s0^5*u0 + 5/(b^2*r) "
         f"term for term; residual minimum {residual_min}"

@@ -5,15 +5,18 @@ with the fiber equation x*u**2 - y*u + 5 = 0 that cuts out the degree-2
 extension up to X0(125).  Everything here is certified with exact rational
 arithmetic: coefficient tables over Q[r] (r a fixed root of r^5 + 25r - 25),
 Newton polygons of the ramification polynomials, pairwise root-distance
-multisets, dominance of the approximating equation x0^5 + 25*x0 = 15*y^2,
-good-reduction residue equations, and the valuation envelopes behind the
-annulus parameterization.
+multisets, the valuation envelopes behind the annulus parameterization, and
+one valuation-part certificate, `verify_reduction`: on a circle, nothing of a
+model lies below a level and its terms at that level are exactly a named
+equation.  It certifies the approximating equation x0^5 + 25*x0 = 15*y^2
+(eq 3), the good-reduction residue y1^2 = 2*x1^5 + 2*x1 (eq 4) and the
+genus-0-component equation (eq 6).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import CertificateError
 from .exactmath import (
@@ -200,84 +203,61 @@ def ramification_polynomials() -> RamificationData:
     )
 
 
-# -- dominance of x0^5 + 25 x0 = 15 y^2 (the approximating equation) --------
-
-#: the circle of eq 3; r's valuation comes from R_SYMBOL
-EQ3_ASSIGNMENT = {"x0": F(1, 2), "y": F(3, 4)}
-EQ3_DOMINANT = (
-    (("x0", 1),),
-    (("x0", 5),),
-    (("y", 2),),
-)
-
-
-def verify_dominance_eq3(g_plus: SymbolicPolynomial) -> None:
-    """At v(x0) = 1/2, v(y) = 3/4 exactly the monomials x0^5, 25*x0, 15*y^2
-    of g+ attain the minimal valuation 5/2; the Newton polygon in x0 then
-    forces v(x0) = 1/2 at all five roots over any y on that circle."""
-    assignment = {**symbol_valuations([R_SYMBOL], P), **EQ3_ASSIGNMENT}
-    levels = valuation_levels(g_plus, assignment, P) + ((INF, ()),) * 2  # INF if absent
-    (minimum, witnesses), (residual, _) = levels[:2]
-
-    coeff_minima = [
-        min_valuation(g_plus.coefficient("x0", i), assignment, P).value for i in range(6)
-    ]
-    polygon = newton_polygon(coeff_minima)
-
-    ok = (
-        minimum == F(5, 2)
-        and witnesses == EQ3_DOMINANT
-        and polygon.root_valuations() == ((EQ3_ASSIGNMENT["x0"], 5),)
-        and residual > F(5, 2)
-    )
-    if not ok:
-        raise CertificateError(
-            f"eq 3 dominance fails: minimum {minimum} attained by {witnesses}, "
-            f"next monomial at {residual}, x0-polygon roots {polygon.root_valuations()}"
-        )
-
-
-# -- good-reduction and genus-0-component residue equations -----------------
-
-
-def _valuation_level_split(f, assignment):
-    """(valuation-0 part, min positive valuation, negative witnesses)."""
-    levels = valuation_levels(f, assignment, P)
-    level0 = next((monos for v, monos in levels if v == 0), ())
-    pos_min = next((v for v, _ in levels if v > 0), INF)
-    negative = [mono for v, monos in levels if v < 0 for mono in monos]
-    return SymbolicPolynomial({mono: f.terms[mono] for mono in level0}), pos_min, negative
+# -- valuation-part certificates: eq 3, eq 4 and eq 6 -------------------------
 
 
 def verify_reduction(
-    claim_id: str, g_plus: SymbolicPolynomial | None, delta: Fraction | None
+    f: SymbolicPolynomial,
+    assignment: Mapping[str, Fraction],
+    level: Fraction,
+    expected: SymbolicPolynomial,
 ) -> Fraction:
-    """Certify the residue equation of the scaled model ('eq4' or 'eq6') and
-    return the least positive valuation among the scaled model's monomials.
+    """Certify that no monomial of f lies below valuation `level` at
+    `assignment` and that the terms of f at `level` are exactly `expected`;
+    return the least valuation above `level` (INF if there is none)."""
+    levels = valuation_levels(f, assignment, P)
+    below = [mono for v, monos in levels if v < level for mono in monos]
+    if below:
+        raise CertificateError(f"monomials {below} lie below valuation {level}")
+    part = _part_at(f, levels, level)
+    if part != expected:
+        raise CertificateError(f"the valuation-{level} part is {part}, not {expected}")
+    return next((v for v, _ in levels if v > level), INF)
 
-    eq4 reads only the shifted model g_plus and eq6 only the Hensel bound
-    delta of `hensel_certificate`; the claim that does not read an argument
-    accepts None.
 
-    eq4: with alpha = sqrt(5), beta = 5^(3/4) the scaled plus-curve model
+def _part_at(f: SymbolicPolynomial, levels, level) -> SymbolicPolynomial:
+    """The terms of f whose monomials `valuation_levels` puts at `level`."""
+    return SymbolicPolynomial(
+        {mono: f.terms[mono] for v, monos in levels if v == level for mono in monos}
+    )
+
+
+#: the circle of eq 3; r's valuation comes from R_SYMBOL
+EQ3_ASSIGNMENT = {"x0": F(1, 2), "y": F(3, 4)}
+#: eq 3, x0^5 + 25*x0 = 15*y^2, as the valuation-5/2 part of g+
+EQ3 = 15 * y**2 - x0**5 - 25 * x0
+
+
+def verify_dominance_eq3(g_plus: SymbolicPolynomial) -> None:
+    """At v(x0) = 1/2, v(y) = 3/4 the valuation-5/2 part of g+ is exactly
+    15*y^2 - x0^5 - 25*x0 and nothing lies below it; the Newton polygon in
+    x0 then forces v(x0) = 1/2 at all five roots over any y on that circle."""
+    assignment = {**symbol_valuations([R_SYMBOL], P), **EQ3_ASSIGNMENT}
+    verify_reduction(g_plus, assignment, F(5, 2), EQ3)
+    coeff_minima = [
+        min_valuation(g_plus.coefficient("x0", i), assignment, P).value for i in range(6)
+    ]
+    roots = newton_polygon(coeff_minima).root_valuations()
+    if roots != ((EQ3_ASSIGNMENT["x0"], 5),):
+        raise CertificateError(f"eq 3 dominance fails: x0-polygon roots {roots}")
+
+
+def reduction_eq4(g_plus: SymbolicPolynomial) -> Fraction:
+    """With alpha = sqrt(5), beta = 5^(3/4) the scaled plus-curve model
     (1/(15 beta^2)) g+(alpha x1, beta y1) is integral and reduces to
-    y1^2 = 2 x1^5 + 2 x1 over F5-bar.
-
-    eq6: on the circle v(s) = 6/25, with s = alpha s0, u = beta u0 and
-    y = (s^5/sqrt15)(1 + delta) (delta the annulus-parameterization error,
-    of valuation at least the Hensel bound), the fiber
-    equation scaled by 1/(r beta^2) is integral and its valuation-0 part is
-    u0^2 - (alpha^5/(sqrt15 beta r)) s0^5 u0 + 5/(beta^2 r), term for term.
-    """
-    if claim_id == "eq4":
-        return _verify_reduction_eq4(g_plus)
-    if claim_id == "eq6":
-        return _verify_reduction_eq6(delta)
-    raise ValueError(f"unknown reduction claim {claim_id!r}")
-
-
-def _verify_reduction_eq4(g_plus: SymbolicPolynomial) -> Fraction:
+    y1^2 = 2 x1^5 + 2 x1 over F5-bar; returns its least positive valuation."""
     alpha, beta = sym("alpha_eq4"), sym("beta_eq4")
+    x1, y1 = sym("x1"), sym("y1")
     # x0 = alpha x1 and y = beta y1 on the circle of eq 3
     symbols = [
         R_SYMBOL,
@@ -285,23 +265,20 @@ def _verify_reduction_eq4(g_plus: SymbolicPolynomial) -> Fraction:
         ValuedSymbol("beta_eq4", EQ3_ASSIGNMENT["y"], (2, 5 * alpha)),
     ]
     assignment = {**symbol_valuations(symbols, P), "x1": F(0), "y1": F(0)}
-    scaled = g_plus.substitute("x0", alpha * sym("x1")).substitute("y", beta * sym("y1"))
+    scaled = g_plus.substitute("x0", alpha * x1).substitute("y", beta * y1)
     # 1/(15 beta^2) = alpha/375 after beta^2 -> 5 alpha, alpha^2 -> 5
     scaled = normal_form(scaled * alpha / 375, symbols)
-
-    level0, pos_min, negative = _valuation_level_split(scaled, assignment)
-    x1, y1 = sym("x1"), sym("y1")
     # 1/3 = 2 in F5, so this valuation-0 part reduces to y1^2 = 2 x1^5 + 2 x1
-    expected0 = y1**2 - F(1, 3) * x1**5 - F(1, 3) * x1
-    if negative or level0 != expected0:
-        raise CertificateError(
-            f"eq 4 scaled model is not integral with residue y1^2 = 2*x1^5 + 2*x1: "
-            f"valuation-0 part {level0}, negative monomials {negative}"
-        )
-    return pos_min
+    return verify_reduction(scaled, assignment, 0, y1**2 - F(1, 3) * x1**5 - F(1, 3) * x1)
 
 
-def _verify_reduction_eq6(delta_bound: Fraction) -> Fraction:
+def reduction_eq6(delta_bound: Fraction) -> Fraction:
+    """On the circle v(s) = 6/25, with s = alpha s0, u = beta u0 and
+    y = (s^5/sqrt15)(1 + delta) (delta the annulus-parameterization error,
+    of valuation at least the Hensel bound), the fiber equation scaled by
+    1/(r beta^2) is integral and its valuation-0 part is
+    u0^2 - (alpha^5/(sqrt15 beta r)) s0^5 u0 + 5/(beta^2 r), term for term;
+    returns the scaled fiber's least positive valuation."""
     alpha, beta = sym("alpha_eq6"), sym("beta_eq6")
     s0, u0, delta = sym("s0"), sym("u0"), sym("delta")
     # s = alpha s0 on the circle that carries the ramification points
@@ -315,6 +292,10 @@ def _verify_reduction_eq6(delta_bound: Fraction) -> Fraction:
     inv_r = R_INVERSE                    # 1/r via r^5 -> 25 - 25r
     inv_beta2 = beta**8 / 125            # 1/beta^2 via beta^10 -> 5^3
     inv_sqrt15 = sqrt15 / 15             # 1/sqrt15 via sqrt15^2 -> 15
+    if normal_form(r * inv_r, [R_SYMBOL]) != 1:
+        raise CertificateError(f"R_INVERSE = {inv_r} is not 1/r")
+    if delta_bound <= 0:
+        raise CertificateError(f"the Hensel error bound {delta_bound} is not positive")
 
     # fiber equation x u^2 - y u + 5 with x = s^2 + r = alpha^2 s0^2 + r,
     # u = beta u0, y = (s^5/sqrt15)(1 + delta); scaled by 1/(r beta^2)
@@ -330,32 +311,17 @@ def _verify_reduction_eq6(delta_bound: Fraction) -> Fraction:
         + 5 * inv_beta2 * inv_r
     )
     target = normal_form(target, symbols)
-
-    level0, pos_min, negative = _valuation_level_split(scaled, assignment)
-    target0, _, target_negative = _valuation_level_split(target, assignment)
     # the coefficients alpha^5/(sqrt15 beta r) of s0^5 u0 and 5/(beta^2 r)
     middle, constant = (
         min_valuation(c, assignment, P)
         for c in (target.coefficient("u0", 1).coefficient("s0", 5), target.coefficient("u0", 0))
     )
-    if normal_form(r * inv_r, [R_SYMBOL]) != 1:
-        raise CertificateError(f"R_INVERSE = {inv_r} is not 1/r")
-    if delta_bound <= 0:
-        raise CertificateError(f"the Hensel error bound {delta_bound} is not positive")
-    if negative or target_negative:
-        raise CertificateError(
-            f"eq 6 scaled fiber is not integral: {negative + target_negative} "
-            "have negative valuation"
-        )
     if not all(c.value == 0 and c.unique for c in (middle, constant)):
         raise CertificateError(
             f"eq 6 target coefficients have valuations {middle.value}, {constant.value}: not units"
         )
-    if level0 != target0:
-        raise CertificateError(
-            f"eq 6 valuation-0 part {level0} differs from the target's {target0}"
-        )
-    return pos_min
+    target0 = _part_at(target, valuation_levels(target, assignment, P), 0)
+    return verify_reduction(scaled, assignment, 0, target0)
 
 
 # -- the annulus parameterization (Hensel) certificate ----------------------

@@ -170,14 +170,13 @@ def component_budget(p: int) -> ComponentBudget:
 
     Per supersingular curve with i = |Aut|/2: one component over the
     Atkin-Lehner circle and two Edixhoven-type components, all of genus 0,
-    and 2(p+1)/i components (`quatlab.class_count`) of genus (p-1)/2 each;
+    and 2(p+1)/i components (twice `quatlab.class_count`) of genus (p-1)/2 each;
     plus the six ordinary components, of genus 0.  The known total must not
     exceed the genus of X0(p^3); for p = 5 it is exactly 8 = 4 * 2.
     """
     total = 0
     for aut_order, count in ss_survey(p).entries:
-        _, cm_components = quatlab.class_count(p, aut_order)
-        total += count * cm_components * ((p - 1) // 2)
+        total += count * 2 * quatlab.class_count(p, aut_order) * ((p - 1) // 2)
     curve_genus = genus_x0(p**3)
     if total > curve_genus:
         raise CertificateError(

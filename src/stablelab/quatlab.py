@@ -243,13 +243,12 @@ def aut_refinement() -> tuple[frozenset[AbarElement], ...]:
     return partition
 
 
-def class_count(p: int, aut_order: int) -> tuple[int, int]:
-    """((p+1)/i, 2(p+1)/i) with i = aut_order / 2: CM classes per ramified
-    quadratic extension of Q_p, and in total."""
+def class_count(p: int, aut_order: int) -> int:
+    """(p+1)/i with i = aut_order / 2: the CM classes per ramified quadratic
+    extension of Q_p; the two ramified extensions give 2(p+1)/i in total."""
     if aut_order not in (2, 4, 6):
         raise ValueError("automorphism group order must be 2, 4 or 6")
     i = aut_order // 2
     if (p + 1) % i:
         raise ValueError(f"{i} does not divide p + 1 = {p + 1}")
-    per_extension = (p + 1) // i
-    return per_extension, 2 * per_extension
+    return (p + 1) // i

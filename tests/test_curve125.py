@@ -229,8 +229,41 @@ def test_dominance_certificate(g_plus):
     assert min_valuation(25 * curve125.x0**3 * y, curve125.EQ3_ASSIGNMENT, 5).value == F(17, 4)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [5 * y**2, 5 * curve125.x0**5, -25 * curve125.x0],
+    ids=["20y^2", "4x0^5", "-50x0"],
+)
+def test_eq3_rejects_a_wrong_coefficient(g_plus, change):
+    """The mutant keeps the three dominant monomials x0^5, x0, y^2 but not
+    the paper's coefficients -1, -25, 15, so only the valuation-5/2 part
+    itself tells it from g+."""
+    with pytest.raises(CertificateError, match="valuation-5/2 part is .*, not 15\\*y\\^2"):
+        curve125.verify_dominance_eq3(g_plus + change)
+
+
+_X, _Y = sym("x"), sym("y")
+_LEVELS = {"x": F(1, 2), "y": F(0)}  # v(x^2) = v(5y) = 1, v(25) = 2
+
+
+def test_verify_reduction_returns_the_next_level():
+    margin = curve125.verify_reduction(_X**2 + 5 * _Y + 25, _LEVELS, F(1), _X**2 + 5 * _Y)
+    assert margin == 2 and isinstance(margin, F)
+    assert curve125.verify_reduction(_X**2 + 5 * _Y, _LEVELS, F(1), _X**2 + 5 * _Y) == INF
+
+
+def test_verify_reduction_rejects_a_monomial_below_the_level():
+    with pytest.raises(CertificateError, match="lie below valuation 3/2"):
+        curve125.verify_reduction(_X**2 + 5 * _Y + 25, _LEVELS, F(3, 2), SymbolicPolynomial.constant(25))
+
+
+def test_verify_reduction_rejects_a_wrong_part():
+    with pytest.raises(CertificateError, match="valuation-1 part is 5\\*y \\+ x\\^2, not"):
+        curve125.verify_reduction(_X**2 + 5 * _Y + 25, _LEVELS, F(1), _X**2 - 5 * _Y)
+
+
 def test_eq4_reduction(g_plus):
-    assert curve125.verify_reduction("eq4", g_plus, None) == F(1, 4)
+    assert curve125.reduction_eq4(g_plus) == F(1, 4)
     # the certified valuation-0 part y1^2 - x1^5/3 - x1/3 reduces to
     # y1^2 + 3 x1^5 + 3 x1 over F5, the residue y1^2 = 2 x1^5 + 2 x1
     residues = [c.numerator * pow(c.denominator, -1, 5) % 5 for c in (F(1), F(-1, 3), F(-1, 3))]
@@ -362,7 +395,7 @@ def test_hensel_pieces_are_one_per_monomial(g_plus, monkeypatch):
 
 def test_eq6_reduction(hensel):
     assert hensel == F(2, 25)
-    assert curve125.verify_reduction("eq6", None, hensel) == F(2, 25)
+    assert curve125.reduction_eq6(hensel) == F(2, 25)
     # the target's coefficients alpha^5/(sqrt15 beta r) and 5/(beta^2 r) are
     # units: v(alpha) = 6/25, v(sqrt15) = 1/2, v(beta) = 3/10, v(r) = 2/5
     v_alpha, v_beta = curve125.RAM_CIRCLE, F(3, 10)
@@ -377,34 +410,38 @@ def test_eq6_certifies_the_inverse_of_r(hensel, monkeypatch, wrong):
     """eq 6 scales by 1/r.  A wrong R_INVERSE enters the scaled fiber and the
     target alike, so (r^4 + 50)/25, which has the valuation -2/5 of 1/r,
     passes every residue test and only r * R_INVERSE = 1 rejects it."""
-    curve125.verify_reduction("eq6", None, hensel)
+    curve125.reduction_eq6(hensel)
     monkeypatch.setattr(curve125, "R_INVERSE", wrong)
     with pytest.raises(CertificateError, match="is not 1/r"):
-        curve125.verify_reduction("eq6", None, hensel)
+        curve125.reduction_eq6(hensel)
+
+
+#: cell -> what eq 3 and eq 4 find wrong in the mutant
+_CELL_REASONS = {
+    (2, 2): ("valuation-5/2 part is .*16\\*x0\\^2\\*y\\^2", "valuation-0 part is .*16/3\\*x1\\^2\\*y1\\^2"),
+    (1, 0): ("\\(\\('x0', 1\\),\\)\\] lie below valuation 5/2", "\\(\\('x1', 1\\),\\)\\] lie below valuation 0"),
+}
 
 
 @pytest.mark.parametrize("cell, delta", [((2, 2), 1), ((1, 0), 5)])
 def test_one_wrong_table1_cell_fails_every_model_certificate(g_plus, cell, delta):
-    """A g+ with one perturbed cell (15 -> 16 on x0^2 y^2, or 5 added to the
-    x0 coefficient) is rejected by eq 3, eq 4 and the Hensel envelope."""
+    """A g+ with one perturbed cell (15 -> 16 on x0^2 y^2 adds a monomial at
+    valuation 5/2; 5 added to the x0 coefficient puts 20*x0 below it) is
+    rejected by eq 3, eq 4 and the Hensel envelope."""
     i, j = cell
     mutant = g_plus + delta * curve125.x0**i * y**j
-    with pytest.raises(CertificateError, match="eq 3 dominance fails"):
+    eq3_reason, eq4_reason = _CELL_REASONS[cell]
+    with pytest.raises(CertificateError, match=eq3_reason):
         curve125.verify_dominance_eq3(mutant)
-    with pytest.raises(CertificateError, match="eq 4 scaled model"):
-        curve125.verify_reduction("eq4", mutant, None)
+    with pytest.raises(CertificateError, match=eq4_reason):
+        curve125.reduction_eq4(mutant)
     with pytest.raises(CertificateError):
         curve125.hensel_certificate(mutant)
 
 
 def test_eq6_fails_without_a_positive_hensel_bound():
     with pytest.raises(CertificateError, match="Hensel error bound 0 is not positive"):
-        curve125.verify_reduction("eq6", None, F(0))
-
-
-def test_verify_reduction_unknown_claim(g_plus, hensel):
-    with pytest.raises(ValueError):
-        curve125.verify_reduction("eq7", g_plus, hensel)
+        curve125.reduction_eq6(F(0))
 
 
 def test_fiber_square_identity(monkeypatch):
@@ -425,8 +462,8 @@ def test_reduction_certificates_carry_exact_rationals(g_plus, hensel):
     """Residual minima and the Hensel bound are positive Fractions computed
     exactly, never floats."""
     values = [
-        curve125.verify_reduction("eq4", g_plus, None),
-        curve125.verify_reduction("eq6", None, hensel),
+        curve125.reduction_eq4(g_plus),
+        curve125.reduction_eq6(hensel),
         hensel,
     ]
     for value in values:

@@ -68,7 +68,7 @@ def test_component_budget_exact_for_5():
     assert budget.total_known == 8 == budget.curve_genus
     # one supersingular curve, |Aut| = 6: 4 CM components of genus (5 - 1)/2 = 2
     ((aut, count),) = ledger.ss_survey(5).entries
-    assert count == 1 and quatlab.class_count(5, aut)[1] == 4
+    assert count == 1 and 2 * quatlab.class_count(5, aut) == 4
 
 
 def test_component_budgets_inequality():
@@ -77,7 +77,7 @@ def test_component_budgets_inequality():
     budget17 = ledger.component_budget(17)
     assert budget17.total_known == 384 <= 417
     census = ledger.ss_survey(17).entries
-    assert sum(count * quatlab.class_count(17, aut)[1] for aut, count in census) == 12 + 36
+    assert sum(count * 2 * quatlab.class_count(17, aut) for aut, count in census) == 12 + 36
 
 
 def test_component_budget_violations(monkeypatch):

@@ -210,9 +210,9 @@ def test_aut_refinement():
 
 
 def test_class_count():
-    assert quatlab.class_count(7, 4) == (4, 8)
-    assert quatlab.class_count(5, 6) == (2, 4)
-    assert quatlab.class_count(13, 2) == (14, 28)
+    assert quatlab.class_count(7, 4) == 4
+    assert quatlab.class_count(5, 6) == 2
+    assert quatlab.class_count(13, 2) == 14
     with pytest.raises(ValueError):
         quatlab.class_count(7, 6)
     with pytest.raises(ValueError):

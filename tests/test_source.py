@@ -208,6 +208,20 @@ def test_checks_do_no_valuation_arithmetic(module):
     assert not imported & kernel, f"{module} imports {sorted(imported & kernel)}"
 
 
+@pytest.mark.parametrize("module", _CHECKS)
+def test_checks_pass_no_none_placeholder(module):
+    """A certificate takes only the values its claim reads, so no check
+    passes a ``None`` literal to fill a parameter that another claim reads."""
+    nones = [
+        node.lineno
+        for node in ast.walk(_TREES[module])
+        if isinstance(node, ast.Call)
+        for arg in (*node.args, *(keyword.value for keyword in node.keywords))
+        if isinstance(arg, ast.Constant) and arg.value is None
+    ]
+    assert not nones, f"{module}: None passed to a call on lines {nones}"
+
+
 def _valued_symbol_names() -> set[str]:
     return {
         node.args[0].value
