@@ -8,13 +8,12 @@ from stablelab.exactmath import root_valuation_multiset, val_rat
 
 print("The plus-quotient curve is cut out by a 14-term model f+(x, y),")
 print("with the degree-2 extension given by the fiber equation x*u^2 - y*u + 5.")
-model = curve125.plus_curve_model()
-print("f+ =", model.f_plus, "\n")
+print("f+ =", curve125.F_PLUS, "\n")
 
 print("Shift x = x0 + r, where r is a root of r^5 + 25r - 25 (v5(r) = 2/5).")
 print("Every coefficient of the shifted model is checked against the")
-print("published 16-cell table; a single wrong cell raises CertificateError,")
-print("as does every certificate below whose claim fails.")
+print(f"published {len(curve125.TABLE1)}-cell table 1; a single wrong cell raises")
+print("CertificateError, as does every certificate below whose claim fails.")
 g_plus = curve125.build_shifted_model()
 print("coefficient of x0^4:", g_plus.coefficient("x0", 4).coefficient("y", 0))
 print()

@@ -7,14 +7,16 @@ from stablelab import quatlab
 
 print("The finite algebra F_p[i, eps_j, eps_k] models the mod-p endomorphisms")
 print("of a supersingular curve: i^2 = alpha (a non-residue), the eps's are")
-print("nilpotent, and i eps_j = eps_k = -eps_j i.  Each orbit certificate")
-print("raises CertificateError if a stabilizer, image or fibre count is off.\n")
+print("nilpotent, and i eps_j = eps_k = -eps_j i.  The algebra's structure")
+print("constants are built and checked once per prime; the orbit certificate")
+print("reads them, and raises CertificateError if a basis identity, stabilizer,")
+print("image or fibre count is off.\n")
 
 for p in (5, 7, 13, 17):
-    alpha = quatlab.smallest_nonresidue(p)
-    orbits = quatlab.orbit_analysis(quatlab.AlgebraParams(p, alpha))
+    params = quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p))
+    orbits = quatlab.orbit_analysis(params, quatlab.build_algebra(params))
     sizes = sorted({size for size, _, _ in orbits})
-    print(f"p = {p:2d}, alpha = {alpha}: {len(orbits)} conjugation orbits "
+    print(f"p = {p:2d}, alpha = {params.alpha}: {len(orbits)} conjugation orbits "
           f"of size {sizes[0]} on the {p*p - 1} nonzero nilpotents "
           "(stabilizers F_p^*, the scalars, of order p - 1)")
 print()

@@ -24,6 +24,13 @@ def divides_once(p: int, n: int) -> bool:
     return n % p == 0 and (n // p) % p != 0
 
 
+def legendre_symbol(a: int, p: int) -> int:
+    """(a/p) for an odd prime p by Euler's criterion: a^((p-1)/2) is 1, -1 or
+    0 mod p.  `cmlab.congruence_case` and the non-residue of `quatlab` read it."""
+    power = pow(a, (p - 1) // 2, p)
+    return power - p if power > 1 else power
+
+
 class CertificateError(AssertionError):
     """A certificate's mathematical claim fails on its inputs; the message is
     the reason.  `cli.run_suite` reports it as the check's fail details.

@@ -20,9 +20,12 @@ wraps every call, whereas a name bound at that later import would escape it.
 A value that several checks read is built at most once per run and passed
 in: `suite(config)` wraps its builder in `once`, so the memo is made when
 the suite is built and dies with the run, and the checks hand the value to
-the layer functions as an argument.  A builder that raises is not run
+the layer functions as an argument.  A builder of a prime, such as the
+census `ledger.ss_survey(p)` or the algebra table at p, is built once for
+each prime, whichever checks read it.  A builder that raises is not run
 again: every check that reads it gets the same exception.  No layer module
-memoizes.
+memoizes, and no builder runs twice with equal arguments in a run (a
+`tests/test_cli.py` test).
 """
 
 from __future__ import annotations
@@ -49,17 +52,18 @@ class Check:
     run: Callable[[], str]  # the pass details; a failure raises CertificateError
 
 
-def once(builder: Callable[[], T]) -> Callable[[], T]:
-    """The builder's value, or the exception it raised, kept for the run."""
-    outcome: list = []
+def once(builder: Callable[..., T]) -> Callable[..., T]:
+    """The builder's value for each tuple of arguments, or the exception it
+    raised, kept for the run."""
+    outcomes: dict = {}
 
-    def value() -> T:
-        if not outcome:
+    def value(*args) -> T:
+        if args not in outcomes:
             try:
-                outcome.append((builder(), None))
+                outcomes[args] = (builder(*args), None)
             except Exception as error:
-                outcome.append((None, error))
-        result, error = outcome[0]
+                outcomes[args] = (None, error)
+        result, error = outcomes[args]
         if error is not None:
             raise error
         return result

@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 
 from .. import CM_CONGRUENCES, CertificateError, cmlab, divides_once
-from . import Check, Config
+from . import Check, Config, once
 
 
 def _cache(config: Config) -> cmlab.ClassPolyCache | None:
@@ -32,11 +32,11 @@ def _make_crosscheck(row: cmlab.TableRow):
     return run
 
 
-def _make_congruence(disc: int, p: int, config: Config):
+def _make_congruence(disc: int, p: int, class_polynomial):
     def run():
         sign = "-" if cmlab.congruence_case(disc, p) == 1 else "+"
         spec = cmlab.standard_spec(p, sign)
-        H = cmlab.class_polynomial(disc, cache=_cache(config))
+        H = class_polynomial(disc)
         result = cmlab.congruence_check(H, spec)
         # the certified error n/d is below 2^-k: n < 2^bits(n), d >= 2^(bits(d) - 1)
         error = H.max_rounding_error
@@ -70,6 +70,8 @@ def suite(config: Config) -> list[Check]:
     discs = config.discriminants
     rows_by_disc = {row.discriminant: row for row in cmlab.table_rows()}
     defaults = {5: tuple(rows_by_disc), **cmlab.EXTRA_DISCRIMINANTS}
+    # one build of H_D however many primes divide D exactly once
+    class_polynomial = once(lambda disc: cmlab.class_polynomial(disc, cache=_cache(config)))
     checks: list[Check] = []
     for p in primes:
         if p not in CM_CONGRUENCES:
@@ -82,5 +84,5 @@ def suite(config: Config) -> list[Check]:
                 checks.append(Check(f"{tag}-row", "tables 3-4", _make_crosscheck(row)))
             if divides_once(p, disc):
                 checks.append(Check(f"{tag}-congruence", anchor,
-                                    _make_congruence(disc, p, config)))
+                                    _make_congruence(disc, p, class_polynomial)))
     return checks

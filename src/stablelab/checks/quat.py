@@ -3,36 +3,37 @@ F_p[i, eps_j, eps_k]."""
 
 from __future__ import annotations
 
+from functools import partial
+
 from .. import CertificateError, quatlab
 from ..exactmath import sym
-from . import Check, Config
+from . import Check, Config, once
 
 
-def _make_algebra_check(p: int):
-    def run():
-        alpha = quatlab.smallest_nonresidue(p)
-        table = quatlab.build_algebra(quatlab.AlgebraParams(p, alpha))
-        if table[(1, 2)] != (0, 0, 0, 1):
-            raise CertificateError("i * eps_j != eps_k")
-        if table[(2, 3)] != (0, 0, 0, 0) or table[(2, 2)] != (0, 0, 0, 0):
-            raise CertificateError("nilpotent products do not vanish")
-        if table[(1, 3)] != (0, 0, alpha % p, 0):
-            raise CertificateError("i * eps_k != alpha * eps_j")
-        return f"alpha = {alpha}: relations hold, associativity exhaustive on basis"
-
-    return run
+def _algebra(p: int):
+    """The algebra at p, alpha its smallest non-residue, and the structure
+    constants that `build_algebra` certified for it."""
+    params = quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p))
+    return params, quatlab.build_algebra(params)
 
 
-def _make_orbit_check(p: int):
-    def run():
-        alpha = quatlab.smallest_nonresidue(p)
-        orbits = quatlab.orbit_analysis(quatlab.AlgebraParams(p, alpha))
-        return (
-            f"{len(orbits)} orbits of size {p + 1}; stabilizers F_p^*; "
-            "invariant c^2 - alpha*d^2 separates classes"
-        )
+def _check_algebra(p: int, algebra):
+    (_, alpha), table = algebra(p)
+    if table[(1, 2)] != (0, 0, 0, 1):
+        raise CertificateError("i * eps_j != eps_k")
+    if table[(2, 3)] != (0, 0, 0, 0) or table[(2, 2)] != (0, 0, 0, 0):
+        raise CertificateError("nilpotent products do not vanish")
+    if table[(1, 3)] != (0, 0, alpha % p, 0):
+        raise CertificateError("i * eps_k != alpha * eps_j")
+    return f"alpha = {alpha}: relations hold, associativity exhaustive on basis"
 
-    return run
+
+def _check_orbits(p: int, algebra):
+    orbits = quatlab.orbit_analysis(*algebra(p))
+    return (
+        f"{len(orbits)} orbits of size {p + 1}; stabilizers F_p^*; "
+        "invariant c^2 - alpha*d^2 separates classes"
+    )
 
 
 def _check_uniformizer():
@@ -68,10 +69,13 @@ def _check_quaternion_norm():
 
 def suite(config: Config) -> list[Check]:
     primes = config.primes if config.primes is not None else (5, 7, 13, 17)
+    algebra = once(_algebra)
     checks = []
     for p in primes:
-        checks.append(Check(f"lemma-3.4.1-algebra-p{p:02d}", "lemma 3.4.1", _make_algebra_check(p)))
-        checks.append(Check(f"lemma-3.4.1-orbits-p{p:02d}", "lemma 3.4.1", _make_orbit_check(p)))
+        checks.append(Check(f"lemma-3.4.1-algebra-p{p:02d}", "lemma 3.4.1",
+                            partial(_check_algebra, p, algebra)))
+        checks.append(Check(f"lemma-3.4.1-orbits-p{p:02d}", "lemma 3.4.1",
+                            partial(_check_orbits, p, algebra)))
     checks += [
         Check("example-3.4.2-uniformizer", "example 3.4.2", _check_uniformizer),
         Check("example-3.4.3-refinement", "example 3.4.3", _check_refinement),

@@ -19,9 +19,10 @@ def _check_table1(g_plus):
     roundtrip = curve125.normal_form(
         g_plus.substitute("x0", curve125.x - curve125.r), [curve125.R_SYMBOL]
     )
-    if roundtrip != curve125.plus_curve_model().f_plus:
+    if roundtrip != curve125.F_PLUS:
         raise CertificateError("round-trip back to the original model is inexact")
-    return f"all 16 table cells match exactly ({nonzero} monomials); round-trip exact"
+    return (f"all {len(curve125.TABLE1)} table cells match exactly ({nonzero} monomials); "
+            "round-trip exact")
 
 
 def _check_ram_valuations(ram):

@@ -19,7 +19,7 @@ import os
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import CM_CONGRUENCES, CertificateError, divides_once
+from . import CM_CONGRUENCES, CertificateError, divides_once, legendre_symbol
 from .exactmath import INF, characteristic_polynomial, root_valuation_multiset, univariate_mul
 from .exactmath import newton_polygon  # noqa: F401  perfbench's tracer test reads it here
 
@@ -481,7 +481,7 @@ def congruence_case(discriminant: int, p: int) -> int:
     if discriminant >= 0 or not divides_once(p, discriminant):
         raise ValueError(f"p = {p} must divide the discriminant {discriminant} exactly once")
     unit = (-(discriminant // p)) % p
-    return 1 if pow(unit, (p - 1) // 2, p) == 1 else 2
+    return 1 if legendre_symbol(unit, p) == 1 else 2
 
 
 def standard_spec(p: int, sign: str) -> CongruenceSpec:

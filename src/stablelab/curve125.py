@@ -1,16 +1,17 @@
 """Plane models of X0(125)+ / X0(125) and their exact reduction certificates.
 
-The plus-quotient curve is the 14-term quintic-quartic f+(x, y) = 0 together
-with the fiber equation x*u**2 - y*u + 5 = 0 that cuts out the degree-2
-extension up to X0(125).  Everything here is certified with exact rational
-arithmetic: coefficient tables over Q[r] (r a fixed root of r^5 + 25r - 25),
-Newton polygons of the ramification polynomials, pairwise root-distance
-multisets, the valuation envelopes behind the annulus parameterization, and
-one valuation-part certificate, `verify_reduction`: on a circle, nothing of a
-model lies below a level and its terms at that level are exactly a named
-equation.  It certifies the approximating equation x0^5 + 25*x0 = 15*y^2
-(eq 3), the good-reduction residue y1^2 = 2*x1^5 + 2*x1 (eq 4) and the
-genus-0-component equation (eq 6).
+The plus-quotient curve is the 14-term quintic-quartic F_PLUS = f+(x, y) = 0
+together with the fiber equation FIBER = x*u**2 - y*u + 5 = 0 that cuts out
+the degree-2 extension up to X0(125); TABLE1 is the paper's table of the
+shifted model g+(x0, y) = f+(x0 + r, y).  Everything here is certified with
+exact rational arithmetic: coefficient tables over Q[r] (r a fixed root of
+r^5 + 25r - 25), Newton polygons of the ramification polynomials, pairwise
+root-distance multisets, the valuation envelopes behind the annulus
+parameterization, and one valuation-part certificate, `verify_reduction`: on
+a circle, nothing of a model lies below a level and its terms at that level
+are exactly a named equation.  It certifies the approximating equation
+x0^5 + 25*x0 = 15*y^2 (eq 3), the good-reduction residue
+y1^2 = 2*x1^5 + 2*x1 (eq 4) and the genus-0-component equation (eq 6).
 """
 
 from __future__ import annotations
@@ -54,10 +55,33 @@ SQRT15_SYMBOL = ValuedSymbol("sqrt15", F(1, 2), (2, SymbolicPolynomial.constant(
 #: 1/r, read off the rule r^5 -> 25 - 25r: r * (r^4 + 25) = 25
 R_INVERSE = (r**4 + 25) / 25
 
-
-class PlusCurveModel(NamedTuple):
-    f_plus: SymbolicPolynomial
-    fiber: SymbolicPolynomial
+#: f+(x, y), the 14-term quintic-quartic model of X0(125)+
+F_PLUS = (
+    y**4 - x**5 + 5 * x * y**3 + 15 * x**2 * y**2 + 25 * x**3 * y
+    + 25 * x**4 + 5 * y**3 + 5 * x * y**2 - 25 * x**3 + 15 * y**2
+    + 25 * x**2 + 25 * y - 25 * x + 25
+)
+#: the fiber equation x*u^2 - y*u + 5 of the degree-2 cover X0(125) -> X0(125)+
+FIBER = x * u**2 - y * u + 5
+#: table 1, the published coefficients of g+(x0, y): (x0 exp, y exp) -> Q[r]
+TABLE1 = {
+    (5, 0): SymbolicPolynomial.constant(-1),
+    (4, 0): -5 * r + 25,
+    (3, 1): SymbolicPolynomial.constant(25),
+    (3, 0): -10 * r**2 + 100 * r - 25,
+    (2, 2): SymbolicPolynomial.constant(15),
+    (2, 1): 75 * r,
+    (2, 0): -10 * r**3 + 150 * r**2 - 75 * r + 25,
+    (1, 3): SymbolicPolynomial.constant(5),
+    (1, 2): 30 * r + 5,
+    (1, 1): 75 * r**2,
+    (1, 0): -5 * r**4 + 100 * r**3 - 75 * r**2 + 50 * r - 25,
+    (0, 4): SymbolicPolynomial.constant(1),
+    (0, 3): 5 * r + 5,
+    (0, 2): 15 * r**2 + 5 * r + 15,
+    (0, 1): 25 * r**3 + 25,
+    (0, 0): 25 * r**4 - 25 * r**3 + 25 * r**2,
+}
 
 
 class RamificationData(NamedTuple):
@@ -67,51 +91,19 @@ class RamificationData(NamedTuple):
     x_distance_multiset: tuple[tuple[Fraction, int], ...]
 
 
-def plus_curve_model() -> PlusCurveModel:
-    f_plus = (
-        y**4 - x**5 + 5 * x * y**3 + 15 * x**2 * y**2 + 25 * x**3 * y
-        + 25 * x**4 + 5 * y**3 + 5 * x * y**2 - 25 * x**3 + 15 * y**2
-        + 25 * x**2 + 25 * y - 25 * x + 25
-    )
-    fiber = x * u**2 - y * u + 5
-    return PlusCurveModel(f_plus, fiber)
-
-
-def table1_coefficients() -> dict[tuple[int, int], SymbolicPolynomial]:
-    """The published coefficient table of g+(x0, y): (x0 exp, y exp) -> Q[r]."""
-    return {
-        (5, 0): SymbolicPolynomial.constant(-1),
-        (4, 0): -5 * r + 25,
-        (3, 1): SymbolicPolynomial.constant(25),
-        (3, 0): -10 * r**2 + 100 * r - 25,
-        (2, 2): SymbolicPolynomial.constant(15),
-        (2, 1): 75 * r,
-        (2, 0): -10 * r**3 + 150 * r**2 - 75 * r + 25,
-        (1, 3): SymbolicPolynomial.constant(5),
-        (1, 2): 30 * r + 5,
-        (1, 1): 75 * r**2,
-        (1, 0): -5 * r**4 + 100 * r**3 - 75 * r**2 + 50 * r - 25,
-        (0, 4): SymbolicPolynomial.constant(1),
-        (0, 3): 5 * r + 5,
-        (0, 2): 15 * r**2 + 5 * r + 15,
-        (0, 1): 25 * r**3 + 25,
-        (0, 0): 25 * r**4 - 25 * r**3 + 25 * r**2,
-    }
-
-
 def build_shifted_model() -> SymbolicPolynomial:
     """g+(x0, y) = f+(x0 + r, y) reduced mod r^5 + 25r - 25 (table 1).
 
     Every coefficient of x0^i y^j (i <= 5, j <= 4) is compared exactly with
-    `table1_coefficients()`; any mismatch raises CertificateError.
+    `TABLE1`; any mismatch raises CertificateError.
     """
-    model = plus_curve_model()
-    g_plus = normal_form(model.f_plus.substitute("x", x0 + r), [R_SYMBOL])
-    expected = table1_coefficients()
+    g_plus = normal_form(F_PLUS.substitute("x", x0 + r), [R_SYMBOL])
+    zero = SymbolicPolynomial.zero()
+    by_x0 = g_plus.as_univariate("x0")
     for i in range(6):
+        by_y = by_x0.get(i, zero).as_univariate("y")
         for j in range(5):
-            got = g_plus.coefficient("x0", i).coefficient("y", j)
-            want = expected.get((i, j), SymbolicPolynomial.zero())
+            got, want = by_y.get(j, zero), TABLE1.get((i, j), zero)
             if got != want:
                 raise CertificateError(
                     f"shifted-model coefficient of x0^{i} y^{j} is {got}, expected {want}"
@@ -189,8 +181,7 @@ def ramification_polynomials() -> RamificationData:
     ten ramification points (which satisfy y^2 = 20x), plus their pairwise
     root-distance valuation multisets.  p_ram_x is the characteristic
     polynomial of x = y^2/20 over the roots of p_ram_y."""
-    model = plus_curve_model()
-    p_ram_y_poly = 20**5 * model.f_plus.substitute("x", (y * y) / 20)
+    p_ram_y_poly = 20**5 * F_PLUS.substitute("x", (y * y) / 20)
     p_ram_y = integer_coeffs(p_ram_y_poly, "y")
     p_ram_x = characteristic_polynomial([0, 0, F(1, 20)], p_ram_y)
     if len(p_ram_y) != 11 or len(p_ram_x) != 11:
@@ -244,8 +235,10 @@ def verify_dominance_eq3(g_plus: SymbolicPolynomial) -> None:
     x0 then forces v(x0) = 1/2 at all five roots over any y on that circle."""
     assignment = {**symbol_valuations([R_SYMBOL], P), **EQ3_ASSIGNMENT}
     verify_reduction(g_plus, assignment, F(5, 2), EQ3)
+    by_x0 = g_plus.as_univariate("x0")
     coeff_minima = [
-        min_valuation(g_plus.coefficient("x0", i), assignment, P).value for i in range(6)
+        min_valuation(by_x0.get(i, SymbolicPolynomial.zero()), assignment, P).value
+        for i in range(6)
     ]
     roots = newton_polygon(coeff_minima).root_valuations()
     if roots != ((EQ3_ASSIGNMENT["x0"], 5),):
@@ -392,5 +385,5 @@ def hensel_certificate(g_plus: SymbolicPolynomial) -> Fraction:
 
 def fiber_square_identity() -> None:
     """(2xu - y)^2 - (y^2 - 20x) == 4x * (xu^2 - yu + 5), both sides expanded."""
-    if (2 * x * u - y) ** 2 - (y**2 - 20 * x) != 4 * x * plus_curve_model().fiber:
+    if (2 * x * u - y) ** 2 - (y**2 - 20 * x) != 4 * x * FIBER:
         raise CertificateError("the fiber square identity has a nonzero remainder")

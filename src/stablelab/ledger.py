@@ -93,7 +93,11 @@ def _kronecker_minus3(p: int) -> int:
 
 class SSClassSurvey(NamedTuple):
     entries: tuple[tuple[int, int], ...]  # (|Aut|, number of curves)
-    mass: Fraction
+
+    @property
+    def mass(self) -> Fraction:
+        """sum 1/|Aut| over the curves of the census."""
+        return sum(F(n, a) for a, n in self.entries)
 
 
 def ss_survey(p: int) -> SSClassSurvey:
@@ -117,7 +121,7 @@ def ss_survey(p: int) -> SSClassSurvey:
         entries.append((4, 1))
     if has6:
         entries.append((6, 1))
-    survey = SSClassSurvey(tuple(entries), sum(F(n, a) for a, n in entries))
+    survey = SSClassSurvey(tuple(entries))
     if survey.mass != F(p - 1, 24):
         raise CertificateError(
             f"Eichler mass formula fails at p = {p}: sum 1/|Aut| = {survey.mass}, "
@@ -160,13 +164,9 @@ def supersingular_j_invariants(p: int) -> tuple[int, ...]:
 # -- component budgets -------------------------------------------------------
 
 
-class ComponentBudget(NamedTuple):
-    total_known: int
-    curve_genus: int
-
-
-def component_budget(p: int) -> ComponentBudget:
-    """Genus budget for the conjectural components of X0(p^3) (guess 3.4.6).
+def component_budget(p: int, survey: SSClassSurvey, curve_genus: int) -> int:
+    """Known genus total of the conjectural components of X0(p^3) (guess
+    3.4.6), from the census `ss_survey(p)` and the genus `genus_x0(p**3)`.
 
     Per supersingular curve with i = |Aut|/2: one component over the
     Atkin-Lehner circle and two Edixhoven-type components, all of genus 0,
@@ -175,11 +175,10 @@ def component_budget(p: int) -> ComponentBudget:
     exceed the genus of X0(p^3); for p = 5 it is exactly 8 = 4 * 2.
     """
     total = 0
-    for aut_order, count in ss_survey(p).entries:
+    for aut_order, count in survey.entries:
         total += count * 2 * quatlab.class_count(p, aut_order) * ((p - 1) // 2)
-    curve_genus = genus_x0(p**3)
     if total > curve_genus:
         raise CertificateError(
             f"component budget {total} exceeds the genus {curve_genus} of X0({p**3})"
         )
-    return ComponentBudget(total, curve_genus)
+    return total

@@ -169,7 +169,7 @@ def ramification_u_polynomial() -> list[int]:
     u**10 reverses its coefficients.
     """
     w = sym("w")
-    f_w = curve125.plus_curve_model().f_plus.substitute("x", 5 * w**2).substitute("y", 10 * w)
+    f_w = curve125.F_PLUS.substitute("x", 5 * w**2).substitute("y", 10 * w)
     p_ram_w = curve125.integer_coeffs(f_w, "w")
     if len(p_ram_w) != 11:
         raise CertificateError("the ramification u-polynomial must have degree 10")

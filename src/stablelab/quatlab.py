@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import CertificateError
+from . import CertificateError, legendre_symbol
 from .exactmath import SymbolicPolynomial, is_prime, sym
 
 
@@ -35,14 +35,14 @@ class AlgebraParams(NamedTuple("AlgebraParams", [("p", int), ("alpha", int)])):
     def __new__(cls, p: int, alpha: int):
         if p < 3 or not is_prime(p):
             raise ValueError(f"{p} is not an odd prime")
-        if pow(alpha % p, (p - 1) // 2, p) != p - 1:
+        if legendre_symbol(alpha, p) != -1:
             raise ValueError(f"{alpha} is not a quadratic non-residue mod {p}")
         return super().__new__(cls, p, alpha)
 
 
 def smallest_nonresidue(p: int) -> int:
     for candidate in range(2, p):
-        if pow(candidate, (p - 1) // 2, p) == p - 1:
+        if legendre_symbol(candidate, p) == -1:
             return candidate
     raise ValueError(f"no non-residue found mod {p}")
 
@@ -98,24 +98,25 @@ def build_algebra(params: AlgebraParams) -> dict[tuple[int, int], tuple[int, int
     return table
 
 
-def orbit_analysis(params: AlgebraParams) -> tuple[tuple[int, AbarElement, int], ...]:
+def orbit_analysis(
+    params: AlgebraParams, table: dict[tuple[int, int], tuple[int, int, int, int]]
+) -> tuple[tuple[int, AbarElement, int], ...]:
     """Conjugation orbits of F_{p^2}^* on the nonzero nilradical, certified
     from the algebra's structure in O(p^2) operations, as (size,
     representative, c^2 - alpha d^2) triples.
 
     Write c eps_j + d eps_k = z eps_j with z = c + d*i.  The basis identities
-    i eps_j = eps_k = -eps_j i, checked on the table of `build_algebra`, give
-    eps_j g = conj(g) eps_j by bilinearity, so g (z eps_j) g^-1 =
-    (g / conj(g)) z eps_j: conjugation by g is multiplication by
-    u = g / conj(g).  One pass over F_{p^2}^* verifies that the kernel of
-    g -> u is F_p^* (every stabilizer, since z is a unit) and that the image
-    has p + 1 elements of norm 1, hence is the whole norm-one group.  The
-    orbits are therefore the fibres of the invariant N(z) = c^2 - alpha d^2,
-    verified to be p - 1 fibres of size p + 1.  Any failure raises
-    CertificateError.
+    i eps_j = eps_k = -eps_j i, checked on `table` (the structure constants
+    that `build_algebra(params)` certified), give eps_j g = conj(g) eps_j by
+    bilinearity, so g (z eps_j) g^-1 = (g / conj(g)) z eps_j: conjugation by
+    g is multiplication by u = g / conj(g).  One pass over F_{p^2}^*
+    verifies that the kernel of g -> u is F_p^* (every stabilizer, since z
+    is a unit) and that the image has p + 1 elements of norm 1, hence is the
+    whole norm-one group.  The orbits are therefore the fibres of the
+    invariant N(z) = c^2 - alpha d^2, verified to be p - 1 fibres of size
+    p + 1.  Any failure raises CertificateError.
     """
     p, alpha = params.p, params.alpha
-    table = build_algebra(params)
     if table[(1, 2)] != (0, 0, 0, 1) or table[(2, 1)] != (0, 0, 0, p - 1):
         raise CertificateError("i eps_j = eps_k = -eps_j i fails on the basis")
     one = AbarElement(1, 0, 0, 0)

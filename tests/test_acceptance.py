@@ -32,7 +32,7 @@ def conclude(number: int, name: str, ok: bool, detail: str = ""):
 
 def test_c01_table1_reproduction():
     g_plus = curve125.build_shifted_model()  # raises on any coefficient mismatch
-    table = curve125.table1_coefficients()
+    table = curve125.TABLE1
     cells = {
         (i, j): g_plus.coefficient("x0", i).coefficient("y", j)
         for i in range(6)
@@ -168,7 +168,8 @@ def test_c09_quaternion_suite():
     orbit_ok = True
     for p in (5, 7, 13, 17):
         try:
-            quatlab.orbit_analysis(quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p)))
+            params = quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p))
+            quatlab.orbit_analysis(params, quatlab.build_algebra(params))
         except CertificateError:
             orbit_ok = False
     image = quatlab.uniformizer_image_search()
@@ -198,12 +199,14 @@ def test_c10_genus_ledger():
         for p in range(5, 100)
         if ledger.is_prime(p)
     )
-    budget5 = ledger.component_budget(5)
+    def budget(p):
+        return ledger.component_budget(p, ledger.ss_survey(p), ledger.genus_x0(p**3))
+
     budget_ok = (
-        budget5.total_known == budget5.curve_genus == 8
-        and ledger.component_budget(7).total_known <= 26
-        and ledger.component_budget(13).total_known <= 184
-        and ledger.component_budget(17).total_known <= 417
+        budget(5) == ledger.genus_x0(125) == 8
+        and budget(7) <= 26
+        and budget(13) <= 184
+        and budget(17) <= 417
     )
     exponents_ok = True
     for p, exponent, center in ((5, 2, 0), (7, 4, 1728), (13, 14, 5)):

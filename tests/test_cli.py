@@ -103,6 +103,46 @@ def test_each_shared_value_is_built_once_per_run(monkeypatch):
         assert calls == dict.fromkeys(calls, runs)
 
 
+#: module -> the functions that build a value some check reads
+_BUILDERS = {
+    "curve125": ("build_shifted_model", "ramification_polynomials", "hensel_certificate"),
+    "modmaps": ("builtin_maps", "ramification_u_polynomial"),
+    "sslab": ("division_polynomial_5", "torsion_polygon"),
+    "quatlab": ("smallest_nonresidue", "build_algebra"),
+    "ledger": ("ss_survey", "genus_x0", "supersingular_j_invariants"),
+    "cmlab": ("class_polynomial",),
+}
+
+
+def test_no_builder_runs_twice_with_equal_arguments_in_a_run(monkeypatch):
+    """Each suite builds a value once per run and passes it to every check
+    that reads it: no builder is called twice with equal arguments, not even
+    H_D for a D = -35 that two cm primes divide exactly once."""
+    import importlib
+
+    from stablelab.checks import SUITES
+
+    calls = []
+
+    def recorded(name, builder):
+        def record(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return builder(*args, **kwargs)
+
+        return record
+
+    for module_name, names in _BUILDERS.items():
+        module = importlib.import_module(f"stablelab.{module_name}")
+        for name in names:
+            monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+    for suite, config in [*((suite, Config()) for suite in SUITES),
+                          ("cm", Config(discriminants=(-35,)))]:
+        calls.clear()
+        run(suite, config)
+        repeated = [call for i, call in enumerate(calls) if call in calls[:i]]
+        assert calls and not repeated, (suite, repeated)
+
+
 def test_maps_suite_builds_the_maps_once_per_run(monkeypatch):
     """The six checks that read table 2 and the ramification image share one
     build of the maps, and each run builds them anew."""
@@ -136,9 +176,8 @@ def test_a_wrong_table1_cell_fails_the_g_plus_checks_with_its_reason(monkeypatch
     others keep their verdicts, and nothing is an internal error."""
     from stablelab import curve125
 
-    table = curve125.table1_coefficients
-    wrong = {**table(), (2, 2): table()[(2, 2)] + 1}  # 15 y^2 x0^2 becomes 16
-    monkeypatch.setattr(curve125, "table1_coefficients", lambda: wrong)
+    wrong = {**curve125.TABLE1, (2, 2): curve125.TABLE1[(2, 2)] + 1}  # 15 y^2 x0^2 becomes 16
+    monkeypatch.setattr(curve125, "TABLE1", wrong)
     report = run("stable-model")
     details = {r.id: r.details for r in report.results if r.status == "fail"}
     assert set(details) == {*_G_PLUS_CHECKS, "claim-2.2.2-x-distances"}
@@ -152,15 +191,15 @@ def test_a_failed_shared_certificate_is_built_once_per_run(monkeypatch):
     wrong table-1 cell the five checks that read g+ share one failed build."""
     from stablelab import curve125
 
-    table, build = curve125.table1_coefficients, curve125.build_shifted_model
-    wrong = {**table(), (2, 2): table()[(2, 2)] + 1}
+    build = curve125.build_shifted_model
+    wrong = {**curve125.TABLE1, (2, 2): curve125.TABLE1[(2, 2)] + 1}
     builds = []
 
     def counted():
         builds.append(None)
         return build()
 
-    monkeypatch.setattr(curve125, "table1_coefficients", lambda: wrong)
+    monkeypatch.setattr(curve125, "TABLE1", wrong)
     monkeypatch.setattr(curve125, "build_shifted_model", counted)
     for runs in (1, 2):
         assert run("stable-model").overall == "fail"
@@ -216,16 +255,14 @@ def test_a_wrong_valuation_of_r_fails_every_check_that_reads_it(monkeypatch):
 
 
 def test_a_failed_mass_identity_fails_the_checks_that_read_the_census(monkeypatch):
-    """A survey whose mass is not (p-1)/24 fails conjecture 3.4.5's
-    certificate: every check that reads a census reports the reason."""
-    from fractions import Fraction
-
+    """A census whose mass is not (p-1)/24 fails conjecture 3.4.5's
+    certificate: with one wrong entry, a curve with 24 automorphisms, which
+    no supersingular curve in characteristic p > 3 has, every check that
+    reads the census reports the one reason of its one failed build."""
     from stablelab import ledger
 
     record = ledger.SSClassSurvey
-    monkeypatch.setattr(
-        ledger, "SSClassSurvey", lambda entries, mass: record(entries, mass + Fraction(1, 24))
-    )
+    monkeypatch.setattr(ledger, "SSClassSurvey", lambda entries: record((*entries, (24, 1))))
     report = run("ledger", Config(primes=(5,)))
     details = {r.id: r.details for r in report.results if r.status == "fail"}
     assert set(details) == {"mass-formula", "survey-p05", "budget-p05", "exponent-center-crosscheck"}

@@ -43,17 +43,17 @@ def hensel_pieces(g_plus):
 
 
 def test_plus_curve_model_terms():
-    model = curve125.plus_curve_model()
+    f_plus = curve125.F_PLUS
     # the published quintic-quartic has 14 monomials (the shifted model's
     # table has 16 nonzero cells; see test_table1_spot_values)
-    assert len(model.f_plus.terms) == 14
-    assert model.f_plus.coefficient("x", 3).coefficient("y", 1) == 25
-    assert model.f_plus.coefficient("x", 0).coefficient("y", 0) == 25
-    assert model.fiber == x * sym("u") ** 2 - y * sym("u") + 5
+    assert len(f_plus.terms) == 14
+    assert f_plus.coefficient("x", 3).coefficient("y", 1) == 25
+    assert f_plus.coefficient("x", 0).coefficient("y", 0) == 25
+    assert curve125.FIBER == x * sym("u") ** 2 - y * sym("u") + 5
 
 
 def test_table1_spot_values():
-    table = curve125.table1_coefficients()
+    table = curve125.TABLE1
     assert table[(4, 0)] == -5 * r + 25
     assert table[(0, 4)] == 1
     assert (5, 1) not in table  # empty cell
@@ -68,7 +68,7 @@ def test_table1_spot_values():
 def test_shifted_model_roundtrip():
     g_plus = curve125.build_shifted_model()
     back = normal_form(g_plus.substitute("x0", x - r), [curve125.R_SYMBOL])
-    assert back == curve125.plus_curve_model().f_plus
+    assert back == curve125.F_PLUS
 
 
 def test_ramification_valuation_table():
@@ -117,10 +117,9 @@ def test_distance_multisets_consistency():
 def test_p_ram_x_even_odd_route():
     """Independent construction of p_ram_x: split f+ into even/odd y-parts on
     y^2 = 20x; the resultant must equal E^2 - 20x * O^2 up to sign."""
-    model = curve125.plus_curve_model()
     even = SymbolicPolynomial.zero()
     odd = SymbolicPolynomial.zero()
-    for e, coeff_poly in model.f_plus.as_univariate("y").items():
+    for e, coeff_poly in curve125.F_PLUS.as_univariate("y").items():
         replaced = coeff_poly * (20 * x) ** (e // 2)
         if e % 2 == 0:
             even = even + replaced
@@ -136,7 +135,7 @@ def test_p_ram_x_sylvester_interpolation_route():
     """Third route to p_ram_x: Res_y(f+(x0, y), y^2 - 20*x0) by Sylvester/Bareiss
     at 11 integer points x0, then interpolation (f+ is monic in y, so the
     resultant commutes with specialising x)."""
-    f_plus = curve125.plus_curve_model().f_plus
+    f_plus = curve125.F_PLUS
     samples = []
     for x0 in range(-5, 6):
         f_y = [int(c) for c in poly_to_coeffs(f_plus.substitute("x", x0), "y")]
@@ -447,13 +446,12 @@ def test_eq6_fails_without_a_positive_hensel_bound():
 def test_fiber_square_identity(monkeypatch):
     assert curve125.fiber_square_identity() is None
     u = sym("u")
-    assert (2 * x * u - y) ** 2 - (y**2 - 20 * x) == 4 * x * curve125.plus_curve_model().fiber
+    assert (2 * x * u - y) ** 2 - (y**2 - 20 * x) == 4 * x * curve125.FIBER
     # u = y/(2x) kills (2xu - y)^2, so y^2 - 20x = -4x * fiber / x-part there;
     # numeric check at x=1, y=0, u=t: (2t)^2 + 20 = 4(t^2 + 5)
     t = sym("t")
     assert (2 * t) ** 2 + 20 == 4 * (t**2 + 5)
-    model = curve125.plus_curve_model()
-    monkeypatch.setattr(curve125, "plus_curve_model", lambda: model._replace(fiber=model.fiber + 1))
+    monkeypatch.setattr(curve125, "FIBER", curve125.FIBER + 1)
     with pytest.raises(CertificateError, match="nonzero remainder"):
         curve125.fiber_square_identity()
 

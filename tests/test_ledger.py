@@ -63,30 +63,30 @@ def test_supersingular_centers():
     assert ledger.supersingular_j_invariants(13) == (5,)
 
 
+def _budget(p):
+    return ledger.component_budget(p, ledger.ss_survey(p), ledger.genus_x0(p**3))
+
+
 def test_component_budget_exact_for_5():
-    budget = ledger.component_budget(5)
-    assert budget.total_known == 8 == budget.curve_genus
+    assert _budget(5) == 8 == ledger.genus_x0(125)
     # one supersingular curve, |Aut| = 6: 4 CM components of genus (5 - 1)/2 = 2
     ((aut, count),) = ledger.ss_survey(5).entries
     assert count == 1 and 2 * quatlab.class_count(5, aut) == 4
 
 
 def test_component_budgets_inequality():
-    assert ledger.component_budget(7).total_known == 24 <= 26
-    assert ledger.component_budget(13).total_known == 168 <= 184
-    budget17 = ledger.component_budget(17)
-    assert budget17.total_known == 384 <= 417
+    assert _budget(7) == 24 <= 26
+    assert _budget(13) == 168 <= 184
+    assert _budget(17) == 384 <= 417
     census = ledger.ss_survey(17).entries
     assert sum(count * 2 * quatlab.class_count(17, aut) for aut, count in census) == 12 + 36
 
 
-def test_component_budget_violations(monkeypatch):
+def test_component_budget_violations():
     """With g(X0(125)) read as 7, the four genus-2 components overflow it."""
-    genus_x0 = ledger.genus_x0
-    monkeypatch.setattr(ledger, "genus_x0", lambda N: 7 if N == 125 else genus_x0(N))
     with pytest.raises(CertificateError, match="component budget 8 exceeds the genus 7"):
-        ledger.component_budget(5)
-    assert ledger.component_budget(7).total_known == 24
+        ledger.component_budget(5, ledger.ss_survey(5), 7)
+    assert ledger.component_budget(7, ledger.ss_survey(7), 24) == 24
 
 
 def test_survey_crosscheck_stops_where_the_counts_part():
@@ -116,8 +116,9 @@ def test_exponent_center_crosscheck_reads_the_congruence_table(monkeypatch):
     from stablelab import cmlab
     from stablelab.checks.ledger import _check_exponent_centers
 
-    assert _check_exponent_centers().startswith("(p+1)/i = 2, 4, 14 matches")
+    builders = ledger.ss_survey, ledger.supersingular_j_invariants
+    assert _check_exponent_centers(*builders).startswith("(p+1)/i = 2, 4, 14 matches")
     monkeypatch.setitem(stablelab.CM_CONGRUENCES, 7, ("conjecture 3.3.2", 1728, 3, 4))
     assert cmlab.standard_spec(7, "-").exponent == 3
     with pytest.raises(CertificateError, match=r"^\(p\+1\)/i = 4 != congruence exponent 3$"):
-        _check_exponent_centers()
+        _check_exponent_centers(*builders)

@@ -64,7 +64,7 @@ def test_nilradical_is_two_sided_ideal():
 @pytest.mark.parametrize("p", [5, 7, 13, 17, 101])
 def test_orbit_analysis(p):
     params = quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p))
-    orbits = quatlab.orbit_analysis(params)
+    orbits = quatlab.orbit_analysis(params, quatlab.build_algebra(params))
     assert len(orbits) == p - 1
     assert all(size == p + 1 for size, _, _ in orbits)
     assert sum(size for size, _, _ in orbits) == p * p - 1
@@ -111,7 +111,20 @@ def _enumerated_orbits(params):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_orbit_analysis_matches_enumeration(p):
     params = quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p))
-    assert quatlab.orbit_analysis(params) == _enumerated_orbits(params)
+    table = quatlab.build_algebra(params)
+    assert quatlab.orbit_analysis(params, table) == _enumerated_orbits(params)
+
+
+@pytest.mark.parametrize("cell, wrong", [((1, 2), (0, 0, 0, 6)), ((2, 1), (0, 0, 0, 1))],
+                         ids=["i-eps_j", "eps_j-i"])
+def test_orbit_analysis_reads_the_basis_identities_off_its_table(cell, wrong):
+    """The orbit certificate rests on i eps_j = eps_k = -eps_j i, which it
+    checks on the table it is given: a table with -eps_k for i eps_j, or
+    eps_k for eps_j i, is rejected."""
+    params = quatlab.AlgebraParams(7, 3)
+    table = {**quatlab.build_algebra(params), cell: wrong}
+    with pytest.raises(CertificateError, match="^i eps_j = eps_k = -eps_j i fails on the basis$"):
+        quatlab.orbit_analysis(params, table)
 
 
 def _commutative_multiply(x, y, params):
@@ -138,7 +151,8 @@ def test_orbit_certificate_rejects_mutants(monkeypatch, name, mutant):
     monkeypatch.setattr(quatlab, name, mutant)
     for p in (3, 5, 7, 13):
         with pytest.raises(CertificateError):
-            quatlab.orbit_analysis(quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p)))
+            params = quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p))
+            quatlab.orbit_analysis(params, quatlab.build_algebra(params))
     report = run_suite("quat", Config(primes=(7,)), clock=lambda: 0.0)
     orbits = {r.id: r for r in report.results}["lemma-3.4.1-orbits-p07"]
     assert orbits.status == "fail"

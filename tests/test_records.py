@@ -11,6 +11,7 @@ import pytest
 
 import stablelab
 from stablelab.exactmath import MinValuation, ParamPolygon
+from stablelab.ledger import SSClassSurvey
 from stablelab.modmaps import ImageCertificate
 from stablelab.sslab import TorsionProfile
 
@@ -38,10 +39,11 @@ def test_dataclasses_are_frozen(cls):
 
 
 def test_records_store_no_field_that_another_decides():
-    """A polygon's ends and breakpoints, a unique minimum and a canonical
-    subgroup are read off the fields that decide them, so no record can
-    state them inconsistently."""
+    """A polygon's ends and breakpoints, a unique minimum, a canonical
+    subgroup and a census's mass are read off the fields that decide them,
+    so no record can state them inconsistently."""
     assert ParamPolygon._fields == ("cells",)
     assert MinValuation._fields == ("value", "witnesses")
     assert TorsionProfile._fields == ("x_root_valuations", "z_valuations")
     assert ImageCertificate._fields == ("lower_bound", "unique")
+    assert SSClassSurvey._fields == ("entries",)
