@@ -26,7 +26,9 @@ def divides_once(p: int, n: int) -> bool:
 
 def legendre_symbol(a: int, p: int) -> int:
     """(a/p) for an odd prime p by Euler's criterion: a^((p-1)/2) is 1, -1 or
-    0 mod p.  `cmlab.congruence_case` and the non-residue of `quatlab` read it."""
+    0 mod p.  `cmlab.congruence_case`, the non-residue of `quatlab`, and
+    `ledger.kronecker` and the point count of `ledger.supersingular_j_invariants`
+    read it; no other module decides quadratic residuosity."""
     power = pow(a, (p - 1) // 2, p)
     return power - p if power > 1 else power
 

@@ -45,6 +45,11 @@ class Config(NamedTuple):
     cache_dir: str | None = None
 
 
+#: the primes of the quat and ledger suites when the config names none: the
+#: paper's p = 5 and the primes 7, 13, 17 of its figures 2-6
+DEFAULT_PRIMES = (5, 7, 13, 17)
+
+
 @dataclass(frozen=True)  # perfbench's tracer rebuilds a Check with dataclasses.replace
 class Check:
     id: str

@@ -7,7 +7,7 @@ from functools import partial
 
 from .. import CM_CONGRUENCES, CertificateError, ledger, quatlab
 from ..exactmath import is_prime
-from . import Check, Config, once
+from . import DEFAULT_PRIMES, Check, Config, once
 
 
 _GENUS_EXPECTED = {125: 8, 343: 26, 2197: 184, 4913: 417}
@@ -72,7 +72,7 @@ def _check_exponent_centers(survey, ss_js):
 
 
 def suite(config: Config) -> list[Check]:
-    primes = config.primes if config.primes is not None else (5, 7, 13, 17)
+    primes = config.primes if config.primes is not None else DEFAULT_PRIMES
     survey = once(ledger.ss_survey)
     genus = once(ledger.genus_x0)
     ss_js = once(ledger.supersingular_j_invariants)

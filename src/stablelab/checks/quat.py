@@ -7,7 +7,7 @@ from functools import partial
 
 from .. import CertificateError, quatlab
 from ..exactmath import sym
-from . import Check, Config, once
+from . import DEFAULT_PRIMES, Check, Config, once
 
 
 def _algebra(p: int):
@@ -60,15 +60,16 @@ def _check_class_counts():
 
 
 def _check_quaternion_norm():
-    a = quatlab.QuatElement(*(sym(name) for name in ("a1", "b1", "c1", "d1")))
-    b = quatlab.QuatElement(*(sym(name) for name in ("a2", "b2", "c2", "d2")))
-    if (a * b).norm() != a.norm() * b.norm():
+    a, b = quatlab.EXAMPLE_QUATERNIONS
+    norm = partial(quatlab.reduced_norm, a=a, b=b)
+    x, y = (tuple(sym(f"{name}{n}") for name in "abcd") for n in (1, 2))
+    if norm(quatlab.quaternion_product(x, y, a, b)) != norm(x) * norm(y):
         raise CertificateError("N(xy) - N(x)N(y) is not the zero polynomial")
     return "norm a^2 + b^2 + 7c^2 + 7d^2 multiplicative as a polynomial identity"
 
 
 def suite(config: Config) -> list[Check]:
-    primes = config.primes if config.primes is not None else (5, 7, 13, 17)
+    primes = config.primes if config.primes is not None else DEFAULT_PRIMES
     algebra = once(_algebra)
     checks = []
     for p in primes:

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import CertificateError, quatlab
+from . import CertificateError, legendre_symbol, quatlab
 from .exactmath import is_prime
 
 F = Fraction
@@ -61,13 +61,13 @@ def genus_x0(N: int) -> int:
     else:
         nu2 = 1
         for p in primes:
-            nu2 *= 1 + _kronecker_minus1(p)
+            nu2 *= 1 + kronecker(-4, p)
     if N % 9 == 0:
         nu3 = 0
     else:
         nu3 = 1
         for p in primes:
-            nu3 *= 1 + _kronecker_minus3(p)
+            nu3 *= 1 + kronecker(-3, p)
     nu_inf = sum(_euler_phi(math.gcd(d, N // d)) for d in _divisors(N))
 
     genus = 1 + F(mu, 12) - F(nu2, 4) - F(nu3, 3) - F(nu_inf, 2)
@@ -76,16 +76,16 @@ def genus_x0(N: int) -> int:
     return int(genus)
 
 
-def _kronecker_minus1(p: int) -> int:
-    if p == 2:
-        return 0
-    return 1 if p % 4 == 1 else -1
+#: (d/2) for d = -4 and -3, where Euler's criterion does not apply: 2
+#: ramifies in Z[i] and stays inert in Z[omega] (-3 = 5 mod 8)
+_KRONECKER_AT_2 = {-4: 0, -3: -1}
 
 
-def _kronecker_minus3(p: int) -> int:
-    if p == 3:
-        return 0
-    return 1 if p % 3 == 1 else -1
+def kronecker(d: int, p: int) -> int:
+    """(d/p) for the discriminants d = -4, -3 of Z[i], Z[omega] and a prime
+    p: 0, 1 or -1 as p ramifies, splits or stays inert.  The elliptic-point
+    counts of `genus_x0` and the j = 1728, 0 entries of `ss_survey` read it."""
+    return _KRONECKER_AT_2[d] if p == 2 else legendre_symbol(d, p)
 
 
 # -- supersingular survey -----------------------------------------------------
@@ -103,14 +103,15 @@ class SSClassSurvey(NamedTuple):
 def ss_survey(p: int) -> SSClassSurvey:
     """Supersingular curves over F_p-bar counted by automorphism order.
 
-    j = 0 is supersingular iff p = 2 mod 3 (|Aut| = 6), j = 1728 iff
-    p = 3 mod 4 (|Aut| = 4); the rest have |Aut| = 2, with the count fixed
+    j = 0 is supersingular iff p is inert in Z[omega], (-3/p) = -1
+    (|Aut| = 6), and j = 1728 iff p is inert in Z[i], (-4/p) = -1
+    (|Aut| = 4); the rest have |Aut| = 2, with the count fixed
     by the Eichler mass formula sum 1/|Aut| = (p-1)/24.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("survey needs a prime p > 3")
-    has6 = 1 if p % 3 == 2 else 0
-    has4 = 1 if p % 4 == 3 else 0
+    has6 = 1 if kronecker(-3, p) == -1 else 0
+    has4 = 1 if kronecker(-4, p) == -1 else 0
     rest = F(p - 1, 12) - F(has4, 2) - F(has6, 3)
     if rest.denominator != 1 or rest < 0:
         raise CertificateError(f"p = {p} leaves {rest} curves with |Aut| = 2")
@@ -133,7 +134,8 @@ def ss_survey(p: int) -> SSClassSurvey:
 def supersingular_j_invariants(p: int) -> tuple[int, ...]:
     """Supersingular j-invariants in F_p, by brute-force point counting.
 
-    A curve over F_p with p >= 5 is supersingular iff #E(F_p) = p + 1.
+    A curve over F_p with p >= 5 is supersingular iff #E(F_p) = p + 1, and
+    #E(F_p) = p + 1 + sum over x of ((x^3 + ax + b)/p).
     """
     if p < 5 or not is_prime(p):
         raise ValueError("need a prime p >= 5")
@@ -147,16 +149,9 @@ def supersingular_j_invariants(p: int) -> tuple[int, ...]:
         return 3 * k % p, 2 * k % p
 
     out = []
-    squares = {(x * x) % p for x in range(p)}
     for j in range(p):
         a, b = curve_for_j(j)
-        count = p + 1
-        for xx in range(p):
-            rhs = (xx * xx * xx + a * xx + b) % p
-            if rhs == 0:
-                continue
-            count += 1 if rhs in squares else -1
-        if count == p + 1:
+        if sum(legendre_symbol(x * x * x + a * x + b, p) for x in range(p)) == 0:
             out.append(j)
     return tuple(out)
 

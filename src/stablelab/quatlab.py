@@ -1,19 +1,22 @@
 """Exact verification of the finite endomorphism-algebra combinatorics.
 
-The algebra is F_p[i, eps_j, eps_k] with i^2 = alpha (a non-residue),
-eps_j^2 = eps_k^2 = eps_j eps_k = eps_k eps_j = 0 and i eps_j = eps_k =
--eps_j i.  The unit group F_{p^2}^* = F_p[i]^* acts on the nilradical
-{c eps_j + d eps_k} by conjugation.  Writing a nilpotent as z eps_j with
-z = c + d*i, conjugation by g is multiplication by g / conj(g), so the
-stabilizers (F_p^*), the orbit sizes (p + 1) and the invariant
-c^2 - alpha d^2 (the norm of z) follow from one pass over F_{p^2}^*; see
-`orbit_analysis`.  Nothing is sampled.
+Both algebras of section 3.4 are quaternion algebras (a, b), i^2 = a,
+j^2 = b, ij = k = -ji, with one product `quaternion_product` and one
+`reduced_norm`.  Abar_p = F_p[i, eps_j, eps_k] is (alpha, 0) over F_p, alpha
+a non-residue, eps_j = j and eps_k = k: the eps's square and multiply to 0,
+and i eps_j = eps_k = -eps_j i.  The p = 7 example lives in (-1, -7) over Q,
+which reduces mod 7 to Abar_7 with alpha = -1.  The unit group
+F_{p^2}^* = F_p[i]^* acts on the nilradical {c eps_j + d eps_k} by
+conjugation.  Writing a nilpotent as z eps_j with z = c + d*i, conjugation
+by g is multiplication by g / conj(g), so the stabilizers (F_p^*), the
+orbit sizes (p + 1) and the invariant c^2 - alpha d^2 (the norm of z)
+follow from one pass over F_{p^2}^*; see `orbit_analysis`.  Nothing is
+sampled.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import CertificateError, legendre_symbol
@@ -47,30 +50,44 @@ def smallest_nonresidue(p: int) -> int:
     raise ValueError(f"no non-residue found mod {p}")
 
 
-def multiply(x: AbarElement, y: AbarElement, params: AlgebraParams) -> AbarElement:
-    """Product in F_p[i, eps_j, eps_k], from the defining relations."""
-    p, alpha = params.p, params.alpha
-    a, b, c, d = x
-    e, f, g, h = y
-    return AbarElement(
-        (a * e + alpha * b * f) % p,
-        (a * f + b * e) % p,
-        (a * g + c * e + alpha * (b * h - d * f)) % p,
-        (a * h + d * e + (b * g - c * f)) % p,
+def quaternion_product(x, y, a, b):
+    """x * y in the quaternion algebra (a, b) on the basis (1, i, j, k):
+    i^2 = a, j^2 = b, ij = k = -ji, hence ik = a j, jk = -b i, k^2 = -ab.
+    Works over any commutative coefficient ring (integers, Fractions or
+    polynomials) and reduces nothing."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (
+        x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+        x0 * y1 + x1 * y0 + b * (x3 * y2 - x2 * y3),
+        x0 * y2 + x2 * y0 + a * (x1 * y3 - x3 * y1),
+        x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
     )
 
 
+def reduced_norm(x, a, b):
+    """x * conj(x) in (a, b), where conj negates the i, j and k parts."""
+    x0, x1, x2, x3 = x
+    return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+
+
+def multiply(x: AbarElement, y: AbarElement, params: AlgebraParams) -> AbarElement:
+    """Product in Abar_p, the quaternion algebra (alpha, 0) reduced mod p."""
+    p = params.p
+    one, i, j, k = quaternion_product(x, y, params.alpha, 0)
+    return AbarElement(one % p, i % p, j % p, k % p)
+
+
 def unit_inverse(x: AbarElement, params: AlgebraParams) -> AbarElement:
-    """Inverse of a unit a + b*i (nilpotent part must vanish)."""
-    p, alpha = params.p, params.alpha
-    a, b, c, d = x
-    if (c, d) != (0, 0):
-        raise ValueError("only F_p[i] units are inverted here")
-    norm = (a * a - alpha * b * b) % p
+    """conj(x) / N(x); x is a unit iff its reduced norm a^2 - alpha b^2 is
+    nonzero mod p."""
+    p = params.p
+    norm = reduced_norm(x, params.alpha, 0) % p
     if norm == 0:
         raise ZeroDivisionError("element is not a unit")
     inv = pow(norm, -1, p)
-    return AbarElement((a * inv) % p, (-b * inv) % p, 0, 0)
+    a, b, c, d = x
+    return AbarElement(a * inv % p, -b * inv % p, -c * inv % p, -d * inv % p)
 
 
 def build_algebra(params: AlgebraParams) -> dict[tuple[int, int], tuple[int, int, int, int]]:
@@ -135,12 +152,13 @@ def orbit_analysis(
         image.add(u)
     if len(kernel) != p - 1 or any(g.b != 0 for g in kernel):
         raise CertificateError(f"stabilizer {kernel} is not F_p^*")
-    if len(image) != p + 1 or any((u.a * u.a - alpha * u.b * u.b) % p != 1 for u in image):
+    if len(image) != p + 1 or any(reduced_norm(u, alpha, 0) % p != 1 for u in image):
         raise CertificateError("g / conj(g) does not run over the p + 1 units of norm 1")
     fibres: dict[int, list[AbarElement]] = {}
     for c, d in itertools.product(range(p), repeat=2):
         if (c, d) != (0, 0):
-            fibres.setdefault((c * c - alpha * d * d) % p, []).append(AbarElement(0, 0, c, d))
+            norm = reduced_norm((c, d, 0, 0), alpha, 0) % p  # N(c + d*i)
+            fibres.setdefault(norm, []).append(AbarElement(0, 0, c, d))
     if len(fibres) != p - 1 or any(len(fibre) != p + 1 for fibre in fibres.values()):
         raise CertificateError(f"expected p - 1 fibres of size p + 1, found {len(fibres)}")
     return tuple((len(fibre), fibre[0], norm) for norm, fibre in fibres.items())
@@ -148,6 +166,9 @@ def orbit_analysis(
 
 # -- the p = 7 worked example ------------------------------------------------
 
+#: (a, b) of the rational quaternions of examples 3.4.2-3.4.3; reduced mod 7
+#: they give Abar_7 with alpha = -1, which is EXAMPLE_PARAMS
+EXAMPLE_QUATERNIONS = (-1, -7)
 EXAMPLE_PARAMS = AlgebraParams(7, 6)  # alpha = -1: the identification i -> i
 
 
@@ -155,7 +176,7 @@ def quaternion_square_symbolic() -> tuple[SymbolicPolynomial, ...]:
     """(a + bi + cj + dk)^2 in the rational quaternions with i^2 = -1,
     j^2 = -7, ij = -ji = k, as polynomials in a, b, c, d."""
     a, b, c, d = sym("a"), sym("b"), sym("c"), sym("d")
-    components = quaternion_multiply((a, b, c, d), (a, b, c, d))
+    components = quaternion_product((a, b, c, d), (a, b, c, d), *EXAMPLE_QUATERNIONS)
     expected = (
         a**2 - b**2 - 7 * c**2 - 7 * d**2,
         2 * a * b,
@@ -165,34 +186,6 @@ def quaternion_square_symbolic() -> tuple[SymbolicPolynomial, ...]:
     if tuple(components) != expected:
         raise CertificateError("quaternion square does not reduce to the stated form")
     return expected
-
-
-def quaternion_multiply(x, y):
-    """Multiplication in Q[i, j, k], i^2 = -1, j^2 = -7, ij = -ji = k.
-
-    Works over any commutative coefficient ring (Fractions or polynomials).
-    """
-    a, b, c, d = x
-    e, f, g, h = y
-    return (
-        a * e - b * f - 7 * c * g - 7 * d * h,
-        a * f + b * e + 7 * c * h - 7 * d * g,
-        a * g + c * e - b * h + d * f,
-        a * h + d * e + b * g - c * f,
-    )
-
-
-class QuatElement(NamedTuple):
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def __mul__(self, other):
-        return QuatElement(*quaternion_multiply(self, other))
-
-    def norm(self) -> Fraction:
-        return self.a**2 + self.b**2 + 7 * self.c**2 + 7 * self.d**2
 
 
 def uniformizer_image_search() -> tuple[AbarElement, ...]:

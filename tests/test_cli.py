@@ -76,33 +76,6 @@ def test_cm_suite_builds_each_class_polynomial_once(monkeypatch):
         assert requested == used == cmlab.start_precision(disc), disc
 
 
-def test_each_shared_value_is_built_once_per_run(monkeypatch):
-    """The stable-model and ss suites build g+, the ramification data, the
-    Hensel certificate, psi_5 and its polygon once per run, and each run
-    builds them anew."""
-    from stablelab import curve125, sslab
-
-    builders = {
-        curve125: ("build_shifted_model", "ramification_polynomials", "hensel_certificate"),
-        sslab: ("division_polynomial_5", "torsion_polygon"),
-    }
-    calls = {name: 0 for names in builders.values() for name in names}
-
-    def counted(name, builder):
-        def count(*args):
-            calls[name] += 1
-            return builder(*args)
-
-        return count
-
-    for module, names in builders.items():
-        for name in names:
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    for runs in (1, 2):
-        run("all")
-        assert calls == dict.fromkeys(calls, runs)
-
-
 #: module -> the functions that build a value some check reads
 _BUILDERS = {
     "curve125": ("build_shifted_model", "ramification_polynomials", "hensel_certificate"),
@@ -117,7 +90,10 @@ _BUILDERS = {
 def test_no_builder_runs_twice_with_equal_arguments_in_a_run(monkeypatch):
     """Each suite builds a value once per run and passes it to every check
     that reads it: no builder is called twice with equal arguments, not even
-    H_D for a D = -35 that two cm primes divide exactly once."""
+    H_D for a D = -35 that two cm primes divide exactly once, nor across the
+    suites of `all`.  Each run builds anew: a second run of a suite makes
+    the first run's builder calls again, and a run of `all` calls every
+    builder, so none is kept from an earlier test's run."""
     import importlib
 
     from stablelab.checks import SUITES
@@ -136,29 +112,17 @@ def test_no_builder_runs_twice_with_equal_arguments_in_a_run(monkeypatch):
         for name in names:
             monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
     for suite, config in [*((suite, Config()) for suite in SUITES),
-                          ("cm", Config(discriminants=(-35,)))]:
-        calls.clear()
-        run(suite, config)
-        repeated = [call for i, call in enumerate(calls) if call in calls[:i]]
-        assert calls and not repeated, (suite, repeated)
-
-
-def test_maps_suite_builds_the_maps_once_per_run(monkeypatch):
-    """The six checks that read table 2 and the ramification image share one
-    build of the maps, and each run builds them anew."""
-    from stablelab import modmaps
-
-    builds = []
-    build = modmaps.builtin_maps
-
-    def counted():
-        builds.append(None)
-        return build()
-
-    monkeypatch.setattr(modmaps, "builtin_maps", counted)
-    for runs in (1, 2):
-        assert run("maps").overall == "pass"
-        assert len(builds) == runs
+                          ("cm", Config(discriminants=(-35,))), ("all", Config())]:
+        runs = []
+        for _ in range(2):
+            calls.clear()
+            run(suite, config)
+            repeated = [call for i, call in enumerate(calls) if call in calls[:i]]
+            assert calls and not repeated, (suite, repeated)
+            runs.append(list(calls))
+        assert runs[1] == runs[0], suite
+    every = {name for names in _BUILDERS.values() for name in names}
+    assert {name for name, _, _ in runs[0]} == every
 
 
 _G_PLUS_CHECKS = (

@@ -20,9 +20,18 @@ def test_genus_values():
 def test_genus_formula_rejects_a_fractional_genus(monkeypatch):
     """Counting two elliptic points of order 3 on X0(125), where there are
     none, gives 8 - 2/3: the formula's integrality check raises."""
-    monkeypatch.setattr(ledger, "_kronecker_minus3", lambda p: 1)
+    kronecker = ledger.kronecker
+    monkeypatch.setattr(ledger, "kronecker", lambda d, p: 1 if d == -3 else kronecker(d, p))
     with pytest.raises(CertificateError, match="genus formula gives 22/3 for N = 125"):
         ledger.genus_x0(125)
+
+
+def test_kronecker_reads_the_residue_classes_of_p():
+    """(-4/p) and (-3/p) are 0, 1, -1 as p ramifies, splits or stays inert
+    in Z[i] and Z[omega], which p mod 4 and p mod 3 decide."""
+    for p in filter(ledger.is_prime, range(2, 400)):
+        assert ledger.kronecker(-4, p) == (0 if p == 2 else 1 if p % 4 == 1 else -1), p
+        assert ledger.kronecker(-3, p) == (0 if p == 3 else 1 if p % 3 == 1 else -1), p
 
 
 def test_ss_survey_examples():
@@ -55,6 +64,31 @@ def test_survey_against_brute_force_point_counts():
             6 if j == 0 else 4 if j == 1728 % p else 2 for j in js
         )
         assert aut_orders == expected
+
+
+def _supersingular_by_squares(p):
+    """Oracle: #E(F_p) over y^2 = x^3 + ax + b for a curve of each j, with
+    quadratic residuosity read from the set of squares mod p."""
+    squares = {x * x % p for x in range(1, p)}
+    out = []
+    for j in range(p):
+        if j == 0:
+            a, b = 0, 1
+        elif j == 1728 % p:
+            a, b = 1, 0
+        else:
+            k = j * pow(1728 - j, -1, p) % p
+            a, b = 3 * k, 2 * k
+        rhs = [(x**3 + a * x + b) % p for x in range(p)]
+        points = 1 + sum(1 if y == 0 else 2 if y in squares else 0 for y in rhs)
+        if points == p + 1:
+            out.append(j)
+    return tuple(out)
+
+
+def test_supersingular_j_invariants_match_a_set_of_squares_count():
+    for p in filter(ledger.is_prime, range(5, 200)):
+        assert ledger.supersingular_j_invariants(p) == _supersingular_by_squares(p), p
 
 
 def test_supersingular_centers():

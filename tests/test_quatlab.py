@@ -234,11 +234,68 @@ def test_class_count():
 
 
 def test_quaternion_norm_multiplicative():
+    """N(xy) = N(x) N(y) in (-1, -7) over Q and in Abar_p = (alpha, 0) mod p."""
     rng = random.Random(17)
+    a, b = quatlab.EXAMPLE_QUATERNIONS
+    norm = lambda z: quatlab.reduced_norm(z, a, b)
     for _ in range(100):
-        a = quatlab.QuatElement(*(F(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(4)))
-        b = quatlab.QuatElement(*(F(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(4)))
-        assert (a * b).norm() == a.norm() * b.norm()
+        x, y = (tuple(F(rng.randint(-8, 8), rng.randint(1, 5)) for _ in "abcd") for _ in "xy")
+        assert norm(quatlab.quaternion_product(x, y, a, b)) == norm(x) * norm(y)
+    for p in (5, 7, 13):
+        params = quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p))
+        norm = lambda z: quatlab.reduced_norm(z, params.alpha, 0) % p
+        for _ in range(100):
+            x, y = (quatlab.AbarElement(*(rng.randrange(p) for _ in "abcd")) for _ in "xy")
+            assert norm(quatlab.multiply(x, y, params)) == norm(x) * norm(y) % p
+
+
+def test_example_quaternions_reduce_mod_7_to_abar_7():
+    """Abar_7 is (-1, -7) reduced mod 7: the rational product of examples
+    3.4.2-3.4.3, reduced, is `multiply` under EXAMPLE_PARAMS (alpha = 6)."""
+    params = quatlab.EXAMPLE_PARAMS
+    basis = [tuple(int(i == k) for k in range(4)) for i in range(4)]
+    rng = random.Random(7)
+    sample = [tuple(rng.randint(-30, 30) for _ in range(4)) for _ in range(60)]
+    reduce = lambda z: quatlab.AbarElement(*(t % 7 for t in z))
+    for x, y in [*itertools.product(basis, repeat=2), *zip(sample, sample[1:])]:
+        product = quatlab.quaternion_product(x, y, *quatlab.EXAMPLE_QUATERNIONS)
+        assert reduce(product) == quatlab.multiply(reduce(x), reduce(y), params), (x, y)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_unit_inverse_is_conjugate_over_norm(p):
+    """Every unit of Abar_p, nilpotent part included, is inverted on both
+    sides; an element of reduced norm 0 mod p is not a unit."""
+    params = quatlab.AlgebraParams(p, quatlab.smallest_nonresidue(p))
+    one = quatlab.AbarElement(1, 0, 0, 0)
+    for x in itertools.starmap(quatlab.AbarElement, itertools.product(range(p), repeat=4)):
+        if (x.a, x.b) == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                quatlab.unit_inverse(x, params)
+            continue
+        inverse = quatlab.unit_inverse(x, params)
+        assert quatlab.multiply(x, inverse, params) == one == quatlab.multiply(inverse, x, params)
+
+
+_PRODUCT = quatlab.quaternion_product
+
+
+def _i_squared_negated(x, y, a, b):
+    """The shared product with the sign of its a x1 y1 term flipped."""
+    first, *rest = _PRODUCT(x, y, a, b)
+    return (first - 2 * a * x[1] * y[1], *rest)
+
+
+def test_a_sign_mutant_of_the_product_fails_the_orbit_and_norm_checks(monkeypatch):
+    """Abar_p and the p = 7 example share one product, so one sign mutant of
+    it fails the algebra behind lemma 3.4.1 and the norm identity of
+    example 3.4.2 in one run, each with a certificate's reason."""
+    monkeypatch.setattr(quatlab, "quaternion_product", _i_squared_negated)
+    report = run_suite("quat", Config(primes=(7,)), clock=lambda: 0.0)
+    results = {r.id: r for r in report.results}
+    for check_id in ("lemma-3.4.1-orbits-p07", "quaternion-norm"):
+        assert results[check_id].status == "fail", check_id
+        assert not results[check_id].details.startswith("internal error"), check_id
 
 
 def test_quaternion_norm_check_is_an_identity(monkeypatch):
@@ -248,16 +305,10 @@ def test_quaternion_norm_check_is_an_identity(monkeypatch):
         "norm a^2 + b^2 + 7c^2 + 7d^2 multiplicative as a polynomial identity"
     )
 
-    def sign_flipped(x, y):
-        a, b, c, d = x
-        e, f, g, h = y
-        return (
-            a * e - b * f - 7 * c * g + 7 * d * h,
-            a * f + b * e + 7 * c * h - 7 * d * g,
-            a * g + c * e - b * h + d * f,
-            a * h + d * e + b * g - c * f,
-        )
+    def sign_flipped(x, y, a, b):  # the -ab x3 y3 term becomes +ab x3 y3
+        first, *rest = _PRODUCT(x, y, a, b)
+        return (first + 2 * a * b * x[3] * y[3], *rest)
 
-    monkeypatch.setattr(quatlab, "quaternion_multiply", sign_flipped)
+    monkeypatch.setattr(quatlab, "quaternion_product", sign_flipped)
     with pytest.raises(CertificateError, match=r"N\(xy\) - N\(x\)N\(y\) is not the zero"):
         quat._check_quaternion_norm()

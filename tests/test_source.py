@@ -74,6 +74,41 @@ def test_no_record_is_built_past_its_validation(module):
     assert not calls, f"{module}: _make or _replace on lines {calls}"
 
 
+def _is_pow_mod(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "pow" and len(node.args) == 3
+
+
+def _is_square_mod(node: ast.AST) -> bool:
+    """x * x % p, x ** 2 % p or pow(x, 2, p)."""
+    if _is_pow_mod(node):
+        return ast.unparse(node.args[1]) == "2"
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)):
+        return False
+    square = node.left
+    return isinstance(square, ast.BinOp) and (
+        isinstance(square.op, ast.Mult) and ast.dump(square.left) == ast.dump(square.right)
+        or isinstance(square.op, ast.Pow) and ast.unparse(square.right) == "2"
+    )
+
+
+@pytest.mark.parametrize("module", [name for name in _TREES if name != "__init__.py"])
+def test_quadratic_residuosity_is_decided_only_by_legendre_symbol(module):
+    """`stablelab.legendre_symbol` is the one quadratic character: no other
+    module runs Euler's criterion, a three-argument pow to a (p - 1) // 2
+    exponent, or collects the squares mod p to test membership."""
+    lines = [
+        node.lineno
+        for node in ast.walk(_TREES[module])
+        if _is_pow_mod(node)
+        and isinstance(node.args[1], ast.BinOp)
+        and isinstance(node.args[1].op, ast.FloorDiv)
+        and ast.unparse(node.args[1].right) == "2"
+        or isinstance(node, (ast.SetComp, ast.ListComp, ast.GeneratorExp))
+        and _is_square_mod(node.elt)
+    ]
+    assert not lines, f"{module}: decides quadratic residuosity on lines {lines}"
+
+
 def test_every_exactmath_export_has_a_reader():
     """Each name the imports of ``exactmath/__init__.py`` bind is read in a
     package module other than that one, so no dead kernel routine stays
