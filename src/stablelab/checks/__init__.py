@@ -38,7 +38,7 @@ T = TypeVar("T")
 
 
 class Config(NamedTuple):
-    """The verifier's settings, named as in the config file."""
+    """The verifier's settings, read from `verify`'s --p, --disc and --cache-dir."""
 
     primes: tuple[int, ...] | None = None
     discriminants: tuple[int, ...] | None = None

@@ -16,6 +16,7 @@ only because perfbench's tracer wraps `bareiss_determinant` and
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -142,43 +143,56 @@ def characteristic_polynomial(
     of H, as ascending integer coefficients in w (checked integral).
 
     H = modulus is any nonzero integer polynomial; g = values_of may have
-    rational coefficients.  The power sums of the g(root) are the traces of
-    g^k mod H, read off from the root power sums of H; Newton's identities
-    turn them into the monic product, which is then scaled by lc(H)^deg(g).
+    rational coefficients, with common denominator d.  The power sums of the
+    d g(root) are the traces of (d g)^k mod H, read off from the root power
+    sums of H; Newton's identities turn them into prod (w - d g(root)), whose
+    coefficient of w^k divided by d^(h-k) is that of the monic product, which
+    is then scaled by lc(H)^deg(g).
     """
     g, modulus = univariate_trim(values_of), univariate_trim(modulus)
     h = len(modulus) - 1
+    den = math.lcm(*(c.denominator for c in g))
     sums = root_power_sums(modulus, h - 1)
-    reduced = univariate_divmod(g, modulus)[1]
+    reduced = univariate_divmod([int(den * c) for c in g], modulus)[1]
     power = [1]
     traces = []
     for _ in range(h):
         power = univariate_divmod(univariate_mul(power, reduced), modulus)[1]
         traces.append(sum(c * sums[d] for d, c in enumerate(power)))
+    monic = [Fraction(c, den ** (h - k)) for k, c in enumerate(monic_from_power_sums(traces))]
     scale = modulus[-1] ** max(len(g) - 1, 0)
-    return _integral([scale * c for c in monic_from_power_sums(traces)])
+    return _integral([scale * c for c in monic])
 
 
 def difference_root_resultant(coeffs: Sequence[int]) -> list[int]:
     """D(z) = Res_y(f(y), f(y+z)) for an integer polynomial f, exactly.
 
     With a = lc(f), n = deg f and roots r_i, D(z) = a^(2n) prod_(i,j) (z - (r_i - r_j))
-    has degree n**2.  The power sums of the n**2 differences are
-    p_m = sum_k C(m, k) (-1)^k s_k s_(m-k) in the root power sums s_k of f;
-    Newton's identities turn them into the monic product, then scaled by a^(2n).
+    has degree n**2.  The differences come in pairs +-(r_i - r_j), so
+    D(z) = a^(2n) z^n E(z^2) with E(u) = prod_(i<j) (u - (r_i - r_j)^2) of degree
+    n(n-1)/2.  The power sums of all n**2 differences are
+    p_m = sum_k C(m, k) (-1)^k s_k s_(m-k) in the root power sums s_k of f; they
+    vanish for odd m, and the roots of E have the power sums p_(2m)/2, where the
+    terms k and 2m - k are equal and the middle one has the even C(2m, m).
+    Newton's identities turn those sums into E, then scaled by a^(2n).
     """
     f = univariate_trim(int(c) for c in coeffs)
     if len(f) < 2:
         raise ValueError("need a nonconstant polynomial")
     n = len(f) - 1
-    s = root_power_sums(f, n * n)
-    diff_sums = []
-    for m in range(1, n * n + 1):
+    pairs = n * (n - 1) // 2
+    s = root_power_sums(f, 2 * pairs)
+    half_sums = []
+    for m in range(2, 2 * pairs + 1, 2):
         total, binom = 0, 1
-        for k in range(m + 1):
+        for k in range(m // 2):
             term = binom * s[k] * s[m - k]
             total += -term if k % 2 else term
             binom = binom * (m - k) // (k + 1)
-        diff_sums.append(total)
+        middle = binom // 2 * s[m // 2] ** 2
+        total += -middle if m // 2 % 2 else middle
+        half_sums.append(total)
     scale = f[-1] ** (2 * n)
-    return list(_integral([scale * c for c in monic_from_power_sums(diff_sums)]))
+    D = [0] * (n * n + 1)
+    D[n::2] = monic_from_power_sums(half_sums)
+    return list(_integral([scale * c for c in D]))

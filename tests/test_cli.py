@@ -365,10 +365,6 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["maps", "--report", str(tmp_path / "maps.json")]) == 0
     assert cli.main(["stable-model", "--report", str(tmp_path / "sm.json")]) == 1
 
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert cli.main(["maps", "--config", str(bad)]) == 2
-
     # an overflowing component budget is a fail with its reason, not a crash
     from stablelab import ledger
 
@@ -426,32 +422,11 @@ def test_cli_p_filter(tmp_path):
     assert "genus-343" in ids and "genus-2197" not in ids
 
 
-def test_config_file_dotted_keys(tmp_path, capsys):
-    """Config keys are flat; the former dotted and nested case keys are
-    rejected, not ignored."""
-    config = tmp_path / "config.json"
-    for document, message in (
-        ({"discriminants.case1": [-20]}, "unknown config keys ['discriminants.case1']"),
-        ({"discriminants": {"case1": [-20]}}, "discriminants must be a list of integers"),
-        # keys of older config files: the component budget takes no genus inputs
-        ({"g_E": 0}, "unknown config keys ['g_E']"),
-        ({"ordinary_genera": [0, 0, 0, 0, 0, 0]}, "unknown config keys ['ordinary_genera']"),
-    ):
-        config.write_text(json.dumps(document))
-        assert cli.main(["cm", "--config", str(config)]) == 2
-        assert f"config error: {message}" in capsys.readouterr().err
-
-
 def test_config_file_mixed_discriminants(tmp_path):
-    """One list holds both cases; each check takes its sign from D."""
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "discriminants": [-20, -40],
-        "primes": [5],
-        "cache_dir": str(tmp_path),
-    }))
+    """One --disc list holds both cases; each check takes its sign from D."""
     path = tmp_path / "cm.json"
-    assert cli.main(["cm", "--config", str(config), "--report", str(path)]) == 0
+    argv = ["cm", "--disc=-20,-40", "--p", "5", "--cache-dir", str(tmp_path), "--report", str(path)]
+    assert cli.main(argv) == 0
     payload = json.loads(path.read_text())
     details = {c["id"]: c["details"] for c in payload["checks"] if c["status"] == "pass"}
     assert details["conjecture-3.3.1-D0020-congruence"].startswith("v5((j - 0)^2 - 125) > 3")
@@ -462,29 +437,13 @@ def test_config_file_mixed_discriminants(tmp_path):
     }
 
 
-def test_disc_overrides_config_discriminants(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"discriminants": [-40, -160]}))
-    path = tmp_path / "cm.json"
-    argv = ["cm", "--p", "5", "--disc=-20", "--config", str(config), "--report", str(path)]
-    assert cli.main(argv) == 0
-    payload = json.loads(path.read_text())
-    assert [c["id"] for c in payload["checks"]] == [
-        "conjecture-3.3.1-D0020-congruence", "conjecture-3.3.1-D0020-row",
-    ]
-    assert payload["config"]["discriminants"] == [-20]
-
-
 def test_cache_warm_rerun(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"cache_dir": str(tmp_path)}))
     first = tmp_path / "one.json"
     second = tmp_path / "two.json"
-    assert cli.main(["cm", "--p", "5", "--disc", "-20", "--config", str(config),
-                     "--report", str(first)]) == 0
+    argv = ["cm", "--p", "5", "--disc", "-20", "--cache-dir", str(tmp_path), "--report"]
+    assert cli.main([*argv, str(first)]) == 0
     assert (tmp_path / "class_poly_cache.txt").exists()
-    assert cli.main(["cm", "--p", "5", "--disc", "-20", "--config", str(config),
-                     "--report", str(second)]) == 0
+    assert cli.main([*argv, str(second)]) == 0
     one = json.loads(first.read_text())
     two = json.loads(second.read_text())
     for payload in (one, two):
@@ -493,16 +452,12 @@ def test_cache_warm_rerun(tmp_path):
     assert one == two
 
 
-def test_invalid_precision_rejected(tmp_path, capsys):
-    """Every build starts at its proven precision: no option or key sets it."""
+def test_invalid_precision_rejected(capsys):
+    """Every build starts at its proven precision: no option sets it."""
     with pytest.raises(SystemExit) as exc:
         cli.main(["cm", "--precision", "300", "--disc=-20"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --precision" in capsys.readouterr().err
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"precision_bits": 300}))
-    assert cli.main(["cm", "--config", str(config)]) == 2
-    assert "config error: unknown config keys ['precision_bits']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -510,7 +465,8 @@ def test_invalid_precision_rejected(tmp_path, capsys):
     ("--p 5 cm --disc=-20", (Config(primes=(5,), discriminants=(-20,)), None)),
     ("cm --rep PATH --disc=-20", (Config(discriminants=(-20,)), "PATH")),
     ("cm --p=5 --disc=-20", (Config(primes=(5,), discriminants=(-20,)), None)),
-    ("", 2), ("bogus", 2), ("cm --p x", 2), ("cm --format xml", 2), ("cm --c DIR", 2),
+    ("cm --c DIR", (Config(cache_dir="DIR"), None)),
+    ("", 2), ("bogus", 2), ("cm --format xml", 2),
     ("cm --disc", 2), ("cm --precision 300", 2), ("cm ss", 2), ("--help", 0),
 ])
 def test_command_line_parsing(capsys, argv, expected):
@@ -519,7 +475,7 @@ def test_command_line_parsing(capsys, argv, expected):
     line exits 2 after the usage line; --help prints it and exits 0."""
     if isinstance(expected, tuple):
         args = cli.parse_args(argv.split())
-        assert (cli._build_config(args, {}), args.report) == expected
+        assert (cli._build_config(args), args.report) == expected
         return
     with pytest.raises(SystemExit) as exc:
         cli.parse_args(argv.split())
@@ -550,33 +506,64 @@ def test_suite_without_checks_is_not_a_pass(tmp_path, capsys):
     from stablelab.report import SuiteReport
 
     assert SuiteReport("x", "0", {}, ()).overall == "fail"
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"primes": [5, 11]}))
-    for argv in (["cm", "--p", "4"], ["cm", "--p", "11"], ["cm", "--config", str(config)]):
+    for argv in (["cm", "--p", "4"], ["cm", "--p", "11"], ["cm", "--p", "5,11"]):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert "config error: the cm suite needs one of the primes 5, 7, 13" in err
     args = cli.parse_args(["all", "--p", "17"])
-    assert cli._build_config(args, {}).primes == (17,)
+    assert cli._build_config(args).primes == (17,)
     assert build_checks("cm", Config(primes=(17,))) == []
 
 
-def test_invalid_discriminants_rejected(tmp_path, capsys):
+def test_invalid_discriminants_rejected(capsys):
     for disc in ("7", "-20,-6", "0"):
         assert cli.main(["cm", f"--disc={disc}"]) == 2
         assert "config error: " in capsys.readouterr().err
-    config = tmp_path / "config.json"
-    for bad in ([-20, -50], [-20, 8]):
-        config.write_text(json.dumps({"discriminants": bad}))
-        assert cli.main(["cm", "--config", str(config)]) == 2
-        assert f"{bad[1]} is not a negative integer" in capsys.readouterr().err
+    for disc, bad in (("-20,-50", -50), ("-20,8", 8)):
+        assert cli.main(["cm", f"--disc={disc}"]) == 2
+        assert f"config error: {bad} is not a negative integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("disc, item", [("abc", "abc"), ("", ""), ("-95,,-135", "")])
+@pytest.mark.parametrize("disc, item", [
+    ("abc", "abc"), ("", ""), ("-95,,-135", ""), ("x", "x"), ("5,,7", ""), ("5.9", "5.9"),
+])
 def test_malformed_disc_names_the_option_and_the_item(capsys, disc, item):
-    assert cli.main(["cm", f"--disc={disc}"]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: --disc takes comma-separated integers, got {item!r}" in err
+    """--p and --disc read their comma lists with one parser, which names the
+    option and the first item that is not an integer."""
+    for option in ("--disc", "--p"):
+        assert cli.main(["cm", f"{option}={disc}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {option} takes comma-separated integers, got {item!r}\n"
+
+
+#: suite -> (checks of `--p 5,7`, the checks of p = 7 among them)
+_AT_FIVE_AND_SEVEN = {
+    "cm": (26, {"conjecture-3.3.2-D0028-congruence", "conjecture-3.3.2-D0084-congruence"}),
+    "quat": (8, {"lemma-3.4.1-algebra-p07", "lemma-3.4.1-orbits-p07"}),
+}
+
+
+@pytest.mark.parametrize("suite", _AT_FIVE_AND_SEVEN)
+def test_a_prime_list_configures_every_prime(suite):
+    """`--p 5,7,5` runs the suite at 5 and 7, in the order given, and the
+    report echoes the list without the repeat."""
+    count, at_seven = _AT_FIVE_AND_SEVEN[suite]
+    config = cli._build_config(cli.parse_args([suite, "--p", "5,7,5"]))
+    assert config == Config(primes=(5, 7))
+    report = run(suite, config)
+    ids = {r.id for r in report.results}
+    assert len(ids) == count and at_seven <= ids
+    echo = json.loads(report.render("json"))["config"]
+    assert echo == {"primes": [5, 7], "discriminants": None, "cache_dir": None}
+
+
+def test_empty_cache_dir_rejected(tmp_path, monkeypatch, capsys):
+    """An empty --cache-dir names no directory: it exits 2 and writes no
+    cache into the working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["cm", "--p", "5", "--disc=-20", "--cache-dir="]) == 2
+    assert capsys.readouterr().err == "config error: --cache-dir takes a directory, got ''\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_unusable_primes_rejected(tmp_path, capsys):
@@ -590,50 +577,14 @@ def test_unusable_primes_rejected(tmp_path, capsys):
     assert cli.main(["ss", "--p", "4"]) == 2
     err = capsys.readouterr().err
     assert "config error: the ss suite is stated at p = 5 only, got p = 4" in err
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"primes": [5, 4]}))
-    assert cli.main(["ledger", "--config", str(config)]) == 2
-    config.write_text(json.dumps({"primes": [5, 7]}))
-    assert cli.main(["maps", "--config", str(config)]) == 2
+    assert cli.main(["ledger", "--p", "5,4"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: the ledger suite needs a prime p > 3, got p = 4" in err
+    assert cli.main(["maps", "--p", "5,7"]) == 2
     assert "the maps suite is stated at p = 5 only, got p = 7" in capsys.readouterr().err
     path = tmp_path / "quat3.json"
     assert cli.main(["quat", "--p", "3", "--report", str(path)]) == 0
     assert cli.main(["ss", "--p", "5", "--report", str(tmp_path / "ss5.json")]) == 0
-
-
-@pytest.mark.parametrize("suite, document, key", [
-    ("quat", {"primes": []}, "primes"),
-    ("cm", {"discriminants": []}, "discriminants"),
-    ("all", {"primes": [], "discriminants": [-20]}, "primes"),
-])
-def test_empty_config_lists_rejected(tmp_path, capsys, suite, document, key):
-    """An empty list would run no check of the suites that read it."""
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(document))
-    assert cli.main([suite, "--config", str(config)]) == 2
-    assert capsys.readouterr().err == f"config error: {key} must list at least one integer\n"
-
-
-def test_non_string_cache_dir_rejected(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    for bad in (5, ["cache"], True):
-        config.write_text(json.dumps({"cache_dir": bad}))
-        assert cli.main(["cm", "--disc=-20", "--config", str(config)]) == 2
-        assert "config error: cache_dir must be a string" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("document, key", [
-    ({"primes": [5.9], "discriminants": [-20.7]}, "primes"),
-    ({"primes": [True]}, "primes"),
-    ({"discriminants": [-20.7]}, "discriminants"),
-    ({"discriminants": [-40, "-20"]}, "discriminants"),
-    ({"discriminants": [-20, True]}, "discriminants"),
-])
-def test_non_integer_config_numbers_rejected(tmp_path, capsys, document, key):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(document))
-    assert cli.main(["cm", "--config", str(config)]) == 2
-    assert f"config error: {key} must be an integer" in capsys.readouterr().err
 
 
 def test_all_reads_the_suite_table_at_call_time(monkeypatch):
@@ -647,22 +598,6 @@ def test_all_reads_the_suite_table_at_call_time(monkeypatch):
     ids = [c.id for c in build_checks("all", Config(primes=(5,)))]
     assert "stub" in ids and "claim-3.2.1-threshold" not in ids
     assert ids.index("table-2-transcription") < ids.index("stub") < ids.index("class-count-2p1i")
-
-
-@pytest.mark.parametrize("document", [
-    {"g_E": -100},
-    {"ordinary_genera": [0, 0, 0, 0, 0, -1]},
-    {"ordinary_genera": [1]},
-    {"ordinary_genera": [1] * 7},
-    {"ordinary_genera": []},
-])
-def test_invalid_genera_rejected(tmp_path, capsys, document):
-    """The budget takes no genus inputs: a config file that still sets the
-    former genus keys, to any value, exits 2 naming the key."""
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(document))
-    assert cli.main(["ledger", "--p", "5", "--config", str(config)]) == 2
-    assert f"config error: unknown config keys {sorted(document)}" in capsys.readouterr().err
 
 
 def test_cache_dir_that_is_a_file_rejected(tmp_path, capsys):

@@ -298,3 +298,25 @@ def test_valuation_imports_nothing_from_resultant():
         )
     ]
     assert not imported, f"imports from exactmath.resultant on lines {imported}"
+
+
+def test_settings_come_from_the_command_line_alone():
+    """`verify` has one input path, its command line: no module parses JSON,
+    and a file is opened only by `cli.main`, to write the report, and by
+    `cmlab.ClassPolyCache`, which checks every entry it reads back."""
+    parsers, openers = [], set()
+    for module, tree in _TREES.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "json":
+                    names = {alias.name for alias in node.names}
+                    parsers += [(module, node.lineno)] if names & {"load", "loads"} else []
+                if not isinstance(node, ast.Call):
+                    continue
+                called = ast.unparse(node.func)
+                if called in {"json.load", "json.loads"}:
+                    parsers.append((module, node.lineno))
+                if called.split(".")[-1] == "open":
+                    openers.add((module, getattr(top, "name", None)))
+    assert not parsers, f"JSON parsed at {parsers}"
+    assert openers == {("cli.py", "main"), ("cmlab.py", "ClassPolyCache")}, openers
