@@ -5,9 +5,8 @@ the details of its pass.  A mismatch raises CertificateError with the
 reason, from the check or from its layer, and the check lets a layer's
 through: `cli.run_suite` turns a return into a pass and a CertificateError
 into a fail with the reason as details, so a broken sibling never silences
-the rest of a suite, and no module here spells a status.  Checks cite the
-table / claim / conjecture they certify via the anchors in
-report.KNOWN_ANCHORS.
+the rest of a suite, and no module here spells a status.  Each check cites
+the table, claim or conjecture it certifies in its `claim_ref`.
 
 Each suite is one module of this package (`stable_model`, `maps`, `ss`,
 `cm`, `quat`, `ledger`), imported by its SUITES entry on first call, so a

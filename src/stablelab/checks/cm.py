@@ -9,12 +9,6 @@ from .. import CM_CONGRUENCES, CertificateError, cmlab, divides_once
 from . import Check, Config, once
 
 
-def _cache(config: Config) -> cmlab.ClassPolyCache | None:
-    if config.cache_dir is None:
-        return None
-    return cmlab.ClassPolyCache(os.path.join(config.cache_dir, "class_poly_cache.txt"))
-
-
 def _make_crosscheck(row: cmlab.TableRow):
     def run():
         cmlab.table_crosscheck(row)
@@ -70,8 +64,11 @@ def suite(config: Config) -> list[Check]:
     discs = config.discriminants
     rows_by_disc = {row.discriminant: row for row in cmlab.table_rows()}
     defaults = {5: tuple(rows_by_disc), **cmlab.EXTRA_DISCRIMINANTS}
+    cache = None
+    if config.cache_dir is not None:
+        cache = cmlab.ClassPolyCache(os.path.join(config.cache_dir, "class_poly_cache.txt"))
     # one build of H_D however many primes divide D exactly once
-    class_polynomial = once(lambda disc: cmlab.class_polynomial(disc, cache=_cache(config)))
+    class_polynomial = once(lambda disc: cmlab.class_polynomial(disc, cache=cache))
     checks: list[Check] = []
     for p in primes:
         if p not in CM_CONGRUENCES:

@@ -71,15 +71,17 @@ def run_suite(suite: str, config: Config, clock=time.monotonic) -> SuiteReport:
 
 def _int_list(option: str, value: str | None) -> tuple[int, ...] | None:
     """The integers of a comma-separated option value, duplicates dropped and
-    order kept; None when the option is not given."""
+    order kept; None when the option is not given.  An item is an optional
+    sign and ASCII digits: `int` alone would also read `1_3`, ` 13` and
+    non-ASCII digits."""
     if value is None:
         return None
     items = []
     for item in value.split(","):
-        try:
-            items.append(int(item))
-        except ValueError:
-            raise ValueError(f"{option} takes comma-separated integers, got {item!r}") from None
+        digits = item[1:] if item[:1] in ("+", "-") else item
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"{option} takes comma-separated integers, got {item!r}")
+        items.append(int(item))
     return tuple(dict.fromkeys(items))
 
 

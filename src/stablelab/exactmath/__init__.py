@@ -39,6 +39,7 @@ from .valuation import (
     is_prime,
     min_valuation,
     param_valuations,
+    quotient_on_cell,
     symbol_valuations,
     val_rat,
     valuation_levels,

@@ -178,9 +178,6 @@ class SymbolicPolynomial:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- structural operations ----------------------------------------------
 
     def substitute(self, var: str, replacement) -> SymbolicPolynomial:

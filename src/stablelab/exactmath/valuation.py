@@ -187,6 +187,24 @@ def dominant_piece(pieces: Sequence[Affine], lo, hi) -> Affine | None:
     return best
 
 
+def quotient_on_cell(
+    num: SymbolicPolynomial, den: SymbolicPolynomial, var: str, lo, hi, p: int
+) -> Affine | None:
+    """v(num / den) on the open cell lo < lambda < hi of circles v(var) = lambda.
+
+    When one numerator piece and one denominator piece each dominate on the
+    whole cell, the quotient's valuation is their difference, an affine
+    function of lambda; None when either has no dominant piece.
+    """
+    num_piece, den_piece = (
+        dominant_piece([fn for fn, _ in param_valuations(f, {}, {var: 1}, p)], lo, hi)
+        for f in (num, den)
+    )
+    if num_piece is None or den_piece is None:
+        return None
+    return num_piece - den_piece
+
+
 def symbol_valuations(symbols: Iterable[ValuedSymbol], p: int) -> dict[str, Fraction]:
     """The stated valuation of each symbol, certified against its rule.
 

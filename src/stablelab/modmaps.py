@@ -18,11 +18,10 @@ from .exactmath import (
     Affine,
     SymbolicPolynomial,
     characteristic_polynomial,
-    dominant_piece,
     field_valuation,
     min_valuation,
-    param_valuations,
     poly_to_coeffs,
+    quotient_on_cell,
     squarefree_part,
     sym,
     symbol_valuations,
@@ -107,20 +106,10 @@ def image_valuation(rmap: RationalMap, radius) -> ImageCertificate:
 
 
 def cell_image_valuation(rmap: RationalMap, lo, hi) -> Affine | None:
-    """Image of the open cell lo < lambda < hi of circles v(source) = lambda.
-
-    When one numerator piece and one denominator piece each lie strictly
-    below the others on the whole cell, v(target) is their difference, an
-    affine function of lambda; None when either has no dominant piece.
-    """
-    scaling = {rmap.source_coord: 1}
-    num, den = (
-        dominant_piece([fn for fn, _ in param_valuations(f, {}, scaling, P)], lo, hi)
-        for f in (rmap.numerator, rmap.denominator)
-    )
-    if num is None or den is None:
-        return None
-    return num - den
+    """Image of the open cell lo < lambda < hi of circles v(source) = lambda:
+    v(target) as an affine function of lambda, or None when the numerator or
+    the denominator has no dominant piece on the cell."""
+    return quotient_on_cell(rmap.numerator, rmap.denominator, rmap.source_coord, lo, hi, P)
 
 
 def al_fixed_circle(rmap: RationalMap) -> Fraction:

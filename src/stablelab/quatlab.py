@@ -169,7 +169,7 @@ def orbit_analysis(
 #: (a, b) of the rational quaternions of examples 3.4.2-3.4.3; reduced mod 7
 #: they give Abar_7 with alpha = -1, which is EXAMPLE_PARAMS
 EXAMPLE_QUATERNIONS = (-1, -7)
-EXAMPLE_PARAMS = AlgebraParams(7, 6)  # alpha = -1: the identification i -> i
+EXAMPLE_PARAMS = AlgebraParams(7, EXAMPLE_QUATERNIONS[0] % 7)  # the identification i -> i
 
 
 def quaternion_square_symbolic() -> tuple[SymbolicPolynomial, ...]:

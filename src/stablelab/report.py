@@ -5,41 +5,6 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-#: Anchor strings a check may cite; each names a table, claim, conjecture,
-#: lemma, example, equation block or section of the verified development.
-KNOWN_ANCHORS = frozenset(
-    {
-        "table 1",
-        "table 2",
-        "tables 3-4",
-        "eq 1-2",
-        "eq 3",
-        "eq 4",
-        "eq 6",
-        "section 2.2",
-        "section 2 genus",
-        "section 3.4 class count",
-        "claim 2.1.1",
-        "claim 2.2.1",
-        "claim 2.2.2",
-        "claim 2.3.1",
-        "claim 2.3.2",
-        "claim 3.1.1",
-        "claim 3.1.2",
-        "note 3.1.3",
-        "claim 3.2.1",
-        "conjecture 3.3.1",
-        "conjecture 3.3.2",
-        "conjecture 3.3.3",
-        "lemma 3.4.1",
-        "example 3.4.2",
-        "example 3.4.3",
-        "conjecture 3.4.5",
-        "guess 3.4.6",
-        "figures 2-6",
-    }
-)
-
 
 class CheckResult(NamedTuple):
     id: str

@@ -19,9 +19,9 @@ from .exactmath import (
     ParamPolygon,
     SymbolicPolynomial,
     affine,
-    dominant_piece,
     param_valuations,
     parametric_polygon,
+    quotient_on_cell,
     sym,
 )
 
@@ -94,20 +94,18 @@ def weierstrass_j(a: SymbolicPolynomial, b: SymbolicPolynomial) -> tuple[Symboli
 
 
 def too_ss_threshold(polygon: ParamPolygon) -> Fraction:
-    """v_5(j) = 3 v_5(t) on the family range of `torsion_polygon`, so the
-    threshold is 3 times its single breakpoint: 3 * (5/6) = 5/2."""
+    """v_5(j) at the single breakpoint of `torsion_polygon`, where v_5(j) is
+    certified as 3 v_5(t) on the polygon's range: 3 * (5/6) = 5/2."""
     num, den = weierstrass_j(t, SymbolicPolynomial.constant(1))
     if num != 6912 * t**3 or den != 4 * t**3 + 27:
         raise CertificateError(f"j(t) = ({num}) / ({den}), not 6912t^3 / (4t^3 + 27)")
     # on 0 < v(t) < 1: 6912 t^3 is the single piece 3 v(t), and the unit 27
     # lies strictly below 4 t^3, so v(j) = 3 v(t) exactly
-    num_piece, den_piece = (
-        dominant_piece(_t_pieces(f), polygon.lo, polygon.hi) for f in (num, den)
-    )
-    if num_piece != affine(0, 3) or den_piece != affine(0):
+    image = quotient_on_cell(num, den, "t", polygon.lo, polygon.hi, P)
+    if image != affine(0, 3):
         raise CertificateError(
             f"v(j) = 3 v(t) is not certified on {polygon.lo} < v(t) < {polygon.hi}"
         )
     if len(polygon.breakpoints) != 1:
         raise CertificateError(f"the polygon has breakpoints {polygon.breakpoints}, not one")
-    return 3 * polygon.breakpoints[0]
+    return image(polygon.breakpoints[0])

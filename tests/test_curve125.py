@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -178,6 +179,20 @@ def test_two_cluster_combinatorics():
     assert curve125.cluster_sizes(((F(7, 10), 50), (F(4, 5), 40))) == (5, 5)
     with pytest.raises(CertificateError, match="does not cover all ordered pairs"):
         curve125.cluster_sizes(((F(7, 10), 50), (F(4, 5), 30)))
+
+
+def test_cluster_sizes_rejects_what_forces_no_single_partition():
+    """Three distance values are not a near/far split; 78 far and 12 near
+    ordered pairs give a sum of squares 22, which (4,1,1,1,1,1,1),
+    (3,3,1,1,1,1) and (3,2,2,2,1) all realise; 2 far and 88 near give 98,
+    which no partition of 10 realises."""
+    with pytest.raises(CertificateError, match="expected exactly two distance values"):
+        curve125.cluster_sizes(((F(1, 2), 30), (F(7, 10), 30), (F(4, 5), 30)))
+    ambiguous = [(4, 1, 1, 1, 1, 1, 1), (3, 3, 1, 1, 1, 1), (3, 2, 2, 2, 1)]
+    with pytest.raises(CertificateError, match=re.escape(f"ambiguous: {ambiguous}")):
+        curve125.cluster_sizes(((F(1, 2), 78), (F(7, 10), 12)))
+    with pytest.raises(CertificateError, match=re.escape("ambiguous: []")):
+        curve125.cluster_sizes(((F(1, 2), 2), (F(7, 10), 88)))
 
 
 def test_pairwise_distance_trivial_example():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,34 @@ def test_genus_values():
     assert ledger.genus_x0(11) == 1
     with pytest.raises(ValueError):
         ledger.genus_x0(0)
+
+
+def test_genus_at_levels_with_no_elliptic_points():
+    """4 | N leaves X0(N) no elliptic point of order 2, and 9 | N none of
+    order 3."""
+    assert [ledger.genus_x0(N) for N in (27, 36, 64, 81, 108, 144)] == [1, 1, 3, 4, 10, 13]
+
+
+def _genus_by_counting(N):
+    """1 + mu/12 - nu2/4 - nu3/3 - nu_inf/2 with nu2 and nu3 counted as the
+    roots of x^2 + 1 and x^2 + x + 1 mod N, mu = N * prod(1 + 1/p) and nu_inf
+    the sum of phi(gcd(d, N/d)) over the divisors d of N."""
+    def phi(n):
+        return sum(1 for k in range(n) if math.gcd(k, n) == 1)
+
+    mu = F(N)
+    for p in range(2, N + 1):
+        if N % p == 0 and all(p % q for q in range(2, p)):
+            mu *= 1 + F(1, p)
+    nu2 = sum(1 for x in range(N) if (x * x + 1) % N == 0)
+    nu3 = sum(1 for x in range(N) if (x * x + x + 1) % N == 0)
+    nu_inf = sum(phi(math.gcd(d, N // d)) for d in range(1, N + 1) if N % d == 0)
+    return 1 + mu / 12 - F(nu2, 4) - F(nu3, 3) - F(nu_inf, 2)
+
+
+def test_genus_matches_counted_elliptic_points():
+    for N in range(1, 600):
+        assert ledger.genus_x0(N) == _genus_by_counting(N), N
 
 
 def test_genus_formula_rejects_a_fractional_genus(monkeypatch):

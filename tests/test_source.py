@@ -173,6 +173,31 @@ def test_every_record_field_has_a_reader():
     assert not unread, f"fields that nothing reads: {sorted(unread)}"
 
 
+def test_every_module_constant_has_a_reader():
+    """Each name a module-level assignment binds is read as a name or an
+    attribute somewhere in the package, so no table or constant stays that
+    no run reads."""
+    assigned = {
+        (module, target.id)
+        for module, tree in _TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for bound in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for target in ast.walk(bound)
+        if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
+    }
+    assert ("cli.py", "SUITE_NAMES") in assigned and ("sslab.py", "t") in assigned
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in _TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+    unread = sorted(f"{module}: {name}" for module, name in assigned if name not in read)
+    assert not unread, f"module constants that nothing reads: {unread}"
+
+
 _CHECKS = [name for name in _TREES if name.startswith("checks/")]
 
 

@@ -182,3 +182,8 @@ def test_threshold_reads_the_polygon_breakpoint(polygon):
     assert (wide.lo, wide.hi, wide.breakpoints) == (-1, 1, (F(5, 6),))
     with pytest.raises(CertificateError, match="v\\(j\\) = 3 v\\(t\\) is not certified"):
         sslab.too_ss_threshold(wide)
+    # on -1 < v(t) < 0 the piece 3 v(t) of 4t^3 dominates, so v(j) = 0: an
+    # image that exists but is not 3 v(t) fails too
+    negative = cells((-1, F(-1, 2), (0, 10, 12)), (F(-1, 2), 0, (0, 12)))
+    with pytest.raises(CertificateError, match="v\\(j\\) = 3 v\\(t\\) is not certified"):
+        sslab.too_ss_threshold(negative)

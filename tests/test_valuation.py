@@ -22,6 +22,7 @@ from stablelab.exactmath import (
     normal_form,
     param_valuations,
     poly_to_coeffs,
+    quotient_on_cell,
     sym,
     symbol_valuations,
     valuation_levels,
@@ -291,6 +292,17 @@ def test_dominant_piece_decides_the_open_interval_at_its_endpoints():
         dominant_piece([zero], 1, 1)
     with pytest.raises(ValueError):
         dominant_piece([], 0, 1)
+
+
+def test_quotient_on_cell_is_the_difference_of_dominant_pieces():
+    """v(25t / (1 + 5t^2)) is 2 + lambda while 1 undercuts 5t^2, that is
+    on cells inside -1/2 < lambda; a cell reaching below -1/2 has no dominant
+    denominator piece, and a numerator 1 + t crossing at lambda = 0 has none."""
+    t = sym("t")
+    num, den = 25 * t, 1 + 5 * t**2
+    assert quotient_on_cell(num, den, "t", F(-1, 2), 3, 5) == affine(2, 1)
+    assert quotient_on_cell(num, den, "t", -1, 3, 5) is None
+    assert quotient_on_cell(1 + t, den, "t", -1, 1, 5) is None
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
