@@ -27,7 +27,6 @@ from .exactmath import (
     ValuedSymbol,
     affine,
     dominant_piece,
-    envelope_min,
     min_valuation,
     newton_polygon,
     normal_form,
@@ -347,33 +346,34 @@ def hensel_certificate(g_plus: SymbolicPolynomial) -> Fraction:
     """Valuation envelopes of h(1) and h'(1) on the annulus 1/5 < v(s) < 1/4;
     returns the Hensel bound delta, v(h(1)) at the ramification circle.
 
-    Certifies, exactly: v(h'(1)) = 0 on the open annulus, since its constant
-    piece 0 lies strictly below every other h'(1) piece there (at v(s) = 1/5
-    the piece -2 + 10 v(s) ties it, so the closed interval is not claimed;
-    Hensel's lemma needs only the open annulus); and v(h(1)) > 0 strictly
-    inside the open interval, since the h(1) envelope, a minimum of affine
-    pieces, is concave, 0 at both endpoints (each time with a unique
-    witness, so the annulus is maximal) and positive at v(s) = 6/25.  That
-    value delta at the ramification circle is the error bound that the
+    Both halves read `dominant_piece`.  Certifies, exactly: v(h'(1)) = 0 on
+    the open annulus, since its constant piece 0 lies strictly below every
+    other h'(1) piece there (at v(s) = 1/5 the piece -2 + 10 v(s) ties it,
+    so the closed interval is not claimed; Hensel's lemma needs only the
+    open annulus); and v(h(1)) > 0 strictly inside the open interval, since
+    the h(1) envelope, a minimum of affine pieces, is concave, 0 at both
+    endpoints (each time a dominant piece on that circle, so the annulus is
+    maximal) and positive at v(s) = 6/25.  That value delta, the least h(1)
+    piece at the ramification circle, is the error bound that the
     genus-0-component reduction (eq 6) reads.
     """
     lo, hi = HENSEL_INTERVAL
     h1_pieces, hp1_pieces = _hensel_pieces(g_plus)
 
-    lo_min, lo_wit = envelope_min(h1_pieces, lo)
-    hi_min, hi_wit = envelope_min(h1_pieces, hi)
-    delta = envelope_min(h1_pieces, RAM_CIRCLE)[0]
+    lo_piece, hi_piece = (dominant_piece(h1_pieces, e, e) for e in (lo, hi))
+    delta = min(fn(RAM_CIRCLE) for fn in h1_pieces)
     # concave, so on [lo, 6/25] and on [6/25, hi] it lies on or above the chord
     # from 0 to delta: delta > 0 makes it > 0 on the whole open interval
     h1_ok = (
-        lo_min == 0 and len(lo_wit) == 1
-        and hi_min == 0 and len(hi_wit) == 1
+        lo_piece is not None and lo_piece(lo) == 0
+        and hi_piece is not None and hi_piece(hi) == 0
         and delta > 0
     )
     if not h1_ok:
+        lo_min, hi_min = (min(fn(e) for fn in h1_pieces) for e in (lo, hi))
         raise CertificateError(
-            f"v(h(1)) is {lo_min} at v(s) = 1/5 ({len(lo_wit)} witnesses), {hi_min} at "
-            f"1/4 ({len(hi_wit)} witnesses) and {delta} at 6/25: not certified > 0 inside"
+            f"v(h(1)) is {lo_min} at v(s) = 1/5 (alone: {lo_piece is not None}), {hi_min} at "
+            f"1/4 (alone: {hi_piece is not None}) and {delta} at 6/25: not certified > 0 inside"
         )
     if dominant_piece(hp1_pieces, lo, hi) != Affine(F(0), F(0)):
         raise CertificateError(

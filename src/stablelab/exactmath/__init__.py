@@ -33,12 +33,12 @@ from .valuation import (
     MinValuation,
     affine,
     dominant_piece,
-    envelope_min,
     field_valuation,
     is_finite,
     is_prime,
     min_valuation,
     param_valuations,
+    pieces_in,
     quotient_on_cell,
     symbol_valuations,
     val_rat,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .valuation import INF, Affine, ExtValuation, envelope_min, is_finite, val_rat
+from .valuation import INF, Affine, ExtValuation, is_finite, val_rat
 
 
 class NewtonPolygon(NamedTuple):
@@ -150,32 +150,21 @@ class ParamPolygon(NamedTuple):
         return (self.cells[0].vertices,) + tuple(cell.vertices for cell in self._changes())
 
 
-def _normalize_pvals(
-    pvals: Sequence[Affine | Sequence[Affine] | None],
-) -> list[tuple[int, tuple[Affine, ...]]]:
-    out = []
-    for i, entry in enumerate(pvals):
-        pieces = (entry,) if isinstance(entry, Affine) else tuple(entry or ())
-        if pieces:
-            out.append((i, pieces))
-    return out
-
-
 def parametric_polygon(
-    pvals: Sequence[Affine | Sequence[Affine] | None],
+    pvals: Sequence[Sequence[Affine]],
     interval: tuple[Fraction, Fraction],
 ) -> ParamPolygon:
     """Certified parametric Newton polygon on an open interval.
 
-    ``pvals[i]`` is the valuation of coefficient i: a single Affine, a
-    sequence of Affine pieces (the valuation is their minimum), or None/empty
-    for +infinity.  Cells are split until, on each one, a midpoint hull is
+    ``pvals[i]`` is the valuation of coefficient i as a sequence of Affine
+    pieces: the valuation is their minimum, and an empty sequence is
+    +infinity.  Cells are split until, on each one, a midpoint hull is
     certified over the whole cell by endpoint checks of affine inequalities.
     """
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if not lo < hi:
         raise ValueError("empty interval")
-    indexed = _normalize_pvals(pvals)
+    indexed = [(i, pieces) for i, pieces in enumerate(pvals) if pieces]
     if len(indexed) < 2:
         raise ValueError("need at least two indices with finite valuations")
 
@@ -196,10 +185,7 @@ def parametric_polygon(
 def _certify_cell(indexed, a: Fraction, b: Fraction):
     """Either a certified PolygonCell on [a, b] or a split point inside."""
     mid = (a + b) / 2
-    actives: dict[int, Affine] = {}
-    for i, pieces in indexed:
-        _, wit = envelope_min(pieces, mid)
-        actives[i] = wit[0]
+    actives = {i: min(pieces, key=lambda fn: fn(mid)) for i, pieces in indexed}
 
     hull_pts = lower_hull([(i, actives[i](mid)) for i, _ in indexed])
     vertices = tuple(i for i, _ in hull_pts)

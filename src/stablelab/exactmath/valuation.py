@@ -146,45 +146,33 @@ def min_valuation(
     return MinValuation(value, witnesses)
 
 
-def envelope_min(
-    pieces: Sequence[Affine], lam
-) -> tuple[Fraction, tuple[Affine, ...]]:
-    """Minimum of the affine pieces at lambda, with the attaining pieces."""
-    lam = Fraction(lam)
-    best = None
-    witnesses: list[Affine] = []
-    for fn in pieces:
-        v = fn(lam)
-        if best is None or v < best:
-            best, witnesses = v, [fn]
-        elif v == best:
-            witnesses.append(fn)
-    if best is None:
-        raise ValueError("empty envelope")
-    return best, tuple(witnesses)
+def pieces_in(f: SymbolicPolynomial, var: str, p: int) -> list[Affine]:
+    """The valuation pieces of f in lambda = v(var), one per monomial."""
+    return [fn for fn, _ in param_valuations(f, {}, {var: 1}, p)]
 
 
 def dominant_piece(pieces: Sequence[Affine], lo, hi) -> Affine | None:
-    """The piece strictly below every other piece on the open interval (lo, hi).
+    """The piece strictly below every other piece on the open interval
+    (lo, hi), or on the single circle lambda = lo when lo == hi.
 
     The difference of two pieces is affine, so it is > 0 on the whole open
     interval exactly when it is >= 0 at both endpoints and not 0 at both;
-    that is decided at lo and hi.  A piece listed twice ties its copy and is
-    never dominant.  None when no piece dominates.
+    that is decided at lo and hi, and at a circle it says > 0 there.  A
+    piece listed twice ties its copy and is never dominant.  None when no
+    piece dominates.
     """
     lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi:
+    if lo > hi:
         raise ValueError("empty interval")
-    others = list(pieces)
-    if not others:
+    if not pieces:
         raise ValueError("no pieces")
-    best = min(others, key=lambda fn: fn((lo + hi) / 2))
-    others.remove(best)
-    for fn in others:
-        gap = fn - best
-        if gap(lo) < 0 or gap(hi) < 0 or gap(lo) == gap(hi) == 0:
-            return None
-    return best
+    ends = (lo,) if lo == hi else (lo, hi)
+    values = [tuple(map(fn, ends)) for fn in pieces]
+    # a dominant piece is least at lo and, among the pieces least there, at hi
+    best = min(values)
+    if values.count(best) > 1 or any(at[-1] < best[-1] for at in values):
+        return None
+    return pieces[values.index(best)]
 
 
 def quotient_on_cell(
@@ -196,10 +184,7 @@ def quotient_on_cell(
     whole cell, the quotient's valuation is their difference, an affine
     function of lambda; None when either has no dominant piece.
     """
-    num_piece, den_piece = (
-        dominant_piece([fn for fn, _ in param_valuations(f, {}, {var: 1}, p)], lo, hi)
-        for f in (num, den)
-    )
+    num_piece, den_piece = (dominant_piece(pieces_in(f, var, p), lo, hi) for f in (num, den))
     if num_piece is None or den_piece is None:
         return None
     return num_piece - den_piece

@@ -3,9 +3,11 @@
 The six classical maps (forgetful and quotient maps pi_1, pi_5 down the
 5-power tower plus the Atkin-Lehner involutions w_5, w_25) are transcribed as
 exact rational maps.  Circle regions v(coordinate) = lambda are pushed
-forward by generic-valuation dominance: the image valuation is certified
-exact when a unique monomial attains the minimum, otherwise only as a bound
-(which is how a circle image degenerates to a disk statement).
+forward by `dominant_piece`, the one dominance rule, on the valuation pieces
+of numerator and denominator: a denominator with no single lowest piece
+certifies nothing, and the image valuation is exact when a numerator piece
+dominates too, otherwise only a bound (which is how a circle image
+degenerates to a disk statement).
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from .exactmath import (
     Affine,
     SymbolicPolynomial,
     characteristic_polynomial,
+    dominant_piece,
     field_valuation,
-    min_valuation,
+    pieces_in,
     poly_to_coeffs,
     quotient_on_cell,
     squarefree_part,
@@ -92,17 +95,23 @@ def builtin_maps() -> dict[str, RationalMap]:
 def image_valuation(rmap: RationalMap, radius) -> ImageCertificate:
     """Image of the circle v(source) = radius under a rational map.
 
-    v(target) = v(numerator) - v(denominator) computed monomial-wise.  The
-    image is the circle v(target) = lower_bound when both minima are attained
-    by a unique monomial; on a tie only v(target) >= lower_bound is
+    v(target) = v(numerator) - v(denominator), read off the pieces of each
+    at the circle.  The denominator needs a dominant piece there, or its
+    lowest monomials could cancel and no bound follows: CertificateError.
+    The image is the circle v(target) = lower_bound when a numerator piece
+    dominates too; on a numerator tie only v(target) >= lower_bound is
     certified, which is the disk case.
     """
-    assignment = {rmap.source_coord: Fraction(radius)}
-    mv_num = min_valuation(rmap.numerator, assignment, P)
-    mv_den = min_valuation(rmap.denominator, assignment, P)
-    if not mv_den.witnesses:
-        raise ValueError("denominator has infinite valuation on the circle")
-    return ImageCertificate(mv_num.value - mv_den.value, mv_num.unique and mv_den.unique)
+    lam = Fraction(radius)
+    num, den = (pieces_in(f, rmap.source_coord, P) for f in (rmap.numerator, rmap.denominator))
+    den_piece = dominant_piece(den, lam, lam)
+    if den_piece is None:
+        raise CertificateError(
+            f"the denominator {rmap.denominator} of {rmap.name} has no single lowest "
+            f"monomial on v({rmap.source_coord}) = {lam}: a tie certifies no bound"
+        )
+    lower_bound = min(fn(lam) for fn in num) - den_piece(lam)
+    return ImageCertificate(lower_bound, dominant_piece(num, lam, lam) is not None)
 
 
 def cell_image_valuation(rmap: RationalMap, lo, hi) -> Affine | None:

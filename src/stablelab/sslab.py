@@ -15,12 +15,11 @@ from typing import NamedTuple
 
 from . import CertificateError
 from .exactmath import (
-    Affine,
     ParamPolygon,
     SymbolicPolynomial,
     affine,
-    param_valuations,
     parametric_polygon,
+    pieces_in,
     quotient_on_cell,
     sym,
 )
@@ -54,17 +53,9 @@ def division_polynomial_5() -> SymbolicPolynomial:
     return 32 * c**2 * f4 - psi3**3
 
 
-def _t_pieces(f: SymbolicPolynomial) -> list[Affine]:
-    """The valuation pieces of f's monomials as functions of lambda = v_5(t)."""
-    return [fn for fn, _ in param_valuations(f, {}, {"t": 1}, P)]
-
-
 def torsion_polygon(psi5: SymbolicPolynomial) -> ParamPolygon:
     """Parametric Newton polygon of psi_5 in x over 0 < v_5(t) < 1."""
-    pieces = []
-    for i in range(psi5.degree("x") + 1):
-        ci = psi5.coefficient("x", i)
-        pieces.append(None if ci.is_zero() else _t_pieces(ci))
+    pieces = [pieces_in(psi5.coefficient("x", i), "t", P) for i in range(psi5.degree("x") + 1)]
     return parametric_polygon(pieces, (F(0), F(1)))
 
 

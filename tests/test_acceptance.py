@@ -13,7 +13,6 @@ from fractions import Fraction as F
 from stablelab import CertificateError, cmlab, curve125, ledger, modmaps, quatlab, sslab
 from stablelab.exactmath import (
     INF,
-    envelope_min,
     min_valuation,
     newton_polygon,
     root_valuation_multiset,
@@ -94,7 +93,7 @@ def test_c05_reduction_certificates():
     residue_ok = residues == [1, 3, 3] and eq4_residual == F(1, 4)
     delta = curve125.hensel_certificate(g_plus)
     _, hp1_pieces = curve125._hensel_pieces(g_plus)
-    hp1_minima = [envelope_min(hp1_pieces, e)[0] for e in curve125.HENSEL_INTERVAL]
+    hp1_minima = [min(fn(e) for fn in hp1_pieces) for e in curve125.HENSEL_INTERVAL]
     hensel_ok = hp1_minima == [0, 0] and delta == F(2, 25)
     # eq 6 raises unless its target coefficients are units and the
     # valuation-0 parts match term for term

@@ -11,7 +11,6 @@ from stablelab.exactmath import (
     INF,
     Affine,
     SymbolicPolynomial,
-    envelope_min,
     min_valuation,
     newton_polygon,
     normal_form,
@@ -287,18 +286,24 @@ def test_eq4_reduction(g_plus):
     assert 2 - 4 * F(1, 2) == 0  # v(25 / alpha^4)
 
 
+def _lowest(pieces, lam):
+    """The least value of the pieces at lambda, with the pieces attaining it."""
+    least = min(fn(lam) for fn in pieces)
+    return least, tuple(fn for fn in pieces if fn(lam) == least)
+
+
 def test_hensel_certificate(g_plus, hensel_pieces):
     assert curve125.hensel_certificate(g_plus) == F(2, 25)  # v(h(1)) at v(s) = 6/25
     h1_pieces, hp1_pieces = hensel_pieces
     lo, hi = curve125.HENSEL_INTERVAL
-    (lo_min, lo_wit), (hi_min, hi_wit) = (envelope_min(h1_pieces, e) for e in (lo, hi))
+    (lo_min, lo_wit), (hi_min, hi_wit) = (_lowest(h1_pieces, e) for e in (lo, hi))
     assert lo_min == 0 and hi_min == 0
     assert len(lo_wit) == 1 and len(hi_wit) == 1
     # the boundary witnesses: s^20/225 (from y^4) and -25 s^2 (from -25*x0)
     assert lo_wit[0].constant == -2 and lo_wit[0].slope == 10
     assert hi_wit[0].constant == 2 and hi_wit[0].slope == -8
-    assert envelope_min(h1_pieces, curve125.RAM_CIRCLE)[0] == F(2, 25)
-    assert [envelope_min(hp1_pieces, e)[0] for e in (lo, hi)] == [0, 0]
+    assert _lowest(h1_pieces, curve125.RAM_CIRCLE)[0] == F(2, 25)
+    assert [_lowest(hp1_pieces, e)[0] for e in (lo, hi)] == [0, 0]
 
 
 def _positive_at_every_crossing(pieces, lo, hi):
@@ -312,7 +317,7 @@ def _positive_at_every_crossing(pieces, lo, hi):
             rho = (a - b).root()
             if rho is not None and lo < rho < hi:
                 points.add(rho)
-    return all(envelope_min(pieces, lam)[0] > 0 for lam in points)
+    return all(_lowest(pieces, lam)[0] > 0 for lam in points)
 
 
 def test_hensel_envelope_is_positive_at_every_crossing(hensel_pieces):

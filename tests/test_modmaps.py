@@ -76,6 +76,18 @@ def test_image_valuations(maps):
     assert cert.lower_bound == F(5, 2) and not cert.unique  # a bound only: a tie
 
 
+def test_image_valuation_needs_a_dominant_denominator_piece():
+    """On v(t) = 0 the denominator t - 1 ties t with -1, and they cancel at
+    t = 6: v(t) = 0 there, yet v(1/(t - 1)) = -1, so no bound v >= 0 holds
+    and the circle image certifies nothing."""
+    rmap = modmaps.RationalMap("x", "t", "j", SymbolicPolynomial.constant(1), sym("t") - 1)
+    assert val_rat(6, 5) == 0 and val_rat(rmap.evaluate(6), 5) == -1
+    with pytest.raises(CertificateError, match="denominator t - 1 of x has no single lowest"):
+        modmaps.image_valuation(rmap, 0)
+    # off the tie the denominator's piece is exact: v(t) = 1 gives v(j) = 0
+    assert modmaps.image_valuation(rmap, 1) == modmaps.ImageCertificate(F(0), True)
+
+
 def test_image_valuation_on_a_cell(maps):
     """On 0 < v(t) < 5/2 the pieces 6 v(t) of t^6 over 5 v(t) of t^5 decide
     v(j) = v(t); on (0, 3) the constant 15 of 5^15 undercuts 6 v(t) above

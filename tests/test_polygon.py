@@ -75,17 +75,22 @@ def test_polygon_slopes_strictly_increase_randomized():
 
 def test_parametric_trivial_cells():
     # Eisenstein-type x^2 - 5: roots at 1/2 for every lambda
-    pp = parametric_polygon([affine(1), None, affine(0)], (0, 1))
+    pp = parametric_polygon([[affine(1)], [], [affine(0)]], (0, 1))
     assert pp.breakpoints == ()
     assert pp.cell_at(F(1, 3)).root_valuations_at(F(1, 3)) == ((F(1, 2), 2),)
 
     # linear c1 x + c0 with v(c0) = lambda: root valuation lambda everywhere
-    pp2 = parametric_polygon([affine(0, 1), affine(0)], (0, 1))
+    pp2 = parametric_polygon([[affine(0, 1)], [affine(0)]], (0, 1))
     assert pp2.cell_at(F(2, 7)).root_valuations_at(F(2, 7)) == ((F(2, 7), 1),)
 
 
+def _single_pieces_at(pvals, lam):
+    """The coefficient valuations at lambda of one piece or none per index."""
+    return [pieces[0](lam) if pieces else INF for pieces in pvals]
+
+
 def test_parametric_breakpoint_and_agreement():
-    pvals = [affine(0)] + [None] * 9 + [affine(0, 1), None, affine(1)]
+    pvals = [[affine(0)]] + [[]] * 9 + [[affine(0, 1)], [], [affine(1)]]
     pp = parametric_polygon(pvals, (0, 1))
     assert pp.breakpoints == (F(5, 6),)
     assert pp.vertex_sets() == ((0, 10, 12), (0, 12))
@@ -100,13 +105,13 @@ def test_parametric_breakpoint_and_agreement():
     for lam in samples:
         if lam == F(5, 6):
             continue
-        vals = [fn(lam) if fn is not None else INF for fn in pvals]
+        vals = _single_pieces_at(pvals, lam)
         assert newton_polygon(vals).root_valuations() == pp.cell_at(lam).root_valuations_at(lam)
 
 
 def test_parametric_min_of_affine_per_index():
     # index 0 carries two pieces: min(1, 2*lambda): breakpoint at 1/2
-    pp = parametric_polygon([[affine(1), affine(0, 2)], affine(0)], (0, 1))
+    pp = parametric_polygon([[affine(1), affine(0, 2)], [affine(0)]], (0, 1))
     left = pp.cell_at(F(1, 4)).root_valuations_at(F(1, 4))
     right = pp.cell_at(F(3, 4)).root_valuations_at(F(3, 4))
     assert left == ((F(1, 2), 1),)
@@ -114,10 +119,10 @@ def test_parametric_min_of_affine_per_index():
 
 
 def test_parametric_adjacent_cells_agree_at_breakpoint():
-    pvals = [affine(0)] + [None] * 9 + [affine(0, 1), None, affine(1)]
+    pvals = [[affine(0)]] + [[]] * 9 + [[affine(0, 1)], [], [affine(1)]]
     pp = parametric_polygon(pvals, (0, 1))
     lam = pp.breakpoints[0]
-    vals = [fn(lam) if fn is not None else INF for fn in pvals]
+    vals = _single_pieces_at(pvals, lam)
     exact = newton_polygon(vals).root_valuations()
     below = [c for c in pp.cells if c.hi == lam][-1]
     above = [c for c in pp.cells if c.lo == lam][0]
@@ -127,7 +132,7 @@ def test_parametric_adjacent_cells_agree_at_breakpoint():
 
 def test_parametric_empty_interval():
     with pytest.raises(ValueError):
-        parametric_polygon([affine(0), affine(1)], (1, 1))
+        parametric_polygon([[affine(0)], [affine(1)]], (1, 1))
 
 
 def test_parametric_randomized_agreement():
@@ -140,7 +145,7 @@ def test_parametric_randomized_agreement():
         pvals = []
         for _ in range(size):
             if rng.random() < 0.2:
-                pvals.append(None)
+                pvals.append([])
             else:
                 pieces = [
                     affine(F(rng.randint(-4, 8), rng.randint(1, 3)),

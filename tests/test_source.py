@@ -258,7 +258,10 @@ def test_checks_do_not_reword_a_layer_verdict(module):
 def test_checks_do_no_valuation_arithmetic(module):
     """Suite modules read certificates; the valuation pieces, envelopes and
     minima behind them are computed in the layers."""
-    kernel = {"affine", "param_valuations", "valuation_levels", "envelope_min", "min_valuation"}
+    kernel = {
+        "affine", "param_valuations", "valuation_levels", "min_valuation", "pieces_in",
+        "dominant_piece",
+    }
     imported = {
         alias.name
         for node in ast.walk(_TREES[module])
@@ -308,6 +311,33 @@ def test_no_dict_literal_states_a_symbol_valuation(module):
         if isinstance(key, ast.Constant) and key.value in names
     ]
     assert not keyed, f"{module}: symbol names as dict keys {keyed}"
+
+
+def _pieces_in_one_variable(node: ast.AST) -> bool:
+    """A call ``param_valuations(f, {}, {var: w}, p)``: f valued in one variable."""
+    return (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] == "param_valuations"
+        and len(node.args) >= 3
+        and isinstance(node.args[1], ast.Dict) and not node.args[1].keys
+        and isinstance(node.args[2], ast.Dict) and len(node.args[2].keys) == 1
+    )
+
+
+@pytest.mark.parametrize("module", _TREES)
+def test_pieces_in_one_variable_are_built_only_by_pieces_in(module):
+    """The valuation pieces of f in lambda = v(var) have one home,
+    `exactmath.valuation.pieces_in`, which the cell, circle and polygon
+    rules read."""
+    calls = [
+        (getattr(top, "name", None), node.lineno)
+        for top in _TREES[module].body
+        for node in ast.walk(top)
+        if _pieces_in_one_variable(node)
+    ]
+    if module == "exactmath/valuation.py":
+        calls = [(name, line) for name, line in calls if name != "pieces_in"]
+    assert not calls, f"{module}: pieces in one variable built at {calls}"
 
 
 def test_valuation_imports_nothing_from_resultant():

@@ -21,6 +21,7 @@ from stablelab.exactmath import (
     min_valuation,
     normal_form,
     param_valuations,
+    pieces_in,
     poly_to_coeffs,
     quotient_on_cell,
     sym,
@@ -288,10 +289,17 @@ def test_dominant_piece_decides_the_open_interval_at_its_endpoints():
     # equal on the whole interval, or listed twice: never dominant
     assert dominant_piece([zero, zero, rising], F(1, 5), F(1, 4)) is None
     assert dominant_piece([affine(0, 6), affine(0, 6)], 0, F(5, 2)) is None
+    # lo == hi is the single circle: strictly below every other piece there
+    assert dominant_piece([zero], 1, 1) == zero
+    assert dominant_piece([rising, zero], F(1, 5), F(1, 5)) is None
+    assert dominant_piece([rising, zero], F(1, 4), F(1, 4)) == zero
+    assert dominant_piece([zero, zero, rising], 1, 1) is None
     with pytest.raises(ValueError):
-        dominant_piece([zero], 1, 1)
+        dominant_piece([zero], 1, 0)
     with pytest.raises(ValueError):
         dominant_piece([], 0, 1)
+    with pytest.raises(ValueError):
+        dominant_piece([], 1, 1)
 
 
 def test_quotient_on_cell_is_the_difference_of_dominant_pieces():
@@ -329,3 +337,31 @@ def test_dominant_piece_matches_sampling_between_crossings(raw):
     assert (got is None) == (not below)
     if below:
         assert got == pieces[below[0]]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=5),
+    st.fractions(min_value=-2, max_value=2, max_denominator=6),
+    st.booleans(),
+)
+def test_dominant_piece_at_a_circle_is_the_single_lowest_piece(raw, lam, duplicate):
+    """At lo == hi a piece dominates exactly when it alone attains the least
+    value at lambda; a piece listed twice attains it twice."""
+    pieces = [Affine(F(a), F(b)) for a, b in raw]
+    if duplicate:
+        pieces.append(pieces[0])
+    least = min(fn(lam) for fn in pieces)
+    lowest = [fn for fn in pieces if fn(lam) == least]
+    got = dominant_piece(pieces, lam, lam)
+    assert (got is not None) == (len(lowest) == 1)
+    if len(lowest) == 1:
+        assert got == lowest[0]
+
+
+def test_pieces_in_values_each_monomial_in_one_variable():
+    t = sym("t")
+    assert sorted(pieces_in(25 * t**3 - t + 7, "t", 5)) == [affine(0), affine(0, 1), affine(2, 3)]
+    assert pieces_in(SymbolicPolynomial.zero(), "t", 5) == []
+    with pytest.raises(KeyError):
+        pieces_in(t * sym("u"), "t", 5)
