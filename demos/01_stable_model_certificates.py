@@ -4,7 +4,8 @@ Run:  python demos/01_stable_model_certificates.py
 """
 
 from stablelab import curve125
-from stablelab.exactmath import root_valuation_multiset, val_rat
+from stablelab.exactmath.kernel import val_rat
+from stablelab.exactmath.polygon import root_valuation_multiset
 
 print("The plus-quotient curve is cut out by a 14-term model f+(x, y),")
 print("with the degree-2 extension given by the fiber equation x*u^2 - y*u + 5.")

@@ -6,7 +6,7 @@ Run:  python demos/03_too_supersingular.py
 from fractions import Fraction as F
 
 from stablelab import sslab
-from stablelab.exactmath import SymbolicPolynomial
+from stablelab.exactmath.poly import SymbolicPolynomial
 
 print("Family: y^2 = x^3 + t*x + 1 over the supersingular disk v5(t) > 0.")
 psi5 = sslab.division_polynomial_5()

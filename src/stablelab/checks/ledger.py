@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .. import CM_CONGRUENCES, CertificateError, ledger, quatlab
-from ..exactmath import is_prime
+from .. import CM_CONGRUENCES, CertificateError, is_prime, ledger, quatlab
 from . import DEFAULT_PRIMES, Check, Config, once
 
 

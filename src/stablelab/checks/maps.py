@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 from .. import CertificateError, modmaps
-from ..exactmath import Affine
+from ..exactmath.kernel import Affine
 from . import Check, Config, once
 
 

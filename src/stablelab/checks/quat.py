@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import partial
 
 from .. import CertificateError, quatlab
-from ..exactmath import sym
+from ..exactmath.poly import sym
 from . import DEFAULT_PRIMES, Check, Config, once
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 from .. import CertificateError, sslab
-from ..exactmath import val_rat
+from ..exactmath.kernel import val_rat
 from . import Check, Config, once
 
 

@@ -6,7 +6,8 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 from .. import CertificateError, curve125
-from ..exactmath import root_valuation_multiset, val_rat
+from ..exactmath.kernel import val_rat
+from ..exactmath.polygon import root_valuation_multiset
 from . import Check, Config, once
 
 

@@ -20,8 +20,10 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import CM_CONGRUENCES, CertificateError, divides_once, legendre_symbol
-from .exactmath import INF, characteristic_polynomial, root_valuation_multiset, univariate_mul
-from .exactmath import newton_polygon  # noqa: F401  perfbench's tracer test reads it here
+from .exactmath.kernel import INF, univariate_mul
+from .exactmath.polygon import newton_polygon  # noqa: F401  perfbench's tracer test reads it here
+from .exactmath.polygon import root_valuation_multiset
+from .exactmath.resultant import characteristic_polynomial
 
 SERIES_GUARD_BITS = 64
 PRECISION_GUARD_BITS = 32
@@ -100,15 +102,18 @@ def reduced_forms(discriminant: int) -> list[QuadForm]:
 
 # -- ball arithmetic --------------------------------------------------------
 #
-# A Ball is the complex disk |z - (re + im i) 2^-bits| <= rad 2^-bits: a
-# Gaussian-integer midpoint and an integer radius at the fixed scale 2^-bits
+# A ball is a triple (re, im, rad) of integers at a scale 2^-bits that each
+# operation is given: the complex disk |z - (re + im i) 2^-bits| <= rad 2^-bits
 # (midpoint-radius arithmetic, as in Johansson's Arb, IEEE Trans. Comput. 66
-# (2017), in Python integers).  Sums and integer multiples are exact.  A
-# product or quotient floors both parts of its midpoint, an error below
-# sqrt(2) units of 2^-bits (ulps), so it adds 2 ulps and the propagated input
-# radii to the radius, with |re| + |im| (at most sqrt(2) |mid|) bounding the
-# midpoint.  Every operation therefore contains every value it takes on
-# points of its input balls.
+# (2017), in Python integers).  The functions below are the one implementation
+# of each ball rule, and the build's loops call them on plain tuples.  Sums and
+# integer multiples are exact.  A product or quotient floors both parts of its
+# midpoint, an error below sqrt(2) units of 2^-bits (ulps), so it adds 2 ulps
+# and the propagated input radii to the radius, with |re| + |im| (at most
+# sqrt(2) |mid|) bounding the midpoint.  Every operation therefore contains
+# every value it takes on points of its input balls.
+
+Ball = tuple[int, int, int]  # (re, im, rad), read at a scale given beside it
 
 
 def _ceil_shift(n: int, bits: int) -> int:
@@ -116,84 +121,54 @@ def _ceil_shift(n: int, bits: int) -> int:
     return -(-n >> bits)
 
 
-class Ball:
-    """The complex disk |z - (re + im i) 2^-bits| <= rad 2^-bits; see above."""
+def _ball_sum(a: Ball, b: Ball, sign: int = 1) -> Ball:
+    """a + b, or a - b for sign -1; the radii add."""
+    (ar, ai, ad), (br, bi, bd) = a, b
+    if sign > 0:
+        return ar + br, ai + bi, ad + bd
+    return ar - br, ai - bi, ad + bd
 
-    __slots__ = ("re", "im", "rad", "bits")
 
-    def __init__(self, re: int, im: int, rad: int, bits: int):
-        self.re, self.im, self.rad, self.bits = re, im, rad, bits
+def _ball_mul(a: Ball, b: Ball, bits: int) -> Ball:
+    """a b; |xy - ab| <= |a| r_b + |b| r_a + r_a r_b."""
+    (ar, ai, ad), (br, bi, bd) = a, b
+    spread = (abs(ar) + abs(ai)) * bd + (abs(br) + abs(bi)) * ad + ad * bd
+    return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits, _ceil_shift(spread, bits) + 2
 
-    @classmethod
-    def exact(cls, n: int, bits: int) -> "Ball":
-        return cls(n << bits, 0, 0, bits)
 
-    def magnitude(self) -> int:
-        """|re| + |im|, at least 2^bits |mid|."""
-        return abs(self.re) + abs(self.im)
+def _ball_div(a: Ball, b: Ball, bits: int) -> Ball:
+    """a / b, unless b may contain 0; a/b = a conj(b) / |b|^2 and
+    |x/y - a/b| <= (r_a |b| + |a| r_b) / (|b| (|b| - r_b))."""
+    (ar, ai, ad), (br, bi, bd) = a, b
+    norm = br * br + bi * bi
+    low = math.isqrt(norm)  # 2^-bits low <= |b|
+    if low <= bd:
+        raise ZeroDivisionError("ball division by a ball that contains 0")
+    spread = (ad * (abs(br) + abs(bi)) + (abs(ar) + abs(ai)) * bd) << bits
+    return (((ar * br + ai * bi) << bits) // norm, ((ai * br - ar * bi) << bits) // norm,
+            -(-spread // (low * (low - bd))) + 2)
 
-    def widened(self, radius: int) -> "Ball":
-        return Ball(self.re, self.im, self.rad + radius, self.bits)
 
-    def _coerce(self, other) -> "Ball":
-        if isinstance(other, int):
-            return Ball.exact(other, self.bits)
-        if other.bits != self.bits:
-            raise ValueError("balls at different scales")
-        return other
+def _ball_times(a: Ball, k: int) -> Ball:
+    """k a for an integer k, exactly."""
+    return a[0] * k, a[1] * k, a[2] * abs(k)
 
-    def __neg__(self) -> "Ball":
-        return Ball(-self.re, -self.im, self.rad, self.bits)
 
-    def __add__(self, other) -> "Ball":
-        other = self._coerce(other)
-        return Ball(self.re + other.re, self.im + other.im, self.rad + other.rad, self.bits)
+def _ball_over(a: Ball, k: int) -> Ball:
+    """a / k for a nonzero integer k: both parts floored, 2 ulps added."""
+    return a[0] // k, a[1] // k, -(-a[2] // abs(k)) + 2
 
-    def __sub__(self, other) -> "Ball":
-        return self + -self._coerce(other)
 
-    def __mul__(self, other) -> "Ball":
-        if isinstance(other, int):
-            return Ball(self.re * other, self.im * other, self.rad * abs(other), self.bits)
-        a, b, w = self, self._coerce(other), self.bits
-        # |xy - ab| <= |a| r_b + |b| r_a + r_a r_b
-        spread = a.magnitude() * b.rad + b.magnitude() * a.rad + a.rad * b.rad
-        return Ball(
-            (a.re * b.re - a.im * b.im) >> w,
-            (a.re * b.im + a.im * b.re) >> w,
-            _ceil_shift(spread, w) + 2,
-            w,
-        )
+def _rescale(a: Ball, shift: int) -> Ball:
+    """a at the 2^shift times coarser scale: both parts floored, 2 ulps added."""
+    return a[0] >> shift, a[1] >> shift, _ceil_shift(a[2], shift) + 2
 
-    def __truediv__(self, other) -> "Ball":
-        if isinstance(other, int):
-            rad = -(-self.rad // abs(other)) + 2
-            return Ball(self.re // other, self.im // other, rad, self.bits)
-        a, b, w = self, self._coerce(other), self.bits
-        norm = b.re * b.re + b.im * b.im
-        low = math.isqrt(norm)  # 2^-w low <= |b|
-        if low <= b.rad:
-            raise ZeroDivisionError("ball division by a ball that contains 0")
-        # |x/y - a/b| <= (r_a |b| + |a| r_b) / (|b| (|b| - r_b)); a/b = a conj(b) / |b|^2
-        spread = (a.rad * b.magnitude() + a.magnitude() * b.rad) << w
-        return Ball(
-            ((a.re * b.re + a.im * b.im) << w) // norm,
-            ((a.im * b.re - a.re * b.im) << w) // norm,
-            -(-spread // (low * (low - b.rad))) + 2,
-            w,
-        )
 
-    def at_scale(self, bits: int) -> "Ball":
-        """The ball at the coarser scale 2^-bits: both parts floored, 2 ulps added."""
-        shift = self.bits - bits
-        return Ball(self.re >> shift, self.im >> shift, _ceil_shift(self.rad, shift) + 2, bits)
-
-    def integer_distance(self) -> tuple[int, Fraction]:
-        """The integer n nearest the midpoint, and an exact upper bound on both
-        |Re z - n| and |Im z| for every z in the ball."""
-        w = self.bits
-        n = (self.re + (1 << w >> 1)) >> w
-        return n, Fraction(self.rad + abs(self.re - (n << w)) + abs(self.im), 1 << w)
+def _integer_distance(a: Ball, bits: int) -> tuple[int, Fraction]:
+    """The integer n nearest the midpoint, and an exact upper bound on both
+    |Re z - n| and |Im z| for every z in the ball."""
+    n = (a[0] + (1 << bits >> 1)) >> bits
+    return n, Fraction(a[2] + abs(a[0] - (n << bits)) + abs(a[1]), 1 << bits)
 
 
 def _pi(bits: int) -> Ball:
@@ -214,11 +189,12 @@ def _pi(bits: int) -> Ball:
             power //= x * x
             k, sign = k + 1, -sign
         error += abs(weight) * (3 * k + 2)
-    return Ball(total >> guard, 0, _ceil_shift(error, guard) + 1, bits)
+    return total >> guard, 0, _ceil_shift(error, guard) + 1
 
 
-def _exp_pair(w: Ball, squarings: int) -> tuple[Ball, Ball]:
-    """Balls around exp(2^squarings w) and exp(-2^squarings w), for |w| <= 1/2.
+def _exp_pair(w: Ball, bits: int, squarings: int) -> tuple[Ball, Ball]:
+    """Balls around exp(2^squarings w) and exp(-2^squarings w), for |w| <= 1/2,
+    all at the scale 2^-bits.
 
     The Taylor series of exp(w) is cut after the first term whose midpoint is
     below 4 ulps; the dropped tail sum_{i>k} |w|^i / i! is at most
@@ -226,18 +202,18 @@ def _exp_pair(w: Ball, squarings: int) -> tuple[Ball, Ball]:
     reciprocal, a quotient by a ball near 1 that keeps the relative precision,
     and each is then squared ``squarings`` times.
     """
-    if w.magnitude() + w.rad > 1 << (w.bits - 1):
+    if abs(w[0]) + abs(w[1]) + w[2] > 1 << (bits - 1):
         raise ValueError("exp series argument must satisfy |w| <= 1/2")
-    total = term = Ball.exact(1, w.bits)
+    total = term = one = (1 << bits, 0, 0)
     k = 0
-    while term.magnitude() > 4:
+    while abs(term[0]) + abs(term[1]) > 4:
         k += 1
-        term = term * w / k
-        total = total + term
-    total = total.widened(term.magnitude() + term.rad)
-    pair = [total, Ball.exact(1, w.bits) / total]
+        term = _ball_over(_ball_mul(term, w, bits), k)
+        total = _ball_sum(total, term)
+    total = _ball_sum(total, (0, 0, abs(term[0]) + abs(term[1]) + term[2]))  # the tail
+    pair = [total, _ball_div(one, total, bits)]
     for _ in range(squarings):
-        pair = [ball * ball for ball in pair]
+        pair = [_ball_mul(ball, ball, bits) for ball in pair]
     return pair[0], pair[1]
 
 
@@ -252,19 +228,18 @@ def _q_pair(tau: Tau, bits: int) -> tuple[Ball, Ball]:
     """
     r, m, n, d = tau
     s = max(math.isqrt(bits), (7 * (abs(r) + m * (math.isqrt(n) + 1)) // d + 1).bit_length() + 2)
-    i_tau = Ball(-m * math.isqrt(n << 2 * bits), r << bits, m, bits) / d
-    z = i_tau * (_pi(bits) * 2)
-    w = Ball(z.re, z.im, z.rad, bits + s)
-    q, q_inverse = _exp_pair(w, s)
-    return q.at_scale(bits), q_inverse.at_scale(bits)
+    i_tau = _ball_over((-m * math.isqrt(n << 2 * bits), r << bits, m), d)
+    z = _ball_mul(i_tau, _ball_times(_pi(bits), 2), bits)
+    q, q_inverse = _exp_pair(z, bits + s, s)
+    return _rescale(q, s), _rescale(q_inverse, s)
 
 
-def _tail_bound(q: Ball, length: int) -> int:
+def _tail_bound(q: Ball, bits: int, length: int) -> int:
     """An upper bound, in ulps of q, on sum_{e > N} |q|^e = |q|^(N+1) / (1 - |q|),
     from upward-rounded products and |q| <= 2^-bits (isqrt(re^2 + im^2) + 1 + rad):
     the looser |re| + |im| could cost N/2 bits after the power."""
-    bits, one = q.bits, 1 << q.bits
-    bound = math.isqrt(q.re * q.re + q.im * q.im) + 1 + q.rad
+    (re, im, rad), one = q, 1 << bits
+    bound = math.isqrt(re * re + im * im) + 1 + rad
     if bound >= one:
         raise ValueError("|q| may reach 1: tau too close to the real line")
     power, base, exponent = one, bound, length + 1
@@ -306,26 +281,25 @@ def j_tau(tau: Tau, precision: int) -> Ball:
     length = _series_length(tau, precision)
     bits = precision + SERIES_GUARD_BITS
     q, q_inverse = _q_pair(tau, bits)
-    tail = _tail_bound(q, length)
-    p_q = p_q2 = Ball.exact(1, bits)
+    tail = (0, 0, _tail_bound(q, bits, length))
+    p_q = p_q2 = (1 << bits, 0, 0)
     term, q_k, k, sign = q, q, 1, -1  # term = q^(k(3k-1)/2)
     while k * (3 * k - 1) // 2 <= length:
         for exponent in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
             if exponent <= length:
-                p_q = p_q + term if sign > 0 else p_q - term
-            if 2 * exponent <= length:
-                square = term * term  # (q^2)^exponent
-                p_q2 = p_q2 + square if sign > 0 else p_q2 - square
-            term = term * q_k
-        q_k = q_k * q
-        term = term * q_k  # q^((k+1)(3k+2)/2)
+                p_q = _ball_sum(p_q, term, sign)
+            if 2 * exponent <= length:  # (q^2)^exponent
+                p_q2 = _ball_sum(p_q2, _ball_mul(term, term, bits), sign)
+            term = _ball_mul(term, q_k, bits)
+        q_k = _ball_mul(q_k, q, bits)
+        term = _ball_mul(term, q_k, bits)  # q^((k+1)(3k+2)/2)
         k, sign = k + 1, -sign
-    x = p_q.widened(tail) / p_q2.widened(tail)
+    x = _ball_div(_ball_sum(p_q, tail), _ball_sum(p_q2, tail), bits)
     for _ in range(3):  # (P(q) / P(q^2))^8 by three squarings
-        x = x * x
-    x = x * x * x * q_inverse
-    y = x + 256
-    return y * y * y / (x * x)
+        x = _ball_mul(x, x, bits)
+    x = _ball_mul(_ball_mul(_ball_mul(x, x, bits), x, bits), q_inverse, bits)
+    y = _ball_sum(x, (256 << bits, 0, 0))
+    return _ball_div(_ball_mul(_ball_mul(y, y, bits), y, bits), _ball_mul(x, x, bits), bits)
 
 
 # -- class polynomials ------------------------------------------------------
@@ -402,14 +376,13 @@ def start_precision(discriminant: int) -> int:
     return math.ceil(bits) + PRECISION_GUARD_BITS
 
 
-def expand_product(roots: Sequence[Ball]) -> list[Ball]:
+def expand_product(roots: Sequence[Ball], bits: int) -> list[Ball]:
     """Balls around the coefficients of prod (X - r) over the roots, ascending."""
-    bits = roots[0].bits
-    coeffs = [Ball.exact(1, bits)]
+    coeffs = [(1 << bits, 0, 0)]
     for root in roots:
-        coeffs = [Ball.exact(0, bits)] + coeffs
+        coeffs = [(0, 0, 0)] + coeffs
         for k in range(len(coeffs) - 1):
-            coeffs[k] = coeffs[k] - root * coeffs[k + 1]
+            coeffs[k] = _ball_sum(coeffs[k], _ball_mul(root, coeffs[k + 1], bits), -1)
     return coeffs
 
 
@@ -428,8 +401,9 @@ def polynomial_from_taus(
     before the build raises CertificateError.
     """
     for _ in range(MAX_PRECISION_DOUBLINGS + 1):
-        coeffs = expand_product([j_tau(tau, precision) for tau in taus])
-        rounded = [coeff.integer_distance() for coeff in coeffs]
+        bits = precision + SERIES_GUARD_BITS
+        coeffs = expand_product([j_tau(tau, precision) for tau in taus], bits)
+        rounded = [_integer_distance(coeff, bits) for coeff in coeffs]
         error = max(distance for _, distance in rounded)
         if error < ROUNDING_TOLERANCE:
             return tuple(n for n, _ in rounded), precision, error

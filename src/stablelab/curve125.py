@@ -20,24 +20,15 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from . import CertificateError
-from .exactmath import (
-    INF,
-    Affine,
-    SymbolicPolynomial,
-    ValuedSymbol,
-    affine,
+from .exactmath.kernel import INF, Affine, affine, univariate_trim
+from .exactmath.poly import SymbolicPolynomial, ValuedSymbol, normal_form, poly_to_coeffs, sym
+from .exactmath.polygon import newton_polygon, root_valuation_multiset
+from .exactmath.resultant import characteristic_polynomial, difference_root_resultant
+from .exactmath.valuation import (
     dominant_piece,
     min_valuation,
-    newton_polygon,
-    normal_form,
     param_valuations,
-    poly_to_coeffs,
-    root_valuation_multiset,
-    characteristic_polynomial,
-    difference_root_resultant,
-    sym,
     symbol_valuations,
-    univariate_trim,
     valuation_levels,
 )
 

@@ -1,47 +1,14 @@
 """Exact rational, valuation, polynomial, resultant and Newton-polygon kit.
 
-Its exports are the names the imports below bind."""
+The package imports none of its modules: an importer names the module that
+defines each name, so a process loads only the layers it calls.
 
-from .poly import (
-    Monomial,
-    SymbolicPolynomial,
-    ValuedSymbol,
-    monic_from_power_sums,
-    normal_form,
-    poly_to_coeffs,
-    root_power_sums,
-    squarefree_part,
-    sym,
-    univariate_divmod,
-    univariate_gcd,
-    univariate_mul,
-    univariate_trim,
-)
-from .polygon import (
-    NewtonPolygon,
-    ParamPolygon,
-    PolygonCell,
-    newton_polygon,
-    parametric_polygon,
-    root_valuation_multiset,
-)
-from .resultant import characteristic_polynomial, difference_root_resultant
-from .valuation import (
-    INF,
-    Affine,
-    ExtValuation,
-    MinValuation,
-    affine,
-    dominant_piece,
-    field_valuation,
-    is_finite,
-    is_prime,
-    min_valuation,
-    param_valuations,
-    pieces_in,
-    quotient_on_cell,
-    symbol_valuations,
-    val_rat,
-    valuation_levels,
-)
-
+- `kernel`: the integer and rational layer (the dense univariate kernel,
+  `val_rat` and the extended valuations, `Affine` pieces); it imports no
+  other module of the kit.
+- `poly`: sparse symbolic polynomials, `ValuedSymbol` and `normal_form`.
+- `valuation`: valuations of symbolic polynomials and their pieces.
+- `polygon`: Newton polygons, plain and parametric (reads `kernel` only).
+- `resultant`: characteristic and difference-root polynomials from power
+  sums (reads `kernel` only).
+"""

@@ -12,17 +12,16 @@ Symbols may carry a rewrite rule ``symbol**n -> replacement`` (for example a
 defining relation of an algebraic number, or a formal square root); see
 :class:`ValuedSymbol` and :func:`normal_form`.
 
-The univariate kernel at the end of the module works on dense ascending
-coefficient lists: trim, multiply, divmod, gcd, squarefree part, root power
-sums and their Newton-identity inversion.  It is the one implementation of
-these operations in the package.
+``poly_to_coeffs`` turns a univariate polynomial into the dense ascending
+coefficient list that the univariate kernel of `exactmath.kernel` works on.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple
+
+from .kernel import _exact_quotient, univariate_trim
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -303,13 +302,6 @@ def normal_form(
     raise RuntimeError("rewrite system did not terminate")
 
 
-# -- univariate kernel (dense ascending coefficient lists) ------------------
-#
-# Coefficients are ints or Fractions and keep the ring of the inputs: a
-# division by a leading coefficient stays integral whenever it is exact, so
-# integer input divided by a monic divisor never turns into Fractions.
-
-
 def poly_to_coeffs(f: SymbolicPolynomial, var: str) -> list[Fraction]:
     """Dense ascending coefficient list of a univariate polynomial."""
     parts = f.as_univariate(var)
@@ -319,110 +311,3 @@ def poly_to_coeffs(f: SymbolicPolynomial, var: str) -> list[Fraction]:
             raise ValueError(f"{f!r} is not univariate in {var!r}")
         out[e] = c.constant_value()
     return univariate_trim(out) or [_ZERO]
-
-
-def _exact_quotient(a, b):
-    """a / b: an int when both are ints and b divides a, else a Fraction."""
-    if b == 1:
-        return a
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return Fraction(a) / b
-
-
-def univariate_trim(p: Iterable) -> list:
-    """Copy without trailing zero coefficients; the zero polynomial is []."""
-    out = list(p)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def univariate_mul(a: Sequence, b: Sequence) -> list:
-    """Product of two dense coefficient lists."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for k, cb in enumerate(b):
-                out[i + k] += ca * cb
-    return out
-
-
-def univariate_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
-    """Quotient and (trimmed) remainder of num by den."""
-    den = univariate_trim(den)
-    if not den:
-        raise ZeroDivisionError("univariate division by zero")
-    rem, lead, n = list(num), den[-1], len(den) - 1
-    quot = [0] * max(len(rem) - n, 0)
-    for shift in range(len(quot) - 1, -1, -1):
-        factor = _exact_quotient(rem.pop(), lead)
-        if factor:
-            quot[shift] = factor
-            for i in range(n):
-                rem[shift + i] -= factor * den[i]
-    return quot, univariate_trim(rem)
-
-
-def univariate_gcd(a: Sequence, b: Sequence) -> list:
-    """gcd of two dense coefficient lists by Euclid over Q; [0] if both are zero.
-
-    It is monic, except for integer input: there it is the primitive integer
-    gcd with a positive leading coefficient, which by Gauss's lemma divides
-    each input in Z[x], so quotients by it stay ints.
-    """
-    integral = all(type(c) is int for c in (*a, *b))
-    a, b = univariate_trim(a), univariate_trim(b)
-    while b:
-        a, b = b, univariate_divmod(a, b)[1]
-    if not a:
-        return [_ZERO]
-    monic = [_exact_quotient(c, a[-1]) for c in a]
-    if not integral:
-        return monic
-    # the lcm of the denominators clears them and leaves content 1
-    scale = math.lcm(*(Fraction(c).denominator for c in monic))
-    return [int(c * scale) for c in monic]
-
-
-def squarefree_part(f: Sequence) -> list:
-    """f / gcd(f, f'): each distinct root of f once; integer input stays in ints."""
-    derivative = [k * c for k, c in enumerate(f)][1:]
-    quotient, rem = univariate_divmod(f, univariate_gcd(f, derivative))
-    if rem:
-        raise ArithmeticError("gcd(f, f') does not divide f")
-    return quotient
-
-
-def root_power_sums(f: Sequence, count: int) -> list:
-    """Power sums s_0..s_count of the roots of f, with multiplicity, by
-    Newton's identities  lc * s_k = -(k f_(n-k) + sum_(0<i<k) f_(n-i) s_(k-i)),
-    where f_j = 0 for j < 0."""
-    f = univariate_trim(f)
-    n, lead = len(f) - 1, f[-1]
-    sums = [n]
-    for k in range(1, count + 1):
-        total = k * f[n - k] if k <= n else 0
-        for i in range(1, min(k, n + 1)):
-            total += f[n - i] * sums[k - i]
-        sums.append(_exact_quotient(-total, lead))
-    return sums
-
-
-def monic_from_power_sums(sums: Sequence) -> list:
-    """Monic polynomial of degree len(sums) whose roots have the power sums
-    p_1, p_2, ... = sums: Newton's identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i
-    give the elementary symmetric functions, and the coefficient of z^(n-k)
-    is (-1)^k e_k."""
-    e = [1]
-    for k in range(1, len(sums) + 1):
-        total = 0
-        for i in range(1, k + 1):
-            term = e[k - i] * sums[i - 1]
-            total += term if i % 2 else -term
-        e.append(_exact_quotient(total, k))
-    return [-e[k] if k % 2 else e[k] for k in range(len(sums), -1, -1)]

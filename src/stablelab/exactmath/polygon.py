@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .valuation import INF, Affine, ExtValuation, is_finite, val_rat
+from .kernel import INF, Affine, ExtValuation, is_finite, val_rat
 
 
 class NewtonPolygon(NamedTuple):
@@ -38,7 +38,7 @@ class NewtonPolygon(NamedTuple):
         return tuple(sorted((-s, n) for s, n in self.segments))
 
 
-def lower_hull(points: Sequence[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
+def _lower_hull(points: Sequence[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
     """Lower convex hull of points sorted by abscissa; collinear points dropped."""
     hull: list[tuple[int, Fraction]] = []
     for pt in points:
@@ -59,7 +59,7 @@ def newton_polygon(vals: Sequence[ExtValuation]) -> NewtonPolygon:
     finite = [(i, Fraction(v)) for i, v in enumerate(vals) if is_finite(v)]
     if len(finite) < 2:
         raise ValueError("need at least two finite valuations")
-    polygon = NewtonPolygon(tuple(lower_hull(finite)))
+    polygon = NewtonPolygon(tuple(_lower_hull(finite)))
     segments = polygon.segments
     slopes = [s for s, _ in segments]
     if any(s1 >= s2 for s1, s2 in zip(slopes, slopes[1:])):
@@ -187,7 +187,7 @@ def _certify_cell(indexed, a: Fraction, b: Fraction):
     mid = (a + b) / 2
     actives = {i: min(pieces, key=lambda fn: fn(mid)) for i, pieces in indexed}
 
-    hull_pts = lower_hull([(i, actives[i](mid)) for i, _ in indexed])
+    hull_pts = _lower_hull([(i, actives[i](mid)) for i, _ in indexed])
     vertices = tuple(i for i, _ in hull_pts)
 
     constraints: list[Affine] = []

@@ -9,9 +9,9 @@ pairwise-difference polynomial Res_y(f(y), f(y + z)).
 Sylvester matrices, fraction-free (Bareiss) elimination over int/Fraction
 entries and Newton interpolation of an integer polynomial from exact values
 are the independent test oracle for both: nothing on the verify path calls
-them and `exactmath` does not export them.  They stay here, not under tests/,
-only because perfbench's tracer wraps `bareiss_determinant` and
-`interpolate_integer_polynomial` by name, until ROADMAP item 1.
+them.  They stay here, not under tests/, only because perfbench's tracer
+wraps `bareiss_determinant` and `interpolate_integer_polynomial` by name,
+until ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import (
+from .kernel import (
     monic_from_power_sums,
     root_power_sums,
     univariate_divmod,
@@ -69,7 +69,7 @@ def bareiss_determinant(matrix: Sequence[Sequence]) -> object:
     return -det if sign < 0 else det
 
 
-def sylvester_matrix(f: Sequence, g: Sequence) -> list[list]:
+def _sylvester_matrix(f: Sequence, g: Sequence) -> list[list]:
     """Sylvester matrix of two dense ascending coefficient lists."""
     df, dg = len(f) - 1, len(g) - 1
     if df < 0 or dg < 0:
@@ -102,7 +102,7 @@ def resultant_coeffs(f: Sequence, g: Sequence):
         return f[0] ** dg
     if dg == 0:
         return g[0] ** df
-    return bareiss_determinant(sylvester_matrix(f, g))
+    return bareiss_determinant(_sylvester_matrix(f, g))
 
 
 def interpolate_integer_polynomial(points: Sequence[tuple[int, int]]) -> list[int]:

@@ -1,14 +1,11 @@
-"""p-adic valuations of rationals, monomials and polynomial expressions.
+"""p-adic valuations of monomials and polynomial expressions.
 
-The extended valuation type is ``Fraction | INF`` where ``INF`` is the float
-infinity: it absorbs addition and compares above every Fraction, which is
-exactly the arithmetic the valuation of 0 needs.  All finite valuations stay
-Fractions.
-
-Every valuation of a polynomial expression is read off its monomials by
-``param_valuations``, whose point case ``valuation_levels`` groups them by
-valuation; a symbol's valuation is the one stated in its ``ValuedSymbol``,
-certified against its rewrite rule by ``symbol_valuations``.
+Valuations are ``ExtValuation`` values of `exactmath.kernel`: Fractions, or
+``INF`` for the valuation of 0.  Every valuation of a polynomial expression
+is read off its monomials by ``param_valuations``, whose point case
+``valuation_levels`` groups them by valuation; a symbol's valuation is the
+one stated in its ``ValuedSymbol``, certified against its rule by
+``symbol_valuations``.
 """
 
 from __future__ import annotations
@@ -16,35 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .. import CertificateError, is_prime
+from .. import CertificateError
+from .kernel import INF, Affine, ExtValuation, is_finite, val_rat
 from .poly import Monomial, SymbolicPolynomial, ValuedSymbol, normal_form
-
-INF = float("inf")
-
-ExtValuation = Fraction | float  # finite values are Fraction, infinity is INF
-
-
-def is_finite(v: ExtValuation) -> bool:
-    return v != INF
-
-
-def val_rat(q, p: int) -> ExtValuation:
-    """Exponent of the prime p in the rational q; val_rat(0) is INF."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    q = Fraction(q)
-    if q == 0:
-        return INF
-    k = 0
-    n = abs(q.numerator)
-    while n % p == 0:
-        n //= p
-        k += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        k -= 1
-    return Fraction(k)
 
 
 class MinValuation(NamedTuple):
@@ -61,36 +32,6 @@ class MinValuation(NamedTuple):
     @property
     def unique(self) -> bool:
         return len(self.witnesses) == 1
-
-
-class Affine(NamedTuple):
-    """The affine function constant + slope * lambda, with exact coefficients.
-
-    Used for coefficient valuations that depend on a parameter lambda (the
-    valuation of a coordinate ranging over an annulus or disk).
-    """
-
-    constant: Fraction
-    slope: Fraction
-
-    def __call__(self, lam) -> Fraction:
-        return self.constant + self.slope * Fraction(lam)
-
-    def __add__(self, other: "Affine") -> "Affine":
-        return Affine(self.constant + other.constant, self.slope + other.slope)
-
-    def __sub__(self, other: "Affine") -> "Affine":
-        return Affine(self.constant - other.constant, self.slope - other.slope)
-
-    def root(self) -> Fraction | None:
-        """The lambda where the function vanishes, if the slope is nonzero."""
-        if self.slope == 0:
-            return None
-        return -self.constant / self.slope
-
-
-def affine(constant, slope=0) -> Affine:
-    return Affine(Fraction(constant), Fraction(slope))
 
 
 def param_valuations(

@@ -12,8 +12,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import CertificateError, legendre_symbol, quatlab
-from .exactmath import is_prime
+from . import CertificateError, is_prime, legendre_symbol, quatlab
 
 F = Fraction
 

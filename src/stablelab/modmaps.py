@@ -16,20 +16,15 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import CertificateError, curve125
-from .exactmath import (
-    Affine,
-    SymbolicPolynomial,
-    characteristic_polynomial,
+from .exactmath.kernel import Affine, squarefree_part, univariate_gcd, val_rat
+from .exactmath.poly import SymbolicPolynomial, poly_to_coeffs, sym
+from .exactmath.resultant import characteristic_polynomial
+from .exactmath.valuation import (
     dominant_piece,
     field_valuation,
     pieces_in,
-    poly_to_coeffs,
     quotient_on_cell,
-    squarefree_part,
-    sym,
     symbol_valuations,
-    univariate_gcd,
-    val_rat,
 )
 
 P = 5

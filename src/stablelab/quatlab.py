@@ -17,10 +17,12 @@ sampled.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import CertificateError, legendre_symbol
-from .exactmath import SymbolicPolynomial, is_prime, sym
+from . import CertificateError, is_prime, legendre_symbol
+
+if TYPE_CHECKING:
+    from .exactmath.poly import SymbolicPolynomial
 
 
 class AbarElement(NamedTuple):
@@ -174,7 +176,11 @@ EXAMPLE_PARAMS = AlgebraParams(7, EXAMPLE_QUATERNIONS[0] % 7)  # the identificat
 
 def quaternion_square_symbolic() -> tuple[SymbolicPolynomial, ...]:
     """(a + bi + cj + dk)^2 in the rational quaternions with i^2 = -1,
-    j^2 = -7, ij = -ji = k, as polynomials in a, b, c, d."""
+    j^2 = -7, ij = -ji = k, as polynomials in a, b, c, d.  Only this check
+    loads the symbolic kit, so the ledger suite, which reads `class_count`,
+    loads no `exactmath` module."""
+    from .exactmath.poly import sym
+
     a, b, c, d = sym("a"), sym("b"), sym("c"), sym("d")
     components = quaternion_product((a, b, c, d), (a, b, c, d), *EXAMPLE_QUATERNIONS)
     expected = (

@@ -14,15 +14,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import CertificateError
-from .exactmath import (
-    ParamPolygon,
-    SymbolicPolynomial,
-    affine,
-    parametric_polygon,
-    pieces_in,
-    quotient_on_cell,
-    sym,
-)
+from .exactmath.kernel import affine
+from .exactmath.poly import SymbolicPolynomial, sym
+from .exactmath.polygon import ParamPolygon, parametric_polygon
+from .exactmath.valuation import pieces_in, quotient_on_cell
 
 P = 5
 F = Fraction

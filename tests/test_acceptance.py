@@ -11,15 +11,9 @@ half fails and is reported honestly rather than weakened.
 from fractions import Fraction as F
 
 from stablelab import CertificateError, cmlab, curve125, ledger, modmaps, quatlab, sslab
-from stablelab.exactmath import (
-    INF,
-    min_valuation,
-    newton_polygon,
-    root_valuation_multiset,
-    squarefree_part,
-    symbol_valuations,
-    val_rat,
-)
+from stablelab.exactmath.kernel import INF, squarefree_part, val_rat
+from stablelab.exactmath.polygon import newton_polygon, root_valuation_multiset
+from stablelab.exactmath.valuation import min_valuation, symbol_valuations
 
 
 def conclude(number: int, name: str, ok: bool, detail: str = ""):

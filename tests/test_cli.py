@@ -204,7 +204,7 @@ def test_a_wrong_valuation_of_r_fails_every_check_that_reads_it(monkeypatch):
     from fractions import Fraction
 
     from stablelab import curve125
-    from stablelab.exactmath import ValuedSymbol
+    from stablelab.exactmath.poly import ValuedSymbol
 
     wrong = ValuedSymbol("r", Fraction(1, 5), curve125.R_SYMBOL.rewrite)
     monkeypatch.setattr(curve125, "R_SYMBOL", wrong)
@@ -610,6 +610,7 @@ def test_cache_dir_that_is_a_file_rejected(tmp_path, capsys):
 
 _SRC = str(Path(cli.__file__).resolve().parents[1])
 _LABS = {f"stablelab.{name}" for name in ("cmlab", "curve125", "ledger", "modmaps", "quatlab", "sslab")}
+_KIT = {f"stablelab.exactmath.{name}" for name in ("kernel", "poly", "polygon", "resultant", "valuation")}
 
 
 def _modules_after(code: str) -> set[str]:
@@ -642,11 +643,13 @@ def test_each_suite_loads_only_its_layers():
     assert "stablelab.cmlab" in cm
     assert not cm & ((_LABS - {"stablelab.cmlab"}) | _PARSER_CHAIN)
     assert not _mpmath(cm)
+    # the class-polynomial path runs on the integer layer, not the symbolic kit
+    assert cm & _KIT == _KIT - {"stablelab.exactmath.poly", "stablelab.exactmath.valuation"}
     everything = _modules_after(
         "from stablelab import cli\n"
         "assert cli.main(['all', '--report', os.devnull]) == 1"
     )
-    assert _LABS <= everything and not _mpmath(everything)
+    assert _LABS | _KIT <= everything and not _mpmath(everything)
     assert not everything & _PARSER_CHAIN
     stable_model = _modules_after(
         "from stablelab import cli\n"
@@ -659,6 +662,7 @@ def test_each_suite_loads_only_its_layers():
     )
     assert "stablelab.ledger" in ledger
     assert not ledger & {"mpmath", "stablelab.cmlab"}
+    assert not {name for name in ledger if name.startswith("stablelab.exactmath")}
     ss = _modules_after(
         "from stablelab import cli\n"
         "assert cli.main(['ss', '--report', os.devnull]) == 0"

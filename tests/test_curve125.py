@@ -7,21 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablelab import CertificateError, curve125
-from stablelab.exactmath import (
-    INF,
-    Affine,
-    SymbolicPolynomial,
-    min_valuation,
-    newton_polygon,
-    normal_form,
-    poly_to_coeffs,
-    root_valuation_multiset,
-    sym,
-    symbol_valuations,
-    univariate_gcd,
-    univariate_mul,
-    val_rat,
-)
+from stablelab.exactmath.kernel import INF, Affine, univariate_gcd, univariate_mul, val_rat
+from stablelab.exactmath.poly import SymbolicPolynomial, normal_form, poly_to_coeffs, sym
+from stablelab.exactmath.polygon import newton_polygon, root_valuation_multiset
+from stablelab.exactmath.valuation import min_valuation, symbol_valuations
 from stablelab.exactmath.resultant import interpolate_integer_polynomial, resultant_coeffs
 
 r, x, y = sym("r"), sym("x"), sym("y")

@@ -3,14 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from stablelab import CertificateError, curve125, modmaps
-from stablelab.exactmath import (
-    Affine,
-    SymbolicPolynomial,
-    poly_to_coeffs,
-    squarefree_part,
-    sym,
-    val_rat,
-)
+from stablelab.exactmath.kernel import Affine, squarefree_part, val_rat
+from stablelab.exactmath.poly import SymbolicPolynomial, poly_to_coeffs, sym
 from stablelab.exactmath.resultant import interpolate_integer_polynomial, resultant_coeffs
 
 

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stablelab.exactmath import (
-    SymbolicPolynomial,
-    ValuedSymbol,
-    normal_form,
-    poly_to_coeffs,
+from stablelab.exactmath.kernel import (
     squarefree_part,
-    sym,
     univariate_divmod,
     univariate_gcd,
     univariate_mul,
     univariate_trim,
+)
+from stablelab.exactmath.poly import (
+    SymbolicPolynomial,
+    ValuedSymbol,
+    normal_form,
+    poly_to_coeffs,
+    sym,
 )
 
 x, y, r = sym("x"), sym("y"), sym("r")

@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablelab.exactmath import (
-    INF,
-    affine,
-    newton_polygon,
-    parametric_polygon,
-    poly_to_coeffs,
-    root_valuation_multiset,
-    sym,
-    val_rat,
-)
+from stablelab.exactmath.kernel import INF, affine, val_rat
+from stablelab.exactmath.poly import poly_to_coeffs, sym
+from stablelab.exactmath.polygon import newton_polygon, parametric_polygon, root_valuation_multiset
 
 x = sym("x")
 

@@ -10,7 +10,8 @@ import pkgutil
 import pytest
 
 import stablelab
-from stablelab.exactmath import MinValuation, ParamPolygon
+from stablelab.exactmath.polygon import NewtonPolygon, ParamPolygon
+from stablelab.exactmath.valuation import MinValuation
 from stablelab.ledger import SSClassSurvey
 from stablelab.modmaps import ImageCertificate
 from stablelab.sslab import TorsionProfile
@@ -39,10 +40,11 @@ def test_dataclasses_are_frozen(cls):
 
 
 def test_records_store_no_field_that_another_decides():
-    """A polygon's ends and breakpoints, a unique minimum, a canonical
-    subgroup and a census's mass are read off the fields that decide them,
-    so no record can state them inconsistently."""
+    """A polygon's ends and breakpoints, a Newton polygon's segments, a
+    unique minimum, a canonical subgroup and a census's mass are read off the
+    fields that decide them, so no record can state them inconsistently."""
     assert ParamPolygon._fields == ("cells",)
+    assert NewtonPolygon._fields == ("hull_vertices",)
     assert MinValuation._fields == ("value", "witnesses")
     assert TorsionProfile._fields == ("x_root_valuations", "z_valuations")
     assert ImageCertificate._fields == ("lower_bound", "unique")

@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablelab import curve125
-from stablelab.exactmath import characteristic_polynomial, difference_root_resultant, univariate_mul
+from stablelab.exactmath.kernel import univariate_mul
 from stablelab.exactmath.resultant import (
     bareiss_determinant,
+    characteristic_polynomial,
+    difference_root_resultant,
     interpolate_integer_polynomial,
     resultant_coeffs,
 )

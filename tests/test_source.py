@@ -109,26 +109,40 @@ def test_quadratic_residuosity_is_decided_only_by_legendre_symbol(module):
     assert not lines, f"{module}: decides quadratic residuosity on lines {lines}"
 
 
-def test_every_exactmath_export_has_a_reader():
-    """Each name the imports of ``exactmath/__init__.py`` bind is read in a
-    package module other than that one, so no dead kernel routine stays
-    exported."""
-    exported = {
-        alias.asname or alias.name
-        for node in _TREES["exactmath/__init__.py"].body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert {"symbol_valuations", "field_valuation", "min_valuation"} <= exported
-    read = {
+_HERE = Path(__file__).parent
+#: the tests and demos, which read the package from outside
+_USERS = [
+    ast.parse(path.read_text(encoding="utf-8"))
+    for path in [*_HERE.glob("*.py"), *(_HERE.parent / "demos").glob("*.py")]
+]
+
+
+def _names_read(trees) -> set[str]:
+    return {
         node.id if isinstance(node, ast.Name) else node.attr
-        for module, tree in _TREES.items()
-        if module != "exactmath/__init__.py"
+        for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
-    unread = exported - read
-    assert not unread, f"exported but never read: {sorted(unread)}"
+
+
+def test_every_exactmath_export_has_a_reader():
+    """Each public function or class an ``exactmath`` module defines is read
+    outside that module, by another package module, a test or a demo, so no
+    dead kernel routine stays."""
+    users = _names_read(_USERS)
+    unread = {}
+    for module, tree in _TREES.items():
+        if module.startswith("exactmath/"):
+            defined = {
+                node.name
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            }
+            others = _names_read(other for name, other in _TREES.items() if name != module)
+            unread[module] = sorted(defined - others - users)
+    assert {"exactmath/kernel.py", "exactmath/poly.py", "exactmath/valuation.py"} <= set(unread)
+    assert not any(unread.values()), f"defined but read nowhere else: {unread}"
 
 
 def _record_fields() -> dict[str, tuple[str, ...]]:
@@ -353,6 +367,51 @@ def test_valuation_imports_nothing_from_resultant():
         )
     ]
     assert not imported, f"imports from exactmath.resultant on lines {imported}"
+
+
+def _exactmath_modules_imported(module: str) -> set[str]:
+    """The ``exactmath`` modules that the import statements of a package
+    module name, the package itself as ``exactmath``."""
+    named = set()
+    for node in ast.walk(_TREES[module]):
+        if isinstance(node, ast.Import):
+            named |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            named |= {(node.module or "").split(".")[-1]} | {alias.name for alias in node.names}
+    return named & {"exactmath", "kernel", "poly", "valuation", "polygon", "resultant"}
+
+
+def test_exactmath_package_imports_none_of_its_modules():
+    """`exactmath/__init__.py` binds no name, and every importer names the
+    module that defines each name, so a process loads only the layers it
+    calls."""
+    init = [
+        node.lineno
+        for node in ast.walk(_TREES["exactmath/__init__.py"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not init, f"exactmath/__init__.py imports on lines {init}"
+    from_package = [
+        (module, node.lineno)
+        for module, tree in _TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exactmath"
+    ]
+    assert not from_package, f"names imported from the exactmath package at {from_package}"
+
+
+def test_kernel_imports_no_other_exactmath_module():
+    """`exactmath.kernel` is the leaf of the kit: the integer and rational
+    layer that every other module of it stands on."""
+    assert not _exactmath_modules_imported("exactmath/kernel.py")
+
+
+@pytest.mark.parametrize("module", ["exactmath/polygon.py", "exactmath/resultant.py", "cmlab.py"])
+def test_the_class_polynomial_path_imports_nothing_symbolic(module):
+    """The cm path runs on integers and rationals, so its modules import
+    nothing from the symbolic polynomials of `poly` or from `valuation`."""
+    symbolic = _exactmath_modules_imported(module) & {"poly", "valuation"}
+    assert not symbolic, f"{module} imports from {sorted(symbolic)}"
 
 
 def test_settings_come_from_the_command_line_alone():

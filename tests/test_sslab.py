@@ -3,7 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from stablelab import CertificateError, sslab
-from stablelab.exactmath import ParamPolygon, PolygonCell, SymbolicPolynomial, val_rat
+from stablelab.exactmath.kernel import val_rat
+from stablelab.exactmath.poly import SymbolicPolynomial
+from stablelab.exactmath.polygon import ParamPolygon, PolygonCell
 
 
 @pytest.fixture(scope="module")

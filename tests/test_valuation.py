@@ -7,34 +7,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablelab import CertificateError, curve125, modmaps, sslab
-from stablelab.exactmath import (
-    INF,
-    MinValuation,
+from stablelab.exactmath.kernel import INF, Affine, affine, is_finite, val_rat
+from stablelab.exactmath.poly import (
     SymbolicPolynomial,
-    Affine,
     ValuedSymbol,
-    affine,
-    characteristic_polynomial,
+    normal_form,
+    poly_to_coeffs,
+    sym,
+)
+from stablelab.exactmath.resultant import characteristic_polynomial
+from stablelab.exactmath.valuation import (
+    MinValuation,
     dominant_piece,
     field_valuation,
-    is_finite,
     min_valuation,
-    normal_form,
     param_valuations,
     pieces_in,
-    poly_to_coeffs,
     quotient_on_cell,
-    sym,
     symbol_valuations,
     valuation_levels,
 )
 from stablelab.curve125 import R_SYMBOL, SQRT15_SYMBOL
-from stablelab.exactmath import val_rat
 
 
 def test_is_prime_matches_a_sieve_and_is_shared():
-    from stablelab import cli, ledger, quatlab
-    from stablelab.exactmath import is_prime
+    from stablelab import cli, is_prime, ledger, quatlab
 
     composite = {m * k for m in range(2, 45) for k in range(m, 2000 // m + 1)}
     assert [n for n in range(-3, 2000) if is_prime(n)] == [
